@@ -12,14 +12,13 @@ import json
 import sys
 from typing import Iterable
 
-import numpy as np
-
 from . import closedform as cf
 from . import verify as verify_mod
 from .groups import (
     GroupTableError,
     Letter,
     NonGeneratingSetError,
+    free_product_of_cyclics,
     letter_lengths,
     normal_words,
 )
@@ -39,6 +38,7 @@ from .metrics import (
     volume,
 )
 from .traffic import (
+    DOMAIN_ERRORS,
     ConsistencyError,
     DEFAULT_MAX_ITER,
     MaxIterationsError,
@@ -52,11 +52,7 @@ from .walkspec import (
     build_family,
     default_tolerance,
     load_spec,
-    minimal_generators,
     resolve_generators,
-    z2z3_walk,
-    z3z3_asym,
-    z3z3_sym,
     hecke_simple,
     zkzk_simple,
 )
@@ -76,10 +72,6 @@ def _f17(x: float) -> str:
 def _csv_float(x: float) -> str:
     """Shortest round-trip decimal for byte-stable CSV output."""
     return repr(float(x))
-
-
-def _default_tol() -> float:
-    return default_tolerance()
 
 
 def _add_walk_arguments(parser: argparse.ArgumentParser) -> None:
@@ -122,7 +114,7 @@ def _walk_from_args(args: argparse.Namespace) -> WalkSpec:
         product=product,
         mu=mu,
         generators=resolve_generators(product, gens_spec),
-        tol=args.tol if args.tol is not None else _default_tol(),
+        tol=args.tol if args.tol is not None else default_tolerance(),
         max_iter=args.max_iter,
         seed=args.seed,
     )
@@ -162,99 +154,81 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _simplex(args, low: int):
+    """(i/n, j/n) and (i, j, n-i-j, n) for n = 1/resolution and i, j, n-i-j >= low."""
+    n = round(1.0 / args.resolution)
+    for i in range(low, n + 1):
+        for j in range(low, n + 1 - i - low):
+            yield (i / n, j / n), (i, j, n - i - j, n)
+
+
+def _below_half(args):
+    """(i/n,) and (i, n-2i, n) for n = 1/resolution and 0 < i/n < 1/2."""
+    n = round(1.0 / args.resolution)
+    for i in range(1, (n + 1) // 2):
+        yield (i / n,), (i, n - 2 * i, n)
+
+
+def _k_range(args):
+    for k in range(args.k_min, args.k_max + 1):
+        yield (k,), (k,)
+
+
+def _minimal_grid(args):
+    zkzk_simple(args.k or 4)  # rejects k < 3 before the first row
+    return _below_half(args)
+
+
+def _cyclic_walk(k1, k2, denominator, masses):
+    """Walk on Z/k1 * Z/k2 with mass m / denominator on each letter (factor, elem): m."""
+    product = free_product_of_cyclics(k1, k2)
+    table = {Letter(f, e): m / denominator for (f, e), m in masses.items()}
+    return product, StepDistribution.from_dict(product, table)
+
+
+def _zkzk_minimal(args, i, h, n):
+    k = args.k or 4
+    return _cyclic_walk(k, k, 2 * n, {(0, 1): 2 * i, (0, k - 1): 2 * i, (1, 1): h, (1, k - 1): h})
+
+
+# family: (header, grid of (parameters, integer point), generators, step law at
+# a point).  Every mass is an exact ratio of integers, so an edge mass is 0.
+_METRICS = ["gamma", "entropy", "volume", "quality", "error"]
+_SWEEPS = {
+    "z2z3": (["p", "q"] + _METRICS, lambda args: _simplex(args, 0), "natural",
+             lambda args, i, j, m, n: _cyclic_walk(2, 3, n, {(0, 1): m, (1, 1): i, (1, 2): j})),
+    "z3z3-sym": (["p"] + _METRICS, _below_half, "natural", lambda args, i, h, n: _cyclic_walk(
+        3, 3, 2 * n, {(0, 1): 2 * i, (0, 2): h, (1, 1): 2 * i, (1, 2): h})),
+    "z3z3-asym": (["p", "q"] + _METRICS, lambda args: _simplex(args, 1), "natural",
+                  lambda args, i, j, m, n: _cyclic_walk(
+                      3, 3, 2 * n, {(0, 1): 2 * i, (0, 2): 2 * j, (1, 1): m, (1, 2): m})),
+    "zkzk": (["k"] + _METRICS, _k_range, "natural", lambda args, k: zkzk_simple(k)),
+    "hecke": (["k"] + _METRICS, _k_range, "natural", lambda args, k: hecke_simple(k)),
+    "quality-zkzk-minimal": (["p", "gamma_S", "entropy", "volume_S", "quality", "error"],
+                             _minimal_grid, "minimal", _zkzk_minimal),
+}
+
+
 def _sweep_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list[str]]]:
-    family = args.family
-    res = args.resolution
-    tol = args.tol if args.tol is not None else _default_tol()
+    header, grid, gens, walk = _SWEEPS[args.family]
+    tol = args.tol if args.tol is not None else default_tolerance()
+    points = grid(args)
 
-    def metric_cells(product, mu):
-        report = solve_walk(product, mu, tol=tol)
-        m = metrics_report(product, mu, report)
-        return [_csv_float(m.gamma), _csv_float(m.entropy), _csv_float(m.volume), _csv_float(m.quality)]
+    def rows():
+        for params, point in points:
+            cells = [str(x) if isinstance(x, int) else _csv_float(x) for x in params]
+            try:
+                product, mu = walk(args, *point)
+                lengths = letter_lengths(product, resolve_generators(product, gens))
+                report = solve_walk(product, mu, tol=tol)
+                h = entropy(product, mu, report.r, report.q)
+                g = drift_weighted(product, mu, report.r, lengths)
+                v = volume(product, lengths)
+                yield cells + [_csv_float(x) for x in (g, h, v, h / (g * v))] + [""]
+            except DOMAIN_ERRORS as exc:
+                yield cells + ["", "", "", "", type(exc).__name__]
 
-    if family == "z2z3":
-        n = round(1.0 / res)
-        header = ["p", "q", "gamma", "entropy", "volume", "quality", "error"]
-
-        def rows():
-            for i in range(0, n + 1):
-                for j in range(0, n + 1 - i):
-                    p, q = i / n, j / n
-                    try:
-                        cells = metric_cells(*z2z3_walk(p, q))
-                        yield [_csv_float(p), _csv_float(q)] + cells + [""]
-                    except Exception as exc:
-                        yield [_csv_float(p), _csv_float(q), "", "", "", "", type(exc).__name__]
-
-        return header, rows()
-    if family in ("z3z3-sym", "z3z3-asym"):
-        header = (["p", "gamma", "entropy", "volume", "quality", "error"]
-                  if family == "z3z3-sym"
-                  else ["p", "q", "gamma", "entropy", "volume", "quality", "error"])
-        n = round(1.0 / res)
-
-        def rows():
-            if family == "z3z3-sym":
-                for i in range(1, round(0.5 / res)):
-                    p = i * res
-                    try:
-                        yield [_csv_float(p)] + metric_cells(*z3z3_sym(p)) + [""]
-                    except Exception as exc:
-                        yield [_csv_float(p), "", "", "", "", type(exc).__name__]
-            else:
-                for i in range(1, n):
-                    for j in range(1, n - i):
-                        p, q = i / n, j / n
-                        try:
-                            yield [_csv_float(p), _csv_float(q)] + metric_cells(*z3z3_asym(p, q)) + [""]
-                        except Exception as exc:
-                            yield [_csv_float(p), _csv_float(q), "", "", "", "", type(exc).__name__]
-
-        return header, rows()
-    if family in ("zkzk", "hecke"):
-        header = ["k", "gamma", "entropy", "volume", "quality", "error"]
-        builder = zkzk_simple if family == "zkzk" else hecke_simple
-
-        def rows():
-            for k in range(args.k_min, args.k_max + 1):
-                try:
-                    yield [str(k)] + metric_cells(*builder(k)) + [""]
-                except Exception as exc:
-                    yield [str(k), "", "", "", "", type(exc).__name__]
-
-        return header, rows()
-    if family == "quality-zkzk-minimal":
-        header = ["p", "gamma_S", "entropy", "volume_S", "quality", "error"]
-        product, _ = zkzk_simple(args.k or 4)
-        gens = minimal_generators(product)
-        lengths = letter_lengths(product, gens)
-        v_s = volume(product, lengths)
-        n = round(1.0 / res)
-
-        def rows():
-            for i in range(1, round(0.5 / res)):
-                p = i * res
-                probs = np.zeros(product.nletters)
-                k = product.factors[0].order
-                for u, mass in [
-                    (Letter(0, 1), p), (Letter(0, k - 1), p),
-                    (Letter(1, 1), 0.5 - p), (Letter(1, k - 1), 0.5 - p),
-                ]:
-                    probs[product.letter_index(u)] = mass
-                try:
-                    mu = StepDistribution(product, probs)
-                    report = solve_walk(product, mu, tol=tol)
-                    h = entropy(product, mu, report.r, report.q)
-                    g = drift_weighted(product, mu, report.r, lengths)
-                    yield [
-                        _csv_float(p), _csv_float(g), _csv_float(h),
-                        _csv_float(v_s), _csv_float(h / (g * v_s)), "",
-                    ]
-                except Exception as exc:
-                    yield [_csv_float(p), "", "", "", "", type(exc).__name__]
-
-        return header, rows()
-    raise ValueError(f"unknown sweep family {family!r}")
+    return header, rows()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -409,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep a family over a parameter grid, emit CSV")
     p_sweep.add_argument("--family", required=True,
-                         choices=["z2z3", "z3z3-sym", "z3z3-asym", "zkzk", "hecke",
-                                  "quality-zkzk-minimal"])
+                         choices=list(_SWEEPS))
     p_sweep.add_argument("--resolution", type=float, default=0.01)
     p_sweep.add_argument("--k", type=int, help="k for quality-zkzk-minimal")
     p_sweep.add_argument("--k-min", type=int, default=3)

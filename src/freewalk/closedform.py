@@ -49,25 +49,25 @@ def eval_G(n: int, x):
     return g_cur
 
 
-def _bisect(fn, lo: float, hi: float, increasing: bool) -> float:
-    """Root of fn on [lo, hi] with certified sign change at the ends."""
-    flo, fhi = fn(lo), fn(hi)
-    if increasing:
-        if not (flo < 0.0 < fhi):
-            raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo:.3e}, {fhi:.3e}")
-    else:
-        if not (flo > 0.0 > fhi):
-            raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo:.3e}, {fhi:.3e}")
+def bisect_increasing(fn, lo: float, hi: float) -> float:
+    """Root of an increasing fn on [lo, hi] by bisection; the caller checks the bracket."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        value = fn(mid)
-        if (value < 0.0) == increasing:
+        if fn(mid) < 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _bracketed_root(fn, lo: float, hi: float) -> float:
+    """Root of an increasing fn on [lo, hi] with certified sign change at the ends."""
+    flo, fhi = fn(lo), fn(hi)
+    if not (flo < 0.0 < fhi):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo:.3e}, {fhi:.3e}")
+    return bisect_increasing(fn, lo, hi)
 
 
 def solve_xk(k: int) -> float:
@@ -79,14 +79,14 @@ def solve_xk(k: int) -> float:
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    return _bisect(lambda x: eval_F(k, x) - 1.0, 1e-12, 1.0 - 1e-9, increasing=True)
+    return _bracketed_root(lambda x: eval_F(k, x) - 1.0, 1e-12, 1.0 - 1e-9)
 
 
 def solve_yk(k: int) -> float:
     """Unique root in (0, 1/2) of G_{k-1}(y) = y for the Hecke walk."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    return _bisect(lambda y: eval_G(k - 1, y) - y, 1e-12, 0.5 - 1e-9, increasing=True)
+    return _bracketed_root(lambda y: eval_G(k - 1, y) - y, 1e-12, 0.5 - 1e-9)
 
 
 def drift_zkzk(k: int) -> float:

@@ -11,6 +11,7 @@ simplification at the contact point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -270,23 +271,12 @@ def append_letter(product: FreeProduct, letters: tuple[Letter, ...], u: Letter) 
 
 
 def concat_normalize(product: FreeProduct, w1: Word, w2: Word) -> Word:
-    """Group law of the free product: concatenation with simplification.
+    """Group law of the free product: ``w1`` right-multiplied by each letter of ``w2``.
 
-    Letters of ``w2`` are pushed one by one against the tail of ``w1``;
-    a cancellation may expose a new same-factor contact, so the merge loop
-    cascades until the result is in normal form.
+    A cancellation may expose a new same-factor contact for the next letter
+    of ``w2``, so the result is in normal form.
     """
-    stack = list(w1.letters)
-    for u in w2.letters:
-        if stack and stack[-1].factor == u.factor:
-            merged = product.letter_product(stack[-1], u)
-            if merged is None:
-                stack.pop()
-            else:
-                stack[-1] = merged
-        else:
-            stack.append(u)
-    return Word(tuple(stack))
+    return Word(reduce(partial(append_letter, product), w2.letters, w1.letters))
 
 
 def left_mul_letter(product: FreeProduct, a: Letter, w: Word) -> tuple[Word, int]:

@@ -1,11 +1,15 @@
 """Drift, entropy, volume, and generator quality of a solved walk.
 
-Drift is the expected change of (possibly weighted) length of an infinite
-normal word when left-multiplied by a mu-step; entropy applies the same
-bookkeeping to log-hitting-probabilities; volume is the exponential growth
-rate of spheres, obtained as -log of the root of the factor length-series
-equation.  Quality compares the three: Q = h / (gamma * v), which never
-exceeds 1.
+Drift is the expected change of the (possibly weighted) length of an
+infinite normal word when left-multiplied by a mu-step.  Entropy is the
+same speed in the Green metric w = -log q: on a free product the Green
+function factorises as F(e, x_1...x_k) = q(x_1)...q(x_k), and the entropy
+of a transient walk equals its drift in the Green metric (Blachere,
+Haissinsky and Mathieu, Ann. Probab. 36 (2008)).  One kernel therefore
+computes drift, weighted drift and entropy.  Volume is the exponential
+growth rate of spheres, obtained as -log of the root of the factor
+length-series equation.  Quality compares the three: Q = h / (gamma * v),
+which never exceeds 1.
 """
 
 from __future__ import annotations
@@ -16,15 +20,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .closedform import bisect_increasing
 from .groups import FreeProduct, LengthTable, Letter, Word, letter_lengths, natural_lengths
 from .traffic import (
     DEFAULT_TOL,
+    DOMAIN_ERRORS,
     HittingVector,
     RootVector,
     SolveReport,
     StepDistribution,
+    letter_tables,
     solve_walk,
-    validate_walk,
 )
 
 QUALITY_GAMMA_FLOOR = 1e-12
@@ -53,68 +59,43 @@ class QualitySweep:
     evaluations: int
 
 
-def drift(product: FreeProduct, mu: StepDistribution, r: RootVector) -> float:
-    """Speed of escape in the natural letter-count metric.
+def _additive_drift(
+    product: FreeProduct, mu: StepDistribution, r: RootVector, w: np.ndarray
+) -> float:
+    """Speed of the additive letter functional w: a word weighs the sum of w over its letters.
 
-    gamma = sum_a mu(a) [ -r(a^-1) + sum over letters b outside a's factor of r(b) ].
+    Left-multiplying an infinite normal word, whose first letter has law r,
+    by a step a prepends a when the word starts outside a's factor (gain
+    w(a)), cancels a first letter a^-1 (loss w(a^-1)), or turns a first
+    letter v of a's factor into a*v (change w(a*v) - w(v)).  The last case
+    runs over the solver's in-factor pair tables u * v = a.
     """
-    x = np.asarray(r.values)
-    outside = np.array([r.outside_factor(i) for i in range(product.nfactors)])
-    return float(np.sum(mu.probs * (outside[product.factor_of] - x[product.inv_index])))
+    s = letter_tables(product)
+    p = mu.probs
+    x = np.asarray(r.values, dtype=float)
+    inv = s.inv_index
+    ends = np.dot(p, w * s.outside(x) - w[inv] * x[inv])
+    merges = np.dot(p[s.pair_u] * x[s.pair_v], w[s.pair_a] - w[s.pair_v])
+    return float(ends + merges)
+
+
+def drift(product: FreeProduct, mu: StepDistribution, r: RootVector) -> float:
+    """Speed of escape in the natural letter-count metric."""
+    return _additive_drift(product, mu, r, np.ones(product.nletters))
 
 
 def drift_weighted(
     product: FreeProduct, mu: StepDistribution, r: RootVector, lengths: LengthTable
 ) -> float:
-    """Speed of escape measured in S-length, for a letter LengthTable.
-
-    Left-multiplying an infinite normal word by a step letter a either
-    cancels the first letter a^-1 (length drops by |a^-1|), merges into a
-    same-factor first letter b (length changes by |a*b| - |b|), or
-    prepends (length grows by |a|); the first letter is distributed as r.
-    With unit weights this reduces to the natural drift.
-    """
-    total = 0.0
-    weights = lengths.weights
-    idx = product.letter_index
-    for a, p in zip(product.alphabet, mu.probs):
-        if p == 0.0:
-            continue
-        a_inv = product.letter_inverse(a)
-        change = -float(weights[idx(a_inv)]) * r[a_inv]
-        for b in product.sigma(a.factor):
-            if b == a_inv:
-                continue
-            ab = product.letter_product(a, b)
-            change += (float(weights[idx(ab)]) - float(weights[idx(b)])) * r[b]
-        change += float(weights[idx(a)]) * r.outside_factor(a.factor)
-        total += p * change
-    return total
+    """Speed of escape measured in S-length, for a letter LengthTable."""
+    return _additive_drift(product, mu, r, np.asarray(lengths.weights, dtype=float))
 
 
 def entropy(
     product: FreeProduct, mu: StepDistribution, r: RootVector, q: HittingVector
 ) -> float:
-    """Asymptotic entropy of the walk, in nats per step.
-
-    h = -sum_a mu(a) [ log(1/q(a^-1)) r(a^-1)
-                       + sum_{b in a's factor, b != a^-1} log(q(a*b)/q(b)) r(b)
-                       + log q(a) * (mass of r outside a's factor) ].
-    """
-    total = 0.0
-    for a, p in zip(product.alphabet, mu.probs):
-        if p == 0.0:
-            continue
-        a_inv = product.letter_inverse(a)
-        inner = -math.log(q[a_inv]) * r[a_inv]
-        for b in product.sigma(a.factor):
-            if b == a_inv:
-                continue
-            ab = product.letter_product(a, b)
-            inner += math.log(q[ab] / q[b]) * r[b]
-        inner += math.log(q[a]) * r.outside_factor(a.factor)
-        total += p * inner
-    return -total
+    """Asymptotic entropy of the walk in nats per step: the speed in the Green metric -log q."""
+    return _additive_drift(product, mu, r, -np.log(np.asarray(q.values, dtype=float)))
 
 
 def _factor_series(product: FreeProduct, lengths: LengthTable) -> list[list[int]]:
@@ -141,18 +122,9 @@ def volume(product: FreeProduct, lengths: LengthTable) -> float:
     sphere recursion.  Z/2 * Z/2 grows linearly: its root is t*=1, v=0.
     """
     by_factor = _factor_series(product, lengths)
-    lo, hi = 0.0, 1.0
-    if _growth_equation(by_factor, hi) < -1e-12:
+    if _growth_equation(by_factor, 1.0) < -1e-12:
         raise ValueError("growth equation has no root in (0,1]: invalid length table")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _growth_equation(by_factor, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return -math.log(0.5 * (lo + hi))
+    return -math.log(bisect_increasing(lambda t: _growth_equation(by_factor, t), 0.0, 1.0))
 
 
 def growth_rho(product: FreeProduct) -> float:
@@ -160,23 +132,12 @@ def growth_rho(product: FreeProduct) -> float:
 
     Unique positive solution of sum_i k_i/(rho + k_i) = 1 with k_i the
     number of nonidentity elements of factor i; exp(volume) for natural
-    lengths.  Solved by bisection on a strictly decreasing map.
+    lengths.  Solved by bisection on the increasing map 1 - sum_i k_i/(x + k_i).
     """
     sizes = [product.sigma_size(i) for i in range(product.nfactors)]
-
-    def eq(x: float) -> float:
-        return sum(k / (x + k) for k in sizes) - 1.0
-
-    lo, hi = 0.0, float(sum(sizes))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if eq(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_increasing(
+        lambda x: 1.0 - sum(k / (x + k) for k in sizes), 0.0, float(sum(sizes))
+    )
 
 
 def extremal_measure(product: FreeProduct) -> StepDistribution:
@@ -306,9 +267,8 @@ def quality_sup(
                 probs[product.letter_index(u)] = m / steps / len(orbit)
         mu = StepDistribution(product, probs)
         try:
-            validate_walk(product, mu)
             report = solve_walk(product, mu, tol=tol)
-        except Exception:
+        except DOMAIN_ERRORS:
             continue
         evaluations += 1
         h = entropy(product, mu, report.r, report.q)

@@ -8,13 +8,14 @@ computed in any order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import FreeProduct, LengthTable, Letter, StateBudgetError, Word, natural_lengths
-from .traffic import StepDistribution
+from .traffic import StepDistribution, letter_tables
 
 CONVOLUTION_BUDGET = 1_000_000
 
@@ -55,6 +56,39 @@ def _sample_indices(mu: StepDistribution, steps: int, rng: np.random.Generator) 
     ).tolist()
 
 
+_CANCEL = -1  # merge[t][u] when t * u is the identity; also "no letter"
+_APART = -2  # merge[t][u] when t and u lie in different factors
+
+
+@functools.lru_cache(maxsize=1)
+def _merge_table(product: FreeProduct) -> tuple[tuple[int, ...], ...]:
+    """merge[t][u]: alphabet index of t * u for letters of one factor, else _CANCEL or _APART."""
+    s = letter_tables(product)
+    merge = np.where(np.equal.outer(s.factor_of, s.factor_of), _CANCEL, _APART)
+    merge[s.pair_u, s.pair_v] = s.pair_a
+    return tuple(map(tuple, merge.tolist()))
+
+
+def _right_multiply(stack: list[int], u: int, merge) -> tuple[int, int]:
+    """Right-multiply a normal-form stack of letter indices by the letter u, in place.
+
+    Returns the letters (removed, added) at the top, _CANCEL for none.
+    """
+    if stack:
+        merged = merge[stack[-1]][u]
+        if merged != _APART:
+            top = stack.pop()
+            if merged != _CANCEL:
+                stack.append(merged)
+            return top, merged
+    stack.append(u)
+    return _CANCEL, u
+
+
+def _letters(product: FreeProduct, stack) -> tuple[Letter, ...]:
+    return tuple(product.alphabet[i] for i in stack)
+
+
 def simulate(
     product: FreeProduct,
     mu: StepDistribution,
@@ -65,32 +99,17 @@ def simulate(
 ) -> Trajectory:
     """Run one walk for the given number of steps; deterministic in (seed, stream)."""
     table = lengths if lengths is not None else natural_lengths(product)
-    weights = table.weights
-    alphabet = product.alphabet
-    mul = [g.mul for g in product.factors]
-    rng = _generator(seed, stream)
-    idx_of = product.letter_index
+    weights = table.weights.tolist() + [0]  # weights[_CANCEL] == 0
+    merge = _merge_table(product)
     series = np.zeros(steps + 1)
-    stack: list[Letter] = []
+    stack: list[int] = []
     current = 0.0
-    for n, pick in enumerate(_sample_indices(mu, steps, rng), start=1):
-        u = alphabet[pick]
-        if stack and stack[-1].factor == u.factor:
-            top = stack[-1]
-            e = mul[u.factor][top.elem][u.elem]
-            if e == 0:
-                stack.pop()
-                current -= weights[idx_of(top)]
-            else:
-                merged = Letter(u.factor, e)
-                stack[-1] = merged
-                current += weights[idx_of(merged)] - weights[idx_of(top)]
-        else:
-            stack.append(u)
-            current += weights[pick]
+    for n, pick in enumerate(_sample_indices(mu, steps, _generator(seed, stream)), start=1):
+        removed, added = _right_multiply(stack, pick, merge)
+        current += weights[added] - weights[removed]
         series[n] = current
     return Trajectory(
-        seed=seed, stream=stream, steps=steps, lengths=series, final=Word(tuple(stack))
+        seed=seed, stream=stream, steps=steps, lengths=series, final=Word(_letters(product, stack))
     )
 
 
@@ -131,27 +150,16 @@ def estimate_hitting(
     downward; transience makes the missing mass decay geometrically in the
     horizon.
     """
-    product.letter_index(target)
+    goal = [product.letter_index(target)]
     if reps < 2:
         raise ValueError("need reps >= 2")
-    alphabet = product.alphabet
-    mul = [g.mul for g in product.factors]
+    merge = _merge_table(product)
     hits = 0
     for rep in range(reps):
-        rng = _generator(seed, rep)
-        picks = _sample_indices(mu, horizon, rng)
-        stack: list[Letter] = []
-        for pick in picks:
-            u = alphabet[pick]
-            if stack and stack[-1].factor == u.factor:
-                e = mul[u.factor][stack[-1].elem][u.elem]
-                if e == 0:
-                    stack.pop()
-                else:
-                    stack[-1] = Letter(u.factor, e)
-            else:
-                stack.append(u)
-            if len(stack) == 1 and stack[0] == target:
+        stack: list[int] = []
+        for pick in _sample_indices(mu, horizon, _generator(seed, rep)):
+            _right_multiply(stack, pick, merge)
+            if stack == goal:
                 hits += 1
                 break
     p_hat = hits / reps
@@ -191,31 +199,20 @@ def estimate_prefix(
     """
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
-    alphabet = product.alphabet
-    mul = [g.mul for g in product.factors]
-    counts: dict[tuple[Letter, ...], int] = {}
+    merge = _merge_table(product)
+    counts: dict[tuple[int, ...], int] = {}
     dropped = 0
     for rep in range(reps):
-        rng = _generator(seed, rep)
-        picks = _sample_indices(mu, steps, rng)
-        stack: list[Letter] = []
-        for pick in picks:
-            u = alphabet[pick]
-            if stack and stack[-1].factor == u.factor:
-                e = mul[u.factor][stack[-1].elem][u.elem]
-                if e == 0:
-                    stack.pop()
-                else:
-                    stack[-1] = Letter(u.factor, e)
-            else:
-                stack.append(u)
+        stack: list[int] = []
+        for pick in _sample_indices(mu, steps, _generator(seed, rep)):
+            _right_multiply(stack, pick, merge)
         if len(stack) < prefix_len:
             dropped += 1
             continue
         key = tuple(stack[:prefix_len])
         counts[key] = counts.get(key, 0) + 1
     kept = reps - dropped
-    freqs = {Word(k): c / kept for k, c in counts.items()} if kept else {}
+    freqs = {Word(_letters(product, k)): c / kept for k, c in counts.items()} if kept else {}
     return PrefixReport(frequencies=freqs, dropped=dropped, replications=reps, horizon=steps)
 
 
@@ -233,23 +230,21 @@ def exact_convolution(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    support = [(u, p) for u, p in zip(product.alphabet, mu.probs) if p > 0.0]
-    mul = [g.mul for g in product.factors]
-    dist: dict[tuple[Letter, ...], float] = {(): 1.0}
+    support = [(u, p) for u, p in enumerate(mu.probs) if p > 0.0]
+    merge = _merge_table(product)
+    dist: dict[tuple[int, ...], float] = {(): 1.0}
     for _ in range(n):
-        out: dict[tuple[Letter, ...], float] = {}
+        out: dict[tuple[int, ...], float] = {}
         for word, mass in dist.items():
             for u, p in support:
-                if word and word[-1].factor == u.factor:
-                    e = mul[u.factor][word[-1].elem][u.elem]
-                    nw = word[:-1] if e == 0 else word[:-1] + (Letter(u.factor, e),)
-                else:
-                    nw = word + (u,)
+                stack = list(word)
+                _right_multiply(stack, u, merge)
+                nw = tuple(stack)
                 out[nw] = out.get(nw, 0.0) + mass * p
         if len(out) > max_support:
             raise StateBudgetError(f"convolution support exceeds {max_support} words")
         dist = out
-    return {Word(w): p for w, p in dist.items()}
+    return {Word(_letters(product, w)): p for w, p in dist.items()}
 
 
 def expected_length(dist: dict[Word, float], lengths: LengthTable | None = None) -> float:

@@ -17,6 +17,7 @@ The root vector of the harmonic measure follows as
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -42,6 +43,10 @@ class ConsistencyError(RuntimeError):
     """Solved vector violates the consistency identity: non-transient input or bug."""
 
 
+# What an invalid or unsolvable walk raises; grid searches skip or tag these.
+DOMAIN_ERRORS = (ValueError, MaxIterationsError, ConsistencyError)
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     """Step law mu on the letters, indexed by alphabet position."""
@@ -53,6 +58,8 @@ class StepDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.product.nletters,):
             raise ValueError(f"need {self.product.nletters} probabilities, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("non-finite probability in step distribution")
         if np.any(p < 0.0):
             raise ValueError("negative probability in step distribution")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -141,23 +148,25 @@ class SolveReport:
 
 
 class _Structure:
-    """Index tables for the vectorized hitting map of one product."""
+    """Index tables for the vectorized hitting map of one product.
+
+    ``(pair_a[m], pair_u[m], pair_v[m])`` lists every in-factor product
+    u * v = a of two letters, ordered by a, then u.
+    """
 
     def __init__(self, product: FreeProduct):
-        self.product = product
         pa: list[int] = []
         pu: list[int] = []
         pv: list[int] = []
-        idx = product.letter_index
-        for a in product.alphabet:
-            ia = idx(a)
-            for u in product.sigma(a.factor):
-                if u == a:
-                    continue  # v would be the identity
-                v = product.letter_product(product.letter_inverse(u), a)
-                pa.append(ia)
-                pu.append(idx(u))
-                pv.append(idx(v))
+        for i, group in enumerate(product.factors):
+            base = product.factor_slice(i).start - 1  # element e of factor i is letter base + e
+            mul, inv = group.mul, group.inv
+            for a in range(1, group.order):
+                for u in range(1, group.order):
+                    if u != a:  # u = a would leave v the identity
+                        pa.append(base + a)
+                        pu.append(base + u)
+                        pv.append(base + mul[inv[u]][a])
         self.pair_a = np.array(pa, dtype=np.intp)
         self.pair_u = np.array(pu, dtype=np.intp)
         self.pair_v = np.array(pv, dtype=np.intp)
@@ -166,12 +175,24 @@ class _Structure:
         self.nletters = product.nletters
         self.nfactors = product.nfactors
 
+    def outside(self, x: np.ndarray) -> np.ndarray:
+        """Per letter a, the total of x over the letters outside a's factor."""
+        per_factor = np.bincount(self.factor_of, weights=x, minlength=self.nfactors)
+        return x.sum() - per_factor[self.factor_of]
+
+
+@functools.lru_cache(maxsize=1)
+def letter_tables(product: FreeProduct) -> _Structure:
+    """The index tables of ``product``, kept for the most recent product only.
+
+    A solve and the metrics of its walk share one build, while a cache of
+    one holds the tables of a single product at a time.
+    """
+    return _Structure(product)
+
 
 def _phi_array(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
-    cq = mu * q[s.inv_index]
-    per_factor = np.bincount(s.factor_of, weights=cq, minlength=s.nfactors)
-    back = cq.sum() - per_factor[s.factor_of]
-    out = mu + q * back
+    out = mu + q * s.outside(mu * q[s.inv_index])
     if len(s.pair_a):
         out += np.bincount(s.pair_a, weights=mu[s.pair_u] * q[s.pair_v], minlength=s.nletters)
     return out
@@ -189,10 +210,7 @@ def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
     if len(s.pair_a):
         np.add.at(jac, (s.pair_a, s.pair_v), mu[s.pair_u])
     # d/dq(a) of q(a) * back(a)
-    cq = mu * q[s.inv_index]
-    per_factor = np.bincount(s.factor_of, weights=cq, minlength=s.nfactors)
-    back = cq.sum() - per_factor[s.factor_of]
-    jac[np.arange(n), np.arange(n)] += back
+    jac[np.arange(n), np.arange(n)] += s.outside(mu * q[s.inv_index])
     # d/dq(d) of q(a) * mu(d^-1) q(d) over letters d outside a's factor
     cross = np.not_equal.outer(s.factor_of, s.factor_of)
     jac += cross * np.outer(q, mu[s.inv_index])
@@ -218,8 +236,23 @@ def validate_walk(product: FreeProduct, mu: StepDistribution) -> None:
 
 def phi(product: FreeProduct, mu: StepDistribution, q: HittingVector) -> HittingVector:
     """One application of the hitting map to q."""
-    s = _Structure(product)
+    s = letter_tables(product)
     return HittingVector(product, _phi_array(s, mu.probs, np.asarray(q.values, dtype=float)))
+
+
+def _iterate(s: _Structure, p: np.ndarray, q: np.ndarray, iterations: int, max_iter: int, done):
+    """Apply the hitting map until done(change, q) holds; returns (q, iterations)."""
+    while True:
+        qn = _phi_array(s, p, q)
+        iterations += 1
+        delta = float(np.max(np.abs(qn - q)))
+        q = qn
+        if done(delta, q):
+            return q, iterations
+        if iterations >= max_iter:
+            raise MaxIterationsError(
+                f"no convergence after {iterations} iterations (last change {delta:.3e})"
+            )
 
 
 def _solve_arrays(
@@ -228,22 +261,11 @@ def _solve_arrays(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, int, float]:
-    s = _Structure(product)
+    """Checked least fixed point q, with the iteration count and the final sup residual."""
+    s = letter_tables(product)
     p = mu.probs
-    q = np.zeros(s.nletters)
     switch = max(tol, _NEWTON_SWITCH)
-    iterations = 0
-    while True:
-        qn = _phi_array(s, p, q)
-        iterations += 1
-        delta = float(np.max(np.abs(qn - q)))
-        q = qn
-        if delta < switch:
-            break
-        if iterations >= max_iter:
-            raise MaxIterationsError(
-                f"no convergence after {iterations} iterations (last change {delta:.3e})"
-            )
+    q, iterations = _iterate(s, p, np.zeros(s.nletters), 0, max_iter, lambda d, q: d < switch)
     # Newton polish; the monotone phase has entered the basin of the least
     # fixed point, so a few steps reach machine precision.  Any failure
     # falls back to plain iteration.
@@ -265,18 +287,16 @@ def _solve_arrays(
     # Require the consistency identity as well: near the recurrent boundary
     # the contraction rate approaches 1 and a small per-iteration change no
     # longer implies proximity to the fixed point.
-    while True:
-        qn = _phi_array(s, p, q)
-        iterations += 1
-        delta = float(np.max(np.abs(qn - q)))
-        q = qn
-        if delta < tol and _consistency_residual(s, q) <= 10.0 * tol:
-            break
-        if iterations >= max_iter:
-            raise MaxIterationsError(
-                f"no convergence after {iterations} iterations (last change {delta:.3e})"
-            )
+    q, iterations = _iterate(
+        s, p, q, iterations, max_iter,
+        lambda d, q: d < tol and _consistency_residual(s, q) <= 10.0 * tol,
+    )
     sup = float(np.max(np.abs(_phi_array(s, p, q) - q)))
+    if np.any(q >= 1.0 - tol) or np.any(q <= 0.0):
+        raise ConsistencyError("hitting probabilities left (0,1): walk is not transient")
+    residual = HittingVector(product, q).consistency_residual()
+    if residual > 10.0 * tol:
+        raise ConsistencyError(f"consistency identity violated by {residual:.3e}")
     return q, iterations, sup
 
 
@@ -293,17 +313,7 @@ def solve_hitting(
     vector fails the consistency identity, which signals a non-transient
     input or a bug.
     """
-    q, _, _ = _solve_arrays(product, mu, tol, max_iter)
-    qv = HittingVector(product, q)
-    if np.any(q >= 1.0 - tol):
-        raise ConsistencyError("a hitting probability reached 1: walk is not transient")
-    if np.any(q <= 0.0):
-        raise ConsistencyError("a hitting probability is not positive")
-    if qv.consistency_residual() > 10.0 * tol:
-        raise ConsistencyError(
-            f"consistency identity violated by {qv.consistency_residual():.3e}"
-        )
-    return qv
+    return HittingVector(product, _solve_arrays(product, mu, tol, max_iter)[0])
 
 
 def q_to_r(q: HittingVector) -> RootVector:
@@ -317,16 +327,14 @@ def q_to_r(q: HittingVector) -> RootVector:
 
 def traffic_residual(product: FreeProduct, mu: StepDistribution, r: RootVector) -> float:
     """Sup-norm residual of the traffic polynomial system at r (0 at the solution)."""
-    s = _Structure(product)
+    s = letter_tables(product)
     x = np.asarray(r.values, dtype=float)
     p = mu.probs
-    outside = x.sum() - np.bincount(s.factor_of, weights=x, minlength=s.nfactors)[s.factor_of]
+    outside = s.outside(x)
     rhs = p * outside
     if len(s.pair_a):
         rhs += np.bincount(s.pair_a, weights=p[s.pair_u] * x[s.pair_v], minlength=s.nletters)
-    feedback = p[s.inv_index] * x / outside
-    per_factor = np.bincount(s.factor_of, weights=feedback, minlength=s.nfactors)
-    rhs += x * (feedback.sum() - per_factor[s.factor_of])
+    rhs += x * s.outside(p[s.inv_index] * x / outside)
     return float(np.max(np.abs(x - rhs)))
 
 
@@ -350,12 +358,6 @@ def solve_walk(
     validate_walk(product, mu)
     q_arr, iterations, sup = _solve_arrays(product, mu, tol, max_iter)
     q = HittingVector(product, q_arr)
-    if np.any(q_arr >= 1.0 - tol) or np.any(q_arr <= 0.0):
-        raise ConsistencyError("hitting probabilities left (0,1): walk is not transient")
-    if q.consistency_residual() > 10.0 * tol:
-        raise ConsistencyError(
-            f"consistency identity violated by {q.consistency_residual():.3e}"
-        )
     r = q_to_r(q)
     return SolveReport(
         q=q,

@@ -1,6 +1,8 @@
 """Independent oracles used by the tests.
 
-The hitting-probability oracle builds the literal Markov chain on the
+The per-letter loops restate the index tables of the solver and the
+additive-drift kernel of the metrics one letter at a time.  The
+hitting-probability oracle builds the literal Markov chain on the
 ball of a given radius, absorbing at the target letter and killed at the
 boundary, and solves the linear hitting system by iteration.  Killing at
 the boundary biases the value downward by at most the probability of
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from freewalk.groups import FreeProduct, Letter, append_letter
-from freewalk.traffic import StepDistribution
+from freewalk.traffic import RootVector, StepDistribution
 
 
 def ball_words(product: FreeProduct, radius: int) -> list[tuple[Letter, ...]]:
@@ -66,3 +68,32 @@ def hitting_oracle(
         if delta < tol:
             break
     return float(q[index[()]])
+
+
+def pair_tables_oracle(product: FreeProduct) -> tuple[list[int], list[int], list[int]]:
+    """Every in-factor product u * v = a with v nonidentity, as (a, u, v) index lists."""
+    pa, pu, pv = [], [], []
+    idx = product.letter_index
+    for a in product.alphabet:
+        for u in product.sigma(a.factor):
+            if u != a:
+                pa.append(idx(a))
+                pu.append(idx(u))
+                pv.append(idx(product.letter_product(product.letter_inverse(u), a)))
+    return pa, pu, pv
+
+
+def additive_drift_oracle(
+    product: FreeProduct, mu: StepDistribution, r: RootVector, w: np.ndarray
+) -> float:
+    """Speed of the additive letter functional w, summed step letter by step letter."""
+    idx = product.letter_index
+    total = 0.0
+    for a, p in zip(product.alphabet, mu.probs):
+        a_inv = product.letter_inverse(a)
+        change = w[idx(a)] * r.outside_factor(a.factor) - w[idx(a_inv)] * r[a_inv]
+        for b in product.sigma(a.factor):
+            if b != a_inv:
+                change += (w[idx(product.letter_product(a, b))] - w[idx(b)]) * r[b]
+        total += p * change
+    return total

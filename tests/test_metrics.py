@@ -3,8 +3,11 @@ import math
 import numpy as np
 
 from freewalk.groups import (
+    FreeProduct,
     Letter,
     free_product_of_cyclics,
+    make_cyclic,
+    make_finite_group,
     letter_lengths,
     natural_lengths,
     normal_words,
@@ -32,6 +35,8 @@ from freewalk.walkspec import (
     z2z3_walk,
     zkzk_simple,
 )
+
+from oracles import additive_drift_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -252,3 +257,27 @@ def test_metrics_report_assembly():
     assert abs(m.hd_measure - m.entropy / m.gamma) < 1e-12
     assert abs(m.hd_support - m.volume) < 1e-12
     assert m.gamma > 0 and m.entropy >= 0 and m.volume > 0
+
+
+def test_drift_and_entropy_kernel_match_per_letter_loop():
+    klein = make_finite_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    mixed = FreeProduct([klein, make_cyclic(3), make_cyclic(5)])
+    rng = np.random.default_rng(11)
+    walks = [
+        z2z3_walk(0.5, 0.1),
+        hecke_simple(4),
+        zkzk_simple(6),
+        uniform_per_factor([3, 4, 5]),
+        (mixed, StepDistribution(mixed, rng.dirichlet(np.ones(mixed.nletters)))),
+    ]
+    for product, mu in walks:
+        report = solve_walk(product, mu)
+        gens = {v for u in product.alphabet if u.elem <= 2 for v in (u, product.letter_inverse(u))}
+        lengths = letter_lengths(product, gens)
+        cases = [
+            (drift(product, mu, report.r), np.ones(product.nletters)),
+            (drift_weighted(product, mu, report.r, lengths), lengths.weights.astype(float)),
+            (entropy(product, mu, report.r, report.q), -np.log(report.q.values)),
+        ]
+        for value, w in cases:
+            assert abs(value - additive_drift_oracle(product, mu, report.r, w)) < 1e-13

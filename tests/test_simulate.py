@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from freewalk.groups import Letter, StateBudgetError, Word, letter_lengths
+from freewalk.groups import LengthTable, Letter, StateBudgetError, Word, letter_lengths
 from freewalk.harmonic import build_chain, cylinder_prob
-from freewalk.metrics import drift, drift_weighted
+from freewalk.metrics import drift, drift_weighted, entropy
 from freewalk.simulate import (
     distribution_entropy,
     estimate_drift,
@@ -16,7 +16,13 @@ from freewalk.simulate import (
     simulate,
 )
 from freewalk.traffic import solve_walk
-from freewalk.walkspec import hecke_simple, minimal_generators, z2z3_walk, zkzk_simple
+from freewalk.walkspec import (
+    hecke_simple,
+    minimal_generators,
+    uniform_per_factor,
+    z2z3_walk,
+    zkzk_simple,
+)
 
 SEED = 424242
 
@@ -171,3 +177,39 @@ def test_expected_length_weighted():
     natural = expected_length(law)
     weighted = expected_length(law, lengths)
     assert weighted >= natural  # a^2-letters count twice
+
+
+def test_estimates_pinned_for_fixed_seeds():
+    # Literals recorded from the per-letter stepper; the integer-stack
+    # stepper must reproduce them exactly from the same Philox streams.
+    product, mu = zkzk_simple(4)
+    est = estimate_drift(product, mu, steps=500, reps=20, seed=SEED)
+    assert est.estimate == 0.31300000000000006
+    lengths = letter_lengths(product, minimal_generators(product))
+    est = estimate_drift(product, mu, steps=500, reps=20, seed=SEED, lengths=lengths)
+    assert est.estimate == 0.3832000000000001
+    product, mu = hecke_simple(3)
+    pre = estimate_prefix(product, mu, steps=300, reps=40, seed=SEED, prefix_len=2)
+    assert pre.dropped == 0
+    assert {str(w): f for w, f in pre.frequencies.items()} == {
+        "0:1.1:1": 0.25, "0:1.1:2": 0.325, "1:1.0:1": 0.175, "1:2.0:1": 0.25,
+    }
+    product, mu = z2z3_walk(0.3, 0.2)
+    hit = estimate_hitting(product, mu, Letter(1, 1), horizon=200, reps=50, seed=SEED)
+    assert hit.estimate == 0.64
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [lambda: zkzk_simple(4), lambda: z2z3_walk(0.5, 0.1), lambda: uniform_per_factor([3, 4, 5])],
+    ids=["z4z4", "z2z3", "uniform-z3z4z5"],
+)
+def test_entropy_is_monte_carlo_speed_in_green_metric(walk):
+    # h is the drift in the Green metric -log q, so the simulator with those
+    # letter weights estimates it independently of the entropy formula.
+    product, mu = walk()
+    report = solve_walk(product, mu)
+    green = LengthTable(product, -np.log(report.q.values), ())
+    est = estimate_drift(product, mu, steps=2000, reps=200, seed=20240809, lengths=green)
+    h = entropy(product, mu, report.r, report.q)
+    assert abs(est.estimate - h) <= 3 * est.stderr

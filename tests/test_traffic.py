@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from freewalk.groups import Letter, NonGeneratingSetError, free_product_of_cyclics
+from freewalk.groups import (
+    FreeProduct,
+    Letter,
+    NonGeneratingSetError,
+    free_product_of_cyclics,
+    make_cyclic,
+    make_finite_group,
+)
 from freewalk.traffic import (
     HittingVector,
     MaxIterationsError,
@@ -14,12 +21,13 @@ from freewalk.traffic import (
     solve_hitting,
     solve_walk,
     stationarity_check,
+    letter_tables,
     traffic_residual,
     validate_walk,
 )
 from freewalk.walkspec import hecke_simple, z2z3_walk, z3z3_sym, zkzk_simple
 
-from oracles import hitting_oracle
+from oracles import hitting_oracle, pair_tables_oracle
 
 
 def test_step_distribution_validation():
@@ -32,6 +40,13 @@ def test_step_distribution_validation():
         StepDistribution(product, np.array([1.1, -0.1, 0.0]))
     mu = StepDistribution.from_dict(product, {Letter(0, 1): 0.5, Letter(1, 1): 0.5})
     assert mu.support == (Letter(0, 1), Letter(1, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_distribution_rejects_non_finite(bad):
+    product = free_product_of_cyclics(2, 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        StepDistribution(product, np.array([bad, 0.5, 0.5]))
 
 
 def test_validate_walk_accepts_partial_support():
@@ -227,3 +242,20 @@ def test_hitting_oracle_z2z4():
     q = solve_hitting(product, mu)
     oracle = hitting_oracle(product, mu, Letter(1, 1), radius=18)
     assert abs(q[Letter(1, 1)] - oracle) < 1e-4
+
+
+def test_letter_tables_match_per_letter_loop():
+    s3 = make_finite_group([
+        [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 5, 0, 4, 3, 1],
+        [3, 4, 5, 0, 1, 2], [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4],
+    ])
+    for product in (
+        free_product_of_cyclics(2, 3),
+        free_product_of_cyclics(2, 2, 2),
+        free_product_of_cyclics(7, 4, 5),
+        FreeProduct([s3, make_cyclic(2), make_cyclic(4)]),
+    ):
+        s = letter_tables(product)
+        pa, pu, pv = pair_tables_oracle(product)
+        assert s.pair_a.tolist() == pa and s.pair_u.tolist() == pu and s.pair_v.tolist() == pv
+        assert letter_tables(product) is s  # built once per product

@@ -145,9 +145,10 @@ def test_cli_sweep_csv_and_byte_stability(capsys):
         assert float(row[4]) <= 1 + 1e-9
 
 
-def test_cli_sweep_records_failures_and_continues(capsys):
-    # p=0.5 puts zero mass on a and b^2: factor Z/2 is not generated
-    assert main(["sweep", "--family", "z2z3", "--resolution", "0.5"]) == 0
+@pytest.mark.parametrize("resolution", ["0.5", "0.2"])
+def test_cli_sweep_records_failures_and_continues(capsys, resolution):
+    # edge rows put zero mass on a (factor Z/2) or on b and b^2 (factor Z/3)
+    assert main(["sweep", "--family", "z2z3", "--resolution", resolution]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     tagged = [row for row in rows[1:] if row[6]]
     assert tagged and all(row[6] == "NonGeneratingSetError" for row in tagged)
