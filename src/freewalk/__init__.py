@@ -47,7 +47,6 @@ from .metrics import (
     extremal_cylinders,
     extremal_measure,
     growth_rho,
-    hausdorff,
     metrics_report,
     quality,
     quality_sup,

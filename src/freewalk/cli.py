@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from typing import Iterable
@@ -40,7 +41,6 @@ from .metrics import (
 from .traffic import (
     DOMAIN_ERRORS,
     ConsistencyError,
-    DEFAULT_MAX_ITER,
     MaxIterationsError,
     RecurrentGroupError,
     StepDistribution,
@@ -82,42 +82,40 @@ def _add_walk_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=float, help="family parameter q")
     parser.add_argument("--orders", help="comma list of cyclic orders, e.g. 2,3,5")
     parser.add_argument("--weights", help="comma list of per-factor weights")
-    parser.add_argument("--gens", default="natural",
+    # The solver and generator flags default to None: a flag that is not
+    # given keeps the value of the spec file, or the WalkSpec default.
+    parser.add_argument("--gens", default=None,
                         help="generating set: natural, minimal, or comma list of letters")
     parser.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    parser.add_argument("--seed", type=int, default=20240809)
+    parser.add_argument("--max-iter", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
 
 
 def _walk_from_args(args: argparse.Namespace) -> WalkSpec:
     if args.spec:
         spec = load_spec(args.spec)
-        if args.tol is not None:
-            spec = WalkSpec(spec.product, spec.mu, spec.generators, args.tol, args.max_iter, args.seed)
-        return spec
-    if not args.family:
+    elif args.family:
+        params = {}
+        if args.k is not None:
+            params["k"] = args.k
+        if args.p is not None:
+            params["p"] = args.p
+        if args.q is not None:
+            params["q"] = args.q
+        if args.orders:
+            params["orders"] = [int(x) for x in args.orders.split(",")]
+        if args.weights:
+            params["weights"] = [float(x) for x in args.weights.split(",")]
+        product, mu = build_family(args.family, **params)
+        spec = WalkSpec(product, mu, product.alphabet, tol=default_tolerance())
+    else:
         raise ValueError("give --spec FILE or --family NAME")
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.p is not None:
-        params["p"] = args.p
-    if args.q is not None:
-        params["q"] = args.q
-    if args.orders:
-        params["orders"] = [int(x) for x in args.orders.split(",")]
-    if args.weights:
-        params["weights"] = [float(x) for x in args.weights.split(",")]
-    product, mu = build_family(args.family, **params)
-    gens_spec = args.gens if args.gens in ("natural", "minimal") else args.gens.split(",")
-    return WalkSpec(
-        product=product,
-        mu=mu,
-        generators=resolve_generators(product, gens_spec),
-        tol=args.tol if args.tol is not None else default_tolerance(),
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
+    flags = {"tol": args.tol, "max_iter": args.max_iter, "seed": args.seed}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    if args.gens is not None:
+        gens_spec = args.gens if args.gens in ("natural", "minimal") else args.gens.split(",")
+        overrides["generators"] = resolve_generators(spec.product, gens_spec)
+    return dataclasses.replace(spec, **overrides)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -210,6 +208,8 @@ _SWEEPS = {
 
 
 def _sweep_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list[str]]]:
+    if not args.resolution > 0.0:
+        raise ValueError(f"resolution must be positive, got {args.resolution!r}")
     header, grid, gens, walk = _SWEEPS[args.family]
     tol = args.tol if args.tol is not None else default_tolerance()
     points = grid(args)
@@ -280,9 +280,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _walk_from_args(args)
     product, mu = spec.product, spec.mu
-    lengths = None
-    if args.gens != "natural":
-        lengths = letter_lengths(product, spec.generators)
+    lengths = letter_lengths(product, spec.generators)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["metric", "estimate", "stderr", "replications", "horizon", "note"])
     est = estimate_drift(product, mu, steps=args.steps, reps=args.reps, seed=spec.seed, lengths=lengths)

@@ -300,23 +300,25 @@ class LengthTable:
     ``weights[i]`` is the length of ``product.alphabet[i]``.  In a free
     product a geodesic for an element of a factor never leaves that factor
     (cross-factor letters in any product can only cancel completely), so
-    the length of a word is the sum of its letter lengths.
+    the length of a word is the sum of its letter lengths.  Any additive
+    letter weight fits the same table, e.g. the Green metric -log q with
+    float weights; the accessors return the table's own scalar type.
     """
 
     product: FreeProduct
     weights: np.ndarray
     generators: tuple[Letter, ...]
 
-    def of(self, u: Letter) -> int:
-        return int(self.weights[self.product.letter_index(u)])
+    def of(self, u: Letter) -> int | float:
+        return self.weights[self.product.letter_index(u)].item()
 
-    def word_weight(self, w: Word) -> int:
+    def word_weight(self, w: Word) -> int | float:
         idx = self.product.letter_index
-        return int(sum(self.weights[idx(u)] for u in w.letters))
+        return self.weights[[idx(u) for u in w.letters]].sum().item()
 
     @property
-    def max_weight(self) -> int:
-        return int(self.weights.max())
+    def max_weight(self) -> int | float:
+        return self.weights.max().item()
 
 
 def natural_lengths(product: FreeProduct) -> LengthTable:

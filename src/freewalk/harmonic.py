@@ -5,6 +5,15 @@ from r and each subsequent letter v with probability r(v) normalized over
 the letters outside the current factor.  Cylinder masses therefore take
 the product form q(u_1) ... q(u_{k-1}) r(u_k) with
 q(u) = r(u)/r(Sigma minus u's factor).
+
+In chain terms nu(w_1...w_k) = first[w_1] T[w_1,w_2] ... T[w_{k-1},w_k],
+and T vanishes inside a factor, so the m-letter prefixes v that keep vw
+normal are exactly the paths that the matrix power T^m counts.  The total
+mass they put in front of w therefore factors as
+
+    sum_v nu(v w) = nu(w) (first T^m)[w_1] / first[w_1],
+
+which gives the shift-invariance residuals without enumerating prefixes.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FreeProduct, Letter, Word
-from .traffic import HittingVector, RootVector, StepDistribution
+from .traffic import HittingVector, RootVector, StepDistribution, letter_tables
 
 _LOG_SPACE_CUTOFF = 200
 
@@ -42,8 +51,7 @@ def build_chain(product: FreeProduct, r: RootVector) -> LetterChain:
     x = np.asarray(r.values, dtype=float)
     if np.any(x <= 0.0) or abs(x.sum() - 1.0) > 1e-9:
         raise ValueError("root vector must be strictly positive and sum to 1")
-    outside = np.array([r.outside_factor(i) for i in range(product.nfactors)])
-    rows = outside[product.factor_of]
+    rows = letter_tables(product).outside(x)
     trans = np.where(
         np.not_equal.outer(product.factor_of, product.factor_of),
         x[np.newaxis, :] / rows[:, np.newaxis],
@@ -92,19 +100,25 @@ def two_factor_identity(q: HittingVector) -> float:
     return q.factor_sum(0) * q.factor_sum(1)
 
 
+def _shift_residual(chain: LetterChain, w: Word, steps: int) -> float:
+    """|nu(w) - sum_v nu(vw)| over the normal-form prefixes v of ``steps`` letters."""
+    if len(w) == 0:
+        raise ValueError("need a nonempty cylinder word")
+    reach = chain.first
+    for _ in range(steps):
+        reach = reach @ chain.trans
+    a = chain.product.letter_index(w[0])
+    mass = cylinder_prob(chain, w)
+    return float(abs(mass - mass * reach[a] / chain.first[a]))
+
+
 def tau1_invariance_residual(chain: LetterChain, w: Word) -> float:
     """|nu(w...) - sum_v nu(vw...)| over one-letter extensions keeping normal form.
 
     Vanishes exactly when the measure is shift-invariant (the stationary
     case); strictly positive otherwise.
     """
-    if len(w) == 0:
-        raise ValueError("need a nonempty cylinder word")
-    total = 0.0
-    for v in chain.product.alphabet:
-        if v.factor != w[0].factor:
-            total += cylinder_prob(chain, Word((v,) + w.letters))
-    return abs(cylinder_prob(chain, w) - total)
+    return _shift_residual(chain, w, 1)
 
 
 def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:
@@ -115,18 +129,9 @@ def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:
     factor and v1 back in it.  Zero (to rounding) for every harmonic root
     vector on two factors.
     """
-    product = chain.product
-    if product.nfactors != 2:
+    if chain.product.nfactors != 2:
         raise ValueError("two-step shift invariance applies to two-factor products")
-    if len(w) == 0:
-        raise ValueError("need a nonempty cylinder word")
-    i = w[0].factor
-    j = 1 - i
-    total = 0.0
-    for v1 in product.sigma(i):
-        for v2 in product.sigma(j):
-            total += cylinder_prob(chain, Word((v1, v2) + w.letters))
-    return abs(cylinder_prob(chain, w) - total)
+    return _shift_residual(chain, w, 2)
 
 
 def mu_invariance_residual(chain: LetterChain, mu: StepDistribution, w: Word) -> float:

@@ -38,7 +38,12 @@ QUALITY_GAMMA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Scalar summary of one walk: speed, entropy, growth, and their ratio."""
+    """Scalar summary of one walk: speed, entropy, growth, and their ratio.
+
+    ``hd_measure`` = h/gamma and ``hd_support`` = v are the Hausdorff
+    dimensions of the harmonic measure and of its support for the boundary
+    metric exp(-common prefix length); the first never exceeds the second.
+    """
 
     gamma: float
     entropy: float
@@ -98,14 +103,14 @@ def entropy(
     return _additive_drift(product, mu, r, -np.log(np.asarray(q.values, dtype=float)))
 
 
-def _factor_series(product: FreeProduct, lengths: LengthTable) -> list[list[int]]:
-    by_factor: list[list[int]] = [[] for _ in range(product.nfactors)]
-    for u in product.alphabet:
-        by_factor[u.factor].append(int(lengths.weights[product.letter_index(u)]))
+def _factor_series(product: FreeProduct, lengths: LengthTable) -> list[list[int | float]]:
+    by_factor: list[list[int | float]] = [[] for _ in product.factors]
+    for u, w in zip(product.alphabet, lengths.weights.tolist()):
+        by_factor[u.factor].append(w)
     return by_factor
 
 
-def _growth_equation(by_factor: Sequence[Sequence[int]], t: float) -> float:
+def _growth_equation(by_factor: Sequence[Sequence[int | float]], t: float) -> float:
     total = 0.0
     for weights in by_factor:
         f = sum(t**w for w in weights)
@@ -134,7 +139,7 @@ def growth_rho(product: FreeProduct) -> float:
     number of nonidentity elements of factor i; exp(volume) for natural
     lengths.  Solved by bisection on the increasing map 1 - sum_i k_i/(x + k_i).
     """
-    sizes = [product.sigma_size(i) for i in range(product.nfactors)]
+    sizes = [g.order - 1 for g in product.factors]
     return bisect_increasing(
         lambda x: 1.0 - sum(k / (x + k) for k in sizes), 0.0, float(sum(sizes))
     )
@@ -147,9 +152,7 @@ def extremal_measure(product: FreeProduct) -> StepDistribution:
     equation of rho is precisely the normalization.
     """
     rho = growth_rho(product)
-    probs = np.empty(product.nletters)
-    for i in range(product.nfactors):
-        probs[product.factor_slice(i)] = 1.0 / (rho + product.sigma_size(i))
+    probs = 1.0 / (rho + np.bincount(product.factor_of)[product.factor_of])
     return StepDistribution(product, probs / probs.sum())
 
 
@@ -169,7 +172,7 @@ def extremal_cylinders(product: FreeProduct, w: Word) -> tuple[float, float]:
     if k == 0:
         raise ValueError("need a nonempty cylinder word")
     rho = growth_rho(product)
-    sizes = [product.sigma_size(i) for i in range(product.nfactors)]
+    sizes = [g.order - 1 for g in product.factors]
     first, last = w[0].factor, w[k - 1].factor
     harmonic = rho ** (-(k - 1)) / (rho + sizes[last])
     norm = sum(m / (rho + m) ** 2 for m in sizes)
@@ -177,20 +180,6 @@ def extremal_cylinders(product: FreeProduct, w: Word) -> tuple[float, float]:
         rho ** (-(k - 1)) / ((rho + sizes[first]) * (rho + sizes[last])) / norm
     )
     return harmonic, max_entropy
-
-
-def hausdorff(
-    product: FreeProduct, mu: StepDistribution, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
-    """(dimension of the harmonic measure, dimension of its support).
-
-    For the boundary metric exp(-common prefix length) these are h/gamma
-    and v; the first never exceeds the second.
-    """
-    report = solve_walk(product, mu, tol=tol)
-    h = entropy(product, mu, report.r, report.q)
-    gamma = drift(product, mu, report.r)
-    return h / gamma, volume(product, natural_lengths(product))
 
 
 def quality(
@@ -250,6 +239,8 @@ def quality_sup(
     for u in gens:
         if product.letter_inverse(u) not in gens:
             raise ValueError(f"generator set must be symmetric, missing inverse of {u}")
+    if not grid_resolution > 0.0:
+        raise ValueError(f"grid resolution must be positive, got {grid_resolution!r}")
     orbits = _inverse_orbits(product, gens)
     steps = round(1.0 / grid_resolution)
     if steps < len(orbits):

@@ -117,10 +117,7 @@ class HittingVector(_LetterVector):
     values: np.ndarray
 
     def consistency_residual(self) -> float:
-        total = sum(
-            self.factor_sum(i) / (1.0 + self.factor_sum(i)) for i in range(self.product.nfactors)
-        )
-        return abs(total - 1.0)
+        return _consistency_residual(letter_tables(self.product), self.values)
 
 
 @dataclass(frozen=True)
@@ -175,10 +172,13 @@ class _Structure:
         self.nletters = product.nletters
         self.nfactors = product.nfactors
 
+    def factor_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per factor i, the total of x over the letters of factor i."""
+        return np.bincount(self.factor_of, weights=x, minlength=self.nfactors)
+
     def outside(self, x: np.ndarray) -> np.ndarray:
         """Per letter a, the total of x over the letters outside a's factor."""
-        per_factor = np.bincount(self.factor_of, weights=x, minlength=self.nfactors)
-        return x.sum() - per_factor[self.factor_of]
+        return x.sum() - self.factor_sums(x)[self.factor_of]
 
 
 @functools.lru_cache(maxsize=1)
@@ -199,7 +199,7 @@ def _phi_array(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _consistency_residual(s: _Structure, q: np.ndarray) -> float:
-    sums = np.bincount(s.factor_of, weights=q, minlength=s.nfactors)
+    sums = s.factor_sums(q)
     return float(abs(np.sum(sums / (1.0 + sums)) - 1.0))
 
 
@@ -262,6 +262,8 @@ def _solve_arrays(
     max_iter: int,
 ) -> tuple[np.ndarray, int, float]:
     """Checked least fixed point q, with the iteration count and the final sup residual."""
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
     s = letter_tables(product)
     p = mu.probs
     switch = max(tol, _NEWTON_SWITCH)
@@ -294,7 +296,7 @@ def _solve_arrays(
     sup = float(np.max(np.abs(_phi_array(s, p, q) - q)))
     if np.any(q >= 1.0 - tol) or np.any(q <= 0.0):
         raise ConsistencyError("hitting probabilities left (0,1): walk is not transient")
-    residual = HittingVector(product, q).consistency_residual()
+    residual = _consistency_residual(s, q)
     if residual > 10.0 * tol:
         raise ConsistencyError(f"consistency identity violated by {residual:.3e}")
     return q, iterations, sup
@@ -318,11 +320,9 @@ def solve_hitting(
 
 def q_to_r(q: HittingVector) -> RootVector:
     """Root vector r(a) = q(a) / (1 + q(Sigma_a)); entries sum to 1."""
-    product = q.product
-    denom = np.empty(product.nletters)
-    for i in range(product.nfactors):
-        denom[product.factor_slice(i)] = 1.0 + q.factor_sum(i)
-    return RootVector(product, np.asarray(q.values) / denom)
+    s = letter_tables(q.product)
+    x = np.asarray(q.values, dtype=float)
+    return RootVector(q.product, x / (1.0 + s.factor_sums(x)[s.factor_of]))
 
 
 def traffic_residual(product: FreeProduct, mu: StepDistribution, r: RootVector) -> float:
@@ -344,8 +344,8 @@ def stationarity_check(product: FreeProduct, r: RootVector, tol: float = STATION
     For a root vector solving the traffic system this decides whether the
     harmonic measure is stationary (and ergodic) under the one-step shift.
     """
-    target = 1.0 / product.nfactors
-    return max(abs(r.factor_sum(i) - target) for i in range(product.nfactors)) < tol
+    sums = letter_tables(product).factor_sums(np.asarray(r.values, dtype=float))
+    return bool(np.max(np.abs(sums - 1.0 / product.nfactors)) < tol)
 
 
 def solve_walk(

@@ -9,6 +9,7 @@ written ``"factor:elem"``.  Unknown keys are rejected.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass
@@ -44,6 +45,10 @@ class WalkSpec:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     seed: int = 20240809
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def zkzk_simple(k: int) -> tuple[FreeProduct, StepDistribution]:
@@ -143,8 +148,11 @@ def build_family(name: str, **params: Any) -> tuple[FreeProduct, StepDistributio
     unknown = set(params) - set(argnames)
     if unknown:
         raise ValueError(f"family {name!r} does not take {sorted(unknown)}")
-    args = [params[a] for a in argnames if a in params]
-    return fn(*args)
+    required = [a for a, p in inspect.signature(fn).parameters.items() if p.default is p.empty]
+    missing = [a for a in required if a not in params]
+    if missing:
+        raise ValueError(f"family {name!r} needs {', '.join(missing)}")
+    return fn(**params)
 
 
 def minimal_generators(product: FreeProduct) -> tuple[Letter, ...]:

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 The per-letter loops restate the index tables of the solver and the
-additive-drift kernel of the metrics one letter at a time.  The
+additive-drift kernel of the metrics one letter at a time, and the
+shift-invariance residuals one normal-form prefix at a time.  The
 hitting-probability oracle builds the literal Markov chain on the
 ball of a given radius, absorbing at the target letter and killed at the
 boundary, and solves the linear hitting system by iteration.  Killing at
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from freewalk.groups import FreeProduct, Letter, append_letter
+from freewalk.groups import FreeProduct, Letter, Word, append_letter
+from freewalk.harmonic import LetterChain, cylinder_prob
 from freewalk.traffic import RootVector, StepDistribution
 
 
@@ -97,3 +99,23 @@ def additive_drift_oracle(
                 change += (w[idx(product.letter_product(a, b))] - w[idx(b)]) * r[b]
         total += p * change
     return total
+
+
+def tau1_residual_oracle(chain: LetterChain, w: Word) -> float:
+    """|nu(w) - sum_v nu(vw)|, one cylinder per one-letter prefix v keeping normal form."""
+    total = 0.0
+    for v in chain.product.alphabet:
+        if v.factor != w[0].factor:
+            total += cylinder_prob(chain, Word((v,) + w.letters))
+    return abs(cylinder_prob(chain, w) - total)
+
+
+def tau2_residual_oracle(chain: LetterChain, w: Word) -> float:
+    """The two-letter analogue on two factors: v2 opposite to w's first factor, v1 back in it."""
+    product = chain.product
+    i = w[0].factor
+    total = 0.0
+    for v1 in product.sigma(i):
+        for v2 in product.sigma(1 - i):
+            total += cylinder_prob(chain, Word((v1, v2) + w.letters))
+    return abs(cylinder_prob(chain, w) - total)

@@ -14,8 +14,10 @@ from freewalk.harmonic import (
     tau2_invariance_residual,
     two_factor_identity,
 )
-from freewalk.traffic import solve_walk
-from freewalk.walkspec import hecke_simple, z2z3_walk, z2z2z2, zkzk_simple
+from freewalk.traffic import RootVector, solve_walk
+from freewalk.walkspec import hecke_simple, uniform_per_factor, z2z3_walk, z2z2z2, zkzk_simple
+
+from oracles import tau1_residual_oracle, tau2_residual_oracle
 
 
 def chain_for(product, mu):
@@ -152,6 +154,49 @@ def test_tau1_invariance_iff_stationary():
     product, mu = hecke_simple(3)  # not stationary
     _, chain = chain_for(product, mu)
     assert tau1_invariance_residual(chain, product.word([Letter(0, 1)])) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "walk", [zkzk_simple(4), hecke_simple(3), hecke_simple(4), z2z3_walk(0.5, 0.1)],
+    ids=["z4z4", "hecke3", "hecke4", "z2z3"],
+)
+def test_shift_residuals_match_prefix_enumeration(walk):
+    product, mu = walk
+    _, chain = chain_for(product, mu)
+    for w in normal_words(product, 3):
+        scale = 1e-13 * cylinder_prob(chain, w)
+        assert abs(tau1_invariance_residual(chain, w) - tau1_residual_oracle(chain, w)) <= scale
+        assert abs(tau2_invariance_residual(chain, w) - tau2_residual_oracle(chain, w)) <= scale
+
+
+def test_shift_residuals_match_prefix_enumeration_off_solution():
+    # The uniform root vector does not solve the traffic system of this walk,
+    # and its measure is far from shift-invariant.  Two-step invariance on two
+    # factors holds for every positive root vector, so tau2 stays near 0.
+    product, _ = z2z3_walk(0.3, 0.1)
+    chain = build_chain(product, RootVector(product, np.full(product.nletters, 1 / 3)))
+    words = normal_words(product, 3)
+    assert max(tau1_residual_oracle(chain, w) for w in words) > 1e-2
+    for residual, oracle in ((tau1_invariance_residual, tau1_residual_oracle),
+                             (tau2_invariance_residual, tau2_residual_oracle)):
+        expected = [oracle(chain, w) for w in words]
+        for w, value in zip(words, expected):
+            scale = 1e-13 * cylinder_prob(chain, w)
+            assert residual(chain, w) == pytest.approx(value, rel=1e-13, abs=scale)
+
+
+def test_shift_residuals_three_factors():
+    product, mu = uniform_per_factor([2, 3, 4])
+    _, chain = chain_for(product, mu)
+    for w in normal_words(product, 3):
+        scale = 1e-13 * cylinder_prob(chain, w)
+        assert abs(tau1_invariance_residual(chain, w) - tau1_residual_oracle(chain, w)) <= scale
+    with pytest.raises(ValueError):
+        tau2_invariance_residual(chain, product.word([Letter(0, 1)]))
+    _, two_factor = chain_for(*hecke_simple(3))
+    for residual in (tau1_invariance_residual, tau2_invariance_residual):
+        with pytest.raises(ValueError):
+            residual(two_factor, Word(()))
 
 
 def test_mu_invariance_identity_small_cylinders():

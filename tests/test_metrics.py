@@ -19,7 +19,6 @@ from freewalk.metrics import (
     extremal_cylinders,
     extremal_measure,
     growth_rho,
-    hausdorff,
     metrics_report,
     quality,
     quality_sup,
@@ -194,13 +193,11 @@ def test_extremal_cylinders_equal_sizes_coincide():
 
 
 def test_hausdorff_dimensions():
-    product, mu = extremal_walk([2, 4])
-    hd_measure, hd_support = hausdorff(product, mu)
-    assert abs(hd_measure - hd_support) < 1e-9
-    product, mu = zkzk_simple(4)
-    hd_measure, hd_support = hausdorff(product, mu)
-    assert abs(hd_support - math.log(3)) < 1e-12
-    assert hd_measure <= hd_support + 1e-9
+    report = metrics_report(*extremal_walk([2, 4]))
+    assert abs(report.hd_measure - report.hd_support) < 1e-9
+    report = metrics_report(*zkzk_simple(4))
+    assert abs(report.hd_support - math.log(3)) < 1e-12
+    assert report.hd_measure <= report.hd_support + 1e-9
 
 
 def test_fundamental_inequality_on_random_walks():

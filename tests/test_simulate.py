@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from freewalk.groups import LengthTable, Letter, StateBudgetError, Word, letter_lengths
+from freewalk.groups import (
+    LengthTable,
+    Letter,
+    StateBudgetError,
+    Word,
+    letter_lengths,
+    natural_lengths,
+)
 from freewalk.harmonic import build_chain, cylinder_prob
-from freewalk.metrics import drift, drift_weighted, entropy
+from freewalk.metrics import drift, drift_weighted, entropy, volume
 from freewalk.simulate import (
     distribution_entropy,
     estimate_drift,
@@ -213,3 +220,22 @@ def test_entropy_is_monte_carlo_speed_in_green_metric(walk):
     est = estimate_drift(product, mu, steps=2000, reps=200, seed=20240809, lengths=green)
     h = entropy(product, mu, report.r, report.q)
     assert abs(est.estimate - h) <= 3 * est.stderr
+
+
+def test_length_table_keeps_float_weights():
+    # Green-metric weights -log q are floats; the accessors must not truncate them.
+    product, mu = zkzk_simple(4)
+    report = solve_walk(product, mu)
+    green = LengthTable(product, -np.log(report.q.values), ())
+    weight = dict(zip(product.alphabet, green.weights.tolist()))
+    w = product.word([Letter(0, 1), Letter(1, 2), Letter(0, 3)])
+    assert green.of(Letter(1, 2)) == weight[Letter(1, 2)]
+    assert green.word_weight(w) == pytest.approx(sum(weight[u] for u in w), rel=1e-15)
+    assert green.max_weight == max(weight.values())
+    law = exact_convolution(product, mu, 3)
+    direct = sum(mass * sum(weight[u] for u in word) for word, mass in law.items())
+    assert expected_length(law, green) == pytest.approx(direct, rel=1e-14)
+    assert green.word_weight(Word(())) == 0.0
+    # scaling every letter weight by c divides the growth rate by c
+    scaled = LengthTable(product, np.full(product.nletters, 1.5), ())
+    assert volume(product, scaled) == pytest.approx(volume(product, natural_lengths(product)) / 1.5)

@@ -1,13 +1,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freewalk
 from freewalk import closedform as cf
 from freewalk import verify
 from freewalk.cli import main
-from freewalk.groups import Letter, free_product_of_cyclics
+from freewalk.groups import Letter, free_product_of_cyclics, letter_lengths
+from freewalk.simulate import estimate_drift
 from freewalk.walkspec import (
     build_family,
     load_spec,
@@ -111,6 +117,58 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gamma = 0.18286125678495" in out
     assert main(["solve", "--spec", str(tmp_path / "missing.json")]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--family", "zkzk-simple"],
+        ["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal",
+         "--sup", "--resolution", "0"],
+        ["sweep", "--family", "z2z3", "--resolution", "0"],
+        ["simulate", "--family", "hecke-simple", "--k", "3", "--steps", "10", "--reps", "2",
+         "--seed", "-1"],
+        ["solve", "--family", "zkzk-simple", "--k", "4", "--tol", "0"],
+        ["solve", "--family", "zkzk-simple", "--k", "4", "--tol", "nan"],
+    ],
+    ids=["missing-k", "quality-resolution-0", "sweep-resolution-0", "negative-seed", "tol-0",
+         "tol-nan"],
+)
+def test_cli_invalid_input_exits_3_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("invalid input:") and proc.stderr.count("\n") == 1
+
+
+def test_cli_flags_keep_spec_fields_they_do_not_set(tmp_path, capsys):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps({"measure": {"family": "hecke-simple", "k": 3},
+                                "max_iter": 5, "seed": 11}))
+    # the spec's max_iter survives --tol, so the solver runs out of iterations
+    assert main(["solve", "--spec", str(path), "--tol", "1e-12"]) == 4
+    capsys.readouterr()
+    runs = []
+    for extra in ([], ["--seed", "11"]):
+        assert main(["simulate", "--spec", str(path), "--tol", "1e-12",
+                     "--steps", "50", "--reps", "4", *extra]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+
+
+def test_cli_simulate_uses_spec_generators(tmp_path, capsys):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps({"measure": {"family": "zkzk-simple", "k": 4},
+                                "generators": "minimal"}))
+    assert main(["simulate", "--spec", str(path), "--steps", "200", "--reps", "10"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    spec = load_spec(str(path))
+    lengths = letter_lengths(spec.product, minimal_generators(spec.product))
+    est = estimate_drift(spec.product, spec.mu, steps=200, reps=10, seed=spec.seed,
+                         lengths=lengths)
+    assert rows[1][:2] == ["drift", repr(est.estimate)]
 
 
 def test_cli_closed_form(capsys):
