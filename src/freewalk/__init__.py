@@ -4,69 +4,25 @@ Solves the traffic polynomial system of a nearest-neighbor walk through
 its hitting-probability fixed point, builds the Markovian multiplicative
 harmonic measure, and reports drift, entropy, volume, and generator
 quality, with closed-form, enumeration, and Monte Carlo cross-checks.
+
+The package namespace holds exactly the names of the README quick start;
+everything else is imported from its module (``freewalk.metrics``,
+``freewalk.walkspec``, ...).
 """
 
-from .groups import (
-    EMPTY_WORD,
-    FiniteGroup,
-    FreeProduct,
-    GroupTableError,
-    LengthTable,
-    Letter,
-    NonGeneratingSetError,
-    StateBudgetError,
-    Word,
-    ball_count,
-    ball_count_bfs,
-    concat_normalize,
-    free_product_of_cyclics,
-    left_mul_letter,
-    letter_lengths,
-    make_cyclic,
-    make_finite_group,
-    natural_lengths,
-    sphere_series,
-)
-from .harmonic import (
-    LetterChain,
-    build_chain,
-    cylinder_prob,
-    log_cylinder_prob,
-    mu_invariance_residual,
-    sample_harmonic,
-    tau1_invariance_residual,
-    tau2_invariance_residual,
-    two_factor_identity,
-)
-from .metrics import (
-    MetricsReport,
-    QualitySweep,
-    drift,
-    drift_weighted,
-    entropy,
-    extremal_cylinders,
-    extremal_measure,
-    growth_rho,
-    metrics_report,
-    quality,
-    quality_sup,
-    volume,
-)
-from .traffic import (
-    ConsistencyError,
-    HittingVector,
-    MaxIterationsError,
-    RecurrentGroupError,
-    RootVector,
-    SolveReport,
-    StepDistribution,
-    phi,
-    q_to_r,
-    solve_hitting,
-    solve_walk,
-    stationarity_check,
-    traffic_residual,
-    validate_walk,
-)
+from .groups import Letter, free_product_of_cyclics
+from .harmonic import build_chain, cylinder_prob
+from .metrics import metrics_report
+from .traffic import StepDistribution, solve_walk
+
+__all__ = [
+    "Letter",
+    "free_product_of_cyclics",
+    "StepDistribution",
+    "solve_walk",
+    "metrics_report",
+    "build_chain",
+    "cylinder_prob",
+]
 
 __version__ = "0.1.0"

@@ -44,6 +44,7 @@ from .traffic import (
     MaxIterationsError,
     RecurrentGroupError,
     StepDistribution,
+    check_tolerance,
     solve_walk,
 )
 from .simulate import estimate_drift, estimate_hitting, estimate_prefix, simulate
@@ -212,6 +213,7 @@ def _sweep_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list[str]
         raise ValueError(f"resolution must be positive, got {args.resolution!r}")
     header, grid, gens, walk = _SWEEPS[args.family]
     tol = args.tol if args.tol is not None else default_tolerance()
+    check_tolerance(tol)
     points = grid(args)
 
     def rows():
@@ -245,13 +247,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _integer(params: dict, name: str) -> int:
+    """The parameter ``name`` as an int; a value with a fractional part is an error."""
+    value = params[name]
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 _CLOSED_FORMS = {
     "z2z3": (("p", "q"), lambda a: cf.drift_z2z3(a["p"], a["q"])),
     "z3z3-sym": (("p",), lambda a: cf.drift_z3z3_sym(a["p"])),
     "z3z3-asym": (("p", "q"), lambda a: cf.drift_z3z3_asym(a["p"], a["q"])),
-    "zkzk": (("k",), lambda a: cf.drift_zkzk(int(a["k"]))),
-    "hecke": (("k",), lambda a: cf.drift_hecke(int(a["k"]))),
-    "uniform-pair": (("p", "k1", "k2"), lambda a: cf.drift_uniform_pair(a["p"], int(a["k1"]), int(a["k2"]))),
+    "zkzk": (("k",), lambda a: cf.drift_zkzk(_integer(a, "k"))),
+    "hecke": (("k",), lambda a: cf.drift_hecke(_integer(a, "k"))),
+    "uniform-pair": (("p", "k1", "k2"),
+                     lambda a: cf.drift_uniform_pair(a["p"], _integer(a, "k1"), _integer(a, "k2"))),
 }
 
 
@@ -261,11 +272,13 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
         with open(args.batch, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             rows = [dict(row) for row in reader]
+        # every row is evaluated before the first is written: a bad row
+        # leaves no partial CSV behind
+        gammas = [fn({name: float(row[name]) for name in names}) for row in rows]
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(list(names) + ["gamma"])
-        for row in rows:
-            params = {name: float(row[name]) for name in names}
-            writer.writerow([row[name] for name in names] + [_csv_float(fn(params))])
+        for row, gamma in zip(rows, gammas):
+            writer.writerow([row[name] for name in names] + [_csv_float(gamma)])
         return EXIT_OK
     params = {}
     for name in names:

@@ -19,55 +19,61 @@ import numpy as np
 def eval_F(n: int, x):
     """n-th polynomial of the Z/k * Z/k recurrence at x.
 
-    F0 = 1, F1 = x, F_n = 2(2-x) F_{n-1} - F_{n-2}.  Accepts scalars or
-    numpy arrays.
+    F0 = 1, F1 = x, F_n = 2(2-x) F_{n-1} - F_{n-2}.  Accepts floats, numpy
+    arrays, or Fractions; the integer constants keep a Fraction exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    prev = np.ones_like(np.asarray(x, dtype=float)) if not np.isscalar(x) else 1.0
+    prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else x**0
     if n == 0:
         return prev
     cur = x
     for _ in range(n - 1):
-        prev, cur = cur, 2.0 * (2.0 - x) * cur - prev
+        prev, cur = cur, 2 * (2 - x) * cur - prev
     return cur
 
 
 def eval_G(n: int, x):
-    """n-th polynomial of the Hecke recurrence at x.
+    """n-th polynomial of the Hecke recurrence at x, for floats, arrays, or Fractions.
 
-    G0 = 1/4 + x/2, G1 = x, G_n = (8(1-x)/(3-2x)) G_{n-1} - G_{n-2}.
+    G0 = (2x + 1)/4, G1 = x, G_n = (8(1-x)/(3-2x)) G_{n-1} - G_{n-2}.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    g_prev = 0.25 + 0.5 * x
+    g_prev = (2 * x + 1) / 4
     if n == 0:
         return g_prev
     g_cur = x
+    factor = 8 * (1 - x) / (3 - 2 * x)
     for _ in range(n - 1):
-        g_prev, g_cur = g_cur, (8.0 * (1.0 - x) / (3.0 - 2.0 * x)) * g_cur - g_prev
+        g_prev, g_cur = g_cur, factor * g_cur - g_prev
     return g_cur
 
 
-def bisect_increasing(fn, lo: float, hi: float) -> float:
-    """Root of an increasing fn on [lo, hi] by bisection; the caller checks the bracket."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+def bisect_increasing(fn, lo, hi, steps: int = 200):
+    """Bracket (lo, hi) of the root of an increasing fn, keeping fn(lo) < 0 <= fn(hi).
+
+    The caller checks the bracket.  On floats the loop stops once the
+    midpoint no longer splits the bracket; on Fractions it is exact and
+    runs all ``steps`` halvings.
+    """
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
             break
-        if fn(mid) < 0.0:
+        if fn(mid) < 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
-def _bracketed_root(fn, lo: float, hi: float) -> float:
-    """Root of an increasing fn on [lo, hi] with certified sign change at the ends."""
+def _checked_bracket(fn, lo, hi, steps: int = 200):
+    """bisect_increasing after certifying the sign change of fn at the ends."""
     flo, fhi = fn(lo), fn(hi)
-    if not (flo < 0.0 < fhi):
-        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo:.3e}, {fhi:.3e}")
-    return bisect_increasing(fn, lo, hi)
+    if not (flo < 0 < fhi):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f={float(flo):.3e}, {float(fhi):.3e}")
+    return bisect_increasing(fn, lo, hi, steps)
 
 
 def solve_xk(k: int) -> float:
@@ -79,14 +85,16 @@ def solve_xk(k: int) -> float:
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    return _bracketed_root(lambda x: eval_F(k, x) - 1.0, 1e-12, 1.0 - 1e-9)
+    lo, hi = _checked_bracket(lambda x: eval_F(k, x) - 1, 1e-12, 1.0 - 1e-9)
+    return 0.5 * (lo + hi)
 
 
 def solve_yk(k: int) -> float:
     """Unique root in (0, 1/2) of G_{k-1}(y) = y for the Hecke walk."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    return _bracketed_root(lambda y: eval_G(k - 1, y) - y, 1e-12, 0.5 - 1e-9)
+    lo, hi = _checked_bracket(lambda y: eval_G(k - 1, y) - y, 1e-12, 0.5 - 1e-9)
+    return 0.5 * (lo + hi)
 
 
 def drift_zkzk(k: int) -> float:
@@ -111,43 +119,6 @@ def r_hecke(k: int) -> list[float]:
     return [float(eval_G(i, yk)) for i in range(k)]
 
 
-def eval_F_exact(n: int, x: Fraction) -> Fraction:
-    """F_n at a rational point, in exact arithmetic."""
-    prev, cur = Fraction(1), x
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * (2 - x) * cur - prev
-    return cur
-
-
-def eval_G_exact(n: int, x: Fraction) -> Fraction:
-    """G_n at a rational point in (0, 1/2), in exact arithmetic."""
-    g_prev = Fraction(1, 4) + x / 2
-    if n == 0:
-        return g_prev
-    g_cur = x
-    factor = 8 * (1 - x) / (3 - 2 * x)
-    for _ in range(n - 1):
-        g_prev, g_cur = g_cur, factor * g_cur - g_prev
-    return g_cur
-
-
-def _bisect_exact(sign_fn, lo: Fraction, hi: Fraction, iterations: int) -> tuple[Fraction, Fraction]:
-    if not (sign_fn(lo) < 0 < sign_fn(hi)):
-        raise ValueError("exact bisection bracket does not straddle the root")
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        s = sign_fn(mid)
-        if s == 0:
-            return mid, mid
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def gamma_zkzk_interval(k: int) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Z/k * Z/k simple-walk drift.
 
@@ -157,13 +128,8 @@ def gamma_zkzk_interval(k: int) -> tuple[Fraction, Fraction]:
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-
-    def sign(x: Fraction) -> int:
-        value = eval_F_exact(k, x) - 1
-        return (value > 0) - (value < 0)
-
-    iterations = math.ceil(1.585 * k) + 45
-    lo, hi = _bisect_exact(sign, Fraction(1, 4), Fraction(3, 4), iterations)
+    steps = math.ceil(1.585 * k) + 45
+    lo, hi = _checked_bracket(lambda x: eval_F(k, x) - 1, Fraction(1, 4), Fraction(3, 4), steps)
     return (1 - hi) / 2, (1 - lo) / 2
 
 
@@ -171,13 +137,7 @@ def gamma_hecke_interval(k: int) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Z/2 * Z/k simple-walk drift."""
     if k < 3:
         raise ValueError("k must be >= 3")
-
-    def sign(y: Fraction) -> int:
-        value = eval_G_exact(k - 1, y) - y
-        return (value > 0) - (value < 0)
-
-    iterations = k + 45
-    lo, hi = _bisect_exact(sign, Fraction(1, 8), Fraction(3, 8), iterations)
+    lo, hi = _checked_bracket(lambda y: eval_G(k - 1, y) - y, Fraction(1, 8), Fraction(3, 8), k + 45)
     return (1 - 2 * hi) / 3, (1 - 2 * lo) / 3
 
 

@@ -1,17 +1,17 @@
-"""Finite groups, their free product, and normal-form word arithmetic.
+"""Finite groups, their free product, and normal-form words.
 
 Elements of a finite factor are the integers ``0..order-1`` with the
 identity fixed at index 0.  A letter is a nonidentity element of one
 factor; a word is a sequence of letters in which consecutive letters come
 from distinct factors.  Words in this normal form are in bijection with
 the elements of the free product, and the group law is concatenation with
-simplification at the contact point.
+simplification at the contact point; ``simulate._right_multiply`` applies
+it one letter at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -123,19 +123,22 @@ def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     return FiniteGroup(order=m, mul=mul, inv=tuple(inv))
 
 
-def subgroup_closure(group: FiniteGroup, generators: Iterable[int]) -> set[int]:
-    """Subgroup of ``group`` generated by ``generators`` (indices)."""
-    closure = {0}
-    frontier = [0]
-    gens = [g for g in generators if g != 0]
-    while frontier:
-        x = frontier.pop()
+def factor_distances(group: FiniteGroup, gens: Iterable[int]) -> dict[int, int]:
+    """Word length over ``gens`` of every element of ``group`` that they reach.
+
+    Breadth-first search from the identity under right multiplication; the
+    keys are the subgroup that ``gens`` generate.
+    """
+    gens = list(gens)
+    dist = {0: 0}
+    queue = [0]
+    for x in queue:  # the queue grows while it is read
         for g in gens:
             y = group.mul[x][g]
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
-    return closure
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -260,39 +263,6 @@ def free_product_of_cyclics(*orders: int) -> FreeProduct:
     return FreeProduct([make_cyclic(k) for k in orders])
 
 
-def append_letter(product: FreeProduct, letters: tuple[Letter, ...], u: Letter) -> tuple[Letter, ...]:
-    """Right-multiply a normal-form letter tuple by one letter."""
-    if letters and letters[-1].factor == u.factor:
-        merged = product.letter_product(letters[-1], u)
-        if merged is None:
-            return letters[:-1]
-        return letters[:-1] + (merged,)
-    return letters + (u,)
-
-
-def concat_normalize(product: FreeProduct, w1: Word, w2: Word) -> Word:
-    """Group law of the free product: ``w1`` right-multiplied by each letter of ``w2``.
-
-    A cancellation may expose a new same-factor contact for the next letter
-    of ``w2``, so the result is in normal form.
-    """
-    return Word(reduce(partial(append_letter, product), w2.letters, w1.letters))
-
-
-def left_mul_letter(product: FreeProduct, a: Letter, w: Word) -> tuple[Word, int]:
-    """Left-multiply a normal-form word by one letter.
-
-    Returns the product and the letter-count change: +1 when the letter is
-    prepended, 0 when it merges into the head, -1 when it cancels the head.
-    """
-    if not w.letters or w.letters[0].factor != a.factor:
-        return Word((a,) + w.letters), +1
-    merged = product.letter_product(a, w.letters[0])
-    if merged is None:
-        return Word(w.letters[1:]), -1
-    return Word((merged,) + w.letters[1:]), 0
-
-
 @dataclass(frozen=True)
 class LengthTable:
     """Geodesic length of every letter with respect to a generating set S.
@@ -344,93 +314,12 @@ def letter_lengths(product: FreeProduct, generators: Iterable[Letter]) -> Length
             raise ValueError(f"generating set is not symmetric: {u} present without its inverse")
     weights = np.zeros(product.nletters, dtype=np.int64)
     for i, group in enumerate(product.factors):
-        local = [u.elem for u in gens if u.factor == i]
-        dist = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in local:
-                    y = group.mul[x][g]
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
+        dist = factor_distances(group, [u.elem for u in gens if u.factor == i])
         if len(dist) != group.order:
             raise NonGeneratingSetError(i)
         for e in range(1, group.order):
             weights[product.letter_index(Letter(i, e))] = dist[e]
     return LengthTable(product=product, weights=weights, generators=tuple(sorted(gens)))
-
-
-def ball_count(
-    product: FreeProduct, lengths: LengthTable, n: int, max_states: int = 1_000_000
-) -> list[int]:
-    """Exact sphere sizes |{g : |g|_S = l}| for l = 0..n, by exhaustive enumeration.
-
-    Enumerates every normal-form word of weighted length <= n (each word is
-    a distinct group element).  Raises StateBudgetError beyond ``max_states``
-    enumerated words; use :func:`sphere_series` for larger radii.
-    """
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    by_factor: list[list[tuple[int, int]]] = [[] for _ in range(product.nfactors)]
-    for u in product.alphabet:
-        w = int(lengths.weights[product.letter_index(u)])
-        by_factor[u.factor].append((u.factor, w))
-    states = 1
-    stack: list[tuple[int, int]] = [(f, w) for i in range(product.nfactors) for (f, w) in by_factor[i] if w <= n]
-    states += len(stack)
-    for _, w in stack:
-        counts[w] += 1
-    while stack:
-        factor, weight = stack.pop()
-        for j in range(product.nfactors):
-            if j == factor:
-                continue
-            for _, w in by_factor[j]:
-                total = weight + w
-                if total <= n:
-                    counts[total] += 1
-                    states += 1
-                    if states > max_states:
-                        raise StateBudgetError(
-                            f"ball of radius {n} exceeds {max_states} states"
-                        )
-                    stack.append((j, total))
-    return counts
-
-
-def ball_count_bfs(
-    product: FreeProduct, generators: Iterable[Letter], n: int, max_states: int = 1_000_000
-) -> list[int]:
-    """Sphere sizes by literal breadth-first search on the Cayley graph.
-
-    Independent of the letter-length table: distances here are graph
-    distances under right multiplication by the generators.  Used to
-    cross-check the per-letter geodesic decomposition.
-    """
-    gens = list(generators)
-    for u in gens:
-        product.letter_index(u)
-    seen = {(): 0}
-    frontier: list[tuple[Letter, ...]] = [()]
-    counts = [1]
-    for level in range(1, n + 1):
-        nxt = []
-        for word in frontier:
-            for s in gens:
-                nw = append_letter(product, word, s)
-                if nw not in seen:
-                    seen[nw] = level
-                    nxt.append(nw)
-                    if len(seen) > max_states:
-                        raise StateBudgetError(
-                            f"BFS ball of radius {n} exceeds {max_states} states"
-                        )
-        counts.append(len(nxt))
-        frontier = nxt
-    return counts
 
 
 def normal_words(product: FreeProduct, max_len: int) -> list[Word]:
@@ -453,8 +342,10 @@ def sphere_series(product: FreeProduct, lengths: LengthTable, n: int) -> list[in
     """Exact sphere sizes for l = 0..n by dynamic programming on normal forms.
 
     Counts words by (weighted length, factor of last letter); exact integer
-    arithmetic, no state explosion.  Agrees with :func:`ball_count` and
-    :func:`ball_count_bfs` wherever those are feasible.
+    arithmetic, no state explosion.  The tests check it against two
+    independent oracles in ``tests/oracles.py``: ``ball_count`` enumerates
+    every normal-form word of the ball, and ``ball_count_bfs`` runs a
+    breadth-first search on the Cayley graph.
     """
     nf = product.nfactors
     letter_weights: list[list[int]] = [[] for _ in range(nf)]

@@ -126,8 +126,11 @@ def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:
 
     Sums the measure of v1 v2 w over the two-letter prefixes that keep the
     word normal; for two factors this forces v2 opposite to w's first
-    factor and v1 back in it.  Zero (to rounding) for every harmonic root
-    vector on two factors.
+    factor and v1 back in it.  Zero (to rounding) for every strictly
+    positive root vector on two factors, whether or not it solves the
+    traffic system: the prefix masses sum to nu(w) for any r.  It
+    therefore cannot detect a wrong solve; ``mu_invariance_residual``
+    can.
     """
     if chain.product.nfactors != 2:
         raise ValueError("two-step shift invariance applies to two-factor products")

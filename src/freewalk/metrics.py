@@ -29,6 +29,7 @@ from .traffic import (
     RootVector,
     SolveReport,
     StepDistribution,
+    check_tolerance,
     letter_tables,
     solve_walk,
 )
@@ -129,7 +130,8 @@ def volume(product: FreeProduct, lengths: LengthTable) -> float:
     by_factor = _factor_series(product, lengths)
     if _growth_equation(by_factor, 1.0) < -1e-12:
         raise ValueError("growth equation has no root in (0,1]: invalid length table")
-    return -math.log(bisect_increasing(lambda t: _growth_equation(by_factor, t), 0.0, 1.0))
+    lo, hi = bisect_increasing(lambda t: _growth_equation(by_factor, t), 0.0, 1.0)
+    return -math.log(0.5 * (lo + hi))
 
 
 def growth_rho(product: FreeProduct) -> float:
@@ -140,9 +142,10 @@ def growth_rho(product: FreeProduct) -> float:
     lengths.  Solved by bisection on the increasing map 1 - sum_i k_i/(x + k_i).
     """
     sizes = [g.order - 1 for g in product.factors]
-    return bisect_increasing(
+    lo, hi = bisect_increasing(
         lambda x: 1.0 - sum(k / (x + k) for k in sizes), 0.0, float(sum(sizes))
     )
+    return 0.5 * (lo + hi)
 
 
 def extremal_measure(product: FreeProduct) -> StepDistribution:
@@ -241,6 +244,7 @@ def quality_sup(
             raise ValueError(f"generator set must be symmetric, missing inverse of {u}")
     if not grid_resolution > 0.0:
         raise ValueError(f"grid resolution must be positive, got {grid_resolution!r}")
+    check_tolerance(tol)
     orbits = _inverse_orbits(product, gens)
     steps = round(1.0 / grid_resolution)
     if steps < len(orbits):

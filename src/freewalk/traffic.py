@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .groups import FreeProduct, Letter, NonGeneratingSetError, subgroup_closure
+from .groups import FreeProduct, Letter, NonGeneratingSetError, factor_distances
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 10**6
@@ -217,6 +217,12 @@ def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
     return jac
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a solver tolerance that is not a positive number (0, negative or NaN)."""
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+
+
 def validate_walk(product: FreeProduct, mu: StepDistribution) -> None:
     """Reject walks that are not transient random walks on the whole group.
 
@@ -228,16 +234,10 @@ def validate_walk(product: FreeProduct, mu: StepDistribution) -> None:
         raise ValueError("step distribution belongs to a different product")
     for i, group in enumerate(product.factors):
         gens = [u.elem for u in mu.support if u.factor == i]
-        if len(subgroup_closure(group, gens)) != group.order:
+        if len(factor_distances(group, gens)) != group.order:
             raise NonGeneratingSetError(i, f"support of mu does not generate factor {i}")
     if product.nfactors == 2 and all(g.order == 2 for g in product.factors):
         raise RecurrentGroupError("walks on Z/2 * Z/2 are recurrent; no harmonic measure")
-
-
-def phi(product: FreeProduct, mu: StepDistribution, q: HittingVector) -> HittingVector:
-    """One application of the hitting map to q."""
-    s = letter_tables(product)
-    return HittingVector(product, _phi_array(s, mu.probs, np.asarray(q.values, dtype=float)))
 
 
 def _iterate(s: _Structure, p: np.ndarray, q: np.ndarray, iterations: int, max_iter: int, done):
@@ -262,8 +262,7 @@ def _solve_arrays(
     max_iter: int,
 ) -> tuple[np.ndarray, int, float]:
     """Checked least fixed point q, with the iteration count and the final sup residual."""
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    check_tolerance(tol)
     s = letter_tables(product)
     p = mu.probs
     switch = max(tol, _NEWTON_SWITCH)
@@ -302,22 +301,6 @@ def _solve_arrays(
     return q, iterations, sup
 
 
-def solve_hitting(
-    product: FreeProduct,
-    mu: StepDistribution,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> HittingVector:
-    """Least fixed point of the hitting map: the vector of hitting probabilities.
-
-    Requires a validated walk.  Raises MaxIterationsError when iteration
-    stalls (near-recurrent step law) and ConsistencyError when the solved
-    vector fails the consistency identity, which signals a non-transient
-    input or a bug.
-    """
-    return HittingVector(product, _solve_arrays(product, mu, tol, max_iter)[0])
-
-
 def q_to_r(q: HittingVector) -> RootVector:
     """Root vector r(a) = q(a) / (1 + q(Sigma_a)); entries sum to 1."""
     s = letter_tables(q.product)
@@ -354,7 +337,12 @@ def solve_walk(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveReport:
-    """Validate, solve, and package q, r, and diagnostics for one walk."""
+    """Validate, solve, and package q, r, and diagnostics for one walk.
+
+    Raises MaxIterationsError when iteration stalls (near-recurrent step
+    law) and ConsistencyError when the solved vector fails the consistency
+    identity, which signals a non-transient input or a bug.
+    """
     validate_walk(product, mu)
     q_arr, iterations, sup = _solve_arrays(product, mu, tol, max_iter)
     q = HittingVector(product, q_arr)

@@ -26,7 +26,13 @@ from .groups import (
     normal_words,
     sphere_series,
 )
-from .harmonic import build_chain, cylinder_prob, tau2_invariance_residual, two_factor_identity
+from .harmonic import (
+    build_chain,
+    cylinder_prob,
+    mu_invariance_residual,
+    tau2_invariance_residual,
+    two_factor_identity,
+)
 from .metrics import (
     drift,
     drift_weighted,
@@ -307,6 +313,12 @@ def criterion_8() -> CriterionResult:
             h <= gamma * v * (1 + 1e-9),
             f"h={h!r} gamma*v={gamma * v!r}",
         )
+        # mu-invariance pins the root vector; on two factors the tau^2
+        # residual vanishes for every positive root vector.
+        chain = build_chain(product, rep.r)
+        mu_res = max(mu_invariance_residual(chain, mu, w) for w in normal_words(product, 2))
+        chk.true(f"{name}: mu-invariance residual (cylinders <= 2)", mu_res <= 1e-10,
+                 f"{mu_res:.3e}")
         if product.nfactors != 2:
             continue
         chk.true(
@@ -314,7 +326,6 @@ def criterion_8() -> CriterionResult:
             abs(two_factor_identity(rep.q) - 1.0) <= 1e-10,
             f"{two_factor_identity(rep.q)!r}",
         )
-        chain = build_chain(product, rep.r)
         tau2 = max(tau2_invariance_residual(chain, w) for w in normal_words(product, 3))
         chk.true(f"{name}: tau^2 residual (cylinders <= 3)", tau2 <= 1e-10, f"{tau2:.3e}")
     return CriterionResult(8, "structural identities on solved instances", chk.ok, chk.details)

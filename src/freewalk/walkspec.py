@@ -21,6 +21,7 @@ from .groups import (
     FiniteGroup,
     FreeProduct,
     Letter,
+    factor_distances,
     free_product_of_cyclics,
     make_cyclic,
     make_finite_group,
@@ -160,15 +161,7 @@ def minimal_generators(product: FreeProduct) -> tuple[Letter, ...]:
     gens: list[Letter] = []
     for i, group in enumerate(product.factors):
         single = Letter(i, 1)
-        if len({group.mul[1][e] for e in range(group.order)}) != group.order:
-            raise ValueError(f"factor {i} is not cyclic around element 1; give generators explicitly")
-        # element 1 must actually generate the factor
-        closure = {0}
-        x = 0
-        for _ in range(group.order):
-            x = group.mul[x][1]
-            closure.add(x)
-        if len(closure) != group.order:
+        if len(factor_distances(group, [1])) != group.order:
             raise ValueError(f"element 1 does not generate factor {i}; give generators explicitly")
         gens.append(single)
         inverse = Letter(i, group.inv[1])

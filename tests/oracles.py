@@ -1,8 +1,11 @@
 """Independent oracles used by the tests.
 
-The per-letter loops restate the index tables of the solver and the
-additive-drift kernel of the metrics one letter at a time, and the
-shift-invariance residuals one normal-form prefix at a time.  The
+``append_letter`` is the group law on letter tuples, one case at a time;
+``ball_count`` enumerates the normal-form words of a ball and
+``ball_count_bfs`` searches the Cayley graph, two independent checks of
+``sphere_series``.  The per-letter loops restate the index tables of the
+solver and the additive-drift kernel of the metrics one letter at a time,
+and the shift-invariance residuals one normal-form prefix at a time.  The
 hitting-probability oracle builds the literal Markov chain on the
 ball of a given radius, absorbing at the target letter and killed at the
 boundary, and solves the linear hitting system by iteration.  Killing at
@@ -12,11 +15,99 @@ returning from the sphere, which decays geometrically in the radius.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from freewalk.groups import FreeProduct, Letter, Word, append_letter
+from freewalk.groups import FreeProduct, LengthTable, Letter, StateBudgetError, Word
 from freewalk.harmonic import LetterChain, cylinder_prob
 from freewalk.traffic import RootVector, StepDistribution
+
+# The symmetric group S3 as a multiplication table, identity at index 0.
+S3_TABLE = [
+    [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 5, 0, 4, 3, 1],
+    [3, 4, 5, 0, 1, 2], [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4],
+]
+
+
+def append_letter(product: FreeProduct, letters: tuple[Letter, ...], u: Letter) -> tuple[Letter, ...]:
+    """Right-multiply a normal-form letter tuple by one letter."""
+    if letters and letters[-1].factor == u.factor:
+        merged = product.letter_product(letters[-1], u)
+        if merged is None:
+            return letters[:-1]
+        return letters[:-1] + (merged,)
+    return letters + (u,)
+
+
+def ball_count(
+    product: FreeProduct, lengths: LengthTable, n: int, max_states: int = 1_000_000
+) -> list[int]:
+    """Exact sphere sizes |{g : |g|_S = l}| for l = 0..n, by exhaustive enumeration.
+
+    Enumerates every normal-form word of weighted length <= n (each word is
+    a distinct group element).  Raises StateBudgetError beyond ``max_states``
+    enumerated words.
+    """
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    by_factor: list[list[tuple[int, int]]] = [[] for _ in range(product.nfactors)]
+    for u in product.alphabet:
+        w = int(lengths.weights[product.letter_index(u)])
+        by_factor[u.factor].append((u.factor, w))
+    states = 1
+    stack: list[tuple[int, int]] = [(f, w) for i in range(product.nfactors) for (f, w) in by_factor[i] if w <= n]
+    states += len(stack)
+    for _, w in stack:
+        counts[w] += 1
+    while stack:
+        factor, weight = stack.pop()
+        for j in range(product.nfactors):
+            if j == factor:
+                continue
+            for _, w in by_factor[j]:
+                total = weight + w
+                if total <= n:
+                    counts[total] += 1
+                    states += 1
+                    if states > max_states:
+                        raise StateBudgetError(
+                            f"ball of radius {n} exceeds {max_states} states"
+                        )
+                    stack.append((j, total))
+    return counts
+
+
+def ball_count_bfs(
+    product: FreeProduct, generators: Iterable[Letter], n: int, max_states: int = 1_000_000
+) -> list[int]:
+    """Sphere sizes by literal breadth-first search on the Cayley graph.
+
+    Independent of the letter-length table: distances here are graph
+    distances under right multiplication by the generators.  Used to
+    cross-check the per-letter geodesic decomposition.
+    """
+    gens = list(generators)
+    for u in gens:
+        product.letter_index(u)
+    seen = {(): 0}
+    frontier: list[tuple[Letter, ...]] = [()]
+    counts = [1]
+    for level in range(1, n + 1):
+        nxt = []
+        for word in frontier:
+            for s in gens:
+                nw = append_letter(product, word, s)
+                if nw not in seen:
+                    seen[nw] = level
+                    nxt.append(nw)
+                    if len(seen) > max_states:
+                        raise StateBudgetError(
+                            f"BFS ball of radius {n} exceeds {max_states} states"
+                        )
+        counts.append(len(nxt))
+        frontier = nxt
+    return counts
 
 
 def ball_words(product: FreeProduct, radius: int) -> list[tuple[Letter, ...]]:

@@ -5,16 +5,13 @@ import pytest
 
 from freewalk.groups import (
     EMPTY_WORD,
+    FreeProduct,
     GroupTableError,
     Letter,
     NonGeneratingSetError,
     StateBudgetError,
     Word,
-    ball_count,
-    ball_count_bfs,
-    concat_normalize,
     free_product_of_cyclics,
-    left_mul_letter,
     letter_lengths,
     make_cyclic,
     make_finite_group,
@@ -22,6 +19,9 @@ from freewalk.groups import (
     normal_words,
     sphere_series,
 )
+from freewalk.simulate import _letters, _merge_table, _right_multiply
+
+from oracles import S3_TABLE, append_letter, ball_count, ball_count_bfs
 
 KLEIN_TABLE = [
     [0, 1, 2, 3],
@@ -93,6 +93,15 @@ def test_word_domain_validation_and_parsing():
         Letter.parse("banana")
 
 
+def concat_normalize(product, w1: Word, w2: Word) -> Word:
+    """w1 right-multiplied by each letter of w2, through the letter action of the simulator."""
+    merge = _merge_table(product)
+    stack = [product.letter_index(u) for u in w1]
+    for u in w2:
+        _right_multiply(stack, product.letter_index(u), merge)
+    return Word(_letters(product, stack))
+
+
 def test_concat_same_factor_merge():
     product = free_product_of_cyclics(3, 3)
     a = product.word([Letter(0, 1)])
@@ -132,21 +141,7 @@ def test_concat_associative_and_subadditive_exhaustive():
                 assert left == right
 
 
-def test_left_mul_letter_three_cases():
-    product = free_product_of_cyclics(2, 4)
-    b = Letter(1, 1)
-    # distinct factors: prepend
-    w, delta = left_mul_letter(product, b, product.word([Letter(0, 1)]))
-    assert delta == +1 and w == product.word([b, Letter(0, 1)])
-    # inverse head: cancel
-    w, delta = left_mul_letter(product, b, product.word([Letter(1, 3), Letter(0, 1)]))
-    assert delta == -1 and w == product.word([Letter(0, 1)])
-    # same factor, no inverse: in-factor merge
-    w, delta = left_mul_letter(product, b, product.word([Letter(1, 1), Letter(0, 1)]))
-    assert delta == 0 and w == product.word([Letter(1, 2), Letter(0, 1)])
-
-
-def test_left_mul_letter_inverse_roundtrip():
+def test_right_multiply_inverse_roundtrip():
     product = free_product_of_cyclics(3, 4)
     words = [EMPTY_WORD] + normal_words(product, 2)
     for a in product.alphabet:
@@ -154,12 +149,23 @@ def test_left_mul_letter_inverse_roundtrip():
         one = concat_normalize(product, product.word([a]), product.word([a_inv]))
         assert one == EMPTY_WORD
         for w in words:
-            # (a * a^-1) * w = w always
+            # (a * a^-1) * w = w and (w * a^-1) * a = w always
             assert concat_normalize(product, one, w) == w
-            inner, delta = left_mul_letter(product, a_inv, w)
-            if delta != 0:  # first step did not merge inside a factor
-                back, _ = left_mul_letter(product, a, inner)
-                assert back == w
+            inner = concat_normalize(product, w, product.word([a_inv]))
+            assert concat_normalize(product, inner, product.word([a])) == w
+
+
+@pytest.mark.parametrize(
+    "product",
+    [free_product_of_cyclics(2, 3, 4),
+     FreeProduct([make_finite_group(S3_TABLE), make_cyclic(2), make_cyclic(4)])],
+    ids=["z2z3z4", "s3z2z4"],
+)
+def test_right_multiply_matches_append_letter_oracle(product):
+    for w in [EMPTY_WORD] + normal_words(product, 3):
+        for u in product.alphabet:
+            expected = append_letter(product, w.letters, u)
+            assert concat_normalize(product, w, Word((u,))).letters == expected
 
 
 def test_letter_lengths_natural_and_minimal():
@@ -222,8 +228,6 @@ def test_sphere_series_matches_enumeration_and_bfs():
 
 def test_sphere_series_klein_factor():
     klein = make_finite_group(KLEIN_TABLE)
-    from freewalk.groups import FreeProduct
-
     product = FreeProduct([klein, make_cyclic(3)])
     gens = [Letter(0, 1), Letter(0, 2), Letter(1, 1), Letter(1, 2)]
     table = letter_lengths(product, gens)

@@ -219,6 +219,16 @@ def test_mu_invariance_fails_for_wrong_measure():
     assert max(residuals) > 1e-3
 
 
+def test_mu_invariance_catches_a_root_vector_that_tau2_accepts():
+    # On two factors tau^2 vanishes for every positive root vector; only
+    # mu-invariance tells the uniform vector from the solution.
+    product, mu = z2z3_walk(0.3, 0.1)
+    wrong = build_chain(product, RootVector(product, np.full(product.nletters, 1 / 3)))
+    words = normal_words(product, 2)
+    assert max(mu_invariance_residual(wrong, mu, w) for w in words) >= 0.1
+    assert max(tau2_invariance_residual(wrong, w) for w in words) <= 1e-15
+
+
 def test_sample_harmonic_normal_form_and_determinism():
     product, mu = zkzk_simple(4)
     _, chain = chain_for(product, mu)

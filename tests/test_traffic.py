@@ -12,13 +12,11 @@ from freewalk.groups import (
     make_finite_group,
 )
 from freewalk.traffic import (
-    HittingVector,
     MaxIterationsError,
     RecurrentGroupError,
     StepDistribution,
-    phi,
+    _phi_array,
     q_to_r,
-    solve_hitting,
     solve_walk,
     stationarity_check,
     letter_tables,
@@ -27,7 +25,12 @@ from freewalk.traffic import (
 )
 from freewalk.walkspec import hecke_simple, z2z3_walk, z3z3_sym, zkzk_simple
 
-from oracles import hitting_oracle, pair_tables_oracle
+from oracles import S3_TABLE, hitting_oracle, pair_tables_oracle
+
+
+def phi(product, mu, q: np.ndarray) -> np.ndarray:
+    """One application of the hitting map to q."""
+    return _phi_array(letter_tables(product), mu.probs, q)
 
 
 def test_step_distribution_validation():
@@ -73,38 +76,37 @@ def test_validate_walk_rejects_non_generating_factor():
 
 def test_phi_at_zero_is_mu():
     product, mu = zkzk_simple(4)
-    zero = HittingVector(product, np.zeros(product.nletters))
-    assert np.allclose(phi(product, mu, zero).values, mu.probs)
+    assert np.allclose(phi(product, mu, np.zeros(product.nletters)), mu.probs)
 
 
 def test_phi_fixed_point_and_monotone():
     product, mu = hecke_simple(4)
-    q_star = solve_hitting(product, mu)
+    q_star = solve_walk(product, mu).q.values
     again = phi(product, mu, q_star)
-    assert np.max(np.abs(again.values - q_star.values)) < 1e-12
+    assert np.max(np.abs(again - q_star)) < 1e-12
     rng = np.random.default_rng(7)
     for _ in range(25):
         lo = rng.uniform(0, 0.8, product.nletters)
         hi = lo + rng.uniform(0, 0.2, product.nletters)
-        flo = phi(product, mu, HittingVector(product, lo)).values
-        fhi = phi(product, mu, HittingVector(product, hi)).values
+        flo = phi(product, mu, lo)
+        fhi = phi(product, mu, hi)
         assert np.all(flo <= fhi + 1e-15)
 
 
 def test_monotone_iterates_increase_to_fixed_point():
     product, mu = zkzk_simple(5)
-    q = HittingVector(product, np.zeros(product.nletters))
-    previous = q.values
+    q = np.zeros(product.nletters)
+    previous = q
     for _ in range(60):
         q = phi(product, mu, q)
-        assert np.all(q.values >= previous - 1e-15)
-        assert np.all(q.values <= 1.0)
-        previous = q.values
+        assert np.all(q >= previous - 1e-15)
+        assert np.all(q <= 1.0)
+        previous = q
 
 
 def test_z4z4_hitting_probabilities_closed_form():
     product, mu = zkzk_simple(4)
-    q = solve_hitting(product, mu)
+    q = solve_walk(product, mu).q
     s5 = math.sqrt(5)
     assert abs(q[Letter(0, 1)] - (3 - s5) / 2) < 1e-12
     assert abs(q[Letter(0, 3)] - (3 - s5) / 2) < 1e-12
@@ -114,7 +116,7 @@ def test_z4z4_hitting_probabilities_closed_form():
 
 def test_z2z4_hitting_probability_closed_form():
     product, mu = hecke_simple(4)
-    q = solve_hitting(product, mu)
+    q = solve_walk(product, mu).q
     s7 = math.sqrt(7)
     assert abs(q[Letter(0, 1)] - (7 - 2 * s7) / 3) < 1e-12
     assert abs(q[Letter(1, 2)] - (4 * s7 - 7) / 7) < 1e-12
@@ -124,7 +126,7 @@ def test_consistency_identity_on_battery():
     walks = [zkzk_simple(4), zkzk_simple(6), hecke_simple(3), hecke_simple(5),
              z2z3_walk(0.5, 0.1), z3z3_sym(0.35)]
     for product, mu in walks:
-        q = solve_hitting(product, mu)
+        q = solve_walk(product, mu).q
         assert q.consistency_residual() < 1e-12
 
 
@@ -137,7 +139,7 @@ def test_natural_hitting_matches_q():
 
 def test_q_to_r_z2z4_closed_form_vector():
     product, mu = hecke_simple(4)
-    r = q_to_r(solve_hitting(product, mu))
+    r = q_to_r(solve_walk(product, mu).q)
     s7 = math.sqrt(7)
     expected = [(7 - s7) / 12, 2 / 3 - s7 / 6, (-11 + 5 * s7) / 12, 2 / 3 - s7 / 6]
     for u, value in zip(product.alphabet, expected):
@@ -148,7 +150,7 @@ def test_q_to_r_z2z4_closed_form_vector():
 def test_q_to_r_uniform_symmetry():
     product = free_product_of_cyclics(3, 3)
     mu = StepDistribution.uniform(product)
-    r = q_to_r(solve_hitting(product, mu))
+    r = q_to_r(solve_walk(product, mu).q)
     for u in product.alphabet:
         assert abs(r[u] - 0.25) < 1e-13
 
@@ -207,13 +209,13 @@ def test_solver_reports_converged_diagnostics():
 def test_max_iterations_error_near_recurrent():
     product, mu = z2z3_walk(0.499999999, 0.5)  # mu(a) = 1e-9: nearly trapped on Z/3
     with pytest.raises(MaxIterationsError):
-        solve_hitting(product, mu, tol=1e-13, max_iter=40)
+        solve_walk(product, mu, tol=1e-13, max_iter=40)
 
 
 def test_hitting_oracle_z2z3_radius_30():
     # literal ball-of-radius-30 absorbing chain; truncation bias ~5e-6 here
     product, mu = hecke_simple(3)
-    q = solve_hitting(product, mu)
+    q = solve_walk(product, mu).q
     for target in (Letter(0, 1), Letter(1, 1)):
         oracle = hitting_oracle(product, mu, target, radius=30)
         assert abs(q[target] - oracle) < 1e-4
@@ -221,7 +223,7 @@ def test_hitting_oracle_z2z3_radius_30():
 
 def test_hitting_oracle_asymmetric_z2z3():
     product, mu = z2z3_walk(0.5, 0.1)
-    q = solve_hitting(product, mu)
+    q = solve_walk(product, mu).q
     for target in (Letter(0, 1), Letter(1, 2)):
         oracle = hitting_oracle(product, mu, target, radius=22)
         assert abs(q[target] - oracle) < 1e-4
@@ -231,7 +233,7 @@ def test_hitting_oracle_z4z4():
     # growth 3^n caps the feasible radius; the truncation bias at radius 9
     # is ~1e-5, well inside the 1e-4 agreement bound
     product, mu = zkzk_simple(4)
-    q = solve_hitting(product, mu)
+    q = solve_walk(product, mu).q
     for target in (Letter(0, 1), Letter(0, 2)):
         oracle = hitting_oracle(product, mu, target, radius=9)
         assert abs(q[target] - oracle) < 1e-4
@@ -239,16 +241,13 @@ def test_hitting_oracle_z4z4():
 
 def test_hitting_oracle_z2z4():
     product, mu = hecke_simple(4)
-    q = solve_hitting(product, mu)
+    q = solve_walk(product, mu).q
     oracle = hitting_oracle(product, mu, Letter(1, 1), radius=18)
     assert abs(q[Letter(1, 1)] - oracle) < 1e-4
 
 
 def test_letter_tables_match_per_letter_loop():
-    s3 = make_finite_group([
-        [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 5, 0, 4, 3, 1],
-        [3, 4, 5, 0, 1, 2], [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4],
-    ])
+    s3 = make_finite_group(S3_TABLE)
     for product in (
         free_product_of_cyclics(2, 3),
         free_product_of_cyclics(2, 2, 2),

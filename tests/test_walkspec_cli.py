@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -130,9 +131,17 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
          "--seed", "-1"],
         ["solve", "--family", "zkzk-simple", "--k", "4", "--tol", "0"],
         ["solve", "--family", "zkzk-simple", "--k", "4", "--tol", "nan"],
+        ["sweep", "--family", "z2z3", "--resolution", "0.25", "--tol", "0"],
+        ["sweep", "--family", "z2z3", "--resolution", "0.25", "--tol", "nan"],
+        ["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal",
+         "--sup", "--resolution", "0.1", "--tol", "0"],
+        ["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal",
+         "--sup", "--resolution", "0.1", "--tol", "nan"],
+        ["closed-form", "--family", "zkzk", "--k", "5.7"],
     ],
     ids=["missing-k", "quality-resolution-0", "sweep-resolution-0", "negative-seed", "tol-0",
-         "tol-nan"],
+         "tol-nan", "sweep-tol-0", "sweep-tol-nan", "quality-sup-tol-0", "quality-sup-tol-nan",
+         "closed-form-fractional-k"],
 )
 def test_cli_invalid_input_exits_3_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
@@ -141,6 +150,7 @@ def test_cli_invalid_input_exits_3_without_traceback(argv):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("invalid input:") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_cli_flags_keep_spec_fields_they_do_not_set(tmp_path, capsys):
@@ -185,6 +195,26 @@ def test_cli_closed_form_batch(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[0] == ["p", "q", "gamma"]
     assert abs(float(rows[1][2]) - 2 / 15) < 1e-12
+
+
+def test_cli_closed_form_batch_rejects_fractional_k(tmp_path, capsys):
+    path = tmp_path / "params.csv"
+    path.write_text("k\n4\n5.5\n")
+    assert main(["closed-form", "--family", "zkzk", "--batch", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: k must be an integer, got 5.5\n"
+
+
+def test_readme_quick_start_runs_and_names_the_package_namespace(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "0.30901699437494734"
+    imported = [alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "freewalk"
+                for alias in node.names]
+    assert sorted(freewalk.__all__) == sorted(imported)
 
 
 def test_cli_sweep_csv_and_byte_stability(capsys):
