@@ -365,18 +365,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     numbers = None
     if args.criteria:
         numbers = [int(x) for x in args.criteria.split(",")]
-    failures = 0
-    for result in verify_mod.run_all(numbers):
+    failures = count = 0
+    for result, seconds in verify_mod.run_all(numbers):
         status = "PASS" if result.passed else "FAIL"
-        sys.stdout.write(f"{status} criterion {result.number:2d}: {result.title}\n")
+        sys.stdout.write(f"{status} criterion {result.number:2d}: {result.title} ({seconds:.2f} s)\n")
         if args.verbose or not result.passed:
             for line in result.details:
                 sys.stdout.write(f"    {line}\n")
         for note in result.notes:
             sys.stdout.write(f"    NOTE: {note}\n")
         failures += 0 if result.passed else 1
-    sys.stdout.write(f"{len(verify_mod.CRITERIA) if numbers is None else len(numbers)} criteria, "
-                     f"{failures} failed\n")
+        count += 1
+    sys.stdout.write(f"{count} criteria, {failures} failed\n")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 

@@ -119,25 +119,73 @@ def r_hecke(k: int) -> list[float]:
     return [float(eval_G(i, yk)) for i in range(k)]
 
 
+def _two_term(n: int, first: int, second: int, a: int, b: int) -> int:
+    """Term n of t_0 = first, t_1 = second, t_n = a t_{n-1} - b t_{n-2}, in integers."""
+    if n == 0:
+        return first
+    prev, cur = first, second
+    for _ in range(n - 1):
+        prev, cur = cur, a * cur - b * prev
+    return cur
+
+
+def _scaled_F(n: int, m: int, d: int) -> int:
+    """S_n = d^n F_n(m/d): S_0 = 1, S_1 = m, S_n = 2(2d - m) S_{n-1} - d^2 S_{n-2}."""
+    return _two_term(n, 1, m, 2 * (2 * d - m), d * d)
+
+
+def _scaled_G(n: int, m: int, d: int) -> int:
+    """H_n = 4d c^n G_n(m/d) with c = 3d - 2m.
+
+    H_0 = 2m + d, H_1 = 4mc, H_n = 8(d - m) H_{n-1} - c^2 H_{n-2}.
+    """
+    c = 3 * d - 2 * m
+    return _two_term(n, 2 * m + d, 4 * m * c, 8 * (d - m), c * c)
+
+
+def _sign(a: int, b: int) -> int:
+    """sign(a - b) as -1, 0 or 1; unlike a - b, it converts to float for error messages."""
+    return (a > b) - (a < b)
+
+
+def _F_sign(k: int, x: Fraction) -> int:
+    """Exact sign of F_k(x) - 1, as sign(S_k - d^k) for x = m/d."""
+    m, d = x.numerator, x.denominator
+    return _sign(_scaled_F(k, m, d), d**k)
+
+
+def _G_sign(n: int, y: Fraction) -> int:
+    """Exact sign of G_n(y) - y for y < 3/2, as sign(H_n - 4m c^n) for y = m/d."""
+    m, d = y.numerator, y.denominator
+    return _sign(_scaled_G(n, m, d), 4 * m * (3 * d - 2 * m) ** n)
+
+
 def gamma_zkzk_interval(k: int) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Z/k * Z/k simple-walk drift.
 
     The root gap x_k - 1/3 decays like 3^-k, far below double resolution
     for large k, so monotonicity in k is only checkable exactly.  The
-    enclosure width shrinks below that gap (about 1.6k + 30 bits).
+    enclosure width shrinks below that gap (about 1.6k + 30 bits).  Each
+    bisection step decides the sign of F_k(m/d) - 1 exactly from the
+    scaled integer recurrence S_n = d^n F_n(m/d) (see ``_scaled_F``), so no
+    rational arithmetic runs on the 10^4-bit values of F_k.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     steps = math.ceil(1.585 * k) + 45
-    lo, hi = _checked_bracket(lambda x: eval_F(k, x) - 1, Fraction(1, 4), Fraction(3, 4), steps)
+    lo, hi = _checked_bracket(lambda x: _F_sign(k, x), Fraction(1, 4), Fraction(3, 4), steps)
     return (1 - hi) / 2, (1 - lo) / 2
 
 
 def gamma_hecke_interval(k: int) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure of the Z/2 * Z/k simple-walk drift."""
+    """Certified rational enclosure of the Z/2 * Z/k simple-walk drift.
+
+    The signs of G_{k-1}(y) - y come from the scaled integer recurrence
+    H_n = 4d c^n G_n(m/d), c = 3d - 2m (see ``_scaled_G``).
+    """
     if k < 3:
         raise ValueError("k must be >= 3")
-    lo, hi = _checked_bracket(lambda y: eval_G(k - 1, y) - y, Fraction(1, 8), Fraction(3, 8), k + 45)
+    lo, hi = _checked_bracket(lambda y: _G_sign(k - 1, y), Fraction(1, 8), Fraction(3, 8), k + 45)
     return (1 - 2 * hi) / 3, (1 - 2 * lo) / 3
 
 

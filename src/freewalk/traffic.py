@@ -26,6 +26,7 @@ import numpy as np
 from .groups import FreeProduct, Letter, NonGeneratingSetError, factor_distances
 
 DEFAULT_TOL = 1e-13
+MAX_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 _NEWTON_SWITCH = 1e-8
 STATIONARY_TOL = 1e-8
@@ -218,9 +219,14 @@ def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def check_tolerance(tol: float) -> None:
-    """Reject a solver tolerance that is not a positive number (0, negative or NaN)."""
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    """Reject a solver tolerance outside (0, MAX_TOL]: 0, negative, NaN, inf or coarse.
+
+    The solver accepts a root vector whose sum is off by up to 10 tol, and
+    ``harmonic.build_chain`` demands 1e-9, so 1e-10 is the coarsest
+    tolerance whose solution every downstream check accepts.
+    """
+    if not 0.0 < tol <= MAX_TOL:
+        raise ValueError(f"tolerance must be in (0, {MAX_TOL:g}], got {tol!r}")
 
 
 def validate_walk(product: FreeProduct, mu: StepDistribution) -> None:

@@ -10,10 +10,11 @@ are thin wrappers around ``run_criterion``.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -527,14 +528,26 @@ CRITERIA: dict[int, tuple[str, Callable[[], CriterionResult]]] = {
 EXPECTED_FAILURES = {13}
 
 
-def run_criterion(number: int) -> CriterionResult:
+def _criterion(number: int) -> Callable[[], CriterionResult]:
     try:
-        _, fn = CRITERIA[number]
+        return CRITERIA[number][1]
     except KeyError:
         raise ValueError(f"no criterion {number}; known: {sorted(CRITERIA)}") from None
-    return fn()
 
 
-def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:
-    selected = sorted(CRITERIA) if numbers is None else numbers
-    return [run_criterion(n) for n in selected]
+def run_criterion(number: int) -> CriterionResult:
+    return _criterion(number)()
+
+
+def run_all(numbers: Iterable[int] | None = None) -> Iterator[tuple[CriterionResult, float]]:
+    """Run each selected criterion once, in order, yielding it with its wall time in seconds.
+
+    ``numbers`` defaults to every criterion; repeats are dropped, and an
+    unknown number is rejected before any criterion runs.
+    """
+    selected = sorted(CRITERIA) if numbers is None else list(dict.fromkeys(numbers))
+    fns = [_criterion(n) for n in selected]
+    for fn in fns:
+        start = time.perf_counter()
+        result = fn()
+        yield result, time.perf_counter() - start

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -98,9 +99,74 @@ def test_exact_intervals_enclose_float_roots():
 
 
 def test_exact_intervals_certify_monotone_prefix():
-    intervals = [cf.gamma_zkzk_interval(k) for k in range(3, 21)]
+    intervals = [cf.gamma_zkzk_interval(k) for k in range(3, 65)]
     assert all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
     assert all(hi < Fraction(1, 3) for _, hi in intervals)
+
+
+def test_hecke_exact_intervals_certify_monotone_prefix():
+    intervals = [cf.gamma_hecke_interval(k) for k in range(3, 65)]
+    assert all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
+    assert all(hi < Fraction(2, 9) for _, hi in intervals)
+
+
+# Enclosures recorded with the Fraction-arithmetic bisection (eval_F/eval_G
+# on Fractions at every step); the integer sign path must reproduce them.
+PINNED_ZKZK = {
+    3: (Fraction(1, 4), Fraction(1125899906842625, 4503599627370496)),
+    4: (Fraction(5566755282872655, 18014398509481984), Fraction(347922205179541, 1125899906842624)),
+    17: (Fraction(3148244191894352413363, 9444732965739290427392),
+         Fraction(6296488383788704826727, 18889465931478580854784)),
+    64: (Fraction(59468653862748328377428582060303261620541733,
+                  178405961588244985132285746181186892047843328),
+         Fraction(237874615450993313509714328241213046482166933,
+                  713623846352979940529142984724747568191373312)),
+}
+PINNED_HECKE = {
+    3: (Fraction(18764998447377, 140737488355328), Fraction(225179981368525, 1688849860263936)),
+    4: (Fraction(154412603984479, 844424930131968), Fraction(617650415937917, 3377699720527872)),
+    17: (Fraction(2049600697574527829, 9223372036854775808),
+         Fraction(12009379087350749, 54043195528445952)),
+    64: (Fraction(216345702438951151160623182713105, 973555660975280180349468061728768),
+         Fraction(288460936585268201547497576950807, 1298074214633706907132624082305024)),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_ZKZK))
+def test_exact_intervals_pinned(k):
+    assert cf.gamma_zkzk_interval(k) == PINNED_ZKZK[k]
+    assert cf.gamma_hecke_interval(k) == PINNED_HECKE[k]
+
+
+def _sign_points(monkeypatch, name, interval, k):
+    """Every point at which ``interval(k)`` asks ``cf.<name>`` for a sign."""
+    seen = []
+    real = getattr(cf, name)
+    monkeypatch.setattr(cf, name, lambda n, x: seen.append(x) or real(n, x))
+    interval(k)
+    monkeypatch.undo()
+    return seen
+
+
+def test_scaled_integer_recurrences_match_fraction_evaluators(monkeypatch):
+    rng = random.Random(20240809)
+    randoms = []
+    for _ in range(6):
+        d = rng.randrange(2, 2**40)
+        randoms.append(Fraction(rng.randrange(1, d), d))
+    f_points = _sign_points(monkeypatch, "_F_sign", cf.gamma_zkzk_interval, 64)
+    g_points = _sign_points(monkeypatch, "_G_sign", cf.gamma_hecke_interval, 64)
+    assert all(Fraction(1, 4) <= x <= Fraction(3, 4) for x in f_points)
+    assert all(Fraction(1, 8) <= y <= Fraction(3, 8) for y in g_points)
+    for x in f_points[::12] + randoms:
+        m, d = x.numerator, x.denominator
+        for n in range(65):
+            assert cf._scaled_F(n, m, d) - d**n == d**n * (cf.eval_F(n, x) - 1)
+    for y in g_points[::12] + randoms:
+        m, d = y.numerator, y.denominator
+        c = 3 * d - 2 * m
+        for n in range(65):
+            assert cf._scaled_G(n, m, d) - 4 * m * c**n == 4 * d * c**n * (cf.eval_G(n, y) - y)
 
 
 def test_drift_z2z3_values_and_domain():

@@ -11,7 +11,9 @@ from freewalk.groups import (
     make_cyclic,
     make_finite_group,
 )
+from freewalk.harmonic import build_chain
 from freewalk.traffic import (
+    MAX_TOL,
     MaxIterationsError,
     RecurrentGroupError,
     StepDistribution,
@@ -210,6 +212,16 @@ def test_max_iterations_error_near_recurrent():
     product, mu = z2z3_walk(0.499999999, 0.5)  # mu(a) = 1e-9: nearly trapped on Z/3
     with pytest.raises(MaxIterationsError):
         solve_walk(product, mu, tol=1e-13, max_iter=40)
+
+
+@pytest.mark.parametrize("family", [zkzk_simple(4), hecke_simple(3), z2z3_walk(0.5, 0.1)],
+                         ids=["z4z4", "hecke3", "z2z3"])
+def test_coarsest_tolerance_feeds_build_chain(family):
+    product, mu = family
+    build_chain(product, solve_walk(product, mu, tol=MAX_TOL).r)
+    for bad in (2 * MAX_TOL, 1e-3, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be in"):
+            solve_walk(product, mu, tol=bad)
 
 
 def test_hitting_oracle_z2z3_radius_30():

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,10 +139,13 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
         ["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal",
          "--sup", "--resolution", "0.1", "--tol", "nan"],
         ["closed-form", "--family", "zkzk", "--k", "5.7"],
+        ["solve", "--family", "zkzk-simple", "--k", "4", "--tol", "1e-3"],
+        ["solve", "--family", "zkzk-simple", "--k", "4", "--tol", "inf"],
+        ["sweep", "--family", "z2z3", "--resolution", "0.25", "--tol", "inf"],
     ],
     ids=["missing-k", "quality-resolution-0", "sweep-resolution-0", "negative-seed", "tol-0",
          "tol-nan", "sweep-tol-0", "sweep-tol-nan", "quality-sup-tol-0", "quality-sup-tol-nan",
-         "closed-form-fractional-k"],
+         "closed-form-fractional-k", "tol-1e-3", "tol-inf", "sweep-tol-inf"],
 )
 def test_cli_invalid_input_exits_3_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
@@ -310,6 +314,30 @@ def test_verify_negative_control(monkeypatch):
     monkeypatch.setattr(cf, "eval_F", corrupted)
     result = verify.run_criterion(4)
     assert not result.passed
+
+
+def test_verify_negative_control_on_certified_enclosures(monkeypatch):
+    # the k = 20 enclosure computed from the F_19 signs equals the k = 19 one,
+    # so only the certified monotonicity line may fail
+    real = cf._F_sign
+    monkeypatch.setattr(cf, "_F_sign", lambda k, x: real(19 if k == 20 else k, x))
+    result = verify.run_criterion(4)
+    assert not result.passed
+    bad = [line for line in result.details if line.startswith("BAD")]
+    assert len(bad) == 1
+    assert bad[0].startswith("BAD gamma_k strictly increasing, < 1/3 (k <= 64, certified):")
+
+
+def test_cli_verify_times_each_selected_criterion_once(capsys):
+    assert main(["verify", "--criteria", "5,3,5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    status = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert [line.split(":")[0] for line in status] == ["PASS criterion  5", "PASS criterion  3"]
+    assert all(re.search(r": [^()]+ \(\d+\.\d\d s\)$", line) for line in status)
+    assert lines[-1] == "2 criteria, 0 failed"
+    # an unknown number is rejected before any criterion runs
+    assert main(["verify", "--criteria", "5,99"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_verify_exit_code_on_failure(capsys, monkeypatch):
