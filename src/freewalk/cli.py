@@ -39,6 +39,7 @@ from .metrics import (
     volume,
 )
 from .traffic import (
+    DEFAULT_TOL,
     DOMAIN_ERRORS,
     ConsistencyError,
     MaxIterationsError,
@@ -51,7 +52,7 @@ from .simulate import estimate_drift, estimate_hitting, estimate_prefix, simulat
 from .walkspec import (
     WalkSpec,
     build_family,
-    default_tolerance,
+    integer,
     load_spec,
     resolve_generators,
     hecke_simple,
@@ -96,19 +97,14 @@ def _walk_from_args(args: argparse.Namespace) -> WalkSpec:
     if args.spec:
         spec = load_spec(args.spec)
     elif args.family:
-        params = {}
-        if args.k is not None:
-            params["k"] = args.k
-        if args.p is not None:
-            params["p"] = args.p
-        if args.q is not None:
-            params["q"] = args.q
+        params = {name: getattr(args, name) for name in ("k", "p", "q")
+                  if getattr(args, name) is not None}
         if args.orders:
             params["orders"] = [int(x) for x in args.orders.split(",")]
         if args.weights:
             params["weights"] = [float(x) for x in args.weights.split(",")]
         product, mu = build_family(args.family, **params)
-        spec = WalkSpec(product, mu, product.alphabet, tol=default_tolerance())
+        spec = WalkSpec(product, mu, product.alphabet)
     else:
         raise ValueError("give --spec FILE or --family NAME")
     flags = {"tol": args.tol, "max_iter": args.max_iter, "seed": args.seed}
@@ -212,8 +208,7 @@ def _sweep_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list[str]
     if not args.resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {args.resolution!r}")
     header, grid, gens, walk = _SWEEPS[args.family]
-    tol = args.tol if args.tol is not None else default_tolerance()
-    check_tolerance(tol)
+    check_tolerance(args.tol)
     points = grid(args)
 
     def rows():
@@ -222,7 +217,7 @@ def _sweep_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list[str]
             try:
                 product, mu = walk(args, *point)
                 lengths = letter_lengths(product, resolve_generators(product, gens))
-                report = solve_walk(product, mu, tol=tol)
+                report = solve_walk(product, mu, tol=args.tol)
                 h = entropy(product, mu, report.r, report.q)
                 g = drift_weighted(product, mu, report.r, lengths)
                 v = volume(product, lengths)
@@ -247,22 +242,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _integer(params: dict, name: str) -> int:
-    """The parameter ``name`` as an int; a value with a fractional part is an error."""
-    value = params[name]
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 _CLOSED_FORMS = {
     "z2z3": (("p", "q"), lambda a: cf.drift_z2z3(a["p"], a["q"])),
     "z3z3-sym": (("p",), lambda a: cf.drift_z3z3_sym(a["p"])),
     "z3z3-asym": (("p", "q"), lambda a: cf.drift_z3z3_asym(a["p"], a["q"])),
-    "zkzk": (("k",), lambda a: cf.drift_zkzk(_integer(a, "k"))),
-    "hecke": (("k",), lambda a: cf.drift_hecke(_integer(a, "k"))),
-    "uniform-pair": (("p", "k1", "k2"),
-                     lambda a: cf.drift_uniform_pair(a["p"], _integer(a, "k1"), _integer(a, "k2"))),
+    "zkzk": (("k",), lambda a: cf.drift_zkzk(integer(a["k"], "k"))),
+    "hecke": (("k",), lambda a: cf.drift_hecke(integer(a["k"], "k"))),
+    "uniform-pair": (("p", "k1", "k2"), lambda a: cf.drift_uniform_pair(
+        a["p"], integer(a["k1"], "k1"), integer(a["k2"], "k2"))),
 }
 
 
@@ -399,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k", type=int, help="k for quality-zkzk-minimal")
     p_sweep.add_argument("--k-min", type=int, default=3)
     p_sweep.add_argument("--k-max", type=int, default=8)
-    p_sweep.add_argument("--tol", type=float, default=None)
+    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_sweep.add_argument("--out", help="CSV output path (default stdout)")
     p_sweep.set_defaults(fn=cmd_sweep)
 

@@ -62,16 +62,6 @@ class FiniteGroup:
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def product(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
 
 def make_cyclic(k: int) -> FiniteGroup:
     """Cyclic group of order ``k`` in additive notation."""
@@ -215,9 +205,6 @@ class FreeProduct:
     def sigma_size(self, i: int) -> int:
         return self.factors[i].order - 1
 
-    def sigma(self, i: int) -> tuple[Letter, ...]:
-        return self.alphabet[self._starts[i] : self._starts[i + 1]]
-
     def factor_slice(self, i: int) -> slice:
         return slice(self._starts[i], self._starts[i + 1])
 
@@ -272,32 +259,20 @@ class LengthTable:
     (cross-factor letters in any product can only cancel completely), so
     the length of a word is the sum of its letter lengths.  Any additive
     letter weight fits the same table, e.g. the Green metric -log q with
-    float weights; the accessors return the table's own scalar type.
+    float weights; ``word_weight`` returns the table's own scalar type.
     """
 
     product: FreeProduct
     weights: np.ndarray
-    generators: tuple[Letter, ...]
-
-    def of(self, u: Letter) -> int | float:
-        return self.weights[self.product.letter_index(u)].item()
 
     def word_weight(self, w: Word) -> int | float:
         idx = self.product.letter_index
         return self.weights[[idx(u) for u in w.letters]].sum().item()
 
-    @property
-    def max_weight(self) -> int | float:
-        return self.weights.max().item()
-
 
 def natural_lengths(product: FreeProduct) -> LengthTable:
     """Length table for the natural generators: every letter has length 1."""
-    return LengthTable(
-        product=product,
-        weights=np.ones(product.nletters, dtype=np.int64),
-        generators=product.alphabet,
-    )
+    return LengthTable(product=product, weights=np.ones(product.nletters, dtype=np.int64))
 
 
 def letter_lengths(product: FreeProduct, generators: Iterable[Letter]) -> LengthTable:
@@ -319,7 +294,7 @@ def letter_lengths(product: FreeProduct, generators: Iterable[Letter]) -> Length
             raise NonGeneratingSetError(i)
         for e in range(1, group.order):
             weights[product.letter_index(Letter(i, e))] = dist[e]
-    return LengthTable(product=product, weights=weights, generators=tuple(sorted(gens)))
+    return LengthTable(product=product, weights=weights)
 
 
 def normal_words(product: FreeProduct, max_len: int) -> list[Word]:

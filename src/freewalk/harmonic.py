@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FreeProduct, Letter, Word
+from .groups import FreeProduct, Word
 from .traffic import HittingVector, RootVector, StepDistribution, letter_tables
 
 _LOG_SPACE_CUTOFF = 200
@@ -41,9 +41,6 @@ class LetterChain:
     first: np.ndarray
     trans: np.ndarray
     pi: np.ndarray
-
-    def transition(self, u: Letter, v: Letter) -> float:
-        return float(self.trans[self.product.letter_index(u), self.product.letter_index(v)])
 
 
 def build_chain(product: FreeProduct, r: RootVector) -> LetterChain:
@@ -112,15 +109,6 @@ def _shift_residual(chain: LetterChain, w: Word, steps: int) -> float:
     return float(abs(mass - mass * reach[a] / chain.first[a]))
 
 
-def tau1_invariance_residual(chain: LetterChain, w: Word) -> float:
-    """|nu(w...) - sum_v nu(vw...)| over one-letter extensions keeping normal form.
-
-    Vanishes exactly when the measure is shift-invariant (the stationary
-    case); strictly positive otherwise.
-    """
-    return _shift_residual(chain, w, 1)
-
-
 def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:
     """Residual of two-step shift invariance for a two-factor product.
 
@@ -178,25 +166,3 @@ def mu_invariance_residual(chain: LetterChain, mu: StepDistribution, w: Word) ->
         total += p * acted
     return abs(cylinder_prob(chain, w) - total)
 
-
-def sample_harmonic(chain: LetterChain, length: int, seed: int) -> Word:
-    """Deterministic sample of a length-n prefix of the harmonic measure.
-
-    First letter from r, then each next letter from the transition row.
-    Uses the Philox counter-based generator keyed by the seed, so a fixed
-    seed reproduces the identical word on every platform.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    first_cdf = np.cumsum(chain.first)
-    row_cdf = np.cumsum(chain.trans, axis=1)
-    draws = rng.random(length)
-    pos = int(np.searchsorted(first_cdf, draws[0], side="right"))
-    pos = min(pos, chain.product.nletters - 1)
-    letters = [chain.product.alphabet[pos]]
-    for step in range(1, length):
-        pos = int(np.searchsorted(row_cdf[pos], draws[step], side="right"))
-        pos = min(pos, chain.product.nletters - 1)
-        letters.append(chain.product.alphabet[pos])
-    return Word(tuple(letters))

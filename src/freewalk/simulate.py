@@ -24,9 +24,6 @@ CONVOLUTION_BUDGET = 1_000_000
 class Trajectory:
     """One realization: per-step lengths |X_0|..|X_steps| and the final word."""
 
-    seed: int
-    stream: int
-    steps: int
     lengths: np.ndarray
     final: Word
 
@@ -108,9 +105,7 @@ def simulate(
         removed, added = _right_multiply(stack, pick, merge)
         current += weights[added] - weights[removed]
         series[n] = current
-    return Trajectory(
-        seed=seed, stream=stream, steps=steps, lengths=series, final=Word(_letters(product, stack))
-    )
+    return Trajectory(lengths=series, final=Word(_letters(product, stack)))
 
 
 def estimate_drift(

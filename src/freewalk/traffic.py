@@ -76,19 +76,12 @@ class StepDistribution:
     def support(self) -> tuple[Letter, ...]:
         return tuple(u for u, p in zip(self.product.alphabet, self.probs) if p > 0.0)
 
-    def as_dict(self) -> dict[Letter, float]:
-        return {u: float(p) for u, p in zip(self.product.alphabet, self.probs)}
-
     @classmethod
     def from_dict(cls, product: FreeProduct, table: Mapping[Letter, float]) -> "StepDistribution":
         probs = np.zeros(product.nletters)
         for u, p in table.items():
             probs[product.letter_index(u)] = p
         return cls(product, probs)
-
-    @classmethod
-    def uniform(cls, product: FreeProduct) -> "StepDistribution":
-        return cls(product, np.full(product.nletters, 1.0 / product.nletters))
 
 
 class _LetterVector:
@@ -103,11 +96,6 @@ class _LetterVector:
     def factor_sum(self, i: int) -> float:
         return float(self.values[self.product.factor_slice(i)].sum())
 
-    def outside_factor(self, i: int) -> float:
-        return float(self.values.sum() - self.values[self.product.factor_slice(i)].sum())
-
-    def as_dict(self) -> dict[Letter, float]:
-        return {u: float(v) for u, v in zip(self.product.alphabet, self.values)}
 
 
 @dataclass(frozen=True)
@@ -127,10 +115,6 @@ class RootVector(_LetterVector):
 
     product: FreeProduct
     values: np.ndarray
-
-    def natural_hitting(self, u: Letter) -> float:
-        """r(a) / r(Sigma minus a's factor), which equals q(a)."""
-        return self[u] / self.outside_factor(u.factor)
 
 
 @dataclass(frozen=True)
@@ -327,14 +311,14 @@ def traffic_residual(product: FreeProduct, mu: StepDistribution, r: RootVector) 
     return float(np.max(np.abs(x - rhs)))
 
 
-def stationarity_check(product: FreeProduct, r: RootVector, tol: float = STATIONARY_TOL) -> bool:
+def stationarity_check(product: FreeProduct, r: RootVector) -> bool:
     """True when every factor carries first-letter mass 1/|I|.
 
     For a root vector solving the traffic system this decides whether the
     harmonic measure is stationary (and ergodic) under the one-step shift.
     """
     sums = letter_tables(product).factor_sums(np.asarray(r.values, dtype=float))
-    return bool(np.max(np.abs(sums - 1.0 / product.nfactors)) < tol)
+    return bool(np.max(np.abs(sums - 1.0 / product.nfactors)) < STATIONARY_TOL)
 
 
 def solve_walk(

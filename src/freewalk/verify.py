@@ -2,9 +2,10 @@
 
 Each criterion re-derives published or independently computable values
 through the full pipeline (solver, closed forms, metrics, enumeration,
-Monte Carlo) and checks them at a fixed tolerance.  Criteria return a
-CriterionResult; the CLI ``verify`` subcommand and the acceptance tests
-are thin wrappers around ``run_criterion``.
+Monte Carlo) and checks them at a fixed tolerance.  Criteria return their
+_Check, ``run_criterion`` turns it into a CriterionResult titled from
+CRITERIA, and the CLI ``verify`` subcommand and the acceptance tests are
+thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -78,84 +78,78 @@ class CriterionResult:
 
 
 class _Check:
-    """Accumulates labelled tolerance checks for one criterion."""
+    """Accumulates labelled tolerance checks and notes for one criterion."""
 
     def __init__(self):
         self.ok = True
         self.details: list[str] = []
+        self.notes: list[str] = []
 
-    def close(self, label: str, value: float, target: float, tol: float) -> bool:
-        value, target = float(value), float(target)
-        err = abs(value - target)
-        good = err <= tol
-        self.ok &= good
-        self.details.append(
-            f"{'ok ' if good else 'BAD'} {label}: {value!r} vs {target!r} (|err|={err:.3e}, tol={tol:.0e})"
-        )
-        return good
-
-    def true(self, label: str, condition: bool, detail: str = "") -> bool:
+    def true(self, label: str, condition: bool, detail: str = "") -> None:
         self.ok &= condition
         self.details.append(f"{'ok ' if condition else 'BAD'} {label}{(': ' + detail) if detail else ''}")
-        return condition
+
+    def close(self, label: str, value: float, target: float, tol: float) -> None:
+        value, target = float(value), float(target)
+        err = abs(value - target)
+        self.true(label, err <= tol, f"{value!r} vs {target!r} (|err|={err:.3e}, tol={tol:.0e})")
 
 
-@lru_cache(maxsize=None)
-def _solved_zkzk(k: int):
-    product, mu = zkzk_simple(k)
-    return product, mu, solve_walk(product, mu)
+# Keyed by the builder's name, so a wrapped builder (a tracing run wraps
+# them) finds the entries of the plain one.
+_SOLVED: dict = {}
 
 
-@lru_cache(maxsize=None)
-def _solved_hecke(k: int):
-    product, mu = hecke_simple(k)
-    return product, mu, solve_walk(product, mu)
+def _solved(build: Callable, k: int):
+    """``build(k)`` and its solve, computed once per process."""
+    key = (build.__name__, k)
+    if key not in _SOLVED:
+        product, mu = build(k)
+        _SOLVED[key] = product, mu, solve_walk(product, mu)
+    return _SOLVED[key]
 
 
-def criterion_1() -> CriterionResult:
-    """Drift table for the simple walks on Z/k * Z/k."""
+def _name(product) -> str:
+    return "*".join(f"Z{g.order}" for g in product.factors)
+
+
+def _drift_table(closed_form: Callable, build: Callable, closed: dict, numeric: dict) -> _Check:
+    """The closed form and the solver against closed (1e-10) and numeric (1e-6) drifts."""
     chk = _Check()
+    for table, tol in ((closed, 1e-10), (numeric, 1e-6)):
+        for k, target in table.items():
+            chk.close(f"{closed_form.__name__}({k})", closed_form(k), target, tol)
+            product, mu, rep = _solved(build, k)
+            chk.close(f"solver gamma {_name(product)}", drift(product, mu, rep.r), target, tol)
+    return chk
+
+
+def criterion_1() -> _Check:
+    """Drift table for the simple walks on Z/k * Z/k."""
     closed = {3: 0.25, 4: (math.sqrt(5) - 1) / 4, 5: (math.sqrt(13) - 1) / 8}
     numeric = {6: 0.330851, 7: 0.332515, 8: 0.333062}
-    for k, target in closed.items():
-        chk.close(f"drift_zkzk({k})", cf.drift_zkzk(k), target, 1e-10)
-        product, mu, rep = _solved_zkzk(k)
-        chk.close(f"solver gamma Z{k}*Z{k}", drift(product, mu, rep.r), target, 1e-10)
-    for k, target in numeric.items():
-        chk.close(f"drift_zkzk({k})", cf.drift_zkzk(k), target, 1e-6)
-        product, mu, rep = _solved_zkzk(k)
-        chk.close(f"solver gamma Z{k}*Z{k}", drift(product, mu, rep.r), target, 1e-6)
-    return CriterionResult(1, "drift table Z/k * Z/k", chk.ok, chk.details)
+    return _drift_table(cf.drift_zkzk, zkzk_simple, closed, numeric)
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> _Check:
     """Drift table for the simple walks on the Hecke products Z/2 * Z/k."""
-    chk = _Check()
     closed = {3: 2.0 / 15.0, 4: (math.sqrt(7) - 1) / 9, 5: (2 * math.sqrt(61) - 4) / 57}
     numeric = {6: 0.213412, 7: 0.217921, 8: 0.220101}
-    for k, target in closed.items():
-        chk.close(f"drift_hecke({k})", cf.drift_hecke(k), target, 1e-10)
-        product, mu, rep = _solved_hecke(k)
-        chk.close(f"solver gamma Z2*Z{k}", drift(product, mu, rep.r), target, 1e-10)
-    for k, target in numeric.items():
-        chk.close(f"drift_hecke({k})", cf.drift_hecke(k), target, 1e-6)
-        product, mu, rep = _solved_hecke(k)
-        chk.close(f"solver gamma Z2*Z{k}", drift(product, mu, rep.r), target, 1e-6)
-    return CriterionResult(2, "drift table Hecke Z/2 * Z/k", chk.ok, chk.details)
+    return _drift_table(cf.drift_hecke, hecke_simple, closed, numeric)
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> _Check:
     """Root vector of the simple walk on Z/2 * Z/4."""
     chk = _Check()
-    product, _, rep = _solved_hecke(4)
+    product, _, rep = _solved(hecke_simple, 4)
     s7 = math.sqrt(7)
     expected = [(7 - s7) / 12, 2 / 3 - s7 / 6, (-11 + 5 * s7) / 12, 2 / 3 - s7 / 6]
     for u, target in zip(product.alphabet, expected):
         chk.close(f"r({u})", rep.r[u], target, 1e-10)
-    return CriterionResult(3, "Z/2 * Z/4 root vector", chk.ok, chk.details)
+    return chk
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> _Check:
     """Polynomial root identities and monotone drift limits."""
     chk = _Check()
     for k in range(3, 13):
@@ -165,107 +159,98 @@ def criterion_4() -> CriterionResult:
         chk.close(f"sum F_i(x_{k})", sum(values), 1.0, 1e-10)
         palindrome = max(abs(values[i - 1] - values[k - i - 1]) for i in range(1, k))
         chk.true(f"palindrome k={k}", palindrome <= 1e-10, f"max gap {palindrome:.3e}")
-        product, mu, rep = _solved_zkzk(k)
+        product, mu, rep = _solved(zkzk_simple, k)
         chk.close(f"gamma_{k} closed vs solver", (1 - xk) / 2, drift(product, mu, rep.r), 1e-10)
     # The drift gaps decay like 3^-k (Hecke: 2^-k), below double resolution
     # long before k = 64, so the monotone-limit claims are certified with
     # exact rational root enclosures.
-    intervals = [cf.gamma_zkzk_interval(k) for k in range(3, 65)]
-    chk.true(
-        "gamma_k strictly increasing, < 1/3 (k <= 64, certified)",
-        all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
-        and all(hi < Fraction(1, 3) for _, hi in intervals),
-        f"last enclosure ({float(intervals[-1][0])!r}, {float(intervals[-1][1])!r})",
-    )
-    hintervals = [cf.gamma_hecke_interval(k) for k in range(3, 65)]
-    chk.true(
-        "Hecke gamma_k strictly increasing, < 2/9 (k <= 64, certified)",
-        all(a[1] < b[0] for a, b in zip(hintervals, hintervals[1:]))
-        and all(hi < Fraction(2, 9) for _, hi in hintervals),
-        f"last enclosure ({float(hintervals[-1][0])!r}, {float(hintervals[-1][1])!r})",
-    )
-    return CriterionResult(4, "recurrence and root identities", chk.ok, chk.details)
+    for label, enclose, limit in (("gamma_k", cf.gamma_zkzk_interval, Fraction(1, 3)),
+                                  ("Hecke gamma_k", cf.gamma_hecke_interval, Fraction(2, 9))):
+        intervals = [enclose(k) for k in range(3, 65)]
+        chk.true(
+            f"{label} strictly increasing, < {limit} (k <= 64, certified)",
+            all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
+            and all(hi < limit for _, hi in intervals),
+            f"last enclosure ({float(intervals[-1][0])!r}, {float(intervals[-1][1])!r})",
+        )
+    return chk
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> _Check:
     """Normalization of the Z/4 * Z/4 root vector."""
     chk = _Check()
-    product, _, rep = _solved_zkzk(4)
+    product, _, rep = _solved(zkzk_simple, 4)
     s5 = math.sqrt(5)
     chk.close("r(a)", rep.r[Letter(0, 1)], (3 - s5) / 4, 1e-10)
     chk.close("r(a^2)", rep.r[Letter(0, 2)], (s5 - 2) / 2, 1e-10)
     chk.close("sum of r over all letters", float(np.sum(rep.r.values)), 1.0, 1e-10)
     halved = 2 * ((3 - s5) / 8) + (s5 / 4 - 0.5)
-    notes = [
+    chk.notes.append(
         "informational: a halved variant of this vector (entries (3-sqrt5)/8, "
         f"sqrt5/4-1/2, (3-sqrt5)/8 per factor) totals {2 * halved:.6f}, not 1, and is "
         "inconsistent with F_4(x_4)=1 and with gamma_4=(sqrt5-1)/4; the solver's "
         "normalization (letter values summing to 1) is the self-consistent one."
-    ]
-    return CriterionResult(5, "Z/4 * Z/4 root-vector normalization", chk.ok, chk.details, notes)
+    )
+    return chk
 
 
-def criterion_6() -> CriterionResult:
+def _clipped(p: float, q: float) -> tuple[float, float]:
+    """(p, q) scaled onto p + q = 0.9 when their sum exceeds it."""
+    if p + q > 0.9:
+        p, q = p * 0.9 / (p + q), q * 0.9 / (p + q)
+    return p, q
+
+
+def _uniform_pair_point(rng) -> tuple[float, int, int]:
+    k1, k2 = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    if k1 == 1 and k2 == 1:
+        k2 = 2
+    return 0.1 + 0.8 * rng.random(), k1, k2
+
+
+def criterion_6() -> _Check:
     """Closed-form drift formulas against the solver at random interior points."""
     chk = _Check()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(SEED)))
-    worst = {"z2z3": 0.0, "z3z3-sym": 0.0, "z3z3-asym": 0.0, "uniform-pair": 0.0}
-    for _ in range(100):
-        p, q = 0.02 + 0.86 * rng.random(2)
-        if p + q > 0.9:
-            p, q = p * 0.9 / (p + q), q * 0.9 / (p + q)
-        product, mu = z2z3_walk(p, q)
-        rep = solve_walk(product, mu)
-        worst["z2z3"] = max(worst["z2z3"], abs(cf.drift_z2z3(p, q) - drift(product, mu, rep.r)))
-    for _ in range(100):
-        p = 0.03 + 0.44 * rng.random()
-        product, mu = z3z3_sym(p)
-        rep = solve_walk(product, mu)
-        worst["z3z3-sym"] = max(
-            worst["z3z3-sym"], abs(cf.drift_z3z3_sym(p) - drift(product, mu, rep.r))
-        )
-    for _ in range(100):
-        p, q = 0.03 + 0.6 * rng.random(2)
-        if p + q > 0.9:
-            p, q = p * 0.9 / (p + q), q * 0.9 / (p + q)
-        product, mu = z3z3_asym(p, q)
-        rep = solve_walk(product, mu)
-        worst["z3z3-asym"] = max(
-            worst["z3z3-asym"], abs(cf.drift_z3z3_asym(p, q) - drift(product, mu, rep.r))
-        )
-    for _ in range(100):
-        k1, k2 = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        if k1 == 1 and k2 == 1:
-            k2 = 2
-        p = 0.1 + 0.8 * rng.random()
-        product, mu = uniform_per_factor([k1 + 1, k2 + 1], [p, 1 - p])
-        rep = solve_walk(product, mu)
-        worst["uniform-pair"] = max(
-            worst["uniform-pair"],
-            abs(cf.drift_uniform_pair(p, k1, k2) - drift(product, mu, rep.r)),
-        )
-    for name, err in worst.items():
-        chk.true(f"{name}: 100 random points", err <= 1e-9, f"worst |err| {err:.3e}")
-    return CriterionResult(6, "closed-form / solver agreement", chk.ok, chk.details)
+    # name, parameter draw, walk builder, closed form; drawn family by family
+    families = (
+        ("z2z3", lambda rng: _clipped(*(0.02 + 0.86 * rng.random(2))), z2z3_walk, cf.drift_z2z3),
+        ("z3z3-sym", lambda rng: (0.03 + 0.44 * rng.random(),), z3z3_sym, cf.drift_z3z3_sym),
+        ("z3z3-asym", lambda rng: _clipped(*(0.03 + 0.6 * rng.random(2))), z3z3_asym,
+         cf.drift_z3z3_asym),
+        ("uniform-pair", _uniform_pair_point,
+         lambda p, k1, k2: uniform_per_factor([k1 + 1, k2 + 1], [p, 1 - p]),
+         cf.drift_uniform_pair),
+    )
+    for name, draw, build, closed_form in families:
+        worst = 0.0
+        for _ in range(100):
+            point = draw(rng)
+            product, mu = build(*point)
+            rep = solve_walk(product, mu)
+            worst = max(worst, abs(closed_form(*point) - drift(product, mu, rep.r)))
+        chk.true(f"{name}: 100 random points", worst <= 1e-9, f"worst |err| {worst:.3e}")
+    return chk
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> _Check:
     """Maximum drift over the Z/2 * Z/3 parameter simplex.
 
-    The sweep evaluates the closed-form drift surface (vectorized) on the
-    full simplex at resolution 1e-3; criterion 6 has already pinned that
-    surface to the solver, and the solver is re-run at the argmax here.
+    The sweep evaluates the closed-form drift surface on the full simplex
+    at resolution 1e-3, one row of fixed p at a time; criterion 6 has
+    already pinned that surface to the solver, and the solver is re-run at
+    the argmax here.  The first maximum in row-major order wins.
     """
     chk = _Check()
     n = 1000
     grid = np.arange(n + 1) / n
-    p, q = np.meshgrid(grid, grid, indexing="ij")
-    valid = (p + q <= 1 - 1 / n) & (p + q >= 1 / n)  # mu(a) > 0 and factor Z/3 touched
-    gamma = np.where(valid, cf.drift_z2z3(p, q), -1.0)
-    flat = int(np.argmax(gamma))
-    i, j = np.unravel_index(flat, gamma.shape)
-    best = float(gamma[i, j])
-    pb, qb = float(grid[i]), float(grid[j])
+    best, pb, qb = -math.inf, 0.0, 0.0
+    for p in grid:
+        valid = (p + grid <= 1 - 1 / n) & (p + grid >= 1 / n)  # mu(a) > 0 and Z/3 touched
+        row = np.where(valid, cf.drift_z2z3(p, grid), -1.0)
+        j = int(np.argmax(row))
+        if row[j] > best:
+            best, pb, qb = float(row[j]), float(p), float(grid[j])
     chk.close("max gamma over simplex", best, 0.163379, 1e-4)
     z0 = 0.490275
     on_edge = (qb == 0.0) or (pb == 0.0)
@@ -275,15 +260,21 @@ def criterion_7() -> CriterionResult:
     product, mu = z2z3_walk(pb, qb)
     rep = solve_walk(product, mu)
     chk.close("solver drift at argmax", drift(product, mu, rep.r), best, 1e-9)
-    return CriterionResult(7, "Z/2 * Z/3 maximum drift", chk.ok, chk.details)
+    return chk
+
+
+def _h_and_gamma_v(product, mu, rep) -> tuple[float, float]:
+    """Entropy h and drift times volume in the natural lengths; h <= gamma v."""
+    h = entropy(product, mu, rep.r, rep.q)
+    return h, drift(product, mu, rep.r) * volume(product, natural_lengths(product))
 
 
 def _battery():
-    instances = [
-        ("zkzk-simple k=4", _solved_zkzk(4)[:2]),
-        ("zkzk-simple k=5", _solved_zkzk(5)[:2]),
-        ("hecke-simple k=3", _solved_hecke(3)[:2]),
-        ("hecke-simple k=4", _solved_hecke(4)[:2]),
+    return [
+        ("zkzk-simple k=4", _solved(zkzk_simple, 4)[:2]),
+        ("zkzk-simple k=5", _solved(zkzk_simple, 5)[:2]),
+        ("hecke-simple k=3", _solved(hecke_simple, 3)[:2]),
+        ("hecke-simple k=4", _solved(hecke_simple, 4)[:2]),
         ("z2z3 p=0.5 q=0.1", z2z3_walk(0.5, 0.1)),
         ("z2z3 p=0.2 q=0.4", z2z3_walk(0.2, 0.4)),
         ("z3z3-sym p=0.4", z3z3_sym(0.4)),
@@ -293,27 +284,17 @@ def _battery():
         ("extremal Z2*Z3*Z5", extremal_walk([2, 3, 5])),
         ("z2z2z2 p=0.3", z2z2z2(0.3)),
     ]
-    return [(name, product, mu) for name, (product, mu) in instances]
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> _Check:
     """Structural identities on a battery of solved instances."""
     chk = _Check()
-    for name, product, mu in _battery():
+    for name, (product, mu) in _battery():
         rep = solve_walk(product, mu)
-        chk.true(
-            f"{name}: consistency residual",
-            rep.q.consistency_residual() <= 1e-10,
-            f"{rep.q.consistency_residual():.3e}",
-        )
-        h = entropy(product, mu, rep.r, rep.q)
-        gamma = drift(product, mu, rep.r)
-        v = volume(product, natural_lengths(product))
-        chk.true(
-            f"{name}: h <= gamma*v*(1+1e-9)",
-            h <= gamma * v * (1 + 1e-9),
-            f"h={h!r} gamma*v={gamma * v!r}",
-        )
+        residual = rep.q.consistency_residual()
+        chk.true(f"{name}: consistency residual", residual <= 1e-10, f"{residual:.3e}")
+        h, gv = _h_and_gamma_v(product, mu, rep)
+        chk.true(f"{name}: h <= gamma*v*(1+1e-9)", h <= gv * (1 + 1e-9), f"h={h!r} gamma*v={gv!r}")
         # mu-invariance pins the root vector; on two factors the tau^2
         # residual vanishes for every positive root vector.
         chain = build_chain(product, rep.r)
@@ -322,37 +303,32 @@ def criterion_8() -> CriterionResult:
                  f"{mu_res:.3e}")
         if product.nfactors != 2:
             continue
-        chk.true(
-            f"{name}: q(S1)q(S2)=1",
-            abs(two_factor_identity(rep.q) - 1.0) <= 1e-10,
-            f"{two_factor_identity(rep.q)!r}",
-        )
+        identity = two_factor_identity(rep.q)
+        chk.true(f"{name}: q(S1)q(S2)=1", abs(identity - 1.0) <= 1e-10, f"{identity!r}")
         tau2 = max(tau2_invariance_residual(chain, w) for w in normal_words(product, 3))
         chk.true(f"{name}: tau^2 residual (cylinders <= 3)", tau2 <= 1e-10, f"{tau2:.3e}")
-    return CriterionResult(8, "structural identities on solved instances", chk.ok, chk.details)
+    return chk
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> _Check:
     """Extremal step laws: entropy-drift-volume equality and cylinder formula."""
     chk = _Check()
     for orders in ([2, 4], [2, 3, 5], [3, 3, 3]):
-        name = "*".join(f"Z{k}" for k in orders)
         product, mu = extremal_walk(orders)
+        name = _name(product)
         rep = solve_walk(product, mu)
-        h = entropy(product, mu, rep.r, rep.q)
-        gamma = drift(product, mu, rep.r)
-        v = volume(product, natural_lengths(product))
-        chk.true(f"{name}: |h - gamma*v|", abs(h - gamma * v) <= 1e-9, f"{abs(h - gamma * v):.3e}")
+        h, gv = _h_and_gamma_v(product, mu, rep)
+        chk.true(f"{name}: |h - gamma*v|", abs(h - gv) <= 1e-9, f"{abs(h - gv):.3e}")
         chain = build_chain(product, rep.r)
         worst = 0.0
         for w in normal_words(product, 3):
             harmonic, _ = extremal_cylinders(product, w)
             worst = max(worst, abs(cylinder_prob(chain, w) - harmonic))
         chk.true(f"{name}: cylinders vs rho-power formula (len <= 3)", worst <= 1e-10, f"{worst:.3e}")
-    return CriterionResult(9, "extremal measures", chk.ok, chk.details)
+    return chk
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> _Check:
     """Quality constants for minimal generating sets."""
     chk = _Check()
     product, mu = zkzk_simple(4)
@@ -364,15 +340,8 @@ def criterion_10() -> CriterionResult:
 
     product34 = free_product_of_cyclics(3, 4)
     p = 0.432693  # middle root of 5x^3 - 13x^2 + 7x - 1
-    probs = np.zeros(product34.nletters)
-    for u, mass in [
-        (Letter(0, 1), p),
-        (Letter(0, 2), p),
-        (Letter(1, 1), 0.5 - p),
-        (Letter(1, 3), 0.5 - p),
-    ]:
-        probs[product34.letter_index(u)] = mass
-    mu34 = StepDistribution(product34, probs)
+    mu34 = StepDistribution.from_dict(product34, {
+        Letter(0, 1): p, Letter(0, 2): p, Letter(1, 1): 0.5 - p, Letter(1, 3): 0.5 - p})
     rep34 = solve_walk(product34, mu34)
     lengths34 = letter_lengths(product34, minimal_generators(product34))
     h34 = entropy(product34, mu34, rep34.r, rep34.q)
@@ -388,64 +357,45 @@ def criterion_10() -> CriterionResult:
             chk.close("Z2*Z2*Z2 quality at p=1/3", value, 1.0, 1e-9)
         else:
             chk.true(f"Z2*Z2*Z2 quality at p={p3} below 1", value < 1 - 1e-6, f"{value!r}")
-    return CriterionResult(10, "minimal-generator quality constants", chk.ok, chk.details)
+    return chk
 
 
-def criterion_11() -> CriterionResult:
+def criterion_11() -> _Check:
     """Volume roots and sphere-growth oracles."""
     chk = _Check()
+    # exp(v) for the natural generators solves the same equation as rho
     for orders in ([4, 4], [2, 4], [2, 3, 5], [3, 3, 3]):
         product = free_product_of_cyclics(*orders)
-        rho = growth_rho(product)
-        residual = abs(
-            sum(product.sigma_size(i) / (rho + product.sigma_size(i)) for i in range(product.nfactors))
-            - 1.0
-        )
-        chk.true(f"rho residual {orders}", residual <= 1e-14, f"{residual:.3e}")
-        v_nat = volume(product, natural_lengths(product))
-        residual2 = abs(
-            sum(
-                product.sigma_size(i) / (math.exp(v_nat) + product.sigma_size(i))
-                for i in range(product.nfactors)
-            )
-            - 1.0
-        )
-        chk.true(f"exp(volume) residual {orders}", residual2 <= 1e-14, f"{residual2:.3e}")
+        sizes = [product.sigma_size(i) for i in range(product.nfactors)]
+        roots = (("rho", growth_rho(product)),
+                 ("exp(volume)", math.exp(volume(product, natural_lengths(product)))))
+        for label, x in roots:
+            residual = abs(sum(size / (x + size) for size in sizes) - 1.0)
+            chk.true(f"{label} residual {orders}", residual <= 1e-14, f"{residual:.3e}")
 
     product44 = free_product_of_cyclics(4, 4)
-    spheres = sphere_series(product44, natural_lengths(product44), 15)
-    chk.close(
-        "Z4*Z4 natural: log sphere ratio at 15",
-        math.log(spheres[15] / spheres[14]),
-        volume(product44, natural_lengths(product44)),
-        1e-2,
-    )
-    lengths_min = letter_lengths(product44, minimal_generators(product44))
-    spheres_min = sphere_series(product44, lengths_min, 15)
-    chk.close(
-        "Z4*Z4 minimal: log sphere ratio at 15",
-        math.log(spheres_min[15] / spheres_min[14]),
-        volume(product44, lengths_min),
-        1e-2,
-    )
     product24 = free_product_of_cyclics(2, 4)
-    lengths24 = letter_lengths(product24, minimal_generators(product24))
-    v24 = volume(product24, lengths24)
-    chk.close("Z2*Z4 minimal: v = log golden ratio", v24, math.log((1 + math.sqrt(5)) / 2), 1e-10)
-    spheres24 = sphere_series(product24, lengths24, 15)
-    chk.close(
-        "Z2*Z4 minimal: log sphere ratio at 15", math.log(spheres24[15] / spheres24[14]), v24, 1e-2
-    )
-    return CriterionResult(11, "volume and sphere growth", chk.ok, chk.details)
+    golden = math.log((1 + math.sqrt(5)) / 2)
+    for label, product, lengths, target in (
+        ("Z4*Z4 natural", product44, natural_lengths(product44), None),
+        ("Z4*Z4 minimal", product44, letter_lengths(product44, minimal_generators(product44)), None),
+        ("Z2*Z4 minimal", product24, letter_lengths(product24, minimal_generators(product24)), golden),
+    ):
+        v = volume(product, lengths)
+        if target is not None:
+            chk.close(f"{label}: v = log golden ratio", v, target, 1e-10)
+        spheres = sphere_series(product, lengths, 15)
+        chk.close(f"{label}: log sphere ratio at 15", math.log(spheres[15] / spheres[14]), v, 1e-2)
+    return chk
 
 
-def criterion_12() -> CriterionResult:
+def criterion_12() -> _Check:
     """Monte Carlo concordance for the simple walks on Z/4 * Z/4 and Z/2 * Z/3."""
     chk = _Check()
     hitting_bias_allowance = 5e-3  # stated downward finite-horizon bias margin
     for name, (product, mu, rep), target_gamma in (
-        ("Z4*Z4", _solved_zkzk(4), (math.sqrt(5) - 1) / 4),
-        ("Z2*Z3", _solved_hecke(3), 2 / 15),
+        ("Z4*Z4", _solved(zkzk_simple, 4), (math.sqrt(5) - 1) / 4),
+        ("Z2*Z3", _solved(hecke_simple, 3), 2 / 15),
     ):
         est = estimate_drift(product, mu, steps=10_000, reps=200, seed=SEED)
         chk.true(
@@ -470,10 +420,10 @@ def criterion_12() -> CriterionResult:
             abs(hit.estimate - rep.q[target]) <= 3 * hit.stderr + hitting_bias_allowance,
             f"est {hit.estimate!r} +- {hit.stderr:.2e}, q {rep.q[target]!r}",
         )
-    return CriterionResult(12, "Monte Carlo concordance", chk.ok, chk.details)
+    return chk
 
 
-def criterion_13() -> CriterionResult:
+def criterion_13() -> _Check:
     """Exact-convolution desk-scale trend for the simple walk on Z/3 * Z/3.
 
     Checks the stated tolerances literally: the n = 7, 8 increments of
@@ -483,7 +433,7 @@ def criterion_13() -> CriterionResult:
     criterion fails as specified; the computed gaps are reported.
     """
     chk = _Check()
-    product, mu, rep = _solved_zkzk(3)
+    product, mu, rep = _solved(zkzk_simple, 3)
     gamma = drift(product, mu, rep.r)
     h = entropy(product, mu, rep.r, rep.q)
     lengths = {}
@@ -495,19 +445,18 @@ def criterion_13() -> CriterionResult:
     for n in (7, 8):
         chk.close(f"E|X_{n}| - E|X_{n - 1}| vs gamma", lengths[n] - lengths[n - 1], gamma, 0.02)
         chk.close(f"H_{n} - H_{n - 1} vs h", entropies[n] - entropies[n - 1], h, 0.05)
-    notes = []
     if not chk.ok:
-        notes.append(
+        chk.notes.append(
             "informational: the stated n=7,8 tolerances are not attainable; the exact "
             "increments (confirmed by independent Monte Carlo) approach the limits at "
             "roughly geometric rate ~0.9 per step and reach the 0.02 / 0.05 bands only "
             "near n~13 and n~16.  The trend itself (monotone approach to gamma and h) "
             "holds and is covered by the simulation test suite."
         )
-    return CriterionResult(13, "exact-convolution trend", chk.ok, chk.details, notes)
+    return chk
 
 
-CRITERIA: dict[int, tuple[str, Callable[[], CriterionResult]]] = {
+CRITERIA: dict[int, tuple[str, Callable[[], _Check]]] = {
     1: ("drift table Z/k * Z/k", criterion_1),
     2: ("drift table Hecke Z/2 * Z/k", criterion_2),
     3: ("Z/2 * Z/4 root vector", criterion_3),
@@ -528,15 +477,20 @@ CRITERIA: dict[int, tuple[str, Callable[[], CriterionResult]]] = {
 EXPECTED_FAILURES = {13}
 
 
-def _criterion(number: int) -> Callable[[], CriterionResult]:
+def _entry(number: int) -> tuple[int, str, Callable[[], _Check]]:
     try:
-        return CRITERIA[number][1]
+        return (number, *CRITERIA[number])
     except KeyError:
         raise ValueError(f"no criterion {number}; known: {sorted(CRITERIA)}") from None
 
 
+def _run(number: int, title: str, fn: Callable[[], _Check]) -> CriterionResult:
+    chk = fn()
+    return CriterionResult(number, title, chk.ok, chk.details, chk.notes)
+
+
 def run_criterion(number: int) -> CriterionResult:
-    return _criterion(number)()
+    return _run(*_entry(number))
 
 
 def run_all(numbers: Iterable[int] | None = None) -> Iterator[tuple[CriterionResult, float]]:
@@ -546,8 +500,8 @@ def run_all(numbers: Iterable[int] | None = None) -> Iterator[tuple[CriterionRes
     unknown number is rejected before any criterion runs.
     """
     selected = sorted(CRITERIA) if numbers is None else list(dict.fromkeys(numbers))
-    fns = [_criterion(n) for n in selected]
-    for fn in fns:
+    entries = [_entry(n) for n in selected]
+    for entry in entries:
         start = time.perf_counter()
-        result = fn()
+        result = _run(*entry)
         yield result, time.perf_counter() - start

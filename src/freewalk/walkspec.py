@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import inspect
 import json
-import os
+import sys
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,10 +30,25 @@ from .metrics import extremal_measure
 from .traffic import DEFAULT_MAX_ITER, DEFAULT_TOL, StepDistribution
 
 
-def default_tolerance() -> float:
-    """Solver tolerance, overridable through the FREEWALK_TOL variable."""
-    env = os.environ.get("FREEWALK_TOL")
-    return float(env) if env else DEFAULT_TOL
+def integer(value: Any, name: str) -> int:
+    """``value`` as an int; a bool, a string or a fractional or non-finite number is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def real(value: Any, name: str) -> float:
+    """``value`` as a float; a bool, a string, null or an int beyond float range is an error."""
+    if isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _items(value: Any, name: str, item: Callable[[Any], Any]) -> list:
+    """``item`` of each entry of the list ``value``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return [item(x) for x in value]
 
 
 @dataclass(frozen=True)
@@ -128,6 +143,15 @@ def z2z2z2(p: float) -> tuple[FreeProduct, StepDistribution]:
     return product, StepDistribution.from_dict(product, table)
 
 
+# Family parameters have one meaning in every family that takes them.
+_PARAMETERS = {
+    "k": integer,
+    "p": real,
+    "q": real,
+    "orders": lambda value, name: _items(value, name, lambda x: integer(x, name)),
+    "weights": lambda value, name: _items(value, name, lambda x: real(x, name)),
+}
+
 FAMILIES = {
     "zkzk-simple": (zkzk_simple, ("k",)),
     "hecke-simple": (hecke_simple, ("k",)),
@@ -144,7 +168,7 @@ def build_family(name: str, **params: Any) -> tuple[FreeProduct, StepDistributio
     """Instantiate a named measure family; see FAMILIES for parameters."""
     try:
         fn, argnames = FAMILIES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILIES)}") from None
     unknown = set(params) - set(argnames)
     if unknown:
@@ -153,7 +177,7 @@ def build_family(name: str, **params: Any) -> tuple[FreeProduct, StepDistributio
     missing = [a for a in required if a not in params]
     if missing:
         raise ValueError(f"family {name!r} needs {', '.join(missing)}")
-    return fn(**params)
+    return fn(**{a: _PARAMETERS[a](value, a) for a, value in params.items()})
 
 
 def minimal_generators(product: FreeProduct) -> tuple[Letter, ...]:
@@ -186,12 +210,17 @@ def resolve_generators(product: FreeProduct, spec: Any) -> tuple[Letter, ...]:
     raise ValueError(f"cannot interpret generator spec {spec!r}")
 
 
-def _build_factor(entry: Mapping[str, Any]) -> FiniteGroup:
+def _build_factor(entry: Any) -> FiniteGroup:
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"factor spec must be an object, got {entry!r}")
     keys = set(entry)
     if keys == {"cyclic"}:
-        return make_cyclic(int(entry["cyclic"]))
+        return make_cyclic(integer(entry["cyclic"], "cyclic"))
     if keys == {"table"}:
-        return make_finite_group(entry["table"])
+        table = entry["table"]
+        if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
+            raise ValueError(f"table must be a list of rows, got {table!r}")
+        return make_finite_group(table)
     raise ValueError(f"factor spec must be {{'cyclic': k}} or {{'table': [[...]]}}, got {sorted(keys)}")
 
 
@@ -199,37 +228,38 @@ _TOP_KEYS = {"factors", "measure", "generators", "tol", "max_iter", "seed"}
 
 
 def parse_spec(data: Mapping[str, Any]) -> WalkSpec:
-    """Parse a walk-spec mapping; unknown keys are an error."""
+    """Parse a walk-spec mapping; unknown keys and mistyped values are an error."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a walk spec must be a JSON object, got {data!r}")
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-    if "factors" not in data and "measure" not in data:
-        raise ValueError("spec needs 'factors' and/or a family 'measure'")
     measure = data.get("measure")
-    if measure is None:
-        raise ValueError("spec needs a 'measure'")
+    if not isinstance(measure, Mapping):
+        raise ValueError(f"spec needs a 'measure' object, got {measure!r}")
+    factors = data.get("factors")
+    declared = None if factors is None else FreeProduct(_items(factors, "factors", _build_factor))
     if "family" in measure:
         extra = {k: v for k, v in measure.items() if k != "family"}
         product, mu = build_family(measure["family"], **extra)
-        if "factors" in data:
-            declared = FreeProduct([_build_factor(f) for f in data["factors"]])
-            if [g.order for g in declared.factors] != [g.order for g in product.factors]:
-                raise ValueError("declared factors disagree with the measure family")
+        orders = [g.order for g in product.factors]
+        if declared is not None and [g.order for g in declared.factors] != orders:
+            raise ValueError("declared factors disagree with the measure family")
+    elif declared is None:
+        raise ValueError("an explicit measure needs 'factors'")
+    elif set(measure) != {"letters"} or not isinstance(measure["letters"], Mapping):
+        raise ValueError("explicit measure must be {'letters': {...}}")
     else:
-        if "factors" not in data:
-            raise ValueError("an explicit measure needs 'factors'")
-        product = FreeProduct([_build_factor(f) for f in data["factors"]])
-        if set(measure) != {"letters"}:
-            raise ValueError("explicit measure must be {'letters': {...}}")
-        table = {Letter.parse(k): float(v) for k, v in measure["letters"].items()}
+        product = declared
+        table = {Letter.parse(k): real(v, f"mass of {k}") for k, v in measure["letters"].items()}
         mu = StepDistribution.from_dict(product, table)
     return WalkSpec(
         product=product,
         mu=mu,
         generators=resolve_generators(product, data.get("generators")),
-        tol=float(data.get("tol", default_tolerance())),
-        max_iter=int(data.get("max_iter", DEFAULT_MAX_ITER)),
-        seed=int(data.get("seed", 20240809)),
+        tol=real(data.get("tol", DEFAULT_TOL), "tol"),
+        max_iter=integer(data.get("max_iter", DEFAULT_MAX_ITER), "max_iter"),
+        seed=integer(data.get("seed", 20240809), "seed"),
     )
 
 

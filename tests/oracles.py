@@ -168,7 +168,7 @@ def pair_tables_oracle(product: FreeProduct) -> tuple[list[int], list[int], list
     pa, pu, pv = [], [], []
     idx = product.letter_index
     for a in product.alphabet:
-        for u in product.sigma(a.factor):
+        for u in product.alphabet[product.factor_slice(a.factor)]:
             if u != a:
                 pa.append(idx(a))
                 pu.append(idx(u))
@@ -184,8 +184,9 @@ def additive_drift_oracle(
     total = 0.0
     for a, p in zip(product.alphabet, mu.probs):
         a_inv = product.letter_inverse(a)
-        change = w[idx(a)] * r.outside_factor(a.factor) - w[idx(a_inv)] * r[a_inv]
-        for b in product.sigma(a.factor):
+        outside = r.values.sum() - r.values[product.factor_slice(a.factor)].sum()
+        change = w[idx(a)] * outside - w[idx(a_inv)] * r[a_inv]
+        for b in product.alphabet[product.factor_slice(a.factor)]:
             if b != a_inv:
                 change += (w[idx(product.letter_product(a, b))] - w[idx(b)]) * r[b]
         total += p * change
@@ -206,7 +207,7 @@ def tau2_residual_oracle(chain: LetterChain, w: Word) -> float:
     product = chain.product
     i = w[0].factor
     total = 0.0
-    for v1 in product.sigma(i):
-        for v2 in product.sigma(1 - i):
+    for v1 in product.alphabet[product.factor_slice(i)]:
+        for v2 in product.alphabet[product.factor_slice(1 - i)]:
             total += cylinder_prob(chain, Word((v1, v2) + w.letters))
     return abs(cylinder_prob(chain, w) - total)

@@ -75,7 +75,7 @@ def test_entropy_uniform_equal_factors():
     # uniform step law on n equal factors: h = log(K-k) * (1 - (k+1)/K)
     for orders, n in (((3, 3), 2), ((3, 3, 3), 3), ((4, 4), 2)):
         product = free_product_of_cyclics(*orders)
-        mu = StepDistribution.uniform(product)
+        mu = StepDistribution(product, np.full(product.nletters, 1 / product.nletters))
         report = solve_walk(product, mu)
         k = orders[0] - 1
         K = n * k

@@ -61,7 +61,7 @@ def test_validate_walk_accepts_partial_support():
 
 def test_validate_walk_rejects_z2z2():
     product = free_product_of_cyclics(2, 2)
-    mu = StepDistribution.uniform(product)
+    mu = StepDistribution(product, np.full(product.nletters, 1 / product.nletters))
     with pytest.raises(RecurrentGroupError):
         validate_walk(product, mu)
 
@@ -133,10 +133,12 @@ def test_consistency_identity_on_battery():
 
 
 def test_natural_hitting_matches_q():
+    # q(a) = r(a) / (1 - r(Sigma_i)), where Sigma_i is the factor of a
     product, mu = z2z3_walk(0.45, 0.25)
     report = solve_walk(product, mu)
     for u in product.alphabet:
-        assert abs(report.r.natural_hitting(u) - report.q[u]) < 1e-12
+        outside = 1.0 - report.r.factor_sum(u.factor)
+        assert abs(report.r[u] / outside - report.q[u]) < 1e-12
 
 
 def test_q_to_r_z2z4_closed_form_vector():
@@ -151,7 +153,7 @@ def test_q_to_r_z2z4_closed_form_vector():
 
 def test_q_to_r_uniform_symmetry():
     product = free_product_of_cyclics(3, 3)
-    mu = StepDistribution.uniform(product)
+    mu = StepDistribution(product, np.full(product.nletters, 1 / product.nletters))
     r = q_to_r(solve_walk(product, mu).q)
     for u in product.alphabet:
         assert abs(r[u] - 0.25) < 1e-13
@@ -173,7 +175,7 @@ def test_traffic_residual_positive_off_solution():
 
 def test_traffic_residual_uniform_walk_uniform_root():
     product = free_product_of_cyclics(3, 3)
-    mu = StepDistribution.uniform(product)
+    mu = StepDistribution(product, np.full(product.nletters, 1 / product.nletters))
     from freewalk.traffic import RootVector
 
     uniform = RootVector(product, np.full(product.nletters, 0.25))

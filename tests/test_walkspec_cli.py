@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import io
 import json
 import os
@@ -148,6 +149,10 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
          "closed-form-fractional-k", "tol-1e-3", "tol-inf", "sweep-tol-inf"],
 )
 def test_cli_invalid_input_exits_3_without_traceback(argv):
+    assert_invalid_input(argv)
+
+
+def assert_invalid_input(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -155,6 +160,36 @@ def test_cli_invalid_input_exits_3_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("invalid input:") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+_FAMILY = {"measure": {"family": "zkzk-simple", "k": 4}}
+_LETTERS = {"factors": [{"cyclic": 2}, {"cyclic": 3}],
+            "measure": {"letters": {"0:1": 0.5, "1:1": 0.25, "1:2": 0.25}}}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"measure": {"family": "zkzk-simple", "k": 4.5}},
+        {"measure": {"family": "zkzk-simple", "k": "4"}},
+        {"measure": {"family": "extremal", "orders": [2, 3.5]}},
+        {"measure": {"family": "extremal", "orders": 7}},
+        {"measure": {"family": "z3z3-sym", "p": "0.2"}},
+        {"measure": {"family": "z2z3", "p": 10**400, "q": 0.1}},
+        {**_FAMILY, "max_iter": None},
+        {**_LETTERS, "measure": {"letters": [1]}},
+        {**_LETTERS, "factors": [{"table": 5}, {"cyclic": 3}]},
+        {**_LETTERS, "factors": [{"cyclic": 2}, {"cyclic": 3.9}]},
+        {**_FAMILY, "seed": 1.5},
+    ],
+    ids=["k-fractional", "k-string", "orders-fractional", "orders-not-a-list", "p-string",
+         "p-beyond-float", "max-iter-null", "letters-not-a-map", "table-not-a-list",
+         "cyclic-fractional", "seed-fractional"],
+)
+def test_malformed_spec_exits_3_without_traceback(tmp_path, spec):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(spec))
+    assert_invalid_input(["solve", "--spec", str(path)])
 
 
 def test_cli_flags_keep_spec_fields_they_do_not_set(tmp_path, capsys):
@@ -272,15 +307,6 @@ def test_cli_cylinder(capsys):
     assert main(["cylinder", "--family", "zkzk-simple", "--k", "4", "--word", "0:1.0:2"]) == 3
 
 
-def test_env_tolerance_override(monkeypatch):
-    from freewalk.walkspec import default_tolerance
-
-    monkeypatch.setenv("FREEWALK_TOL", "1e-6")
-    assert default_tolerance() == 1e-6
-    monkeypatch.delenv("FREEWALK_TOL")
-    assert default_tolerance() == 1e-13
-
-
 def test_cli_quality(capsys):
     assert main(["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal"]) == 0
     out = capsys.readouterr().out
@@ -295,8 +321,21 @@ def test_cli_quality(capsys):
 
 def test_cli_verify_list_and_single(capsys):
     assert main(["verify", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "criterion 13" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion  1: drift table Z/k * Z/k",
+        "criterion  2: drift table Hecke Z/2 * Z/k",
+        "criterion  3: Z/2 * Z/4 root vector",
+        "criterion  4: recurrence and root identities",
+        "criterion  5: Z/4 * Z/4 root-vector normalization",
+        "criterion  6: closed-form / solver agreement",
+        "criterion  7: Z/2 * Z/3 maximum drift",
+        "criterion  8: structural identities on solved instances",
+        "criterion  9: extremal measures",
+        "criterion 10: minimal-generator quality constants",
+        "criterion 11: volume and sphere growth",
+        "criterion 12: Monte Carlo concordance",
+        "criterion 13: exact-convolution trend",
+    ]
     assert main(["verify", "--criteria", "5"]) == 0
     out = capsys.readouterr().out
     assert "PASS criterion  5" in out
@@ -350,3 +389,16 @@ def test_cli_verify_exit_code_on_failure(capsys, monkeypatch):
     monkeypatch.setattr(cf, "eval_F", corrupted)
     assert main(["verify", "--criteria", "4"]) == 1
     assert "FAIL criterion  4" in capsys.readouterr().out
+
+
+def test_every_traced_benchmark_target_resolves():
+    # perfbench/tracer.py names the functions it wraps as "module:function";
+    # a deleted or renamed one would otherwise break only the traced run.
+    source = (Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text()
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED")
+    targets = [target for group in traced.values() for target in group]
+    assert len(targets) > 30
+    for target in targets:
+        module, name = target.split(":")
+        assert callable(getattr(importlib.import_module(module), name)), target
