@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -95,18 +96,11 @@ class _Check:
         self.true(label, err <= tol, f"{value!r} vs {target!r} (|err|={err:.3e}, tol={tol:.0e})")
 
 
-# Keyed by the builder's name, so a wrapped builder (a tracing run wraps
-# them) finds the entries of the plain one.
-_SOLVED: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _solved(build: Callable, k: int):
     """``build(k)`` and its solve, computed once per process."""
-    key = (build.__name__, k)
-    if key not in _SOLVED:
-        product, mu = build(k)
-        _SOLVED[key] = product, mu, solve_walk(product, mu)
-    return _SOLVED[key]
+    product, mu = build(k)
+    return product, mu, solve_walk(product, mu)
 
 
 def _name(product) -> str:
@@ -477,20 +471,10 @@ CRITERIA: dict[int, tuple[str, Callable[[], _Check]]] = {
 EXPECTED_FAILURES = {13}
 
 
-def _entry(number: int) -> tuple[int, str, Callable[[], _Check]]:
-    try:
-        return (number, *CRITERIA[number])
-    except KeyError:
-        raise ValueError(f"no criterion {number}; known: {sorted(CRITERIA)}") from None
-
-
-def _run(number: int, title: str, fn: Callable[[], _Check]) -> CriterionResult:
+def run_criterion(number: int) -> CriterionResult:
+    title, fn = CRITERIA[number]
     chk = fn()
     return CriterionResult(number, title, chk.ok, chk.details, chk.notes)
-
-
-def run_criterion(number: int) -> CriterionResult:
-    return _run(*_entry(number))
 
 
 def run_all(numbers: Iterable[int] | None = None) -> Iterator[tuple[CriterionResult, float]]:
@@ -500,8 +484,10 @@ def run_all(numbers: Iterable[int] | None = None) -> Iterator[tuple[CriterionRes
     unknown number is rejected before any criterion runs.
     """
     selected = sorted(CRITERIA) if numbers is None else list(dict.fromkeys(numbers))
-    entries = [_entry(n) for n in selected]
-    for entry in entries:
+    unknown = [n for n in selected if n not in CRITERIA]
+    if unknown:
+        raise ValueError(f"no criterion {unknown[0]}; known: {sorted(CRITERIA)}")
+    for number in selected:
         start = time.perf_counter()
-        result = _run(*entry)
+        result = run_criterion(number)
         yield result, time.perf_counter() - start

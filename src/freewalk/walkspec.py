@@ -149,7 +149,9 @@ _PARAMETERS = {
     "p": real,
     "q": real,
     "orders": lambda value, name: _items(value, name, lambda x: integer(x, name)),
-    "weights": lambda value, name: _items(value, name, lambda x: real(x, name)),
+    # null selects uniform_per_factor's equal weights
+    "weights": lambda value, name: (
+        None if value is None else _items(value, name, lambda x: real(x, name))),
 }
 
 FAMILIES = {

@@ -181,15 +181,27 @@ _LETTERS = {"factors": [{"cyclic": 2}, {"cyclic": 3}],
         {**_LETTERS, "factors": [{"table": 5}, {"cyclic": 3}]},
         {**_LETTERS, "factors": [{"cyclic": 2}, {"cyclic": 3.9}]},
         {**_FAMILY, "seed": 1.5},
+        {"measure": {"family": "uniform-per-factor", "orders": [3, 3], "weights": "0.5"}},
     ],
     ids=["k-fractional", "k-string", "orders-fractional", "orders-not-a-list", "p-string",
          "p-beyond-float", "max-iter-null", "letters-not-a-map", "table-not-a-list",
-         "cyclic-fractional", "seed-fractional"],
+         "cyclic-fractional", "seed-fractional", "weights-string"],
 )
 def test_malformed_spec_exits_3_without_traceback(tmp_path, spec):
     path = tmp_path / "walk.json"
     path.write_text(json.dumps(spec))
     assert_invalid_input(["solve", "--spec", str(path)])
+
+
+def test_spec_null_weights_select_equal_weights(tmp_path, capsys):
+    outputs = []
+    for extra in ({}, {"weights": None}):
+        path = tmp_path / "walk.json"
+        path.write_text(json.dumps(
+            {"measure": {"family": "uniform-per-factor", "orders": [3, 3], **extra}}))
+        assert main(["solve", "--spec", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_flags_keep_spec_fields_they_do_not_set(tmp_path, capsys):
