@@ -7,9 +7,16 @@ vector of hitting probabilities ``q(a) = P(some X_n equals a)`` satisfies
                  + q(a) * sum_{c outside a's factor} mu(c) q(c^-1),
 
 a polynomial system with nonnegative coefficients.  The right-hand side is
-a monotone map, so iterating it from the zero vector produces increasing
-iterates converging to the least fixed point, which is the hitting vector;
-an optional Newton polish then drives the residual to machine precision.
+a monotone map whose least fixed point is the hitting vector, and Newton's
+method from the zero vector converges to it monotonically (Etessami and
+Yannakakis, JACM 2009; Esparza, Kiefer and Luttenberger, SIAM J. Comput.
+2010), in at most 7 steps on the walks tried, near-edge walks included.
+The same solves give kappa = ||(I - J)^-1||_inf >= 1/(1 - rho(J)).  Float
+rounding leaves q about eps * kappa from the fixed point, so when that
+exceeds the tolerance a few Newton corrections with an exact rational
+residual finish the solve.  Plain iteration, gated by the consistency
+identity below, confirms the result.
+
 The root vector of the harmonic measure follows as
 ``r(a) = q(a) / (1 + q(Sigma_a))``, and the consistency identity
 ``sum_i q(Sigma_i)/(1+q(Sigma_i)) = 1`` makes r a probability vector.
@@ -18,7 +25,9 @@ The root vector of the harmonic measure follows as
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +37,7 @@ from .groups import FreeProduct, Letter, NonGeneratingSetError, factor_distances
 DEFAULT_TOL = 1e-13
 MAX_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
-_NEWTON_SWITCH = 1e-8
+_EPS = float(np.finfo(float).eps)
 STATIONARY_TOL = 1e-8
 
 
@@ -119,7 +128,12 @@ class RootVector(_LetterVector):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output: hitting vector, root vector, and diagnostics."""
+    """Solver output: hitting vector, root vector, and diagnostics.
+
+    ``iterations`` counts the Newton steps plus the plain iteration steps
+    after them (at least one, the consistency check); the corrections with
+    an exact residual are not counted.
+    """
 
     q: HittingVector
     r: RootVector
@@ -230,15 +244,87 @@ def validate_walk(product: FreeProduct, mu: StepDistribution) -> None:
         raise RecurrentGroupError("walks on Z/2 * Z/2 are recurrent; no harmonic measure")
 
 
-def _iterate(s: _Structure, p: np.ndarray, q: np.ndarray, iterations: int, max_iter: int, done):
-    """Apply the hitting map until done(change, q) holds; returns (q, iterations)."""
+def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
+    """Newton's method from q = 0 on q = phi(q); returns (q, steps, kappa).
+
+    Each step solves (I - J)[delta, x] = [phi(q) - q, 1] in one call.  As
+    J >= 0 has spectral radius below 1, kappa = max(x) = ||(I - J)^-1||_inf,
+    and rounding leaves q about eps * kappa from the fixed point.  Newton
+    stops once the sup residual is at most tol/100 or stops falling; a
+    singular step or a candidate outside (0,1) stops it early and leaves the
+    rest to plain iteration.  kappa is NaN when no step was taken.
+    """
+    n = s.nletters
+    eye = np.eye(n)
+    q = np.zeros(n)
+    rhs = np.ones((n, 2))
+    steps, kappa, last = 0, math.nan, math.inf
+    while steps < max_iter:
+        rhs[:, 0] = _phi_array(s, p, q) - q
+        sup = float(np.max(np.abs(rhs[:, 0])))
+        if sup <= 0.01 * tol or sup >= last:
+            break
+        last = sup
+        try:
+            sol = np.linalg.solve(eye - _jacobian(s, p, q), rhs)
+        except np.linalg.LinAlgError:
+            break
+        candidate = q + sol[:, 0]
+        if np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
+            break
+        q, kappa = candidate, float(np.max(sol[:, 1]))
+        steps += 1
+    return q, steps, kappa
+
+
+def _exact_residual(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """phi(q) - q computed exactly in rationals from the floats p and q, then rounded."""
+    m = np.array([Fraction(x) for x in p.tolist()], dtype=object)
+    x = np.array([Fraction(v) for v in q.tolist()], dtype=object)
+    back = m * x[s.inv_index]
+    sums = np.array([back[s.factor_of == i].sum() for i in range(s.nfactors)], dtype=object)
+    out = m + x * (back.sum() - sums[s.factor_of]) - x
+    np.add.at(out, s.pair_a, m[s.pair_u] * x[s.pair_v])
+    return out.astype(float)
+
+
+def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """At most 3 Newton corrections whose residual is exact; stops once q stays put.
+
+    A float residual is itself off by about eps, which (I - J)^-1 amplifies
+    by kappa; the exact residual removes that floor.
+    """
+    for _ in range(3):
+        candidate = q + np.linalg.solve(np.eye(s.nletters) - _jacobian(s, p, q),
+                                        _exact_residual(s, p, q))
+        if np.array_equal(candidate, q) or np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
+            break
+        q = candidate
+    return q
+
+
+def _iterate(s: _Structure, p: np.ndarray, q: np.ndarray, iterations: int, max_iter: int,
+             tol: float, kappa: float):
+    """Apply the hitting map until a step moves q by less than tol and q is consistent.
+
+    Near the recurrent boundary a small step no longer implies proximity to
+    the fixed point, hence the consistency identity.  A step that leaves q
+    bitwise unchanged can never meet it, so that raises at once.  Returns
+    (q, iterations).
+    """
     while True:
         qn = _phi_array(s, p, q)
         iterations += 1
         delta = float(np.max(np.abs(qn - q)))
         q = qn
-        if done(delta, q):
+        if delta < tol and _consistency_residual(s, q) <= 10.0 * tol:
             return q, iterations
+        if delta == 0.0:
+            raise MaxIterationsError(
+                f"no convergence after {iterations} iterations: stuck at a floating-point"
+                f" fixed point with consistency residual {_consistency_residual(s, q):.3e}"
+                f" (condition number {kappa:.3e})"
+            )
         if iterations >= max_iter:
             raise MaxIterationsError(
                 f"no convergence after {iterations} iterations (last change {delta:.3e})"
@@ -255,33 +341,10 @@ def _solve_arrays(
     check_tolerance(tol)
     s = letter_tables(product)
     p = mu.probs
-    switch = max(tol, _NEWTON_SWITCH)
-    q, iterations = _iterate(s, p, np.zeros(s.nletters), 0, max_iter, lambda d, q: d < switch)
-    # Newton polish; the monotone phase has entered the basin of the least
-    # fixed point, so a few steps reach machine precision.  Any failure
-    # falls back to plain iteration.
-    for _ in range(40):
-        residual = _phi_array(s, p, q) - q
-        sup = float(np.max(np.abs(residual)))
-        if sup <= tol * 0.01:
-            break
-        jac = _jacobian(s, p, q)
-        try:
-            step = np.linalg.solve(np.eye(s.nletters) - jac, residual)
-        except np.linalg.LinAlgError:
-            break
-        candidate = q + step
-        if np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
-            break
-        q = candidate
-        iterations += 1
-    # Require the consistency identity as well: near the recurrent boundary
-    # the contraction rate approaches 1 and a small per-iteration change no
-    # longer implies proximity to the fixed point.
-    q, iterations = _iterate(
-        s, p, q, iterations, max_iter,
-        lambda d, q: d < tol and _consistency_residual(s, q) <= 10.0 * tol,
-    )
+    q, iterations, kappa = _newton(s, p, tol, max_iter)
+    if _EPS * kappa > tol:
+        q = _exact_finish(s, p, q)
+    q, iterations = _iterate(s, p, q, iterations, max_iter, tol, kappa)
     sup = float(np.max(np.abs(_phi_array(s, p, q) - q)))
     if np.any(q >= 1.0 - tol) or np.any(q <= 0.0):
         raise ConsistencyError("hitting probabilities left (0,1): walk is not transient")

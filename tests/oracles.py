@@ -6,18 +6,23 @@
 ``sphere_series``.  The per-letter loops restate the index tables of the
 solver and the additive-drift kernel of the metrics one letter at a time,
 and the shift-invariance residuals one normal-form prefix at a time.  The
-hitting-probability oracle builds the literal Markov chain on the
-ball of a given radius, absorbing at the target letter and killed at the
-boundary, and solves the linear hitting system by iteration.  Killing at
-the boundary biases the value downward by at most the probability of
-returning from the sphere, which decays geometrically in the radius.
+hitting-probability oracle builds the literal Markov chain on the ball of
+a given radius, absorbing at the target letter and killed at the
+boundary, and solves the linear hitting system with a sparse direct
+solve.  Killing at the boundary biases the value downward by at most the
+probability of returning from the sphere, which decays geometrically in
+the radius.  ``exact_fixed_point`` solves the hitting map, written one
+letter at a time, to far below float precision.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from freewalk.groups import FreeProduct, LengthTable, Letter, StateBudgetError, Word
 from freewalk.harmonic import LetterChain, cylinder_prob
@@ -130,7 +135,6 @@ def hitting_oracle(
     mu: StepDistribution,
     target: Letter,
     radius: int,
-    tol: float = 1e-13,
 ) -> float:
     """P(walk started at 1 visits ``target`` before leaving the radius ball)."""
     words = ball_words(product, radius)
@@ -148,18 +152,10 @@ def hitting_oracle(
                 rows.append(i)
                 cols.append(j)
                 vals.append(p)
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    vals = np.asarray(vals)
-    q = np.zeros(n)
-    q[tgt] = 1.0
-    for _ in range(200_000):
-        nq = np.bincount(rows, weights=vals * q[cols], minlength=n)
-        nq[tgt] = 1.0
-        delta = float(np.max(np.abs(nq - q)))
-        q = nq
-        if delta < tol:
-            break
+    chain = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    b = np.zeros(n)
+    b[tgt] = 1.0  # the target row of I - chain is e_tgt: q(target) = 1
+    q = spsolve((sparse.identity(n, format="csr") - chain).tocsc(), b)
     return float(q[index[()]])
 
 
@@ -176,6 +172,45 @@ def pair_tables_oracle(product: FreeProduct) -> tuple[list[int], list[int], list
     return pa, pu, pv
 
 
+def exact_fixed_point(product: FreeProduct, mu: StepDistribution) -> np.ndarray:
+    """The least fixed point of the hitting map, correctly rounded to floats.
+
+    Newton from zero on the map written one letter at a time, with the
+    residual in exact rationals and q kept exact; only the step is solved in
+    floats.  The Jacobian of the quadratic map is its exact central
+    difference with unit step.  The map uses the float masses of ``mu`` as
+    exact rationals, so q is the fixed point for those masses.
+    """
+    pa, pu, pv = pair_tables_oracle(product)
+    inv = [product.letter_index(product.letter_inverse(a)) for a in product.alphabet]
+    factor = [a.factor for a in product.alphabet]
+    n = product.nletters
+
+    def phi(m, x):
+        out = list(m)
+        for a, u, v in zip(pa, pu, pv):
+            out[a] += m[u] * x[v]
+        for a in range(n):
+            out[a] += x[a] * sum(m[c] * x[inv[c]] for c in range(n) if factor[c] != factor[a])
+        return out
+
+    m_exact = [Fraction(v) for v in mu.probs.tolist()]
+    m_float = mu.probs.tolist()
+    q = [Fraction(0)] * n
+    for _ in range(60):
+        residual = [f - x for f, x in zip(phi(m_exact, q), q)]
+        if max(abs(r) for r in residual) < Fraction(1, 10**40):
+            return np.array([float(x) for x in q])
+        base = [float(x) for x in q]
+        jac = np.empty((n, n))
+        for v in range(n):
+            up, down = list(base), list(base)
+            up[v] += 1.0
+            down[v] -= 1.0
+            jac[:, v] = (np.array(phi(m_float, up)) - np.array(phi(m_float, down))) / 2.0
+        step = np.linalg.solve(np.eye(n) - jac, np.array([float(r) for r in residual]))
+        q = [x + Fraction(d) for x, d in zip(q, step.tolist())]
+    raise AssertionError("exact Newton did not converge in 60 steps")
 def additive_drift_oracle(
     product: FreeProduct, mu: StepDistribution, r: RootVector, w: np.ndarray
 ) -> float:

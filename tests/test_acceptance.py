@@ -43,6 +43,6 @@ def test_criterion_7_finds_the_first_maximum_of_the_grid():
         "ok  max gamma over simplex: 0.16337869974332694 vs 0.163379 (|err|=3.003e-07, tol=1e-04)",
         "ok  argmax on a boundary edge (p=0 or q=0): argmax (0.0, 0.51)",
         "ok  nonzero coordinate vs 1 - z0: 0.51 vs 0.509725 (|err|=2.750e-04, tol=2e-03)",
-        "ok  solver drift at argmax: 0.16337869974332697 vs 0.16337869974332694 "
-        "(|err|=2.776e-17, tol=1e-09)",
+        "ok  solver drift at argmax: 0.163378699743327 vs 0.16337869974332694 "
+        "(|err|=5.551e-17, tol=1e-09)",
     ]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from freewalk.groups import (
 )
 from freewalk.harmonic import build_chain
 from freewalk.traffic import (
+    DEFAULT_TOL,
     MAX_TOL,
     MaxIterationsError,
     RecurrentGroupError,
@@ -25,9 +27,9 @@ from freewalk.traffic import (
     traffic_residual,
     validate_walk,
 )
-from freewalk.walkspec import hecke_simple, z2z3_walk, z3z3_sym, zkzk_simple
+from freewalk.walkspec import hecke_simple, z2z2z2, z2z3_walk, z3z3_sym, zkzk_simple
 
-from oracles import S3_TABLE, hitting_oracle, pair_tables_oracle
+from oracles import S3_TABLE, exact_fixed_point, hitting_oracle, pair_tables_oracle
 
 
 def phi(product, mu, q: np.ndarray) -> np.ndarray:
@@ -214,6 +216,43 @@ def test_max_iterations_error_near_recurrent():
     product, mu = z2z3_walk(0.499999999, 0.5)  # mu(a) = 1e-9: nearly trapped on Z/3
     with pytest.raises(MaxIterationsError):
         solve_walk(product, mu, tol=1e-13, max_iter=40)
+
+
+@pytest.mark.parametrize("j", range(20))
+def test_newton_solves_near_edge_z2z2z2(j):
+    # the benchmark's near-edge masses; the condition number is about 0.67 / p
+    p = 10 ** (-5 + 4 * (j + 0.5) / 20)
+    product, mu = z2z2z2(p)
+    report = solve_walk(product, mu)
+    assert report.iterations <= 12
+    assert report.q.consistency_residual() <= 10 * DEFAULT_TOL
+    gap = np.abs(report.q.values - exact_fixed_point(product, mu))
+    assert np.max(gap) <= DEFAULT_TOL
+    if p < 1.5e-3:  # eps * kappa > tol: the exact-residual finish runs
+        assert np.all(gap <= 2 * np.spacing(report.q.values))
+
+
+def test_newton_step_counts_on_families():
+    rng = np.random.default_rng(11)
+    grid = [z2z3_walk(*(0.02 + 0.94 * rng.dirichlet(np.ones(3)))[1:]) for _ in range(40)]
+    walks = [zkzk_simple(k) for k in range(3, 9)] + [hecke_simple(k) for k in range(3, 13)]
+    for product, mu in walks + grid:
+        assert solve_walk(product, mu).iterations <= 10
+
+
+def test_max_iter_counts_newton_steps():
+    with pytest.raises(MaxIterationsError):
+        solve_walk(*hecke_simple(3), max_iter=3)
+
+
+@pytest.mark.parametrize("p", [1e-7, 1e-9])
+def test_floating_point_fixed_point_raises_at_once(p):
+    # phi(q) == q bitwise, yet the consistency residual exceeds 10 tol
+    with pytest.raises(MaxIterationsError) as info:
+        solve_walk(*z2z2z2(p))
+    message = str(info.value)
+    assert int(re.search(r"after (\d+) iterations", message).group(1)) <= 12
+    assert "consistency residual" in message and "condition number" in message
 
 
 @pytest.mark.parametrize("family", [zkzk_simple(4), hecke_simple(3), z2z3_walk(0.5, 0.1)],
