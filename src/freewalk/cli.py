@@ -48,7 +48,7 @@ from .traffic import (
     check_tolerance,
     solve_walk,
 )
-from .simulate import estimate_drift, estimate_hitting, estimate_prefix, simulate
+from .simulate import check_sizes, estimate_drift, estimate_hitting, estimate_prefix, simulate
 from .walkspec import (
     WalkSpec,
     build_family,
@@ -281,13 +281,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _walk_from_args(args)
     product, mu = spec.product, spec.mu
     lengths = letter_lengths(product, spec.generators)
+    # reject bad sizes and an unknown target before any simulation or output
+    check_sizes(args.steps, args.reps, args.prefix_len or 1)
+    if args.hitting:
+        target = Letter.parse(args.hitting)
+        product.letter_index(target)
+        check_sizes(args.horizon, args.reps)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["metric", "estimate", "stderr", "replications", "horizon", "note"])
     est = estimate_drift(product, mu, steps=args.steps, reps=args.reps, seed=spec.seed, lengths=lengths)
     writer.writerow(["drift", _csv_float(est.estimate), _csv_float(est.stderr),
                      est.replications, est.horizon, est.note])
     if args.hitting:
-        target = Letter.parse(args.hitting)
         hit = estimate_hitting(product, mu, target, horizon=args.horizon, reps=args.reps, seed=spec.seed)
         writer.writerow([f"hitting({target})", _csv_float(hit.estimate), _csv_float(hit.stderr),
                          hit.replications, hit.horizon, hit.note])

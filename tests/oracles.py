@@ -12,11 +12,15 @@ boundary, and solves the linear hitting system with a sparse direct
 solve.  Killing at the boundary biases the value downward by at most the
 probability of returning from the sphere, which decays geometrically in
 the radius.  ``exact_fixed_point`` solves the hitting map, written one
-letter at a time, to far below float precision.
+letter at a time, to far below float precision.  The Monte Carlo
+references step one walk at a time through ``_right_multiply``, each from
+a freshly keyed Philox generator, as the estimators did before they
+stepped all walks together.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -24,8 +28,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from freewalk.groups import FreeProduct, LengthTable, Letter, StateBudgetError, Word
+from freewalk.groups import FreeProduct, LengthTable, Letter, StateBudgetError, Word, natural_lengths
 from freewalk.harmonic import LetterChain, cylinder_prob
+from freewalk.simulate import EstimateReport, PrefixReport, _letters, _merge_table, _right_multiply
 from freewalk.traffic import RootVector, StepDistribution
 
 # The symmetric group S3 as a multiplication table, identity at index 0.
@@ -246,3 +251,79 @@ def tau2_residual_oracle(chain: LetterChain, w: Word) -> float:
         for v2 in product.alphabet[product.factor_slice(1 - i)]:
             total += cylinder_prob(chain, Word((v1, v2) + w.letters))
     return abs(cylinder_prob(chain, w) - total)
+
+
+def _reference_walk(product: FreeProduct, mu: StepDistribution, steps: int, seed: int, rep: int):
+    """Walk (seed, rep) one letter at a time: yields (removed, added, stack) after each step."""
+    cdf = np.cumsum(mu.probs)
+    cdf[-1] = 1.0
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
+    picks = np.minimum(np.searchsorted(cdf, rng.random(steps), side="right"), len(cdf) - 1)
+    merge = _merge_table(product)
+    stack: list[int] = []
+    for pick in picks.tolist():
+        removed, added = _right_multiply(stack, pick, merge)
+        yield removed, added, stack
+
+
+def drift_reference(
+    product: FreeProduct,
+    mu: StepDistribution,
+    steps: int,
+    reps: int,
+    seed: int,
+    lengths: LengthTable | None = None,
+) -> EstimateReport:
+    table = lengths if lengths is not None else natural_lengths(product)
+    weights = table.weights.tolist() + [0]  # weights[_CANCEL] == 0
+    values = np.empty(reps)
+    for rep in range(reps):
+        current = 0.0
+        for removed, added, _ in _reference_walk(product, mu, steps, seed, rep):
+            current += weights[added] - weights[removed]
+        values[rep] = current / steps
+    return EstimateReport(
+        estimate=float(values.mean()),
+        stderr=float(values.std(ddof=1) / math.sqrt(reps)),
+        replications=reps,
+        horizon=steps,
+    )
+
+
+def hitting_reference(
+    product: FreeProduct, mu: StepDistribution, target: Letter, horizon: int, reps: int, seed: int
+) -> EstimateReport:
+    goal = [product.letter_index(target)]
+    hits = 0
+    for rep in range(reps):
+        for _, _, stack in _reference_walk(product, mu, horizon, seed, rep):
+            if stack == goal:
+                hits += 1
+                break
+    p_hat = hits / reps
+    return EstimateReport(
+        estimate=p_hat,
+        stderr=math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / reps),
+        replications=reps,
+        horizon=horizon,
+        note="finite-horizon estimator; bias is downward (late hits are lost)",
+    )
+
+
+def prefix_reference(
+    product: FreeProduct, mu: StepDistribution, steps: int, reps: int, seed: int, prefix_len: int
+) -> PrefixReport:
+    counts: dict[tuple[int, ...], int] = {}
+    dropped = 0
+    for rep in range(reps):
+        stack: list[int] = []
+        for _, _, stack in _reference_walk(product, mu, steps, seed, rep):
+            pass
+        if len(stack) < prefix_len:
+            dropped += 1
+            continue
+        key = tuple(stack[:prefix_len])
+        counts[key] = counts.get(key, 0) + 1
+    kept = reps - dropped
+    freqs = {Word(_letters(product, k)): c / kept for k, c in counts.items()} if kept else {}
+    return PrefixReport(frequencies=freqs, dropped=dropped, replications=reps, horizon=steps)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from freewalk.groups import (
     Letter,
     StateBudgetError,
     Word,
+    free_product_of_cyclics,
     letter_lengths,
     natural_lengths,
 )
 from freewalk.harmonic import build_chain, cylinder_prob
 from freewalk.metrics import drift, drift_weighted, entropy, volume
 from freewalk.simulate import (
+    _BLOCK,
+    _CHUNK,
     distribution_entropy,
     estimate_drift,
     estimate_hitting,
@@ -22,7 +26,7 @@ from freewalk.simulate import (
     expected_length,
     simulate,
 )
-from freewalk.traffic import solve_walk
+from freewalk.traffic import StepDistribution, solve_walk
 from freewalk.walkspec import (
     hecke_simple,
     minimal_generators,
@@ -30,6 +34,7 @@ from freewalk.walkspec import (
     z2z3_walk,
     zkzk_simple,
 )
+from oracles import drift_reference, hitting_reference, prefix_reference
 
 SEED = 424242
 
@@ -239,3 +244,92 @@ def test_length_table_keeps_float_weights():
     # scaling every letter weight by c divides the growth rate by c
     scaled = LengthTable(product, np.full(product.nletters, 1.5))
     assert volume(product, scaled) == pytest.approx(volume(product, natural_lengths(product)) / 1.5)
+
+
+def _minimal(product, mu):
+    return letter_lengths(product, minimal_generators(product))
+
+
+def _high_letters():
+    # 258 letters; most mass on the three whose cells (index + 1) exceed 255
+    product = free_product_of_cyclics(130, 130)
+    probs = np.zeros(product.nletters)
+    probs[[0, 127, 255, 256, 257]] = [0.25, 0.25, 0.2, 0.15, 0.15]
+    return product, StepDistribution(product, probs)
+
+
+def _green(product, mu):
+    return LengthTable(product, -np.log(solve_walk(product, mu).q.values))
+
+
+@pytest.mark.parametrize(
+    "walk, lengths, target, steps, reps",
+    [
+        (lambda: zkzk_simple(4), None, Letter(0, 1), 60, 30),
+        (lambda: hecke_simple(4), _minimal, Letter(1, 2), 60, 30),  # b^2 carries no step mass
+        (lambda: z2z3_walk(0.5, 0.1), _green, Letter(1, 1), 60, 30),
+        (lambda: uniform_per_factor([3, 4, 5]), _minimal, Letter(2, 4), 40, 30),
+        (lambda: hecke_simple(3), None, Letter(0, 1), 5, _BLOCK + 1),
+        (lambda: zkzk_simple(3), _minimal, Letter(1, 2), _CHUNK + 6, 2),
+        (_high_letters, None, Letter(1, 129), 30, 20),
+    ],
+    ids=["natural", "minimal-unsupported-target", "green", "three-factors", "block-boundary",
+         "chunk-boundary", "uint16-cells"],
+)
+def test_lockstep_matches_scalar_reference(walk, lengths, target, steps, reps):
+    # The lockstep estimators must reproduce the one-walk-at-a-time stepper
+    # bit for bit: same Philox streams, same letter action, same float sums.
+    product, mu = walk()
+    table = lengths(product, mu) if lengths else None
+    seed = 20240917
+    assert estimate_drift(product, mu, steps, reps, seed, lengths=table) == drift_reference(
+        product, mu, steps, reps, seed, lengths=table
+    )
+    assert estimate_hitting(product, mu, target, steps, reps, seed) == hitting_reference(
+        product, mu, target, steps, reps, seed
+    )
+    for prefix_len in (1, 3):
+        assert estimate_prefix(product, mu, steps, reps, seed, prefix_len) == prefix_reference(
+            product, mu, steps, reps, seed, prefix_len
+        )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, m: estimate_drift(p, m, steps=0, reps=10, seed=SEED),
+        lambda p, m: estimate_drift(p, m, steps=10, reps=1, seed=SEED),
+        lambda p, m: estimate_prefix(p, m, steps=0, reps=10, seed=SEED, prefix_len=1),
+        lambda p, m: estimate_prefix(p, m, steps=10, reps=0, seed=SEED, prefix_len=1),
+        lambda p, m: estimate_prefix(p, m, steps=10, reps=10, seed=SEED, prefix_len=0),
+        lambda p, m: estimate_hitting(p, m, Letter(0, 1), horizon=0, reps=10, seed=SEED),
+        lambda p, m: estimate_hitting(p, m, Letter(0, 1), horizon=-3, reps=10, seed=SEED),
+        lambda p, m: estimate_hitting(p, m, Letter(9, 1), horizon=10, reps=1, seed=SEED),
+    ],
+    ids=["drift-steps", "drift-reps", "prefix-steps", "prefix-reps", "prefix-len",
+         "hitting-horizon-0", "hitting-horizon-negative", "hitting-reps-before-letter"],
+)
+def test_estimators_reject_bad_sizes_before_drawing(call, monkeypatch):
+    product, mu = zkzk_simple(4)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew letters for a rejected run")
+
+    monkeypatch.setattr("freewalk.simulate._Streams.draw", no_draws)
+    with pytest.raises(ValueError, match="need steps >= 1 and reps >= 2|prefix_len must be >= 1"):
+        call(product, mu)
+
+
+def test_lockstep_memory_stays_bounded():
+    # 4,000 walks of 300 steps: a float64 or intp array of reps x steps
+    # would take 9.2 MiB and 4,000 live generators about 2.3 MiB, while the
+    # blocks' stack and drawn letters take 0.3 MiB.
+    product, mu = zkzk_simple(4)
+    estimate_prefix(product, mu, steps=10, reps=2, seed=SEED, prefix_len=1)  # fill the table caches
+    tracemalloc.start()
+    try:
+        estimate_prefix(product, mu, steps=300, reps=4000, seed=SEED, prefix_len=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

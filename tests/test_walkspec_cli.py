@@ -153,6 +153,20 @@ def test_cli_invalid_input_exits_3_without_traceback(argv):
     assert_invalid_input(argv)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--steps", "0"], ["--reps", "1"], ["--hitting", "0:1", "--horizon", "-3"],
+     ["--prefix-len", "-2"], ["--hitting", "9:1"]],
+    ids=["steps-0", "reps-1", "horizon-negative", "prefix-len-negative", "unknown-hitting-letter"],
+)
+def test_cli_simulate_rejects_bad_input_before_any_output(flags, capsys):
+    argv = ["simulate", "--family", "hecke-simple", "--k", "3", "--steps", "10", "--reps", "4", *flags]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+
+
 def assert_invalid_input(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], env=env,
