@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 from typing import Iterable
 
 from . import closedform as cf
@@ -30,14 +31,7 @@ from .harmonic import (
     tau2_invariance_residual,
     two_factor_identity,
 )
-from .metrics import (
-    drift_weighted,
-    entropy,
-    metrics_report,
-    quality,
-    quality_sup,
-    volume,
-)
+from .metrics import metrics_report, quality, quality_sup
 from .traffic import (
     DEFAULT_TOL,
     DOMAIN_ERRORS,
@@ -56,6 +50,9 @@ from .walkspec import (
     load_spec,
     resolve_generators,
     hecke_simple,
+    z2z3_walk,
+    z3z3_asym,
+    z3z3_sym,
     zkzk_simple,
 )
 
@@ -150,23 +147,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _simplex(args, low: int):
-    """(i/n, j/n) and (i, j, n-i-j, n) for n = 1/resolution and i, j, n-i-j >= low."""
+    """(i/n, j/n) for n = 1/resolution and i, j, n-i-j >= low, as exact fractions."""
     n = round(1.0 / args.resolution)
     for i in range(low, n + 1):
         for j in range(low, n + 1 - i - low):
-            yield (i / n, j / n), (i, j, n - i - j, n)
+            yield Fraction(i, n), Fraction(j, n)
 
 
 def _below_half(args):
-    """(i/n,) and (i, n-2i, n) for n = 1/resolution and 0 < i/n < 1/2."""
+    """(i/n,) for n = 1/resolution and 0 < i/n < 1/2, as an exact fraction."""
     n = round(1.0 / args.resolution)
     for i in range(1, (n + 1) // 2):
-        yield (i / n,), (i, n - 2 * i, n)
+        yield (Fraction(i, n),)
 
 
 def _k_range(args):
     for k in range(args.k_min, args.k_max + 1):
-        yield (k,), (k,)
+        yield (k,)
 
 
 def _minimal_grid(args):
@@ -174,29 +171,24 @@ def _minimal_grid(args):
     return _below_half(args)
 
 
-def _cyclic_walk(k1, k2, denominator, masses):
-    """Walk on Z/k1 * Z/k2 with mass m / denominator on each letter (factor, elem): m."""
-    product = free_product_of_cyclics(k1, k2)
-    table = {Letter(f, e): m / denominator for (f, e), m in masses.items()}
+def _zkzk_minimal(args, p):
+    """Z/k * Z/k with mass p on a and a^-1 and (1 - 2p)/2 on b and b^-1."""
+    k = args.k or 4
+    product = free_product_of_cyclics(k, k)
+    s = (1 - 2 * p) / 2
+    table = {Letter(0, 1): p, Letter(0, k - 1): p, Letter(1, 1): s, Letter(1, k - 1): s}
     return product, StepDistribution.from_dict(product, table)
 
 
-def _zkzk_minimal(args, i, h, n):
-    k = args.k or 4
-    return _cyclic_walk(k, k, 2 * n, {(0, 1): 2 * i, (0, k - 1): 2 * i, (1, 1): h, (1, k - 1): h})
-
-
-# family: (header, grid of (parameters, integer point), generators, step law at
-# a point).  Every mass is an exact ratio of integers, so an edge mass is 0.
+# family: (header, grid of parameters, generators, step law at a parameter
+# point).  The grids yield exact fractions, so an edge mass is exactly 0.
 _METRICS = ["gamma", "entropy", "volume", "quality", "error"]
 _SWEEPS = {
     "z2z3": (["p", "q"] + _METRICS, lambda args: _simplex(args, 0), "natural",
-             lambda args, i, j, m, n: _cyclic_walk(2, 3, n, {(0, 1): m, (1, 1): i, (1, 2): j})),
-    "z3z3-sym": (["p"] + _METRICS, _below_half, "natural", lambda args, i, h, n: _cyclic_walk(
-        3, 3, 2 * n, {(0, 1): 2 * i, (0, 2): h, (1, 1): 2 * i, (1, 2): h})),
+             lambda args, p, q: z2z3_walk(p, q)),
+    "z3z3-sym": (["p"] + _METRICS, _below_half, "natural", lambda args, p: z3z3_sym(p)),
     "z3z3-asym": (["p", "q"] + _METRICS, lambda args: _simplex(args, 1), "natural",
-                  lambda args, i, j, m, n: _cyclic_walk(
-                      3, 3, 2 * n, {(0, 1): 2 * i, (0, 2): 2 * j, (1, 1): m, (1, 2): m})),
+                  lambda args, p, q: z3z3_asym(p, q)),
     "zkzk": (["k"] + _METRICS, _k_range, "natural", lambda args, k: zkzk_simple(k)),
     "hecke": (["k"] + _METRICS, _k_range, "natural", lambda args, k: hecke_simple(k)),
     "quality-zkzk-minimal": (["p", "gamma_S", "entropy", "volume_S", "quality", "error"],
@@ -205,23 +197,20 @@ _SWEEPS = {
 
 
 def _sweep_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list[str]]]:
-    if not args.resolution > 0.0:
-        raise ValueError(f"resolution must be positive, got {args.resolution!r}")
+    if not 0.0 < args.resolution <= 1.0:
+        raise ValueError(f"resolution must be in (0, 1], got {args.resolution!r}")
     header, grid, gens, walk = _SWEEPS[args.family]
     check_tolerance(args.tol)
     points = grid(args)
 
     def rows():
-        for params, point in points:
+        for params in points:
             cells = [str(x) if isinstance(x, int) else _csv_float(x) for x in params]
             try:
-                product, mu = walk(args, *point)
+                product, mu = walk(args, *params)
                 lengths = letter_lengths(product, resolve_generators(product, gens))
-                report = solve_walk(product, mu, tol=args.tol)
-                h = entropy(product, mu, report.r, report.q)
-                g = drift_weighted(product, mu, report.r, lengths)
-                v = volume(product, lengths)
-                yield cells + [_csv_float(x) for x in (g, h, v, h / (g * v))] + [""]
+                m = metrics_report(product, mu, solve_walk(product, mu, tol=args.tol), lengths)
+                yield cells + [_csv_float(x) for x in (m.gamma, m.entropy, m.volume, m.quality)] + [""]
             except DOMAIN_ERRORS as exc:
                 yield cells + ["", "", "", "", type(exc).__name__]
 

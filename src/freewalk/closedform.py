@@ -197,7 +197,7 @@ def drift_z2z3(p, q):
     p = np.asarray(p, dtype=float) if not np.isscalar(p) else p
     r = 1.0 - p - q
     if np.isscalar(p) and np.isscalar(q):
-        if p < 0 or q < 0 or r <= 0:
+        if not (p >= 0 and q >= 0 and r > 0):  # NaN fails every comparison
             raise ValueError("need p, q >= 0 and p + q < 1")
     root = np.sqrt(
         (p**2 + q**2) * (3.0 + (r + p) ** 2 + (r + q) ** 2) + 2.0 * p * q * (2.0 * r + 1.0)
@@ -211,7 +211,7 @@ def r_z2z3(p: float, q: float) -> tuple[float, float, float]:
     The printed expressions carry removable (q - p) denominators; at p = q
     use the solver instead.
     """
-    if p < 0 or q < 0 or p + q >= 1:
+    if not (p >= 0 and q >= 0 and p + q < 1):
         raise ValueError("need p, q >= 0 and p + q < 1")
     if abs(p - q) < 1e-12:
         raise ValueError("formulas degenerate at p = q; use the traffic solver")
@@ -254,7 +254,7 @@ def r_z3z3_sym(p: float) -> tuple[float, float]:
 
 def drift_z3z3_asym(p: float, q: float) -> float:
     """Drift on Z/3 * Z/3 for mu(a)=p, mu(a^2)=q, mu(b)=mu(b^2)=(1-p-q)/2."""
-    if p <= 0 or q <= 0 or p + q >= 1:
+    if not (p > 0 and q > 0 and p + q < 1):
         raise ValueError("need p, q > 0 and p + q < 1")
     return 2.0 * (1.0 - p - q) * math.sqrt(
         (p * p + q * q + p * q) / (p * p + q * q - 2.0 * p * q + 3.0)

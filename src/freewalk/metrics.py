@@ -193,12 +193,7 @@ def quality(
 ) -> float:
     """h / (gamma_S * v_S) for one step law and one generating set."""
     lengths = letter_lengths(product, generators)
-    report = solve_walk(product, mu, tol=tol)
-    h = entropy(product, mu, report.r, report.q)
-    gamma_s = drift_weighted(product, mu, report.r, lengths)
-    if gamma_s <= QUALITY_GAMMA_FLOOR:
-        raise ValueError("weighted drift is zero: walk is not transient enough for quality")
-    return h / (gamma_s * volume(product, lengths))
+    return metrics_report(product, mu, solve_walk(product, mu, tol=tol), lengths).quality
 
 
 def _inverse_orbits(product: FreeProduct, generators: Sequence[Letter]) -> list[tuple[Letter, ...]]:
@@ -288,14 +283,22 @@ def metrics_report(
     product: FreeProduct,
     mu: StepDistribution,
     report: SolveReport | None = None,
-    tol: float = DEFAULT_TOL,
+    lengths: LengthTable | None = None,
 ) -> MetricsReport:
-    """Assemble the scalar metrics of a walk with natural lengths."""
+    """Assemble the scalar metrics of a walk in a letter length table, natural by default.
+
+    gamma and volume are measured in ``lengths``; a drift at or below
+    QUALITY_GAMMA_FLOOR is a ValueError, since the quotients divide by it.
+    """
     if report is None:
-        report = solve_walk(product, mu, tol=tol)
-    gamma = drift(product, mu, report.r)
+        report = solve_walk(product, mu)
+    if lengths is None:
+        lengths = natural_lengths(product)
+    gamma = drift_weighted(product, mu, report.r, lengths)
+    if gamma <= QUALITY_GAMMA_FLOOR:
+        raise ValueError("weighted drift is zero: walk is not transient enough for quality")
     h = entropy(product, mu, report.r, report.q)
-    v = volume(product, natural_lengths(product))
+    v = volume(product, lengths)
     return MetricsReport(
         gamma=gamma,
         entropy=h,

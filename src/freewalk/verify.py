@@ -37,10 +37,9 @@ from .harmonic import (
 )
 from .metrics import (
     drift,
-    drift_weighted,
-    entropy,
     extremal_cylinders,
     growth_rho,
+    metrics_report,
     quality,
     quality_sup,
     volume,
@@ -257,12 +256,6 @@ def criterion_7() -> _Check:
     return chk
 
 
-def _h_and_gamma_v(product, mu, rep) -> tuple[float, float]:
-    """Entropy h and drift times volume in the natural lengths; h <= gamma v."""
-    h = entropy(product, mu, rep.r, rep.q)
-    return h, drift(product, mu, rep.r) * volume(product, natural_lengths(product))
-
-
 def _battery():
     return [
         ("zkzk-simple k=4", _solved(zkzk_simple, 4)[:2]),
@@ -287,7 +280,8 @@ def criterion_8() -> _Check:
         rep = solve_walk(product, mu)
         residual = rep.q.consistency_residual()
         chk.true(f"{name}: consistency residual", residual <= 1e-10, f"{residual:.3e}")
-        h, gv = _h_and_gamma_v(product, mu, rep)
+        m = metrics_report(product, mu, rep)
+        h, gv = m.entropy, m.gamma * m.volume
         chk.true(f"{name}: h <= gamma*v*(1+1e-9)", h <= gv * (1 + 1e-9), f"h={h!r} gamma*v={gv!r}")
         # mu-invariance pins the root vector; on two factors the tau^2
         # residual vanishes for every positive root vector.
@@ -311,8 +305,9 @@ def criterion_9() -> _Check:
         product, mu = extremal_walk(orders)
         name = _name(product)
         rep = solve_walk(product, mu)
-        h, gv = _h_and_gamma_v(product, mu, rep)
-        chk.true(f"{name}: |h - gamma*v|", abs(h - gv) <= 1e-9, f"{abs(h - gv):.3e}")
+        m = metrics_report(product, mu, rep)
+        gap = abs(m.entropy - m.gamma * m.volume)
+        chk.true(f"{name}: |h - gamma*v|", gap <= 1e-9, f"{gap:.3e}")
         chain = build_chain(product, rep.r)
         worst = 0.0
         for w in normal_words(product, 3):
@@ -336,13 +331,9 @@ def criterion_10() -> _Check:
     p = 0.432693  # middle root of 5x^3 - 13x^2 + 7x - 1
     mu34 = StepDistribution.from_dict(product34, {
         Letter(0, 1): p, Letter(0, 2): p, Letter(1, 1): 0.5 - p, Letter(1, 3): 0.5 - p})
-    rep34 = solve_walk(product34, mu34)
-    lengths34 = letter_lengths(product34, minimal_generators(product34))
-    h34 = entropy(product34, mu34, rep34.r, rep34.q)
-    g34 = drift_weighted(product34, mu34, rep34.r, lengths34)
-    v34 = volume(product34, lengths34)
-    chk.true("Z3*Z4 minimal at p=0.432693: |h - gamma_S v_S|",
-             abs(h34 - g34 * v34) <= 1e-5, f"{abs(h34 - g34 * v34):.3e}")
+    m34 = metrics_report(product34, mu34, lengths=letter_lengths(product34, minimal_generators(product34)))
+    gap = abs(m34.entropy - m34.gamma * m34.volume)
+    chk.true("Z3*Z4 minimal at p=0.432693: |h - gamma_S v_S|", gap <= 1e-5, f"{gap:.3e}")
 
     for p3, expect_one in ((1 / 3, True), (0.25, False), (0.40, False)):
         product3, mu3 = z2z2z2(p3)
@@ -428,8 +419,7 @@ def criterion_13() -> _Check:
     """
     chk = _Check()
     product, mu, rep = _solved(zkzk_simple, 3)
-    gamma = drift(product, mu, rep.r)
-    h = entropy(product, mu, rep.r, rep.q)
+    m = metrics_report(product, mu, rep)
     lengths = {}
     entropies = {}
     for n in (6, 7, 8):
@@ -437,8 +427,8 @@ def criterion_13() -> _Check:
         lengths[n] = expected_length(law)
         entropies[n] = distribution_entropy(law)
     for n in (7, 8):
-        chk.close(f"E|X_{n}| - E|X_{n - 1}| vs gamma", lengths[n] - lengths[n - 1], gamma, 0.02)
-        chk.close(f"H_{n} - H_{n - 1} vs h", entropies[n] - entropies[n - 1], h, 0.05)
+        chk.close(f"E|X_{n}| - E|X_{n - 1}| vs gamma", lengths[n] - lengths[n - 1], m.gamma, 0.02)
+        chk.close(f"H_{n} - H_{n - 1} vs h", entropies[n] - entropies[n - 1], m.entropy, 0.05)
     if not chk.ok:
         chk.notes.append(
             "informational: the stated n=7,8 tolerances are not attainable; the exact "

@@ -5,6 +5,11 @@ or ``{"table": [[...]]}``), a measure (explicit letter map or a named
 family with parameters), an optional generating set (``"natural"``,
 ``"minimal"``, or a list of letters), and solver options.  Letters are
 written ``"factor:elem"``.  Unknown keys are rejected.
+
+The builders with real parameters write their masses with integer
+constants, so they accept exact rationals: ``z2z3_walk(Fraction(1, 4),
+Fraction(1, 2))`` stores each mass as the correctly rounded float of its
+exact value, and float parameters give the same bits as float constants.
 """
 
 from __future__ import annotations
@@ -94,14 +99,14 @@ def hecke_simple(k: int) -> tuple[FreeProduct, StepDistribution]:
 def z2z3_walk(p: float, q: float) -> tuple[FreeProduct, StepDistribution]:
     """General walk on Z/2 * Z/3: mu(a) = 1-p-q, mu(b) = p, mu(b^2) = q."""
     product = free_product_of_cyclics(2, 3)
-    table = {Letter(0, 1): 1.0 - p - q, Letter(1, 1): p, Letter(1, 2): q}
+    table = {Letter(0, 1): 1 - p - q, Letter(1, 1): p, Letter(1, 2): q}
     return product, StepDistribution.from_dict(product, table)
 
 
 def z3z3_sym(p: float) -> tuple[FreeProduct, StepDistribution]:
     """Z/3 * Z/3 with mu(a) = mu(b) = p and mu(a^2) = mu(b^2) = 1/2 - p."""
     product = free_product_of_cyclics(3, 3)
-    q = 0.5 - p
+    q = (1 - 2 * p) / 2
     table = {Letter(0, 1): p, Letter(0, 2): q, Letter(1, 1): p, Letter(1, 2): q}
     return product, StepDistribution.from_dict(product, table)
 
@@ -109,7 +114,7 @@ def z3z3_sym(p: float) -> tuple[FreeProduct, StepDistribution]:
 def z3z3_asym(p: float, q: float) -> tuple[FreeProduct, StepDistribution]:
     """Z/3 * Z/3 with mu(a) = p, mu(a^2) = q, mu(b) = mu(b^2) = (1-p-q)/2."""
     product = free_product_of_cyclics(3, 3)
-    s = (1.0 - p - q) / 2.0
+    s = (1 - p - q) / 2
     table = {Letter(0, 1): p, Letter(0, 2): q, Letter(1, 1): s, Letter(1, 2): s}
     return product, StepDistribution.from_dict(product, table)
 
@@ -139,7 +144,7 @@ def extremal_walk(orders: Sequence[int]) -> tuple[FreeProduct, StepDistribution]
 def z2z2z2(p: float) -> tuple[FreeProduct, StepDistribution]:
     """Z/2 * Z/2 * Z/2 with mu(a) = mu(b) = p and mu(c) = 1 - 2p."""
     product = free_product_of_cyclics(2, 2, 2)
-    table = {Letter(0, 1): p, Letter(1, 1): p, Letter(2, 1): 1.0 - 2.0 * p}
+    table = {Letter(0, 1): p, Letter(1, 1): p, Letter(2, 1): 1 - 2 * p}
     return product, StepDistribution.from_dict(product, table)
 
 
@@ -155,28 +160,28 @@ _PARAMETERS = {
 }
 
 FAMILIES = {
-    "zkzk-simple": (zkzk_simple, ("k",)),
-    "hecke-simple": (hecke_simple, ("k",)),
-    "z2z3": (z2z3_walk, ("p", "q")),
-    "z3z3-sym": (z3z3_sym, ("p",)),
-    "z3z3-asym": (z3z3_asym, ("p", "q")),
-    "uniform-per-factor": (uniform_per_factor, ("orders", "weights")),
-    "extremal": (extremal_walk, ("orders",)),
-    "z2z2z2": (z2z2z2, ("p",)),
+    "zkzk-simple": zkzk_simple,
+    "hecke-simple": hecke_simple,
+    "z2z3": z2z3_walk,
+    "z3z3-sym": z3z3_sym,
+    "z3z3-asym": z3z3_asym,
+    "uniform-per-factor": uniform_per_factor,
+    "extremal": extremal_walk,
+    "z2z2z2": z2z2z2,
 }
 
 
 def build_family(name: str, **params: Any) -> tuple[FreeProduct, StepDistribution]:
-    """Instantiate a named measure family; see FAMILIES for parameters."""
+    """Instantiate a named measure family; its builder's signature names the parameters."""
     try:
-        fn, argnames = FAMILIES[name]
+        fn = FAMILIES[name]
     except (KeyError, TypeError):
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILIES)}") from None
-    unknown = set(params) - set(argnames)
+    signature = inspect.signature(fn).parameters
+    unknown = set(params) - set(signature)
     if unknown:
         raise ValueError(f"family {name!r} does not take {sorted(unknown)}")
-    required = [a for a, p in inspect.signature(fn).parameters.items() if p.default is p.empty]
-    missing = [a for a in required if a not in params]
+    missing = [a for a, p in signature.items() if p.default is p.empty and a not in params]
     if missing:
         raise ValueError(f"family {name!r} needs {', '.join(missing)}")
     return fn(**{a: _PARAMETERS[a](value, a) for a, value in params.items()})
@@ -226,7 +231,9 @@ def _build_factor(entry: Any) -> FiniteGroup:
     raise ValueError(f"factor spec must be {{'cyclic': k}} or {{'table': [[...]]}}, got {sorted(keys)}")
 
 
-_TOP_KEYS = {"factors", "measure", "generators", "tol", "max_iter", "seed"}
+# Solver options a spec may set; WalkSpec's field defaults fill the rest.
+_OPTIONS = {"tol": real, "max_iter": integer, "seed": integer}
+_TOP_KEYS = {"factors", "measure", "generators", *_OPTIONS}
 
 
 def parse_spec(data: Mapping[str, Any]) -> WalkSpec:
@@ -255,14 +262,9 @@ def parse_spec(data: Mapping[str, Any]) -> WalkSpec:
         product = declared
         table = {Letter.parse(k): real(v, f"mass of {k}") for k, v in measure["letters"].items()}
         mu = StepDistribution.from_dict(product, table)
-    return WalkSpec(
-        product=product,
-        mu=mu,
-        generators=resolve_generators(product, data.get("generators")),
-        tol=real(data.get("tol", DEFAULT_TOL), "tol"),
-        max_iter=integer(data.get("max_iter", DEFAULT_MAX_ITER), "max_iter"),
-        seed=integer(data.get("seed", 20240809), "seed"),
-    )
+    generators = resolve_generators(product, data.get("generators"))
+    options = {name: parse(data[name], name) for name, parse in _OPTIONS.items() if name in data}
+    return WalkSpec(product, mu, generators, **options)
 
 
 def load_spec(path: str) -> WalkSpec:

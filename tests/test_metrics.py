@@ -1,7 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from freewalk import metrics
 from freewalk.groups import (
     FreeProduct,
     Letter,
@@ -13,6 +15,7 @@ from freewalk.groups import (
     normal_words,
 )
 from freewalk.metrics import (
+    QUALITY_GAMMA_FLOOR,
     drift,
     drift_weighted,
     entropy,
@@ -254,6 +257,34 @@ def test_metrics_report_assembly():
     assert abs(m.hd_measure - m.entropy / m.gamma) < 1e-12
     assert abs(m.hd_support - m.volume) < 1e-12
     assert m.gamma > 0 and m.entropy >= 0 and m.volume > 0
+
+
+def test_metrics_report_in_a_length_table_matches_the_separate_metrics():
+    product, mu = zkzk_simple(4)
+    minimal = minimal_generators(product)
+    lengths = letter_lengths(product, minimal)
+    report = solve_walk(product, mu)
+    m = metrics_report(product, mu, report, lengths=lengths)
+    assert m.gamma == drift_weighted(product, mu, report.r, lengths)
+    assert m.entropy == entropy(product, mu, report.r, report.q)
+    assert m.volume == m.hd_support == volume(product, lengths)
+    assert m.quality == quality(product, mu, minimal)
+
+
+def test_metrics_report_defaults_to_natural_lengths():
+    for product, mu in (hecke_simple(4), z2z3_walk(0.5, 0.1), uniform_per_factor([3, 4, 5])):
+        report = solve_walk(product, mu)
+        assert metrics_report(product, mu, report) == metrics_report(
+            product, mu, report, lengths=natural_lengths(product))
+
+
+def test_quality_rejects_drift_at_or_below_the_floor(monkeypatch):
+    product, mu = zkzk_simple(4)
+    minimal = minimal_generators(product)
+    for gamma in (QUALITY_GAMMA_FLOOR, 0.0):
+        monkeypatch.setattr(metrics, "drift_weighted", lambda *args, gamma=gamma: gamma)
+        with pytest.raises(ValueError, match="weighted drift is zero"):
+            quality(product, mu, minimal)
 
 
 def test_drift_and_entropy_kernel_match_per_letter_loop():

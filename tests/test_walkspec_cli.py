@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -19,6 +20,7 @@ from freewalk.cli import main
 from freewalk.groups import Letter, free_product_of_cyclics, letter_lengths
 from freewalk.simulate import estimate_drift
 from freewalk.walkspec import (
+    WalkSpec,
     build_family,
     load_spec,
     minimal_generators,
@@ -65,6 +67,23 @@ def test_parse_spec_family_and_unknown_keys():
         build_family("no-such-family")
     with pytest.raises(ValueError):
         build_family("zkzk-simple", k=4, bogus=1)
+
+
+def test_parse_spec_leaves_absent_options_to_walkspec_defaults():
+    spec = parse_spec({"measure": {"family": "zkzk-simple", "k": 4}})
+    defaults = {f.name: f.default for f in dataclasses.fields(WalkSpec)
+                if f.default is not dataclasses.MISSING}
+    assert set(defaults) == {"tol", "max_iter", "seed"}
+    assert {name: getattr(spec, name) for name in defaults} == defaults
+
+
+def test_build_family_messages_name_the_builder_parameters():
+    with pytest.raises(ValueError, match=re.escape("family 'z2z3' does not take ['k']")):
+        build_family("z2z3", p=0.2, q=0.3, k=4)
+    with pytest.raises(ValueError, match="^family 'z3z3-asym' needs p, q$"):
+        build_family("z3z3-asym")
+    with pytest.raises(ValueError, match="^family 'extremal' needs orders$"):
+        build_family("extremal")
 
 
 def test_load_spec_roundtrip(tmp_path):
@@ -144,10 +163,14 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
         ["solve", "--family", "zkzk-simple", "--k", "4", "--tol", "1e-3"],
         ["solve", "--family", "zkzk-simple", "--k", "4", "--tol", "inf"],
         ["sweep", "--family", "z2z3", "--resolution", "0.25", "--tol", "inf"],
+        ["sweep", "--family", "z2z3", "--resolution", "3"],
+        ["closed-form", "--family", "z2z3", "--p", "nan", "--q", "0.1"],
+        ["closed-form", "--family", "z3z3-asym", "--p", "0.2", "--q", "nan"],
     ],
     ids=["missing-k", "quality-resolution-0", "sweep-resolution-0", "negative-seed", "tol-0",
          "tol-nan", "sweep-tol-0", "sweep-tol-nan", "quality-sup-tol-0", "quality-sup-tol-nan",
-         "closed-form-fractional-k", "tol-1e-3", "tol-inf", "sweep-tol-inf"],
+         "closed-form-fractional-k", "tol-1e-3", "tol-inf", "sweep-tol-inf", "sweep-resolution-3",
+         "closed-form-z2z3-p-nan", "closed-form-z3z3-asym-q-nan"],
 )
 def test_cli_invalid_input_exits_3_without_traceback(argv):
     assert_invalid_input(argv)
@@ -263,13 +286,19 @@ def test_cli_closed_form_batch(tmp_path, capsys):
     assert abs(float(rows[1][2]) - 2 / 15) < 1e-12
 
 
-def test_cli_closed_form_batch_rejects_fractional_k(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "family, rows, error",
+    [("zkzk", "k\n4\n5.5\n", "k must be an integer, got 5.5"),
+     ("z2z3", "p,q\n0.5,0.1\nnan,0.1\n", "need p, q >= 0 and p + q < 1")],
+    ids=["fractional-k", "nan-p"],
+)
+def test_cli_closed_form_batch_rejects_bad_row(tmp_path, capsys, family, rows, error):
     path = tmp_path / "params.csv"
-    path.write_text("k\n4\n5.5\n")
-    assert main(["closed-form", "--family", "zkzk", "--batch", str(path)]) == 3
+    path.write_text(rows)
+    assert main(["closed-form", "--family", family, "--batch", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "invalid input: k must be an integer, got 5.5\n"
+    assert captured.err == f"invalid input: {error}\n"
 
 
 def test_readme_quick_start_runs_and_names_the_package_namespace(capsys):
@@ -297,6 +326,71 @@ def test_cli_sweep_csv_and_byte_stability(capsys):
         p = float(row[0])
         assert abs(float(row[1]) - cf.drift_z3z3_sym(p)) < 1e-10
         assert float(row[4]) <= 1 + 1e-9
+
+
+# Rows of every sweep family, recorded before the sweeps called the walkspec
+# builders and metrics_report; the CSV must stay byte for byte the same.
+_SWEEP_PINS = [
+    ("z2z3", ["--resolution", "0.25"], (
+        "p,q,gamma,entropy,volume,quality,error\n"
+        "0.0,0.0,,,,,NonGeneratingSetError\n"
+        "0.0,0.25,0.11957904592940881,0.04045447345796774,0.34657359027997275,0.9761487522494198,\n"
+        "0.0,0.5,0.16331581735520462,0.05598061412645818,0.34657359027997275,0.989040200686796,\n"
+        "0.0,0.75,0.12435482902954745,0.042977520924834,0.34657359027997275,0.9972022283626357,\n"
+        "0.0,1.0,,,,,NonGeneratingSetError\n"
+        "0.25,0.0,0.11957904592940871,0.04045447345796775,0.34657359027997275,0.976148752249421,\n"
+        "0.25,0.25,0.14285714285714282,0.049510512897138995,0.34657359027997275,1.0000000000000009,\n"
+        "0.25,0.5,0.11656958598256727,0.040381746772572356,0.34657359027997275,0.9995496736161774,\n"
+        "0.25,0.75,,,,,NonGeneratingSetError\n"
+        "0.5,0.0,0.16331581735520462,0.0559806141264582,0.34657359027997275,0.9890402006867963,\n"
+        "0.5,0.25,0.11656958598256749,0.04038174677257242,0.34657359027997275,0.9995496736161771,\n"
+        "0.5,0.5,,,,,NonGeneratingSetError\n"
+        "0.75,0.0,0.12435482902954745,0.042977520924834,0.34657359027997275,0.9972022283626357,\n"
+        "0.75,0.25,,,,,NonGeneratingSetError\n"
+        "1.0,0.0,,,,,NonGeneratingSetError\n"
+    )),
+    ("z3z3-sym", ["--resolution", "0.1"], (
+        "p,gamma,entropy,volume,quality,error\n"
+        "0.1,0.2720153254455276,0.18560629238146045,0.6931471805599453,0.9844051144469171,\n"
+        "0.2,0.2524937810560445,0.17470117317997366,0.6931471805599453,0.9982048473831049,\n"
+        "0.3,0.2524937810560445,0.17470117317997366,0.6931471805599453,0.9982048473831049,\n"
+        "0.4,0.27201532544552753,0.18560629238146048,0.6931471805599453,0.9844051144469175,\n"
+    )),
+    ("z3z3-asym", ["--resolution", "0.2"], (
+        "p,q,gamma,entropy,volume,quality,error\n"
+        "0.2,0.2,0.24000000000000002,0.1663553233343869,0.6931471805599453,1.0000000000000002,\n"
+        "0.2,0.4,0.2427907914667538,0.16803213372808115,0.6931471805599453,0.9984691947128033,\n"
+        "0.2,0.6,0.16226248464771714,0.11238274805241102,0.6931471805599453,0.9992083730795271,\n"
+        "0.4,0.2,0.24279079146675375,0.16803213372808118,0.6931471805599453,0.9984691947128036,\n"
+        "0.4,0.4,0.15999999999999992,0.11090354888959122,0.6931471805599453,1.0000000000000002,\n"
+        "0.6,0.2,0.16226248464771714,0.11238274805241102,0.6931471805599453,0.9992083730795271,\n"
+    )),
+    ("zkzk", ["--k-min", "3", "--k-max", "5"], (
+        "k,gamma,entropy,volume,quality,error\n"
+        "3,0.25000000000000006,0.1732867951399863,0.6931471805599453,0.9999999999999997,\n"
+        "4,0.30901699437494734,0.33250919322200173,1.09861228866811,0.9794377538908776,\n"
+        "5,0.32569390943299864,0.42546859820001887,1.3862943611198906,0.9423287001985231,\n"
+    )),
+    ("hecke", ["--k-min", "3", "--k-max", "5"], (
+        "k,gamma,entropy,volume,quality,error\n"
+        "3,0.13333333333333322,0.046209812037329635,0.34657359027997275,0.9999999999999994,\n"
+        "4,0.18286125678495438,0.10007855680354995,0.5493061443340549,0.9963338297944865,\n"
+        "5,0.20386840968093514,0.13946455960710658,0.6931471805599455,0.9869348019138033,\n"
+    )),
+    ("quality-zkzk-minimal", ["--k", "5", "--resolution", "0.1"], (
+        "p,gamma_S,entropy,volume_S,quality,error\n"
+        "0.1,0.2798646404188311,0.2739823313971459,1.0050525387423812,0.9740601161525023,\n"
+        "0.2,0.40866093722803665,0.40875070861650775,1.0050525387423812,0.995191428806319,\n"
+        "0.3,0.40866093722803665,0.40875070861650775,1.0050525387423812,0.995191428806319,\n"
+        "0.4,0.279864640418831,0.2739823313971459,1.0050525387423812,0.9740601161525024,\n"
+    )),
+]
+
+
+@pytest.mark.parametrize("family, flags, expected", _SWEEP_PINS, ids=[p[0] for p in _SWEEP_PINS])
+def test_cli_sweep_rows_are_pinned(capsys, family, flags, expected):
+    assert main(["sweep", "--family", family, *flags]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("resolution", ["0.5", "0.2"])
