@@ -167,13 +167,13 @@ def _k_range(args):
 
 
 def _minimal_grid(args):
-    zkzk_simple(args.k or 4)  # rejects k < 3 before the first row
+    zkzk_simple(args.k)  # rejects k < 3 before the first row
     return _below_half(args)
 
 
 def _zkzk_minimal(args, p):
     """Z/k * Z/k with mass p on a and a^-1 and (1 - 2p)/2 on b and b^-1."""
-    k = args.k or 4
+    k = args.k
     product = free_product_of_cyclics(k, k)
     s = (1 - 2 * p) / 2
     table = {Letter(0, 1): p, Letter(0, k - 1): p, Letter(1, 1): s, Letter(1, k - 1): s}
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--family", required=True,
                          choices=list(_SWEEPS))
     p_sweep.add_argument("--resolution", type=float, default=0.01)
-    p_sweep.add_argument("--k", type=int, help="k for quality-zkzk-minimal")
+    p_sweep.add_argument("--k", type=int, default=4, help="k for quality-zkzk-minimal")
     p_sweep.add_argument("--k-min", type=int, default=3)
     p_sweep.add_argument("--k-max", type=int, default=8)
     p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)

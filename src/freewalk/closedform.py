@@ -193,12 +193,14 @@ def drift_z2z3(p, q):
     """Drift of the walk on Z/2 * Z/3 with mu(b)=p, mu(b^2)=q, mu(a)=1-p-q.
 
     Accepts scalars or numpy arrays (for sweeping the parameter simplex).
+    Any entry outside p, q >= 0, p + q < 1 is a ValueError.
     """
     p = np.asarray(p, dtype=float) if not np.isscalar(p) else p
+    q = np.asarray(q, dtype=float) if not np.isscalar(q) else q
     r = 1.0 - p - q
-    if np.isscalar(p) and np.isscalar(q):
-        if not (p >= 0 and q >= 0 and r > 0):  # NaN fails every comparison
-            raise ValueError("need p, q >= 0 and p + q < 1")
+    # np.min keeps a NaN, and NaN fails every comparison
+    if np.size(r) and not (np.min(p) >= 0 and np.min(q) >= 0 and np.min(r) > 0):
+        raise ValueError("need p, q >= 0 and p + q < 1")
     root = np.sqrt(
         (p**2 + q**2) * (3.0 + (r + p) ** 2 + (r + q) ** 2) + 2.0 * p * q * (2.0 * r + 1.0)
     )

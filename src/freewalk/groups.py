@@ -117,7 +117,9 @@ def factor_distances(group: FiniteGroup, gens: Iterable[int]) -> dict[int, int]:
     """Word length over ``gens`` of every element of ``group`` that they reach.
 
     Breadth-first search from the identity under right multiplication; the
-    keys are the subgroup that ``gens`` generate.
+    keys are the subgroup that ``gens`` generate.  The search stops as soon
+    as it has reached every element, since a breadth-first search never
+    shortens a distance once found.
     """
     gens = list(gens)
     dist = {0: 0}
@@ -127,6 +129,8 @@ def factor_distances(group: FiniteGroup, gens: Iterable[int]) -> dict[int, int]:
             y = group.mul[x][g]
             if y not in dist:
                 dist[y] = dist[x] + 1
+                if len(dist) == group.order:
+                    return dist
                 queue.append(y)
     return dist
 

@@ -48,12 +48,9 @@ def build_chain(product: FreeProduct, r: RootVector) -> LetterChain:
     x = np.asarray(r.values, dtype=float)
     if np.any(x <= 0.0) or abs(x.sum() - 1.0) > 1e-9:
         raise ValueError("root vector must be strictly positive and sum to 1")
-    rows = letter_tables(product).outside(x)
-    trans = np.where(
-        np.not_equal.outer(product.factor_of, product.factor_of),
-        x[np.newaxis, :] / rows[:, np.newaxis],
-        0.0,
-    )
+    s = letter_tables(product)
+    rows = s.outside(x)
+    trans = np.where(s.cross, x[np.newaxis, :] / rows[:, np.newaxis], 0.0)
     weights = x * rows
     return LetterChain(product=product, first=x, trans=trans, pi=weights / weights.sum())
 

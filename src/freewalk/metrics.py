@@ -14,6 +14,7 @@ which never exceeds 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -104,17 +105,33 @@ def entropy(
     return _additive_drift(product, mu, r, -np.log(np.asarray(q.values, dtype=float)))
 
 
-def _factor_series(product: FreeProduct, lengths: LengthTable) -> list[list[int | float]]:
-    by_factor: list[list[int | float]] = [[] for _ in product.factors]
-    for u, w in zip(product.alphabet, lengths.weights.tolist()):
-        by_factor[u.factor].append(w)
-    return by_factor
+def _factor_runs(
+    product: FreeProduct, lengths: LengthTable
+) -> list[list[tuple[int | float, int]]]:
+    """Per factor, its letter weights in alphabet order as runs (weight, count) of equal ones."""
+    weights = lengths.weights.tolist()
+    return [
+        [(w, len(list(run))) for w, run in itertools.groupby(weights[product.factor_slice(i)])]
+        for i in range(product.nfactors)
+    ]
 
 
-def _growth_equation(by_factor: Sequence[Sequence[int | float]], t: float) -> float:
+def _growth_equation(runs: Sequence[Sequence[tuple[int | float, int]]], t: float) -> float:
+    """sum_i f_i(t)/(1 + f_i(t)) - 1, with t^w computed once per run of equal weights.
+
+    f_i gets the same float additions, in the same order, as a sum over the
+    letters of factor i; a run of one letter is a plain addition, which
+    keeps weights that change at every letter as fast as that sum.  Up to
+    Python 3.11 ``sum`` adds floats left to right, so f_i is bit-identical
+    to the letter-by-letter sum; from 3.12 ``sum`` compensates its rounding
+    within each call, and the last bit may differ.
+    """
     total = 0.0
-    for weights in by_factor:
-        f = sum(t**w for w in weights)
+    for factor in runs:
+        f = 0
+        for w, count in factor:
+            x = t**w
+            f = f + x if count == 1 else sum(itertools.repeat(x, count), f)
         total += f / (1.0 + f)
     return total - 1.0
 
@@ -127,10 +144,10 @@ def volume(product: FreeProduct, lengths: LengthTable) -> float:
     of t^{|u|_S}.  With unit weights this is log of the Perron root of the
     sphere recursion.  Z/2 * Z/2 grows linearly: its root is t*=1, v=0.
     """
-    by_factor = _factor_series(product, lengths)
-    if _growth_equation(by_factor, 1.0) < -1e-12:
+    runs = _factor_runs(product, lengths)
+    if _growth_equation(runs, 1.0) < -1e-12:
         raise ValueError("growth equation has no root in (0,1]: invalid length table")
-    lo, hi = bisect_increasing(lambda t: _growth_equation(by_factor, t), 0.0, 1.0)
+    lo, hi = bisect_increasing(lambda t: _growth_equation(runs, t), 0.0, 1.0)
     return -math.log(0.5 * (lo + hi))
 
 

@@ -25,6 +25,7 @@ The root vector of the harmonic measure follows as
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,28 +148,47 @@ class _Structure:
     """Index tables for the vectorized hitting map of one product.
 
     ``(pair_a[m], pair_u[m], pair_v[m])`` lists every in-factor product
-    u * v = a of two letters, ordered by a, then u.
+    u * v = a of two letters, ordered by a, then u.  Each (a, v) has
+    exactly one u = a * v^-1, so ``pair_flat`` and ``diag_flat``, the flat
+    indices of the entries (a, v) and (a, a) of an n x n matrix, have no
+    repeats; between them they cover every in-factor entry.  ``cross``
+    masks the entries whose two letters lie in different factors.
     """
 
     def __init__(self, product: FreeProduct):
-        pa: list[int] = []
-        pu: list[int] = []
-        pv: list[int] = []
-        for i, group in enumerate(product.factors):
-            base = product.factor_slice(i).start - 1  # element e of factor i is letter base + e
-            mul, inv = group.mul, group.inv
-            for a in range(1, group.order):
-                for u in range(1, group.order):
-                    if u != a:  # u = a would leave v the identity
-                        pa.append(base + a)
-                        pu.append(base + u)
-                        pv.append(base + mul[inv[u]][a])
-        self.pair_a = np.array(pa, dtype=np.intp)
-        self.pair_u = np.array(pu, dtype=np.intp)
-        self.pair_v = np.array(pv, dtype=np.intp)
+        n = product.nletters
+        self.cross = np.not_equal.outer(product.factor_of, product.factor_of)
+        # every (a, u) of two distinct letters of one factor, by a then u;
+        # u = a would leave v the identity
+        same = ~self.cross
+        np.fill_diagonal(same, False)
+        a, u = np.nonzero(same)
+        # v = u^-1 * a, read from the factors' multiplication tables laid end
+        # to end.  Letter a of factor i (order k, table from ``start``) is the
+        # element a - base, so entry (inv u, a) of that table sits at
+        # start + k (inv_index[u] - base) + a - base = offset + k inv_index[u] + a.
+        factors = product.factors
+        tables = np.fromiter(
+            itertools.chain.from_iterable(row for g in factors for row in g.mul),
+            np.intp,
+            sum(g.order**2 for g in factors),
+        )
+        per_factor, start = [], 0
+        for i, g in enumerate(factors):
+            k, base = g.order, product.factor_slice(i).start - 1
+            per_factor.append((start - base * (k + 1), k, base))
+            start += k * k
+        offset, order, base = np.repeat(
+            np.array(per_factor, dtype=np.intp), [g.order - 1 for g in factors], axis=0
+        ).T
+        self.pair_a = a
+        self.pair_u = u
+        self.pair_v = base[a] + tables[offset[a] + order[a] * product.inv_index[u] + a]
+        self.pair_flat = a * n + self.pair_v
+        self.diag_flat = np.arange(n) * (n + 1)
         self.inv_index = product.inv_index
         self.factor_of = product.factor_of
-        self.nletters = product.nletters
+        self.nletters = n
         self.nfactors = product.nfactors
 
     def factor_sums(self, x: np.ndarray) -> np.ndarray:
@@ -203,16 +223,13 @@ def _consistency_residual(s: _Structure, q: np.ndarray) -> float:
 
 
 def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = s.nletters
-    jac = np.zeros((n, n))
+    # d/dq(d) of q(a) * mu(d^-1) q(d) over letters d outside a's factor; the
+    # in-factor entries are all overwritten below
+    jac = np.outer(q, mu[s.inv_index])
     # d/dq(v) of the in-factor convolution terms
-    if len(s.pair_a):
-        np.add.at(jac, (s.pair_a, s.pair_v), mu[s.pair_u])
+    jac.flat[s.pair_flat] = mu[s.pair_u]
     # d/dq(a) of q(a) * back(a)
-    jac[np.arange(n), np.arange(n)] += s.outside(mu * q[s.inv_index])
-    # d/dq(d) of q(a) * mu(d^-1) q(d) over letters d outside a's factor
-    cross = np.not_equal.outer(s.factor_of, s.factor_of)
-    jac += cross * np.outer(q, mu[s.inv_index])
+    jac.flat[s.diag_flat] = s.outside(mu * q[s.inv_index])
     return jac
 
 
@@ -236,8 +253,9 @@ def validate_walk(product: FreeProduct, mu: StepDistribution) -> None:
     """
     if mu.product is not product:
         raise ValueError("step distribution belongs to a different product")
+    support = mu.support
     for i, group in enumerate(product.factors):
-        gens = [u.elem for u in mu.support if u.factor == i]
+        gens = [u.elem for u in support if u.factor == i]
         if len(factor_distances(group, gens)) != group.order:
             raise NonGeneratingSetError(i, f"support of mu does not generate factor {i}")
     if product.nfactors == 2 and all(g.order == 2 for g in product.factors):

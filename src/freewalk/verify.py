@@ -240,7 +240,8 @@ def criterion_7() -> _Check:
     best, pb, qb = -math.inf, 0.0, 0.0
     for p in grid:
         valid = (p + grid <= 1 - 1 / n) & (p + grid >= 1 / n)  # mu(a) > 0 and Z/3 touched
-        row = np.where(valid, cf.drift_z2z3(p, grid), -1.0)
+        row = np.full(n + 1, -1.0)
+        row[valid] = cf.drift_z2z3(p, grid[valid])
         j = int(np.argmax(row))
         if row[j] > best:
             best, pb, qb = float(row[j]), float(p), float(grid[j])

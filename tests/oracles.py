@@ -5,7 +5,11 @@
 ``ball_count_bfs`` searches the Cayley graph, two independent checks of
 ``sphere_series``.  The per-letter loops restate the index tables of the
 solver and the additive-drift kernel of the metrics one letter at a time,
-and the shift-invariance residuals one normal-form prefix at a time.  The
+and the shift-invariance residuals one normal-form prefix at a time.  Three
+more restate a vectorized kernel the slow way and agree with it bit for
+bit: the Jacobian of the hitting map accumulated term by term with
+``np.add.at``, the growth equation of the volume summed one letter at a
+time, and a breadth-first search in a factor run to the end.  The
 hitting-probability oracle builds the literal Markov chain on the ball of
 a given radius, absorbing at the target letter and killed at the
 boundary, and solves the linear hitting system with a sparse direct
@@ -28,10 +32,18 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from freewalk.groups import FreeProduct, LengthTable, Letter, StateBudgetError, Word, natural_lengths
+from freewalk.groups import (
+    FiniteGroup,
+    FreeProduct,
+    LengthTable,
+    Letter,
+    StateBudgetError,
+    Word,
+    natural_lengths,
+)
 from freewalk.harmonic import LetterChain, cylinder_prob
 from freewalk.simulate import EstimateReport, PrefixReport, _letters, _merge_table, _right_multiply
-from freewalk.traffic import RootVector, StepDistribution
+from freewalk.traffic import RootVector, StepDistribution, _Structure
 
 # The symmetric group S3 as a multiplication table, identity at index 0.
 S3_TABLE = [
@@ -175,6 +187,44 @@ def pair_tables_oracle(product: FreeProduct) -> tuple[list[int], list[int], list
                 pu.append(idx(u))
                 pv.append(idx(product.letter_product(product.letter_inverse(u), a)))
     return pa, pu, pv
+
+
+def jacobian_oracle(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jacobian of the hitting map at q: each term added into a zero matrix with ``np.add.at``."""
+    n = s.nletters
+    jac = np.zeros((n, n))
+    # d/dq(v) of the in-factor convolution terms
+    if len(s.pair_a):
+        np.add.at(jac, (s.pair_a, s.pair_v), mu[s.pair_u])
+    # d/dq(a) of q(a) * back(a)
+    jac[np.arange(n), np.arange(n)] += s.outside(mu * q[s.inv_index])
+    # d/dq(d) of q(a) * mu(d^-1) q(d) over letters d outside a's factor
+    cross = np.not_equal.outer(s.factor_of, s.factor_of)
+    jac += cross * np.outer(q, mu[s.inv_index])
+    return jac
+
+
+def growth_equation_oracle(product: FreeProduct, lengths: LengthTable, t: float) -> float:
+    """sum_i f_i(t) / (1 + f_i(t)) - 1, each f_i(t) summed one letter at a time."""
+    total = 0.0
+    for i in range(product.nfactors):
+        f = sum(t**w for w in lengths.weights[product.factor_slice(i)].tolist())
+        total += f / (1.0 + f)
+    return total - 1.0
+
+
+def factor_distances_oracle(group: FiniteGroup, gens: Iterable[int]) -> dict[int, int]:
+    """Word length over gens of every element they reach, by a breadth-first search run to the end."""
+    gens = list(gens)
+    dist = {0: 0}
+    queue = [0]
+    for x in queue:
+        for g in gens:
+            y = group.mul[x][g]
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 def exact_fixed_point(product: FreeProduct, mu: StepDistribution) -> np.ndarray:

@@ -180,6 +180,21 @@ def test_drift_z2z3_values_and_domain():
     assert abs(np.polyval(poly, z0)) < 1e-4
 
 
+def test_drift_z2z3_arrays_checked_entry_by_entry():
+    grid = np.array([0.1, 0.2, 0.5])
+    assert cf.drift_z2z3(0.3, grid).tolist() == [cf.drift_z2z3(0.3, q) for q in grid.tolist()]
+    bad = [
+        (np.array([-0.5, math.nan]), 0.2),
+        (np.array([0.1, math.nan]), 0.2),
+        (0.3, np.array([0.1, 0.7])),
+        (0.3, [0.1, -0.1]),
+        (np.array([0.2, 0.3]), np.array([0.1, math.nan])),
+    ]
+    for p, q in bad:
+        with pytest.raises(ValueError):
+            cf.drift_z2z3(p, q)
+
+
 def test_r_z2z3_sum_solver_and_traffic_residual():
     ra, rb, rb2 = cf.r_z2z3(0.4, 0.2)
     assert abs(ra + rb + rb2 - 1.0) < 1e-12

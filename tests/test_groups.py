@@ -11,6 +11,7 @@ from freewalk.groups import (
     NonGeneratingSetError,
     StateBudgetError,
     Word,
+    factor_distances,
     free_product_of_cyclics,
     letter_lengths,
     make_cyclic,
@@ -21,7 +22,7 @@ from freewalk.groups import (
 )
 from freewalk.simulate import _letters, _merge_table, _right_multiply
 
-from oracles import S3_TABLE, append_letter, ball_count, ball_count_bfs
+from oracles import S3_TABLE, append_letter, ball_count, ball_count_bfs, factor_distances_oracle
 
 KLEIN_TABLE = [
     [0, 1, 2, 3],
@@ -252,3 +253,11 @@ def test_normal_words_counts():
     words = normal_words(product, 2)
     assert len(words) == 3 + 4
     assert len(set(words)) == len(words)
+
+
+def test_factor_distances_early_exit_matches_full_search():
+    for group in (make_finite_group(S3_TABLE), make_finite_group(KLEIN_TABLE), make_cyclic(6)):
+        for mask in range(2 ** (group.order - 1)):
+            gens = [g for g in range(1, group.order) if mask >> (g - 1) & 1]
+            dist = factor_distances(group, gens)
+            assert list(dist.items()) == list(factor_distances_oracle(group, gens).items())

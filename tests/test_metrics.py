@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from freewalk import metrics
 from freewalk.groups import (
     FreeProduct,
+    LengthTable,
     Letter,
     free_product_of_cyclics,
     make_cyclic,
@@ -38,7 +40,7 @@ from freewalk.walkspec import (
     zkzk_simple,
 )
 
-from oracles import additive_drift_oracle
+from oracles import S3_TABLE, additive_drift_oracle, growth_equation_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -309,3 +311,33 @@ def test_drift_and_entropy_kernel_match_per_letter_loop():
         ]
         for value, w in cases:
             assert abs(value - additive_drift_oracle(product, mu, report.r, w)) < 1e-13
+
+
+def test_growth_equation_runs_match_per_letter_sum_bitwise():
+    s3 = make_finite_group(S3_TABLE)
+    mixed = FreeProduct([s3, make_cyclic(2), make_cyclic(4)])
+    mixed_mu = StepDistribution(mixed, np.random.default_rng(3).dirichlet(np.ones(mixed.nletters)))
+    # S3 has no single generator: in its factor take the two transpositions 1 and 2
+    mixed_gens = [Letter(0, 1), Letter(0, 2), Letter(1, 1), Letter(2, 1), Letter(2, 3)]
+    walks = [
+        (*zkzk_simple(64), None),
+        (*hecke_simple(9), None),
+        (*uniform_per_factor([5, 7, 4]), None),
+        (mixed, mixed_mu, mixed_gens),
+    ]
+    ts = [float(t) for t in np.linspace(0.0, 1.0, 50)]
+    for product, mu, gens in walks:
+        tables = [
+            natural_lengths(product),
+            letter_lengths(product, gens or minimal_generators(product)),
+            LengthTable(product, -np.log(solve_walk(product, mu).q.values)),
+        ]
+        for lengths in tables:
+            runs = metrics._factor_runs(product, lengths)
+            for t in ts:
+                value = metrics._growth_equation(runs, t)
+                if sys.version_info < (3, 12):
+                    assert value == growth_equation_oracle(product, lengths, t)
+                else:  # sum() compensates its rounding within each call from 3.12 on
+                    assert value == pytest.approx(growth_equation_oracle(product, lengths, t),
+                                                  rel=1e-14, abs=1e-14)

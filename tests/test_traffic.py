@@ -19,6 +19,7 @@ from freewalk.traffic import (
     MaxIterationsError,
     RecurrentGroupError,
     StepDistribution,
+    _jacobian,
     _phi_array,
     q_to_r,
     solve_walk,
@@ -29,7 +30,13 @@ from freewalk.traffic import (
 )
 from freewalk.walkspec import hecke_simple, z2z2z2, z2z3_walk, z3z3_sym, zkzk_simple
 
-from oracles import S3_TABLE, exact_fixed_point, hitting_oracle, pair_tables_oracle
+from oracles import (
+    S3_TABLE,
+    exact_fixed_point,
+    hitting_oracle,
+    jacobian_oracle,
+    pair_tables_oracle,
+)
 
 
 def phi(product, mu, q: np.ndarray) -> np.ndarray:
@@ -300,6 +307,7 @@ def test_hitting_oracle_z2z4():
 
 
 def test_letter_tables_match_per_letter_loop():
+    rng = np.random.default_rng(5)
     s3 = make_finite_group(S3_TABLE)
     for product in (
         free_product_of_cyclics(2, 3),
@@ -311,3 +319,7 @@ def test_letter_tables_match_per_letter_loop():
         pa, pu, pv = pair_tables_oracle(product)
         assert s.pair_a.tolist() == pa and s.pair_u.tolist() == pu and s.pair_v.tolist() == pv
         assert letter_tables(product) is s  # built once per product
+        # the Jacobian assembled from the tables, bit for bit as np.add.at accumulates it
+        mu = rng.dirichlet(np.ones(product.nletters))
+        for q in (np.zeros(product.nletters), rng.uniform(0.01, 0.99, product.nletters)):
+            assert np.array_equal(_jacobian(s, mu, q), jacobian_oracle(s, mu, q))

@@ -190,6 +190,24 @@ def test_cli_simulate_rejects_bad_input_before_any_output(flags, capsys):
     assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", ["0", "-4", "2"])
+def test_cli_minimal_sweep_rejects_small_k_before_any_output(k, capsys):
+    assert main(["sweep", "--family", "quality-zkzk-minimal", "--k", k, "--resolution", "0.25"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+
+
+def test_python_dash_m_freewalk_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "freewalk", "solve", "--family", "z2z3", "--p", "0.5", "--q", "0.1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "gamma = " in proc.stdout
+
+
 def assert_invalid_input(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], env=env,
