@@ -31,7 +31,7 @@ from .harmonic import (
     tau2_invariance_residual,
     two_factor_identity,
 )
-from .metrics import metrics_report, quality, quality_sup
+from .metrics import metrics_report, metrics_walks, quality, quality_sup
 from .traffic import (
     DEFAULT_TOL,
     DOMAIN_ERRORS,
@@ -39,6 +39,7 @@ from .traffic import (
     MaxIterationsError,
     RecurrentGroupError,
     StepDistribution,
+    batches,
     check_tolerance,
     solve_walk,
 )
@@ -203,16 +204,25 @@ def _sweep_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list[str]
     check_tolerance(args.tol)
     points = grid(args)
 
+    def lengths_of(product):
+        return letter_lengths(product, resolve_generators(product, gens))
+
     def rows():
-        for params in points:
-            cells = [str(x) if isinstance(x, int) else _csv_float(x) for x in params]
-            try:
-                product, mu = walk(args, *params)
-                lengths = letter_lengths(product, resolve_generators(product, gens))
-                m = metrics_report(product, mu, solve_walk(product, mu, tol=args.tol), lengths)
-                yield cells + [_csv_float(x) for x in (m.gamma, m.entropy, m.volume, m.quality)] + [""]
-            except DOMAIN_ERRORS as exc:
-                yield cells + ["", "", "", "", type(exc).__name__]
+        for block in batches(points):
+            walks, failed = [], {}
+            for i, params in enumerate(block):
+                try:
+                    walks.append(walk(args, *params))
+                except DOMAIN_ERRORS as exc:
+                    failed[i] = exc
+            results = iter(metrics_walks(walks, lengths_of, tol=args.tol))
+            for i, params in enumerate(block):
+                cells = [str(x) if isinstance(x, int) else _csv_float(x) for x in params]
+                m = failed[i] if i in failed else next(results)
+                if isinstance(m, Exception):
+                    yield cells + ["", "", "", "", type(m).__name__]
+                else:
+                    yield cells + [_csv_float(x) for x in (m.gamma, m.entropy, m.volume, m.quality)] + [""]
 
     return header, rows()
 

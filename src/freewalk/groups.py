@@ -11,6 +11,7 @@ it one letter at a time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -249,8 +250,14 @@ class FreeProduct:
         return "FreeProduct(" + " * ".join(f"G{g.order}" for g in self.factors) + ")"
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def free_product_of_cyclics(*orders: int) -> FreeProduct:
-    """Convenience constructor: Z/k1 * Z/k2 * ... for the given orders."""
+    """Convenience constructor: Z/k1 * Z/k2 * ... for the given orders.
+
+    Products are immutable, so equal orders share one instance (the 64 most
+    recent are kept): a grid of walks built one by one then lies on a
+    single product, whose index tables are built once.
+    """
     return FreeProduct([make_cyclic(k) for k in orders])
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,8 +30,11 @@ from .traffic import (
     RootVector,
     SolveReport,
     StepDistribution,
+    _Structure,
+    batches,
     check_tolerance,
     letter_tables,
+    solve_batch,
     solve_walk,
 )
 
@@ -66,43 +69,63 @@ class QualitySweep:
     evaluations: int
 
 
-def _additive_drift(
-    product: FreeProduct, mu: StepDistribution, r: RootVector, w: np.ndarray
-) -> float:
+def _row_dot(a: np.ndarray, b: np.ndarray):
+    """``np.dot`` of two rows, or of each pair of rows of two stacks.
+
+    A stacked ``matmul`` of 1 x n by n x 1 matrices runs ``np.dot``'s
+    kernel on each pair, so each row's sum is that of the row alone.
+    """
+    if a.ndim == b.ndim == 1:
+        return np.dot(a, b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _additive_drift(s: _Structure, p: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Speed of the additive letter functional w: a word weighs the sum of w over its letters.
 
-    Left-multiplying an infinite normal word, whose first letter has law r,
-    by a step a prepends a when the word starts outside a's factor (gain
-    w(a)), cancels a first letter a^-1 (loss w(a^-1)), or turns a first
-    letter v of a's factor into a*v (change w(a*v) - w(v)).  The last case
-    runs over the solver's in-factor pair tables u * v = a.
+    Left-multiplying an infinite normal word, whose first letter has law r
+    = x, by a step a prepends a when the word starts outside a's factor
+    (gain w(a)), cancels a first letter a^-1 (loss w(a^-1)), or turns a
+    first letter v of a's factor into a*v (change w(a*v) - w(v)).  The last
+    case runs over the solver's in-factor pair tables u * v = a.  p, x and
+    w are one row each or (B, n) stacks (w may be one row for all).
     """
-    s = letter_tables(product)
-    p = mu.probs
-    x = np.asarray(r.values, dtype=float)
     inv = s.inv_index
-    ends = np.dot(p, w * s.outside(x) - w[inv] * x[inv])
-    merges = np.dot(p[s.pair_u] * x[s.pair_v], w[s.pair_a] - w[s.pair_v])
-    return float(ends + merges)
+    ends = _row_dot(p, w * s.outside(x) - w.take(inv, axis=-1) * x.take(inv, axis=-1))
+    merges = _row_dot(p.take(s.pair_u, axis=-1) * x.take(s.pair_v, axis=-1),
+                      w.take(s.pair_a, axis=-1) - w.take(s.pair_v, axis=-1))
+    return ends + merges
+
+
+def _speed(product: FreeProduct, mu, r, w: np.ndarray):
+    """``_additive_drift`` of one walk as a float, or of (B, n) stacks of laws and root vectors."""
+    out = _additive_drift(letter_tables(product), np.asarray(getattr(mu, "probs", mu), dtype=float),
+                          np.asarray(getattr(r, "values", r), dtype=float), w)
+    return float(out) if out.ndim == 0 else out
 
 
 def drift(product: FreeProduct, mu: StepDistribution, r: RootVector) -> float:
-    """Speed of escape in the natural letter-count metric."""
-    return _additive_drift(product, mu, r, np.ones(product.nletters))
+    """Speed of escape in the natural letter-count metric.
+
+    Here and in ``drift_weighted`` and ``entropy``, mu, r and q may instead
+    be (B, n) stacks of step laws, root vectors and hitting vectors; the
+    result is then an array with one speed per row.
+    """
+    return _speed(product, mu, r, np.ones(product.nletters))
 
 
 def drift_weighted(
     product: FreeProduct, mu: StepDistribution, r: RootVector, lengths: LengthTable
 ) -> float:
     """Speed of escape measured in S-length, for a letter LengthTable."""
-    return _additive_drift(product, mu, r, np.asarray(lengths.weights, dtype=float))
+    return _speed(product, mu, r, np.asarray(lengths.weights, dtype=float))
 
 
 def entropy(
     product: FreeProduct, mu: StepDistribution, r: RootVector, q: HittingVector
 ) -> float:
     """Asymptotic entropy of the walk in nats per step: the speed in the Green metric -log q."""
-    return _additive_drift(product, mu, r, -np.log(np.asarray(q.values, dtype=float)))
+    return _speed(product, mu, r, -np.log(np.asarray(getattr(q, "values", q), dtype=float)))
 
 
 def _factor_runs(
@@ -261,39 +284,91 @@ def quality_sup(
     steps = round(1.0 / grid_resolution)
     if steps < len(orbits):
         raise ValueError("grid resolution too coarse for the number of inverse pairs")
-    best_mu: StepDistribution | None = None
     best_q = -math.inf
-    best_point: tuple[int, ...] | None = None
+    best_point = best_probs = None
     evaluations = 0
     lengths = letter_lengths(product, gens)
-    v_s = volume(product, lengths)
-    for point in _compositions(steps, len(orbits)):
-        probs = np.zeros(product.nletters)
-        for orbit, m in zip(orbits, point):
-            for u in orbit:
-                probs[product.letter_index(u)] = m / steps / len(orbit)
-        mu = StepDistribution(product, probs)
-        try:
-            report = solve_walk(product, mu, tol=tol)
-        except DOMAIN_ERRORS:
-            continue
-        evaluations += 1
-        h = entropy(product, mu, report.r, report.q)
-        gamma_s = drift_weighted(product, mu, report.r, lengths)
-        if gamma_s <= QUALITY_GAMMA_FLOOR:
-            continue
-        value = h / (gamma_s * v_s)
-        if value > best_q:
-            best_q = value
-            best_mu = mu
-            best_point = point
-    if best_mu is None:
+    columns = [(product.letter_index(u), j, len(orbit))
+               for j, orbit in enumerate(orbits) for u in orbit]
+    for block in batches(_compositions(steps, len(orbits))):
+        points = np.array(block)
+        probs = np.zeros((len(points), product.nletters))
+        for letter, j, size in columns:
+            probs[:, letter] = points[:, j] / steps / size
+        solved = solve_batch(product, probs, tol=tol)
+        ok = [i for i, report in enumerate(solved) if not isinstance(report, Exception)]
+        evaluations += len(ok)
+        for i, m in zip(ok, metrics_rows(product, probs[ok], [solved[i] for i in ok], lengths)):
+            if not isinstance(m, Exception) and m.quality > best_q:
+                best_q, best_point, best_probs = m.quality, points[i], probs[i]
+    if best_point is None:
         raise ValueError("no admissible grid point")
     hi = steps - (len(orbits) - 1)
-    at_boundary = any(m == 1 or m == hi for m in best_point)
-    return QualitySweep(
-        best_mu=best_mu, best_quality=best_q, at_boundary=at_boundary, evaluations=evaluations
-    )
+    at_boundary = bool(np.any((best_point == 1) | (best_point == hi)))
+    return QualitySweep(best_mu=StepDistribution(product, best_probs), best_quality=best_q,
+                        at_boundary=at_boundary, evaluations=evaluations)
+
+
+_NO_DRIFT = "weighted drift is zero: walk is not transient enough for quality"
+
+
+def _summary(gamma: float, h: float, v: float, stationary: bool) -> MetricsReport:
+    """The metrics of a walk from its drift, entropy and volume."""
+    return MetricsReport(gamma=gamma, entropy=h, volume=v, quality=h / (gamma * v),
+                         hd_measure=h / gamma, hd_support=v, stationary=stationary)
+
+
+def metrics_rows(
+    product: FreeProduct,
+    probs: np.ndarray,
+    reports: Sequence[SolveReport],
+    lengths: LengthTable | None = None,
+) -> list[MetricsReport | ValueError]:
+    """The metrics of each solved row of a (B, n) stack of step laws, in a letter length table.
+
+    Each row is bit-identical to ``metrics_report`` of the row alone, or
+    the ValueError that it raises; the volume is computed once for all rows.
+    """
+    if lengths is None:
+        lengths = natural_lengths(product)
+    p = np.asarray(probs, dtype=float)
+    r = np.array([report.r.values for report in reports]).reshape(p.shape)
+    q = np.array([report.q.values for report in reports]).reshape(p.shape)
+    gammas = drift_weighted(product, p, r, lengths).tolist()
+    entropies = entropy(product, p, r, q).tolist()
+    v = volume(product, lengths) if any(not g <= QUALITY_GAMMA_FLOOR for g in gammas) else math.nan
+    return [ValueError(_NO_DRIFT) if gamma <= QUALITY_GAMMA_FLOOR
+            else _summary(gamma, h, v, report.stationary)
+            for gamma, h, report in zip(gammas, entropies, reports)]
+
+
+def metrics_walks(
+    walks: Iterable[tuple[FreeProduct, StepDistribution]],
+    lengths_of: Callable[[FreeProduct], LengthTable],
+    tol: float = DEFAULT_TOL,
+) -> list[MetricsReport | Exception]:
+    """Solve and summarise each walk, batching every run of consecutive walks on equal factors.
+
+    Each outcome equals ``metrics_report(product, mu, solve_walk(product,
+    mu, tol), lengths_of(product))`` or the domain error that raises; each
+    run takes one ``lengths_of``, one ``solve_batch`` and one volume.
+    """
+    out: list[MetricsReport | Exception] = []
+    for _, run in itertools.groupby(walks, key=lambda walk: walk[0].factors):
+        run = list(run)
+        product = run[0][0]
+        try:
+            lengths = lengths_of(product)
+        except DOMAIN_ERRORS as exc:
+            out.extend([exc] * len(run))
+            continue
+        probs = np.array([mu.probs for _, mu in run])
+        outcomes = solve_batch(product, probs, tol=tol)
+        ok = [i for i, report in enumerate(outcomes) if not isinstance(report, Exception)]
+        for i, m in zip(ok, metrics_rows(product, probs[ok], [outcomes[i] for i in ok], lengths)):
+            outcomes[i] = m
+        out.extend(outcomes)
+    return out
 
 
 def metrics_report(
@@ -313,15 +388,6 @@ def metrics_report(
         lengths = natural_lengths(product)
     gamma = drift_weighted(product, mu, report.r, lengths)
     if gamma <= QUALITY_GAMMA_FLOOR:
-        raise ValueError("weighted drift is zero: walk is not transient enough for quality")
-    h = entropy(product, mu, report.r, report.q)
-    v = volume(product, lengths)
-    return MetricsReport(
-        gamma=gamma,
-        entropy=h,
-        volume=v,
-        quality=h / (gamma * v),
-        hd_measure=h / gamma,
-        hd_support=v,
-        stationary=report.stationary,
-    )
+        raise ValueError(_NO_DRIFT)
+    return _summary(gamma, entropy(product, mu, report.r, report.q), volume(product, lengths),
+                    report.stationary)

@@ -17,6 +17,13 @@ exceeds the tolerance a few Newton corrections with an exact rational
 residual finish the solve.  Plain iteration, gated by the consistency
 identity below, confirms the result.
 
+``solve_batch`` solves a (B, n) stack of step laws on one product in
+lockstep: one Newton loop on (B, n) arrays with one stacked linear solve
+per step.  Each row leaves the loop when it would stop alone, and every
+sum keeps the order of additions of a single row, so each row is
+bit-identical to its solve as a batch of one.  ``solve_walk`` is that
+batch of one, so there is one solver path.
+
 The root vector of the harmonic measure follows as
 ``r(a) = q(a) / (1 + q(Sigma_a))``, and the consistency identity
 ``sum_i q(Sigma_i)/(1+q(Sigma_i)) = 1`` makes r a probability vector.
@@ -29,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -40,6 +47,10 @@ MAX_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 _EPS = float(np.finfo(float).eps)
 STATIONARY_TOL = 1e-8
+# A chunk of a batch solve holds at most this many floats of Jacobian (2 MiB)
+JACOBIAN_FLOATS = 2**18
+# Grid searches and sweeps take their points this many at a time
+BATCH_ROWS = 4096
 
 
 class RecurrentGroupError(ValueError):
@@ -69,13 +80,13 @@ class StepDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.product.nletters,):
             raise ValueError(f"need {self.product.nletters} probabilities, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("non-finite probability in step distribution")
-        if np.any(p < 0.0):
+        if (p < 0.0).any():
             raise ValueError("negative probability in step distribution")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        if not np.any(p > 0.0):
+        if not (p > 0.0).any():
             raise ValueError("empty support")
         object.__setattr__(self, "probs", p)
 
@@ -116,7 +127,7 @@ class HittingVector(_LetterVector):
     values: np.ndarray
 
     def consistency_residual(self) -> float:
-        return _consistency_residual(letter_tables(self.product), self.values)
+        return float(_consistency_residual(letter_tables(self.product), self.values))
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,9 @@ class SolveReport:
 
     ``iterations`` counts the Newton steps plus the plain iteration steps
     after them (at least one, the consistency check); the corrections with
-    an exact residual are not counted.
+    an exact residual are not counted.  In a batch each row counts its own
+    steps: the Newton steps it took before it left the batch, then its own
+    plain steps, the same count as when it is solved alone.
     """
 
     q: HittingVector
@@ -190,14 +203,52 @@ class _Structure:
         self.factor_of = product.factor_of
         self.nletters = n
         self.nfactors = product.nfactors
+        # per index table, the length of the axis it indexes, and its copies
+        # for stacks of rows (see ``stacked``)
+        self._widths = {"factor_of": self.nfactors, "pair_a": n, "pair_flat": n * n,
+                        "diag_flat": n * n}
+        self._stacks: dict[str, np.ndarray] = {}
+
+    def stacked(self, name: str, rows: int) -> np.ndarray:
+        """The index table ``name`` repeated for ``rows`` rows laid end to end.
+
+        Row r's copy is shifted by r times the length of the axis it indexes
+        (factors, letters or matrix entries), so it indexes row r of a
+        flattened stack.  The indices for fewer rows are a prefix of those
+        for more, so the largest set built is kept and sliced.
+        """
+        index = getattr(self, name)
+        if rows == 1:
+            return index
+        table = self._stacks.get(name)
+        if table is None or len(table) < rows * len(index):
+            shifts = self._widths[name] * np.arange(rows)[:, None]
+            table = self._stacks[name] = (index + shifts).ravel()
+        return table[: rows * len(index)]
+
+    def _bincount(self, name: str, weights: np.ndarray, width: int) -> np.ndarray:
+        """``np.bincount`` of index table ``name`` with each row of ``weights``, in one call.
+
+        Each bin takes the same additions, in the same order, as a bincount
+        of its row alone.
+        """
+        if weights.ndim == 1:
+            return np.bincount(getattr(self, name), weights, width)
+        rows = len(weights)
+        return np.bincount(self.stacked(name, rows), weights.ravel(), rows * width).reshape(rows, width)
 
     def factor_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per factor i, the total of x over the letters of factor i."""
-        return np.bincount(self.factor_of, weights=x, minlength=self.nfactors)
+        """Per factor i, the total of x over the letters of factor i (per row of a stack)."""
+        return self._bincount("factor_of", x, self.nfactors)
+
+    def pair_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per letter a, the total of x over the pairs u * v = a (per row of a stack)."""
+        return self._bincount("pair_a", x, self.nletters)
 
     def outside(self, x: np.ndarray) -> np.ndarray:
-        """Per letter a, the total of x over the letters outside a's factor."""
-        return x.sum() - self.factor_sums(x)[self.factor_of]
+        """Per letter a, the total of x over the letters outside a's factor (per row of a stack)."""
+        total = np.add.reduce(x, axis=-1, keepdims=True)
+        return total - self.factor_sums(x).take(self.factor_of, axis=-1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -210,27 +261,65 @@ def letter_tables(product: FreeProduct) -> _Structure:
     return _Structure(product)
 
 
-def _phi_array(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = mu + q * s.outside(mu * q[s.inv_index])
+# The kernels below take one vector or a (B, n) stack of row vectors, and
+# give each row the same float operations as the row alone.
+
+def _back(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per letter a, the sum of mu(c) q(c^-1) over letters c outside a's factor."""
+    return s.outside(mu * q.take(s.inv_index, axis=-1))
+
+
+def _phi_array(s: _Structure, mu: np.ndarray, q: np.ndarray,
+               back: np.ndarray | None = None) -> np.ndarray:
+    """The hitting map at q; ``back`` is ``_back(s, mu, q)`` when the caller has it."""
+    if back is None:
+        back = _back(s, mu, q)
+    out = mu + q * back
     if len(s.pair_a):
-        out += np.bincount(s.pair_a, weights=mu[s.pair_u] * q[s.pair_v], minlength=s.nletters)
+        out += s.pair_sums(mu.take(s.pair_u, axis=-1) * q.take(s.pair_v, axis=-1))
     return out
 
 
-def _consistency_residual(s: _Structure, q: np.ndarray) -> float:
+def _sup_norm(x: np.ndarray):
+    """max |x| along the last axis (per row of a stack)."""
+    return np.maximum.reduce(np.abs(x), axis=-1)
+
+
+def _consistency_residual(s: _Structure, q: np.ndarray):
     sums = s.factor_sums(q)
-    return float(abs(np.sum(sums / (1.0 + sums)) - 1.0))
+    return abs(np.add.reduce(sums / (1.0 + sums), axis=-1) - 1.0)
 
 
-def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray,
+              back: np.ndarray | None = None) -> np.ndarray:
+    """Jacobian of the hitting map at q; ``back`` as for ``_phi_array``."""
+    rows = 1 if q.ndim == 1 else len(q)
     # d/dq(d) of q(a) * mu(d^-1) q(d) over letters d outside a's factor; the
     # in-factor entries are all overwritten below
-    jac = np.outer(q, mu[s.inv_index])
+    jac = q[..., :, None] * mu.take(s.inv_index, axis=-1)[..., None, :]
+    flat = jac.reshape(-1)
     # d/dq(v) of the in-factor convolution terms
-    jac.flat[s.pair_flat] = mu[s.pair_u]
+    flat[s.stacked("pair_flat", rows)] = mu.take(s.pair_u, axis=-1).ravel()
     # d/dq(a) of q(a) * back(a)
-    jac.flat[s.diag_flat] = s.outside(mu * q[s.inv_index])
+    flat[s.stacked("diag_flat", rows)] = (_back(s, mu, q) if back is None else back).ravel()
     return jac
+
+
+def _root(s: _Structure, q: np.ndarray) -> np.ndarray:
+    return q / (1.0 + s.factor_sums(q).take(s.factor_of, axis=-1))
+
+
+def _traffic_residual(s: _Structure, p: np.ndarray, x: np.ndarray):
+    outside = s.outside(x)
+    rhs = p * outside
+    if len(s.pair_a):
+        rhs += s.pair_sums(p.take(s.pair_u, axis=-1) * x.take(s.pair_v, axis=-1))
+    rhs += x * s.outside(p.take(s.inv_index, axis=-1) * x / outside)
+    return _sup_norm(x - rhs)
+
+
+def _stationary(s: _Structure, r: np.ndarray):
+    return _sup_norm(s.factor_sums(r) - 1.0 / s.nfactors) < STATIONARY_TOL
 
 
 def check_tolerance(tol: float) -> None:
@@ -244,6 +333,18 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be in (0, {MAX_TOL:g}], got {tol!r}")
 
 
+def _support_error(product: FreeProduct, support: np.ndarray) -> ValueError | None:
+    """What ``validate_walk`` raises for a step law with this support (a mask), or None."""
+    letters = [u for u, on in zip(product.alphabet, support.tolist()) if on]
+    for i, group in enumerate(product.factors):
+        gens = [u.elem for u in letters if u.factor == i]
+        if len(factor_distances(group, gens)) != group.order:
+            return NonGeneratingSetError(i, f"support of mu does not generate factor {i}")
+    if product.nfactors == 2 and all(g.order == 2 for g in product.factors):
+        return RecurrentGroupError("walks on Z/2 * Z/2 are recurrent; no harmonic measure")
+    return None
+
+
 def validate_walk(product: FreeProduct, mu: StepDistribution) -> None:
     """Reject walks that are not transient random walks on the whole group.
 
@@ -253,46 +354,111 @@ def validate_walk(product: FreeProduct, mu: StepDistribution) -> None:
     """
     if mu.product is not product:
         raise ValueError("step distribution belongs to a different product")
-    support = mu.support
-    for i, group in enumerate(product.factors):
-        gens = [u.elem for u in support if u.factor == i]
-        if len(factor_distances(group, gens)) != group.order:
-            raise NonGeneratingSetError(i, f"support of mu does not generate factor {i}")
-    if product.nfactors == 2 and all(g.order == 2 for g in product.factors):
-        raise RecurrentGroupError("walks on Z/2 * Z/2 are recurrent; no harmonic measure")
+    error = _support_error(product, mu.probs > 0.0)
+    if error is not None:
+        raise error
+
+
+def _row_errors(product: FreeProduct, p: np.ndarray) -> list[ValueError | None]:
+    """Per row of p, what ``StepDistribution`` or ``validate_walk`` raises for it, or None.
+
+    The checks run on the whole stack; a flagged row is rebuilt as a
+    ``StepDistribution`` for its exact error, and the support check runs
+    once per distinct support.
+    """
+    # a NaN, an infinity, a negative mass or an empty support fails one of these
+    flagged = ~(p >= 0.0).all(axis=1) | (np.abs(p.sum(axis=1) - 1.0) > 1e-12)
+    errors: list[ValueError | None] = [None] * len(p)
+    for i in np.flatnonzero(flagged).tolist():
+        try:
+            StepDistribution(product, p[i])
+        except ValueError as exc:
+            errors[i] = exc
+    support = p > 0.0
+    by_support: dict[bytes, ValueError | None] = {}
+    for i, error in enumerate(errors):
+        if error is None:
+            key = support[i].tobytes()
+            if key not in by_support:
+                by_support[key] = _support_error(product, support[i])
+            errors[i] = by_support[key]
+    return errors
 
 
 def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
-    """Newton's method from q = 0 on q = phi(q); returns (q, steps, kappa).
+    """Newton's method from q = 0 on q = phi(q), for every row of p; returns (q, steps, kappa).
 
-    Each step solves (I - J)[delta, x] = [phi(q) - q, 1] in one call.  As
-    J >= 0 has spectral radius below 1, kappa = max(x) = ||(I - J)^-1||_inf,
-    and rounding leaves q about eps * kappa from the fixed point.  Newton
-    stops once the sup residual is at most tol/100 or stops falling; a
-    singular step or a candidate outside (0,1) stops it early and leaves the
-    rest to plain iteration.  kappa is NaN when no step was taken.
+    Each step solves (I - J)[delta, x] = [phi(q) - q, 1] for all rows in
+    one stacked call.  As J >= 0 has spectral radius below 1, kappa =
+    max(x) = ||(I - J)^-1||_inf, and rounding leaves q about eps * kappa
+    from the fixed point.  A row stops once its sup residual is at most
+    tol/100 or stops falling; a singular step or a candidate outside (0,1)
+    stops it early and leaves the rest to plain iteration.  The rows step
+    together until one stops and then go on without it, so each row takes
+    the steps it would take alone.  kappa is NaN for a row that took no step.
     """
-    n = s.nletters
+    rows, n = p.shape
+    q = np.zeros((rows, n))
+    steps = np.zeros(rows, dtype=np.intp)
+    kappa = np.full(rows, math.nan)
     eye = np.eye(n)
-    q = np.zeros(n)
-    rhs = np.ones((n, 2))
-    steps, kappa, last = 0, math.nan, math.inf
-    while steps < max_iter:
-        rhs[:, 0] = _phi_array(s, p, q) - q
-        sup = float(np.max(np.abs(rhs[:, 0])))
-        if sup <= 0.01 * tol or sup >= last:
-            break
-        last = sup
+    rhs = np.ones((rows, n, 2))
+    floor = 0.01 * tol
+    # the rows still stepping: their indices, step laws, iterates, last sup
+    # residuals and last solutions x (NaN before the first step)
+    live, pl, ql, last, xl = np.arange(rows), p, q, np.full(rows, math.inf), np.full((rows, n), math.nan)
+
+    def leave(mask, taken):
+        out = live[mask]
+        q[out], steps[out], kappa[out] = ql[mask], taken, xl[mask].max(axis=1)
+        return ~mask
+
+    for taken in range(max_iter):
+        back = _back(s, pl, ql)
+        residual = np.subtract(_phi_array(s, pl, ql, back), ql, out=rhs[:len(live), :, 0])
+        sup = _sup_norm(residual)
+        stop = (sup <= floor) | (sup >= last)
+        if np.count_nonzero(stop):
+            if stop.all():
+                leave(stop, taken)
+                return q, steps, kappa
+            keep = leave(stop, taken)
+            live, pl, ql, xl, back, sup = live[keep], pl[keep], ql[keep], xl[keep], back[keep], sup[keep]
+            rhs[:len(live), :, 0] = residual[keep]
+        b = len(live)
+        matrices = eye - _jacobian(s, pl, ql, back)
         try:
-            sol = np.linalg.solve(eye - _jacobian(s, p, q), rhs)
+            sol = np.linalg.solve(matrices, rhs[:b])
         except np.linalg.LinAlgError:
-            break
-        candidate = q + sol[:, 0]
-        if np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
-            break
-        q, kappa = candidate, float(np.max(sol[:, 1]))
-        steps += 1
+            sol = _solve_each(matrices, rhs[:b])
+        candidate = ql + sol[:, :, 0]
+        outside = (candidate <= 0.0) | (candidate >= 1.0)
+        if np.count_nonzero(outside):
+            stop = outside.any(axis=1)
+            if stop.all():
+                leave(stop, taken)
+                return q, steps, kappa
+            keep = leave(stop, taken)
+            live, pl, xl, candidate, sol, sup = (
+                live[keep], pl[keep], xl[keep], candidate[keep], sol[keep], sup[keep])
+        ql, xl, last = candidate, sol[:, :, 1], sup
+    leave(np.ones(len(live), dtype=bool), max(max_iter, 0))
     return q, steps, kappa
+
+
+def _solve_each(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The stacked solve one matrix at a time, for a stack with a singular matrix.
+
+    A singular matrix gets an infinite solution, so its row's candidate
+    leaves (0,1) and the row stops.
+    """
+    sol = np.full(rhs.shape, math.inf)
+    for i in range(len(rhs)):
+        try:
+            sol[i] = np.linalg.solve(matrices[i], rhs[i])
+        except np.linalg.LinAlgError:
+            pass
+    return sol
 
 
 def _exact_residual(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -307,7 +473,7 @@ def _exact_residual(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """At most 3 Newton corrections whose residual is exact; stops once q stays put.
+    """At most 3 Newton corrections of one row whose residual is exact; stops once q stays put.
 
     A float residual is itself off by about eps, which (I - J)^-1 amplifies
     by kappa; the exact residual removes that floor.
@@ -321,75 +487,111 @@ def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _iterate(s: _Structure, p: np.ndarray, q: np.ndarray, iterations: int, max_iter: int,
-             tol: float, kappa: float):
-    """Apply the hitting map until a step moves q by less than tol and q is consistent.
+def _iterate(s: _Structure, p: np.ndarray, q: np.ndarray, iterations: np.ndarray,
+             max_iter: int, tol: float, kappa: np.ndarray) -> dict[int, MaxIterationsError]:
+    """Apply the hitting map to each row until a step moves it by less than tol and it is consistent.
 
     Near the recurrent boundary a small step no longer implies proximity to
-    the fixed point, hence the consistency identity.  A step that leaves q
-    bitwise unchanged can never meet it, so that raises at once.  Returns
-    (q, iterations).
+    the fixed point, hence the consistency identity.  A step that leaves a
+    row bitwise unchanged can never meet it, so that row fails at once.
+    Updates q and iterations in place, row by row as the rows finish, and
+    returns the error of each row that failed.
     """
+    errors: dict[int, MaxIterationsError] = {}
+    live, pl, ql, count = np.arange(len(q)), p, q, iterations
     while True:
-        qn = _phi_array(s, p, q)
-        iterations += 1
-        delta = float(np.max(np.abs(qn - q)))
-        q = qn
-        if delta < tol and _consistency_residual(s, q) <= 10.0 * tol:
-            return q, iterations
-        if delta == 0.0:
-            raise MaxIterationsError(
-                f"no convergence after {iterations} iterations: stuck at a floating-point"
-                f" fixed point with consistency residual {_consistency_residual(s, q):.3e}"
-                f" (condition number {kappa:.3e})"
+        qn = _phi_array(s, pl, ql)
+        count += 1
+        delta = _sup_norm(qn - ql)
+        ql = qn
+        consistency = _consistency_residual(s, ql)
+        passed = (delta < tol) & (consistency <= 10.0 * tol)
+        if np.count_nonzero(passed) == len(passed):
+            q[live], iterations[live] = ql, count
+            return errors
+        done = passed | (delta == 0.0) | (count >= max_iter)
+        if not np.count_nonzero(done):
+            continue
+        for j in np.flatnonzero(done & ~passed).tolist():
+            i, steps = int(live[j]), int(count[j])
+            errors[i] = MaxIterationsError(
+                f"no convergence after {steps} iterations: stuck at a floating-point"
+                f" fixed point with consistency residual {consistency[j]:.3e}"
+                f" (condition number {kappa[i]:.3e})"
+                if delta[j] == 0.0 else
+                f"no convergence after {steps} iterations (last change {delta[j]:.3e})"
             )
-        if iterations >= max_iter:
-            raise MaxIterationsError(
-                f"no convergence after {iterations} iterations (last change {delta:.3e})"
-            )
+        if done.all():
+            q[live], iterations[live] = ql, count
+            return errors
+        out = live[done]
+        q[out], iterations[out] = ql[done], count[done]
+        keep = ~done
+        live, pl, ql, count = live[keep], pl[keep], ql[keep], count[keep]
 
 
-def _solve_arrays(
-    product: FreeProduct,
-    mu: StepDistribution,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int, float]:
-    """Checked least fixed point q, with the iteration count and the final sup residual."""
-    check_tolerance(tol)
-    s = letter_tables(product)
-    p = mu.probs
+def _rows_where(mask: np.ndarray) -> list[int]:
+    return np.flatnonzero(mask).tolist() if mask.any() else []
+
+
+def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
+                max_iter: int) -> list:
+    """Solve every row of p, a stack of valid step laws; one SolveReport or error per row.
+
+    A row that passes plain iteration meets the consistency identity to
+    10 tol, so only the bounds of q remain to check.
+    """
     q, iterations, kappa = _newton(s, p, tol, max_iter)
-    if _EPS * kappa > tol:
-        q = _exact_finish(s, p, q)
-    q, iterations = _iterate(s, p, q, iterations, max_iter, tol, kappa)
-    sup = float(np.max(np.abs(_phi_array(s, p, q) - q)))
-    if np.any(q >= 1.0 - tol) or np.any(q <= 0.0):
-        raise ConsistencyError("hitting probabilities left (0,1): walk is not transient")
-    residual = _consistency_residual(s, q)
-    if residual > 10.0 * tol:
-        raise ConsistencyError(f"consistency identity violated by {residual:.3e}")
-    return q, iterations, sup
+    for i in _rows_where(_EPS * kappa > tol):
+        q[i] = _exact_finish(s, p[i], q[i])
+    errors: dict[int, Exception] = _iterate(s, p, q, iterations, max_iter, tol, kappa)
+    sup = _sup_norm(_phi_array(s, p, q) - q)
+    for i in _rows_where(((q >= 1.0 - tol) | (q <= 0.0)).any(axis=1)):
+        errors.setdefault(i, ConsistencyError(
+            "hitting probabilities left (0,1): walk is not transient"))
+    ok = [i for i in range(len(p)) if i not in errors]
+    if errors:
+        p, q = p[ok], q[ok]
+    r = _root(s, q)
+    traffic = _traffic_residual(s, p, r)
+    stationary = _stationary(s, r)
+    outcomes: list = [errors.get(i) for i in range(len(sup))]
+    for j, i in enumerate(ok):
+        outcomes[i] = SolveReport(
+            q=HittingVector(product, q[j]),
+            r=RootVector(product, r[j]),
+            iterations=int(iterations[i]),
+            sup_residual=float(sup[i]),
+            traffic_residual=float(traffic[j]),
+            stationary=bool(stationary[j]),
+        )
+    return outcomes
+
+
+def _solve(product: FreeProduct, p: np.ndarray, errors: list, tol: float,
+           max_iter: int) -> list[SolveReport | Exception]:
+    """Solve the rows of p whose entry in ``errors`` is None, in chunks; fill in their outcomes."""
+    outcomes = list(errors)
+    valid = [i for i, error in enumerate(errors) if error is None]
+    s = letter_tables(product)
+    size = max(1, JACOBIAN_FLOATS // product.nletters**2)
+    for start in range(0, len(valid), size):
+        rows = valid[start:start + size]
+        chunk = p if len(rows) == len(p) else p[rows]
+        for i, outcome in zip(rows, _solve_rows(product, s, chunk, tol, max_iter)):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def q_to_r(q: HittingVector) -> RootVector:
     """Root vector r(a) = q(a) / (1 + q(Sigma_a)); entries sum to 1."""
-    s = letter_tables(q.product)
-    x = np.asarray(q.values, dtype=float)
-    return RootVector(q.product, x / (1.0 + s.factor_sums(x)[s.factor_of]))
+    return RootVector(q.product, _root(letter_tables(q.product), np.asarray(q.values, dtype=float)))
 
 
 def traffic_residual(product: FreeProduct, mu: StepDistribution, r: RootVector) -> float:
     """Sup-norm residual of the traffic polynomial system at r (0 at the solution)."""
-    s = letter_tables(product)
-    x = np.asarray(r.values, dtype=float)
-    p = mu.probs
-    outside = s.outside(x)
-    rhs = p * outside
-    if len(s.pair_a):
-        rhs += np.bincount(s.pair_a, weights=p[s.pair_u] * x[s.pair_v], minlength=s.nletters)
-    rhs += x * s.outside(p[s.inv_index] * x / outside)
-    return float(np.max(np.abs(x - rhs)))
+    return float(_traffic_residual(letter_tables(product), mu.probs,
+                                   np.asarray(r.values, dtype=float)))
 
 
 def stationarity_check(product: FreeProduct, r: RootVector) -> bool:
@@ -398,8 +600,37 @@ def stationarity_check(product: FreeProduct, r: RootVector) -> bool:
     For a root vector solving the traffic system this decides whether the
     harmonic measure is stationary (and ergodic) under the one-step shift.
     """
-    sums = letter_tables(product).factor_sums(np.asarray(r.values, dtype=float))
-    return bool(np.max(np.abs(sums - 1.0 / product.nfactors)) < STATIONARY_TOL)
+    return bool(_stationary(letter_tables(product), np.asarray(r.values, dtype=float)))
+
+
+def batches(items: Iterable, size: int = BATCH_ROWS) -> Iterator[list]:
+    """Consecutive lists of ``size`` items (the last may be shorter), for grids solved in batches."""
+    items = iter(items)
+    while block := list(itertools.islice(items, size)):
+        yield block
+
+
+def solve_batch(
+    product: FreeProduct,
+    probs: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[SolveReport | Exception]:
+    """Validate and solve a (B, n) stack of step laws on ``product``, one outcome per row.
+
+    A row's outcome is its SolveReport, or the domain error that
+    ``StepDistribution``, ``validate_walk`` or the solver raises for it
+    alone; every row is bit-identical to its solve as a batch of one.  The
+    rows are solved in chunks of at most ``JACOBIAN_FLOATS / n^2`` rows.
+    A tolerance outside (0, MAX_TOL] and probabilities of the wrong shape
+    raise ValueError.
+    """
+    check_tolerance(tol)
+    n = product.nletters
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or p.shape[1] != n:
+        raise ValueError(f"need probabilities of shape (B, {n}), got shape {p.shape}")
+    return _solve(product, p, _row_errors(product, p), tol, max_iter)
 
 
 def solve_walk(
@@ -408,21 +639,16 @@ def solve_walk(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveReport:
-    """Validate, solve, and package q, r, and diagnostics for one walk.
+    """Validate, solve, and package q, r, and diagnostics for one walk: the batch of one.
 
     Raises MaxIterationsError when iteration stalls (near-recurrent step
     law) and ConsistencyError when the solved vector fails the consistency
     identity, which signals a non-transient input or a bug.
     """
     validate_walk(product, mu)
-    q_arr, iterations, sup = _solve_arrays(product, mu, tol, max_iter)
-    q = HittingVector(product, q_arr)
-    r = q_to_r(q)
-    return SolveReport(
-        q=q,
-        r=r,
-        iterations=iterations,
-        sup_residual=sup,
-        traffic_residual=traffic_residual(product, mu, r),
-        stationary=stationarity_check(product, r),
-    )
+    check_tolerance(tol)
+    # mu passed its own checks when it was built; only the support remained
+    (outcome,) = _solve(product, mu.probs[None], [None], tol, max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
