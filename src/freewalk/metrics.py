@@ -33,6 +33,7 @@ from .traffic import (
     _Structure,
     batches,
     check_tolerance,
+    chunk_rows,
     letter_tables,
     solve_batch,
     solve_walk,
@@ -334,8 +335,13 @@ def metrics_rows(
     p = np.asarray(probs, dtype=float)
     r = np.array([report.r.values for report in reports]).reshape(p.shape)
     q = np.array([report.q.values for report in reports]).reshape(p.shape)
-    gammas = drift_weighted(product, p, r, lengths).tolist()
-    entropies = entropy(product, p, r, q).tolist()
+    # in chunks, as the pair terms take up to n^2 floats per row
+    gammas, entropies = [], []
+    size = chunk_rows(product.nletters)
+    for start in range(0, len(p), size):
+        rows = slice(start, start + size)
+        gammas += drift_weighted(product, p[rows], r[rows], lengths).tolist()
+        entropies += entropy(product, p[rows], r[rows], q[rows]).tolist()
     v = volume(product, lengths) if any(not g <= QUALITY_GAMMA_FLOOR for g in gammas) else math.nan
     return [ValueError(_NO_DRIFT) if gamma <= QUALITY_GAMMA_FLOOR
             else _summary(gamma, h, v, report.stationary)

@@ -47,10 +47,11 @@ MAX_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 _EPS = float(np.finfo(float).eps)
 STATIONARY_TOL = 1e-8
-# A chunk of a batch solve holds at most this many floats of Jacobian (2 MiB)
-JACOBIAN_FLOATS = 2**18
-# Grid searches and sweeps take their points this many at a time
-BATCH_ROWS = 4096
+# A chunk of a batch solve holds at most this many floats of Jacobian (512 KiB)
+JACOBIAN_FLOATS = 2**16
+# Grid searches and sweeps take their points this many at a time, which
+# bounds the reports held at once
+BATCH_ROWS = 512
 
 
 class RecurrentGroupError(ValueError):
@@ -574,7 +575,7 @@ def _solve(product: FreeProduct, p: np.ndarray, errors: list, tol: float,
     outcomes = list(errors)
     valid = [i for i, error in enumerate(errors) if error is None]
     s = letter_tables(product)
-    size = max(1, JACOBIAN_FLOATS // product.nletters**2)
+    size = chunk_rows(product.nletters)
     for start in range(0, len(valid), size):
         rows = valid[start:start + size]
         chunk = p if len(rows) == len(p) else p[rows]
@@ -603,6 +604,11 @@ def stationarity_check(product: FreeProduct, r: RootVector) -> bool:
     return bool(_stationary(letter_tables(product), np.asarray(r.values, dtype=float)))
 
 
+def chunk_rows(nletters: int) -> int:
+    """Rows per chunk of a batch on n letters, so that B n^2 floats stay within JACOBIAN_FLOATS."""
+    return max(1, JACOBIAN_FLOATS // nletters**2)
+
+
 def batches(items: Iterable, size: int = BATCH_ROWS) -> Iterator[list]:
     """Consecutive lists of ``size`` items (the last may be shorter), for grids solved in batches."""
     items = iter(items)
@@ -621,7 +627,7 @@ def solve_batch(
     A row's outcome is its SolveReport, or the domain error that
     ``StepDistribution``, ``validate_walk`` or the solver raises for it
     alone; every row is bit-identical to its solve as a batch of one.  The
-    rows are solved in chunks of at most ``JACOBIAN_FLOATS / n^2`` rows.
+    rows are solved in chunks of ``chunk_rows(n)``.
     A tolerance outside (0, MAX_TOL] and probabilities of the wrong shape
     raise ValueError.
     """
