@@ -270,14 +270,20 @@ def _back(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
     return s.outside(mu * q.take(s.inv_index, axis=-1))
 
 
-def _phi_array(s: _Structure, mu: np.ndarray, q: np.ndarray,
-               back: np.ndarray | None = None) -> np.ndarray:
-    """The hitting map at q; ``back`` is ``_back(s, mu, q)`` when the caller has it."""
+def _phi_array(s: _Structure, mu: np.ndarray, q: np.ndarray, back: np.ndarray | None = None,
+               mu_pair: np.ndarray | None = None) -> np.ndarray:
+    """The hitting map at q.
+
+    ``back`` is ``_back(s, mu, q)`` and ``mu_pair`` is mu at the pairs'
+    first letters, when the caller already has them.
+    """
     if back is None:
         back = _back(s, mu, q)
     out = mu + q * back
     if len(s.pair_a):
-        out += s.pair_sums(mu.take(s.pair_u, axis=-1) * q.take(s.pair_v, axis=-1))
+        if mu_pair is None:
+            mu_pair = mu.take(s.pair_u, axis=-1)
+        out += s.pair_sums(mu_pair * q.take(s.pair_v, axis=-1))
     return out
 
 
@@ -291,16 +297,24 @@ def _consistency_residual(s: _Structure, q: np.ndarray):
     return abs(np.add.reduce(sums / (1.0 + sums), axis=-1) - 1.0)
 
 
-def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray,
-              back: np.ndarray | None = None) -> np.ndarray:
-    """Jacobian of the hitting map at q; ``back`` as for ``_phi_array``."""
+def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray, back: np.ndarray | None = None,
+              mu_pair: np.ndarray | None = None, mu_inv: np.ndarray | None = None) -> np.ndarray:
+    """Jacobian of the hitting map at q.
+
+    ``back`` and ``mu_pair`` are as for ``_phi_array``, and ``mu_inv`` is mu
+    at the letters' inverses; each is computed when not given.
+    """
     rows = 1 if q.ndim == 1 else len(q)
+    if mu_pair is None:
+        mu_pair = mu.take(s.pair_u, axis=-1)
+    if mu_inv is None:
+        mu_inv = mu.take(s.inv_index, axis=-1)
     # d/dq(d) of q(a) * mu(d^-1) q(d) over letters d outside a's factor; the
     # in-factor entries are all overwritten below
-    jac = q[..., :, None] * mu.take(s.inv_index, axis=-1)[..., None, :]
+    jac = q[..., :, None] * mu_inv[..., None, :]
     flat = jac.reshape(-1)
     # d/dq(v) of the in-factor convolution terms
-    flat[s.stacked("pair_flat", rows)] = mu.take(s.pair_u, axis=-1).ravel()
+    flat[s.stacked("pair_flat", rows)] = mu_pair.ravel()
     # d/dq(a) of q(a) * back(a)
     flat[s.stacked("diag_flat", rows)] = (_back(s, mu, q) if back is None else back).ravel()
     return jac
@@ -408,6 +422,8 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     # the rows still stepping: their indices, step laws, iterates, last sup
     # residuals and last solutions x (NaN before the first step)
     live, pl, ql, last, xl = np.arange(rows), p, q, np.full(rows, math.inf), np.full((rows, n), math.nan)
+    # the parts of phi and J that depend on mu alone
+    pair, inv = p.take(s.pair_u, axis=1), p.take(s.inv_index, axis=1)
 
     def leave(mask, taken):
         out = live[mask]
@@ -416,7 +432,7 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
 
     for taken in range(max_iter):
         back = _back(s, pl, ql)
-        residual = np.subtract(_phi_array(s, pl, ql, back), ql, out=rhs[:len(live), :, 0])
+        residual = np.subtract(_phi_array(s, pl, ql, back, pair), ql, out=rhs[:len(live), :, 0])
         sup = _sup_norm(residual)
         stop = (sup <= floor) | (sup >= last)
         if np.count_nonzero(stop):
@@ -425,9 +441,10 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
                 return q, steps, kappa
             keep = leave(stop, taken)
             live, pl, ql, xl, back, sup = live[keep], pl[keep], ql[keep], xl[keep], back[keep], sup[keep]
+            pair, inv = pair[keep], inv[keep]
             rhs[:len(live), :, 0] = residual[keep]
         b = len(live)
-        matrices = eye - _jacobian(s, pl, ql, back)
+        matrices = eye - _jacobian(s, pl, ql, back, pair, inv)
         try:
             sol = np.linalg.solve(matrices, rhs[:b])
         except np.linalg.LinAlgError:
@@ -442,6 +459,7 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
             keep = leave(stop, taken)
             live, pl, xl, candidate, sol, sup = (
                 live[keep], pl[keep], xl[keep], candidate[keep], sol[keep], sup[keep])
+            pair, inv = pair[keep], inv[keep]
         ql, xl, last = candidate, sol[:, :, 1], sup
     leave(np.ones(len(live), dtype=bool), max(max_iter, 0))
     return q, steps, kappa
