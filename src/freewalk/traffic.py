@@ -14,8 +14,8 @@ Yannakakis, JACM 2009; Esparza, Kiefer and Luttenberger, SIAM J. Comput.
 The same solves give kappa = ||(I - J)^-1||_inf >= 1/(1 - rho(J)).  Float
 rounding leaves q about eps * kappa from the fixed point, so when that
 exceeds the tolerance a few Newton corrections with an exact rational
-residual finish the solve.  Plain iteration, gated by the consistency
-identity below, confirms the result.
+residual finish the solve.  One confirming step of the map, gated by the
+consistency identity below, then accepts or rejects the result.
 
 ``solve_batch`` solves a (B, n) stack of step laws on one product in
 lockstep: one Newton loop on (B, n) arrays with one stacked linear solve
@@ -59,11 +59,11 @@ class RecurrentGroupError(ValueError):
 
 
 class MaxIterationsError(RuntimeError):
-    """Fixed-point iteration did not converge (near-recurrent walk?)."""
+    """Newton ran out of steps or the confirming step failed its gate (near-recurrent walk?)."""
 
 
 class ConsistencyError(RuntimeError):
-    """Solved vector violates the consistency identity: non-transient input or bug."""
+    """Solved vector left (0,1): non-transient input or bug."""
 
 
 # What an invalid or unsolvable walk raises; grid searches skip or tag these.
@@ -143,11 +143,11 @@ class RootVector(_LetterVector):
 class SolveReport:
     """Solver output: hitting vector, root vector, and diagnostics.
 
-    ``iterations`` counts the Newton steps plus the plain iteration steps
-    after them (at least one, the consistency check); the corrections with
-    an exact residual are not counted.  In a batch each row counts its own
-    steps: the Newton steps it took before it left the batch, then its own
-    plain steps, the same count as when it is solved alone.
+    ``iterations`` counts the Newton steps plus one, the confirming step
+    that the consistency check gates; the corrections with an exact
+    residual are not counted.  In a batch each row counts the Newton steps
+    it took before it left the batch, the same count as when it is solved
+    alone.
     """
 
     q: HittingVector
@@ -408,7 +408,7 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     max(x) = ||(I - J)^-1||_inf, and rounding leaves q about eps * kappa
     from the fixed point.  A row stops once its sup residual is at most
     tol/100 or stops falling; a singular step or a candidate outside (0,1)
-    stops it early and leaves the rest to plain iteration.  The rows step
+    stops it early and leaves it to the confirming step.  The rows step
     together until one stops and then go on without it, so each row takes
     the steps it would take alone.  kappa is NaN for a row that took no step.
     """
@@ -461,7 +461,7 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
                 live[keep], pl[keep], xl[keep], candidate[keep], sol[keep], sup[keep])
             pair, inv = pair[keep], inv[keep]
         ql, xl, last = candidate, sol[:, :, 1], sup
-    leave(np.ones(len(live), dtype=bool), max(max_iter, 0))
+    leave(np.ones(len(live), dtype=bool), max_iter)
     return q, steps, kappa
 
 
@@ -506,49 +506,6 @@ def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _iterate(s: _Structure, p: np.ndarray, q: np.ndarray, iterations: np.ndarray,
-             max_iter: int, tol: float, kappa: np.ndarray) -> dict[int, MaxIterationsError]:
-    """Apply the hitting map to each row until a step moves it by less than tol and it is consistent.
-
-    Near the recurrent boundary a small step no longer implies proximity to
-    the fixed point, hence the consistency identity.  A step that leaves a
-    row bitwise unchanged can never meet it, so that row fails at once.
-    Updates q and iterations in place, row by row as the rows finish, and
-    returns the error of each row that failed.
-    """
-    errors: dict[int, MaxIterationsError] = {}
-    live, pl, ql, count = np.arange(len(q)), p, q, iterations
-    while True:
-        qn = _phi_array(s, pl, ql)
-        count += 1
-        delta = _sup_norm(qn - ql)
-        ql = qn
-        consistency = _consistency_residual(s, ql)
-        passed = (delta < tol) & (consistency <= 10.0 * tol)
-        if np.count_nonzero(passed) == len(passed):
-            q[live], iterations[live] = ql, count
-            return errors
-        done = passed | (delta == 0.0) | (count >= max_iter)
-        if not np.count_nonzero(done):
-            continue
-        for j in np.flatnonzero(done & ~passed).tolist():
-            i, steps = int(live[j]), int(count[j])
-            errors[i] = MaxIterationsError(
-                f"no convergence after {steps} iterations: stuck at a floating-point"
-                f" fixed point with consistency residual {consistency[j]:.3e}"
-                f" (condition number {kappa[i]:.3e})"
-                if delta[j] == 0.0 else
-                f"no convergence after {steps} iterations (last change {delta[j]:.3e})"
-            )
-        if done.all():
-            q[live], iterations[live] = ql, count
-            return errors
-        out = live[done]
-        q[out], iterations[out] = ql[done], count[done]
-        keep = ~done
-        live, pl, ql, count = live[keep], pl[keep], ql[keep], count[keep]
-
-
 def _rows_where(mask: np.ndarray) -> list[int]:
     return np.flatnonzero(mask).tolist() if mask.any() else []
 
@@ -557,13 +514,26 @@ def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
                 max_iter: int) -> list:
     """Solve every row of p, a stack of valid step laws; one SolveReport or error per row.
 
-    A row that passes plain iteration meets the consistency identity to
-    10 tol, so only the bounds of q remain to check.
+    After Newton and the exact finish, one confirming step of the hitting
+    map accepts a row when it moves the row by less than tol and the
+    consistency identity then holds to 10 tol; near the recurrent boundary
+    a small step no longer implies proximity to the fixed point, hence the
+    identity.  Any other row fails at once, so only the bounds of q remain
+    to check.
     """
     q, iterations, kappa = _newton(s, p, tol, max_iter)
     for i in _rows_where(_EPS * kappa > tol):
         q[i] = _exact_finish(s, p[i], q[i])
-    errors: dict[int, Exception] = _iterate(s, p, q, iterations, max_iter, tol, kappa)
+    step = _phi_array(s, p, q)
+    change = _sup_norm(step - q)
+    q, iterations = step, iterations + 1
+    consistency = _consistency_residual(s, q)
+    errors: dict[int, Exception] = {
+        i: MaxIterationsError(
+            f"no convergence after {iterations[i]} iterations: last change {change[i]:.3e},"
+            f" consistency residual {consistency[i]:.3e} (condition number {kappa[i]:.3e})")
+        for i in _rows_where(~((change < tol) & (consistency <= 10.0 * tol)))
+    }
     sup = _sup_norm(_phi_array(s, p, q) - q)
     for i in _rows_where(((q >= 1.0 - tol) | (q <= 0.0)).any(axis=1)):
         errors.setdefault(i, ConsistencyError(
@@ -589,7 +559,13 @@ def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
 
 def _solve(product: FreeProduct, p: np.ndarray, errors: list, tol: float,
            max_iter: int) -> list[SolveReport | Exception]:
-    """Solve the rows of p whose entry in ``errors`` is None, in chunks; fill in their outcomes."""
+    """Solve the rows of p whose entry in ``errors`` is None, in chunks; fill in their outcomes.
+
+    A tolerance outside (0, MAX_TOL] or a ``max_iter`` below 1 raises ValueError.
+    """
+    check_tolerance(tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     outcomes = list(errors)
     valid = [i for i, error in enumerate(errors) if error is None]
     s = letter_tables(product)
@@ -646,10 +622,9 @@ def solve_batch(
     ``StepDistribution``, ``validate_walk`` or the solver raises for it
     alone; every row is bit-identical to its solve as a batch of one.  The
     rows are solved in chunks of ``chunk_rows(n)``.
-    A tolerance outside (0, MAX_TOL] and probabilities of the wrong shape
-    raise ValueError.
+    A tolerance outside (0, MAX_TOL], a ``max_iter`` below 1 and
+    probabilities of the wrong shape raise ValueError.
     """
-    check_tolerance(tol)
     n = product.nletters
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != n:
@@ -665,12 +640,13 @@ def solve_walk(
 ) -> SolveReport:
     """Validate, solve, and package q, r, and diagnostics for one walk: the batch of one.
 
-    Raises MaxIterationsError when iteration stalls (near-recurrent step
-    law) and ConsistencyError when the solved vector fails the consistency
-    identity, which signals a non-transient input or a bug.
+    Raises MaxIterationsError when Newton runs out of its ``max_iter``
+    steps or the one confirming step fails its gate (near-recurrent step
+    law), and ConsistencyError when the solved vector leaves (0,1), which
+    signals a non-transient input or a bug.  A tolerance outside
+    (0, MAX_TOL] or a ``max_iter`` below 1 raises ValueError.
     """
     validate_walk(product, mu)
-    check_tolerance(tol)
     # mu passed its own checks when it was built; only the support remained
     (outcome,) = _solve(product, mu.probs[None], [None], tol, max_iter)
     if isinstance(outcome, Exception):

@@ -70,6 +70,8 @@ class WalkSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 def zkzk_simple(k: int) -> tuple[FreeProduct, StepDistribution]:

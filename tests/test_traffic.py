@@ -219,10 +219,28 @@ def test_solver_reports_converged_diagnostics():
     assert report.traffic_residual < 1e-12
 
 
-def test_max_iterations_error_near_recurrent():
-    product, mu = z2z3_walk(0.499999999, 0.5)  # mu(a) = 1e-9: nearly trapped on Z/3
-    with pytest.raises(MaxIterationsError):
-        solve_walk(product, mu, tol=1e-13, max_iter=40)
+@pytest.mark.parametrize("walk", [(0.499999999, 0.5), (0.18, 0.82)],
+                         ids=["mu-a-1e-9", "mu-a-1.1e-16"])
+def test_max_iterations_error_near_recurrent(walk):
+    # mu(a) = 1e-9 nearly traps the walk on Z/3; at mu(a) = 1.1e-16 the
+    # hitting map moves q by an ulp at a time.  Both fail at the confirming
+    # step, with the default budget.
+    with pytest.raises(MaxIterationsError) as info:
+        solve_walk(*z2z3_walk(*walk))
+    assert int(re.search(r"after (\d+) iterations", str(info.value)).group(1)) <= 12
+
+
+def test_z2z2z2_edge_grid_solves_or_fails_at_once():
+    # 200 masses log-spaced from 3.2e-7 to 0.1: each walk is solved to
+    # within tol of its exact fixed point, or fails within Newton's steps
+    for p in np.geomspace(3.2e-7, 0.1, 200).tolist():
+        product, mu = z2z2z2(p)
+        try:
+            q = solve_walk(product, mu).q.values
+        except MaxIterationsError as exc:
+            assert int(re.search(r"after (\d+) iterations", str(exc)).group(1)) <= 12
+        else:
+            assert np.max(np.abs(q - exact_fixed_point(product, mu))) <= DEFAULT_TOL
 
 
 @pytest.mark.parametrize("j", range(20))

@@ -166,11 +166,12 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
         ["sweep", "--family", "z2z3", "--resolution", "3"],
         ["closed-form", "--family", "z2z3", "--p", "nan", "--q", "0.1"],
         ["closed-form", "--family", "z3z3-asym", "--p", "0.2", "--q", "nan"],
+        ["solve", "--family", "z2z3", "--p", "0.5", "--q", "0.1", "--max-iter", "0"],
     ],
     ids=["missing-k", "quality-resolution-0", "sweep-resolution-0", "negative-seed", "tol-0",
          "tol-nan", "sweep-tol-0", "sweep-tol-nan", "quality-sup-tol-0", "quality-sup-tol-nan",
          "closed-form-fractional-k", "tol-1e-3", "tol-inf", "sweep-tol-inf", "sweep-resolution-3",
-         "closed-form-z2z3-p-nan", "closed-form-z3z3-asym-q-nan"],
+         "closed-form-z2z3-p-nan", "closed-form-z3z3-asym-q-nan", "max-iter-0"],
 )
 def test_cli_invalid_input_exits_3_without_traceback(argv):
     assert_invalid_input(argv)
