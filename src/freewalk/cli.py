@@ -22,13 +22,12 @@ from .groups import (
     NonGeneratingSetError,
     free_product_of_cyclics,
     letter_lengths,
-    normal_words,
 )
 from .harmonic import (
     build_chain,
     cylinder_prob,
     log_cylinder_prob,
-    tau2_invariance_residual,
+    max_shift_residual,
     two_factor_identity,
 )
 from .metrics import metrics_report, metrics_walks, quality, quality_sup
@@ -74,7 +73,9 @@ def _csv_float(x: float) -> str:
     return repr(float(x))
 
 
-def _add_walk_arguments(parser: argparse.ArgumentParser) -> None:
+def _walk_parser() -> argparse.ArgumentParser:
+    """The walk options that solve, simulate, cylinder and quality share, as an argparse parent."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--spec", help="path to a JSON walk spec")
     parser.add_argument("--family", help="named measure family (e.g. zkzk-simple)")
     parser.add_argument("--k", type=int, help="cyclic order for zkzk/hecke families")
@@ -89,6 +90,7 @@ def _add_walk_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None, help="solver tolerance")
     parser.add_argument("--max-iter", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
+    return parser
 
 
 def _walk_from_args(args: argparse.Namespace) -> WalkSpec:
@@ -136,7 +138,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if product.nfactors == 2:
         out.write(f"two-factor identity q(S1)q(S2) = {_f17(two_factor_identity(report.q))}\n")
         chain = build_chain(product, report.r)
-        worst = max(tau2_invariance_residual(chain, w) for w in normal_words(product, 2))
+        worst = max_shift_residual(chain, 2, steps=2)
         out.write(f"tau^2 residual (cylinders <= 2) = {_f17(worst)}\n")
     out.write(f"gamma = {_f17(metrics.gamma)}\n")
     out.write(f"entropy = {_f17(metrics.entropy)}\n")
@@ -378,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "harmonic measure, drift/entropy/volume metrics, and oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    walk = [_walk_parser()]
 
-    p_solve = sub.add_parser("solve", help="solve one walk and print the full report")
-    _add_walk_arguments(p_solve)
+    p_solve = sub.add_parser("solve", parents=walk, help="solve one walk and print the full report")
     p_solve.set_defaults(fn=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="sweep a family over a parameter grid, emit CSV")
@@ -404,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--batch", help="CSV of parameter rows; emits rows with gamma appended")
     p_cf.set_defaults(fn=cmd_closed_form)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimates for one walk")
-    _add_walk_arguments(p_sim)
+    p_sim = sub.add_parser("simulate", parents=walk, help="Monte Carlo estimates for one walk")
     p_sim.add_argument("--steps", type=int, default=10_000)
     p_sim.add_argument("--reps", type=int, default=200)
     p_sim.add_argument("--horizon", type=int, default=1000)
@@ -415,15 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dump-reps", type=int, default=10)
     p_sim.set_defaults(fn=cmd_simulate)
 
-    p_cyl = sub.add_parser("cylinder", help="harmonic measure of cylinders given as letter lists")
-    _add_walk_arguments(p_cyl)
+    p_cyl = sub.add_parser("cylinder", parents=walk,
+                           help="harmonic measure of cylinders given as letter lists")
     p_cyl.add_argument("--word", action="append", required=True,
                        help="word as 'f:e.f:e' (repeatable)")
     p_cyl.add_argument("--log", action="store_true", help="also print the log-mass")
     p_cyl.set_defaults(fn=cmd_cylinder)
 
-    p_q = sub.add_parser("quality", help="h/(gamma_S v_S) for one walk, or its sup over a grid")
-    _add_walk_arguments(p_q)
+    p_q = sub.add_parser("quality", parents=walk,
+                         help="h/(gamma_S v_S) for one walk, or its sup over a grid")
     p_q.add_argument("--sup", action="store_true", help="grid-search symmetric laws on S")
     p_q.add_argument("--resolution", type=float, default=1e-3)
     p_q.set_defaults(fn=cmd_quality)

@@ -94,16 +94,44 @@ def two_factor_identity(q: HittingVector) -> float:
     return q.factor_sum(0) * q.factor_sum(1)
 
 
+def _reach(chain: LetterChain, steps: int) -> np.ndarray:
+    """first T^steps: the mass that the prefixes of ``steps`` letters put in front of each letter."""
+    reach = chain.first
+    for _ in range(steps):
+        reach = reach @ chain.trans
+    return reach
+
+
 def _shift_residual(chain: LetterChain, w: Word, steps: int) -> float:
     """|nu(w) - sum_v nu(vw)| over the normal-form prefixes v of ``steps`` letters."""
     if len(w) == 0:
         raise ValueError("need a nonempty cylinder word")
-    reach = chain.first
-    for _ in range(steps):
-        reach = reach @ chain.trans
+    reach = _reach(chain, steps)
     a = chain.product.letter_index(w[0])
     mass = cylinder_prob(chain, w)
     return float(abs(mass - mass * reach[a] / chain.first[a]))
+
+
+def max_shift_residual(chain: LetterChain, length: int, steps: int) -> float:
+    """The largest ``_shift_residual(chain, w, steps)`` over normal words w of 1..length letters.
+
+    Bit-identical to that maximum: the masses of all words of k letters
+    form one array first[w_1] T[w_1,w_2] ... T[w_{k-1},w_k], multiplied
+    left to right as ``cylinder_prob`` does, and the residual takes its
+    operations in the same order.  A word with two letters of one factor in
+    a row has mass exactly 0 (T vanishes there) and residual 0, so the
+    full arrays give the same maximum as the normal words alone.
+    """
+    reach, first = _reach(chain, steps), chain.first
+    mass = first
+    worst = 0.0
+    for k in range(length):
+        if k:
+            mass = mass[..., np.newaxis] * chain.trans
+        head = (-1,) + (1,) * k  # broadcast a per-first-letter value over the word
+        residual = np.abs(mass - mass * reach.reshape(head) / first.reshape(head))
+        worst = max(worst, float(residual.max()))
+    return worst
 
 
 def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:

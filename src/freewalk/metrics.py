@@ -14,6 +14,7 @@ which never exceeds 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,15 +130,16 @@ def entropy(
     return _speed(product, mu, r, -np.log(np.asarray(getattr(q, "values", q), dtype=float)))
 
 
-def _factor_runs(
-    product: FreeProduct, lengths: LengthTable
-) -> list[list[tuple[int | float, int]]]:
+Runs = tuple[tuple[tuple[int | float, int], ...], ...]
+
+
+def _factor_runs(product: FreeProduct, lengths: LengthTable) -> Runs:
     """Per factor, its letter weights in alphabet order as runs (weight, count) of equal ones."""
     weights = lengths.weights.tolist()
-    return [
-        [(w, len(list(run))) for w, run in itertools.groupby(weights[product.factor_slice(i)])]
+    return tuple(
+        tuple((w, len(list(run))) for w, run in itertools.groupby(weights[product.factor_slice(i)]))
         for i in range(product.nfactors)
-    ]
+    )
 
 
 def _growth_equation(runs: Sequence[Sequence[tuple[int | float, int]]], t: float) -> float:
@@ -168,7 +170,12 @@ def volume(product: FreeProduct, lengths: LengthTable) -> float:
     of t^{|u|_S}.  With unit weights this is log of the Perron root of the
     sphere recursion.  Z/2 * Z/2 grows linearly: its root is t*=1, v=0.
     """
-    runs = _factor_runs(product, lengths)
+    return _volume_of_runs(_factor_runs(product, lengths))
+
+
+@functools.lru_cache(maxsize=256)
+def _volume_of_runs(runs: Runs) -> float:
+    """``volume`` from the factor runs, memoised on them: products and tables are rebuilt freely."""
     if _growth_equation(runs, 1.0) < -1e-12:
         raise ValueError("growth equation has no root in (0,1]: invalid length table")
     lo, hi = bisect_increasing(lambda t: _growth_equation(runs, t), 0.0, 1.0)

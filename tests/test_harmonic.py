@@ -9,12 +9,14 @@ from freewalk.harmonic import (
     build_chain,
     cylinder_prob,
     log_cylinder_prob,
+    max_shift_residual,
     _shift_residual,
     mu_invariance_residual,
     tau2_invariance_residual,
     two_factor_identity,
 )
 from freewalk.traffic import RootVector, solve_walk
+from freewalk.verify import _battery
 from freewalk.walkspec import hecke_simple, uniform_per_factor, z2z3_walk, z2z2z2, zkzk_simple
 
 from oracles import tau1_residual_oracle, tau2_residual_oracle
@@ -199,6 +201,24 @@ def test_shift_residuals_three_factors():
         _shift_residual(two_factor, Word(()), 1)
     with pytest.raises(ValueError):
         tau2_invariance_residual(two_factor, Word(()))
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_max_shift_residual_is_the_per_word_maximum_bitwise(length):
+    # criterion 8's battery: two and three factors, stationary or not
+    for name, (product, mu) in _battery():
+        _, chain = chain_for(product, mu)
+        words = normal_words(product, length)
+        for steps in (1, 2) if product.nfactors == 2 else (1,):
+            expected = max(_shift_residual(chain, w, steps) for w in words)
+            assert max_shift_residual(chain, length, steps) == expected, (name, steps)
+
+
+def test_max_tau2_residual_on_118_letters_is_the_per_word_maximum():
+    product, mu = uniform_per_factor([60, 60], [0.5, 0.5])
+    _, chain = chain_for(product, mu)
+    expected = max(tau2_invariance_residual(chain, w) for w in normal_words(product, 2))
+    assert max_shift_residual(chain, 2, steps=2) == expected
 
 
 def test_mu_invariance_identity_small_cylinders():

@@ -313,7 +313,8 @@ def test_drift_and_entropy_kernel_match_per_letter_loop():
             assert abs(value - additive_drift_oracle(product, mu, report.r, w)) < 1e-13
 
 
-def test_growth_equation_runs_match_per_letter_sum_bitwise():
+def growth_length_tables():
+    """(product, lengths) for natural, minimal-generator and -log q weights, S3 included."""
     s3 = make_finite_group(S3_TABLE)
     mixed = FreeProduct([s3, make_cyclic(2), make_cyclic(4)])
     mixed_mu = StepDistribution(mixed, np.random.default_rng(3).dirichlet(np.ones(mixed.nletters)))
@@ -325,19 +326,35 @@ def test_growth_equation_runs_match_per_letter_sum_bitwise():
         (*uniform_per_factor([5, 7, 4]), None),
         (mixed, mixed_mu, mixed_gens),
     ]
-    ts = [float(t) for t in np.linspace(0.0, 1.0, 50)]
     for product, mu, gens in walks:
-        tables = [
+        for lengths in (
             natural_lengths(product),
             letter_lengths(product, gens or minimal_generators(product)),
             LengthTable(product, -np.log(solve_walk(product, mu).q.values)),
-        ]
-        for lengths in tables:
-            runs = metrics._factor_runs(product, lengths)
-            for t in ts:
-                value = metrics._growth_equation(runs, t)
-                if sys.version_info < (3, 12):
-                    assert value == growth_equation_oracle(product, lengths, t)
-                else:  # sum() compensates its rounding within each call from 3.12 on
-                    assert value == pytest.approx(growth_equation_oracle(product, lengths, t),
-                                                  rel=1e-14, abs=1e-14)
+        ):
+            yield product, lengths
+
+
+def test_growth_equation_runs_match_per_letter_sum_bitwise():
+    ts = [float(t) for t in np.linspace(0.0, 1.0, 50)]
+    for product, lengths in growth_length_tables():
+        runs = metrics._factor_runs(product, lengths)
+        for t in ts:
+            value = metrics._growth_equation(runs, t)
+            if sys.version_info < (3, 12):
+                assert value == growth_equation_oracle(product, lengths, t)
+            else:  # sum() compensates its rounding within each call from 3.12 on
+                assert value == pytest.approx(growth_equation_oracle(product, lengths, t),
+                                              rel=1e-14, abs=1e-14)
+
+
+def test_volume_memo_hit_returns_the_fresh_bisection():
+    memo = metrics._volume_of_runs
+    for product, lengths in growth_length_tables():
+        fresh = memo.__wrapped__(metrics._factor_runs(product, lengths))
+        memo.cache_clear()
+        first = volume(product, lengths)
+        # a new table with equal weights is a memo hit
+        again = volume(product, LengthTable(product, lengths.weights.copy()))
+        assert memo.cache_info().hits == 1 and memo.cache_info().misses == 1
+        assert first == again == fresh

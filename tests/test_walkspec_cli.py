@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 import freewalk
 from freewalk import closedform as cf
 from freewalk import verify
-from freewalk.cli import main
+from freewalk.cli import build_parser, main
 from freewalk.groups import Letter, free_product_of_cyclics, letter_lengths
 from freewalk.simulate import estimate_drift
 from freewalk.walkspec import (
@@ -120,6 +121,31 @@ def test_resolve_generators_variants():
     assert resolve_generators(product, ["0:1", "1:2"]) == (Letter(0, 1), Letter(1, 2))
     with pytest.raises(ValueError):
         resolve_generators(product, ["0:5"])
+
+
+# (option, type, default) of every walk subcommand's leading options, in order
+WALK_OPTIONS = [
+    ("-h", None, argparse.SUPPRESS),
+    ("--spec", None, None),
+    ("--family", None, None),
+    ("--k", int, None),
+    ("--p", float, None),
+    ("--q", float, None),
+    ("--orders", None, None),
+    ("--weights", None, None),
+    ("--gens", None, None),
+    ("--tol", float, None),
+    ("--max-iter", int, None),
+    ("--seed", int, None),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "cylinder", "quality"])
+def test_walk_subcommands_share_the_walk_options(command):
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    actions = commands[command]._actions[:len(WALK_OPTIONS)]
+    assert [(a.option_strings[0], a.type, a.default) for a in actions] == WALK_OPTIONS
 
 
 def test_cli_solve_and_exit_codes(capsys):

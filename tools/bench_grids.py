@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_11.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_13.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -17,7 +17,11 @@ of a shared machine falls on all of them.  The measurements:
 - ``quality_sup_s``: ``metrics.quality_sup`` on that grid, timed inside a
   fresh interpreter after its imports;
 - ``verify_6_10_cli_s``: wall time of ``python -m freewalk verify --criteria
-  6,10``, with ``criterion_6_s`` and ``criterion_10_s`` as verify prints them.
+  6,10``, with ``criterion_6_s`` and ``criterion_10_s`` as verify prints them;
+- ``solve_118_cli_s``: wall time of ``python -m freewalk solve --family
+  uniform-per-factor --orders 60,60 --weights 0.5,0.5``, the 118-letter solve;
+- ``solve_118_s``: that command's ``main`` call, timed inside a fresh
+  interpreter after its imports.
 
 The file holds, per tree and measurement, the median, the quartiles and
 every run, with the machine and each tree's commit.
@@ -41,15 +45,16 @@ SWEEP = ["sweep", "--family", "z2z3", "--resolution", "0.01"]
 QUALITY = ["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal", "--sup",
            "--resolution", "1e-3"]
 VERIFY = ["verify", "--criteria", "6,10"]
+SOLVE_118 = ["solve", "--family", "uniform-per-factor", "--orders", "60,60", "--weights", "0.5,0.5"]
 
 # Run in a fresh interpreter: time one call after the imports, print seconds.
-TIME_SWEEP = f"""
+TIME_MAIN = """
 import io, time
 from contextlib import redirect_stdout
 from freewalk.cli import main
 start = time.perf_counter()
 with redirect_stdout(io.StringIO()):
-    main({SWEEP!r})
+    main({argv!r})
 print(time.perf_counter() - start)
 """
 TIME_QUALITY_SUP = """
@@ -64,7 +69,8 @@ print(time.perf_counter() - start)
 """
 
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
-         "quality_sup_s": "s", "verify_6_10_cli_s": "s", "criterion_6_s": "s", "criterion_10_s": "s"}
+         "quality_sup_s": "s", "verify_6_10_cli_s": "s", "criterion_6_s": "s", "criterion_10_s": "s",
+         "solve_118_cli_s": "s", "solve_118_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -93,12 +99,14 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
     row: dict[str, float] = {}
     row["sweep_cli_s"], row["sweep_peak_rss_mb"], _ = _child(
         tree, ["-m", "freewalk", *SWEEP, "--out", "surface.csv"], workdir)
-    row["sweep_s"] = float(_child(tree, ["-c", TIME_SWEEP], workdir)[2])
+    row["sweep_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SWEEP)], workdir)[2])
     row["quality_sup_cli_s"] = _child(tree, ["-m", "freewalk", *QUALITY], workdir)[0]
     row["quality_sup_s"] = float(_child(tree, ["-c", TIME_QUALITY_SUP], workdir)[2])
     row["verify_6_10_cli_s"], _, text = _child(tree, ["-m", "freewalk", *VERIFY], workdir)
     for number, seconds in re.findall(r"criterion +(\d+):.*\(([0-9.]+) s\)$", text, re.M):
         row[f"criterion_{number}_s"] = float(seconds)
+    row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
+    row["solve_118_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118)], workdir)[2])
     return row
 
 
