@@ -7,6 +7,14 @@ computed in any order.  The estimators step their replications together,
 in blocks of up to 512, each walk on its own stream; the letter action
 and the float sums are those of the one-walk stepper ``simulate``, so the
 estimates equal those of stepping one replication at a time.
+
+Letters are drawn a few walks at a time: each walk's uniforms fill one
+row of a small float buffer, and an exact guide table maps the rows to
+letters in one vectorised pass, the letters a binary search of the cdf
+would give.  A block of prefix or hitting walks stops stepping once no
+walk can change what is read, because each has hit or is deeper than
+the steps left plus the prefix length; depth moves by at most one a
+step.  Drift reads every step and never stops early.
 """
 
 from __future__ import annotations
@@ -59,22 +67,45 @@ class _Streams:
     """The letters drawn by the walks (seed, stream), one Philox 4x64-10 stream each.
 
     Walk (seed, stream) maps the uniforms of the Philox stream keyed
-    [seed, stream] through the cdf of mu.  One bit generator serves every
-    walk: ``draw`` resets it to the walk's key and counter, which costs a
-    fraction of building a generator.  Counter c yields the 64-bit words
-    4c .. 4c + 3, one uniform each, so the uniforms from a multiple of 4
-    on start at counter skip / 4.
+    [seed, stream] to letters: uniform u gives letter #{i : cdf[i] <= u},
+    the cdf of mu with its last entry set to 1.  One bit generator serves
+    every walk: ``uniforms`` resets it to the walk's key and counter, which
+    costs a fraction of building a generator.  Counter c yields the 64-bit
+    words 4c .. 4c + 3, one uniform each, so the uniforms from a multiple
+    of 4 on start at counter skip / 4.
+
+    ``fill`` fills a few walks' rows of a reusable float buffer and maps
+    them to letters in one pass through a guide table (Chen and Asau,
+    1974; Devroye, *Non-Uniform Random Variate Generation*, III.2.4).
+    Over the m distinct cdf values, [0, 1) is cut into ``cells``, a power
+    of two near 4m, so u * cells and its floor c are exact.  ``guide[c]``
+    counts the values at most c / cells, a lower bound for u's count,
+    and each of ``passes`` steps k += (u >= value k) moves it up by one
+    while value k is at most u; the most values strictly inside one cell
+    bound the steps needed.  ``letter_of`` maps the count of distinct
+    values back to the count of cdf entries, which differ where a letter
+    has no mass.
     """
 
-    def __init__(self, mu: StepDistribution, seed: int):
-        self.cdf = np.cumsum(mu.probs)
-        self.cdf[-1] = 1.0
+    def __init__(self, mu: StepDistribution, seed: int, steps: int, walks: int = 1):
+        cdf = np.cumsum(mu.probs)
+        cdf[-1] = 1.0
+        last = np.append(cdf[1:] != cdf[:-1], True)  # the last entry of each distinct value
+        self.letter_of = np.append(0, np.flatnonzero(last[:-1]) + 1).astype(
+            np.min_scalar_type(len(cdf)))
+        self.cells = 1 << (4 * int(last.sum()) - 1).bit_length()
+        self.edges = cdf[last] * self.cells  # exact: cells is a power of two
+        self.guide = np.bincount(np.ceil(self.edges).astype(np.intp),
+                                 minlength=self.cells).cumsum()[: self.cells]
+        inside = self.edges[self.edges != np.floor(self.edges)].astype(np.intp)
+        self.passes = int(np.bincount(inside).max()) if inside.size else 0
         self.seed = seed
         self.bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        self.uniforms = np.random.Generator(self.bits)
+        self.generator = np.random.Generator(self.bits)
+        self.buffer = np.empty((walks, steps))
 
-    def draw(self, stream: int, steps: int, skip: int = 0) -> np.ndarray:
-        """Letter indices skip .. skip + steps - 1 of walk (seed, stream); skip % 4 == 0."""
+    def uniforms(self, stream: int, skip: int, out: np.ndarray) -> None:
+        """Fill out with uniforms skip, skip + 1, ... of walk (seed, stream); skip % 4 == 0."""
         self.bits.state = {
             "bit_generator": "Philox",
             "state": {
@@ -86,8 +117,25 @@ class _Streams:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        # uniforms lie in [0, 1) and cdf[-1] == 1, so every index is a letter
-        return np.searchsorted(self.cdf, self.uniforms.random(steps), side="right")
+        self.generator.random(out=out)
+
+    def letters(self, u: np.ndarray) -> np.ndarray:
+        """#{i : cdf[i] <= u} for each uniform in [0, 1); scales u in place."""
+        u *= self.cells
+        k = self.guide[u.astype(np.intp)]
+        for _ in range(self.passes):
+            k += u >= self.edges[k]  # a value of at least 1 stops every k
+        return self.letter_of[k]
+
+    def fill(self, picks: np.ndarray, start: int, skip: int = 0) -> None:
+        """picks[:, j] = letters skip, skip + 1, ... of walk (seed, start + j)."""
+        steps, walks = picks.shape
+        few = len(self.buffer)
+        for lo in range(0, walks, few):
+            rows = self.buffer[: min(few, walks - lo), :steps]
+            for j, row in enumerate(rows):
+                self.uniforms(start + lo + j, skip, row)
+            picks[:, lo : lo + len(rows)] = self.letters(rows).T
 
 
 _CANCEL = -1  # merge[t][u] when t * u is the identity; also "no letter"
@@ -142,7 +190,9 @@ def simulate(
     series = np.zeros(steps + 1)
     stack: list[int] = []
     current = 0.0
-    for n, pick in enumerate(_Streams(mu, seed).draw(stream, steps).tolist(), start=1):
+    picks = np.empty((steps, 1), dtype=np.intp)
+    _Streams(mu, seed, steps).fill(picks, stream)
+    for n, pick in enumerate(picks[:, 0].tolist(), start=1):
         removed, added = _right_multiply(stack, pick, merge)
         current += weights[added] - weights[removed]
         series[n] = current
@@ -150,13 +200,15 @@ def simulate(
 
 
 _BLOCK = 512  # walks stepped together
-_CHUNK = 2048  # steps drawn per walk at a time, a multiple of 4 (see _Streams)
+_CHUNK = 2048  # steps drawn per walk at a time, a multiple of 4 (see _Streams) and of _WATCH
+_FEW = 4  # walks whose letters are mapped together
+_WATCH = 16  # steps between looks at which walks can still change what is read
 
 
 class _Walks(NamedTuple):
     """Per walk, after the last step of ``_lockstep``."""
 
-    depth: np.ndarray  # letters in the final word
+    depth: np.ndarray  # letters in the final word; if stopped early, still above the cells read
     weight: np.ndarray  # weight of the final word, 0 without weights
     hit: np.ndarray  # whether the word was the one letter goal at some step
     prefix: np.ndarray  # (prefix_len, reps): first letters, index + 1, where depth >= prefix_len
@@ -183,17 +235,25 @@ def _lockstep(
     few gathers over the block and each walk's weight adds up as in
     ``simulate``.  The letters are drawn _CHUNK steps at a time, so memory
     is the stacks' _BLOCK * (steps + 1) small ints plus _BLOCK * _CHUNK
-    drawn letters, whatever ``reps``.
+    drawn letters and the _FEW * _CHUNK uniforms being mapped, whatever
+    ``reps``.
+
+    Every _WATCH steps a block looks at how deep its walks are; depth
+    moves by at most one a step.  A goal is only tested while some walk
+    can be at depth 1 within the next _WATCH steps.  Without weights, a
+    block stops once every walk is settled: it has hit, or it is deeper
+    than the steps left plus the deepest cell read (depth 1 for a hit,
+    prefix_len for a prefix), so nothing read can change any more.
     """
     n = product.nletters
-    streams = _Streams(mu, seed)
+    width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
+    streams = _Streams(mu, seed, min(steps, _CHUNK), min(width, _FEW))
     merge = np.vstack([np.full(n, _APART), _merge_array(product)])  # row 0: the empty word
     push = merge == _APART
     added = np.where(push, np.arange(n), merge)
     removed = np.where(push, _CANCEL, np.arange(-1, n)[:, None])
     cell = np.min_scalar_type(n)
     value = (added + 1).astype(cell).ravel()
-    width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
     lift = push.astype(np.intp).ravel() * width
     rise = np.where(push, 1, np.where(merge == _CANCEL, -1, 0)).ravel() * width
     w = np.append(weights if weights is not None else np.zeros(n), 0)  # w[_CANCEL] == 0
@@ -205,6 +265,8 @@ def _lockstep(
     # share one stack and one buffer of drawn letters.
     stack = np.zeros((steps + 1) * width, dtype=cell)
     picks = np.empty((min(steps, _CHUNK), width), dtype=cell)
+    settle = weights is None  # the weights are read at every step
+    read = 1 if goal >= 0 else prefix_len  # the deepest cell read
     for start in range(0, reps, width):
         b = min(width, reps - start)
         at = np.arange(b)  # the cell of each walk's top
@@ -212,11 +274,14 @@ def _lockstep(
         top = np.zeros(b, dtype=cell)
         block = slice(start, start + b)
         total, hit = out.weight[block], out.hit[block]
-        for skip in range(0, steps, _CHUNK):
-            chunk = min(_CHUNK, steps - skip)
-            for j in range(b):
-                picks[:chunk, j] = streams.draw(start + j, chunk, skip)
-            for drawn in picks[:chunk, :b]:
+        for done in range(0, steps, _WATCH):
+            row, left = done % _CHUNK, steps - done
+            if settle and (hit | (at >= (left + read + 1) * width)).all():
+                break
+            if row == 0:
+                streams.fill(picks[: min(_CHUNK, left), :b], start, done)
+            watch = goal >= 0 and at.min() < (_WATCH + 2) * width
+            for drawn in picks[row : row + min(_WATCH, left), :b]:
                 code = row_code[top]
                 code += drawn
                 stack[at + lift[code]] = value[code]
@@ -224,7 +289,7 @@ def _lockstep(
                 top = stack[at]
                 if weights is not None:
                     total += gain[code]
-                if goal >= 0:
+                if watch:
                     hit |= (at == first) & (top == goal + 1)
         out.depth[block] = at // width
         cells = stack.reshape(steps + 1, width)

@@ -19,7 +19,8 @@ the radius.  ``exact_fixed_point`` solves the hitting map, written one
 letter at a time, to far below float precision.  The Monte Carlo
 references step one walk at a time through ``_right_multiply``, each from
 a freshly keyed Philox generator, as the estimators did before they
-stepped all walks together.
+stepped all walks together, and map uniforms to letters by a binary
+search of the cdf, where the estimators use a guide table.
 """
 
 from __future__ import annotations
@@ -303,12 +304,17 @@ def tau2_residual_oracle(chain: LetterChain, w: Word) -> float:
     return abs(cylinder_prob(chain, w) - total)
 
 
-def _reference_walk(product: FreeProduct, mu: StepDistribution, steps: int, seed: int, rep: int):
-    """Walk (seed, rep) one letter at a time: yields (removed, added, stack) after each step."""
+def letter_reference(mu: StepDistribution, u: np.ndarray) -> np.ndarray:
+    """The letter of each uniform u: a binary search of the cdf of mu."""
     cdf = np.cumsum(mu.probs)
     cdf[-1] = 1.0
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def _reference_walk(product: FreeProduct, mu: StepDistribution, steps: int, seed: int, rep: int):
+    """Walk (seed, rep) one letter at a time: yields (removed, added, stack) after each step."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
-    picks = np.minimum(np.searchsorted(cdf, rng.random(steps), side="right"), len(cdf) - 1)
+    picks = letter_reference(mu, rng.random(steps))
     merge = _merge_table(product)
     stack: list[int] = []
     for pick in picks.tolist():

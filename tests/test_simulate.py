@@ -18,6 +18,7 @@ from freewalk.metrics import drift, drift_weighted, entropy, volume
 from freewalk.simulate import (
     _BLOCK,
     _CHUNK,
+    _Streams,
     distribution_entropy,
     estimate_drift,
     estimate_hitting,
@@ -31,10 +32,17 @@ from freewalk.walkspec import (
     hecke_simple,
     minimal_generators,
     uniform_per_factor,
+    z2z2z2,
     z2z3_walk,
     zkzk_simple,
 )
-from oracles import drift_reference, hitting_reference, prefix_reference
+from oracles import (
+    _reference_walk,
+    drift_reference,
+    hitting_reference,
+    letter_reference,
+    prefix_reference,
+)
 
 SEED = 424242
 
@@ -272,9 +280,13 @@ def _green(product, mu):
         (lambda: hecke_simple(3), None, Letter(0, 1), 5, _BLOCK + 1),
         (lambda: zkzk_simple(3), _minimal, Letter(1, 2), _CHUNK + 6, 2),
         (_high_letters, None, Letter(1, 129), 30, 20),
+        # prefix and hitting blocks settle near step 1,400 and draw no second chunk
+        (lambda: uniform_per_factor([3, 4, 5]), None, Letter(0, 1), _CHUNK + 16, 20),
+        # both walks are deeper than 17 from step 1,136, and walk 0 first hits c at 3,919
+        (lambda: z2z2z2(0.4999), None, Letter(2, 1), 4000, 2),
     ],
     ids=["natural", "minimal-unsupported-target", "green", "three-factors", "block-boundary",
-         "chunk-boundary", "uint16-cells"],
+         "chunk-boundary", "uint16-cells", "settled-stop", "late-return"],
 )
 def test_lockstep_matches_scalar_reference(walk, lengths, target, steps, reps):
     # The lockstep estimators must reproduce the one-walk-at-a-time stepper
@@ -315,7 +327,7 @@ def test_estimators_reject_bad_sizes_before_drawing(call, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew letters for a rejected run")
 
-    monkeypatch.setattr("freewalk.simulate._Streams.draw", no_draws)
+    monkeypatch.setattr("freewalk.simulate._Streams.uniforms", no_draws)
     with pytest.raises(ValueError, match="need steps >= 1 and reps >= 2|prefix_len must be >= 1"):
         call(product, mu)
 
@@ -333,3 +345,65 @@ def test_lockstep_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _clustered():
+    # ten masses of 1e-12 to 6e-12: five cdf values inside the first cell
+    # and six inside the cell of 0.3
+    product = free_product_of_cyclics(7, 7)
+    probs = np.array([1e-12, 2e-12, 1e-12, 3e-12, 1e-12, 0.3, 1e-12, 6e-12, 1e-12, 2e-12, 1e-12, 0.0])
+    probs[-1] = 1.0 - probs.sum()
+    return product, StepDistribution(product, probs)
+
+
+def _zero_ends():
+    # zero masses first, in the middle and last: ties at 0, inside and at 1
+    product = free_product_of_cyclics(3, 5)
+    return product, StepDistribution(product, np.array([0.0, 0.0, 0.4, 0.0, 0.6, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "walk, passes",
+    [(lambda: zkzk_simple(4), 0), (lambda: uniform_per_factor([3, 4, 5]), 1), (_zero_ends, 1),
+     (_clustered, 6), (_high_letters, 1)],
+    ids=["z4z4-ties", "ninths", "zero-ends", "clustered-1e-12", "258-letters"],
+)
+def test_guide_table_matches_binary_search(walk, passes):
+    # The guide table must give searchsorted(cdf, u, side="right") for every
+    # uniform, also at the cdf values and the cell edges and one ulp off them,
+    # and the one-walk stepper must walk by its letters.
+    product, mu = walk()
+    streams = _Streams(mu, SEED, 1)
+    assert streams.passes == passes
+    cdf = np.cumsum(mu.probs)
+    points = np.concatenate([cdf, np.arange(streams.cells) / streams.cells,
+                             np.random.default_rng(SEED).random(20_000)])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    u = u[u < 1.0]
+    assert np.array_equal(streams.letters(u.copy()), letter_reference(mu, u))
+    traj = simulate(product, mu, 500, SEED, stream=7)
+    stack = []
+    for step, (_, _, stack) in enumerate(_reference_walk(product, mu, 500, SEED, 7), start=1):
+        assert traj.lengths[step] == len(stack)
+    assert traj.final == product.word([product.alphabet[i] for i in stack])
+
+
+def test_settled_blocks_stop_drawing(monkeypatch):
+    # Every walk of uniform Z/3 * Z/4 * Z/5 is deeper than the steps left
+    # long before step _CHUNK, so prefix and hitting draw one chunk per walk;
+    # drift reads every step and draws both.
+    product, mu = uniform_per_factor([3, 4, 5])
+    drawn = []
+    uniforms = _Streams.uniforms
+
+    def counted(self, stream, skip, out):
+        drawn.append(skip)
+        uniforms(self, stream, skip, out)
+
+    monkeypatch.setattr(_Streams, "uniforms", counted)
+    estimate_prefix(product, mu, _CHUNK + 16, 20, SEED, prefix_len=2)
+    estimate_hitting(product, mu, Letter(0, 1), _CHUNK + 16, 20, SEED)
+    assert drawn == [0] * 40
+    drawn.clear()
+    estimate_drift(product, mu, _CHUNK + 16, 20, SEED)
+    assert drawn == [0] * 20 + [_CHUNK] * 20

@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_13.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_14.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -18,6 +18,8 @@ of a shared machine falls on all of them.  The measurements:
   fresh interpreter after its imports;
 - ``verify_6_10_cli_s``: wall time of ``python -m freewalk verify --criteria
   6,10``, with ``criterion_6_s`` and ``criterion_10_s`` as verify prints them;
+- ``verify_12_cli_s``: wall time of ``python -m freewalk verify --criteria
+  12``, the Monte Carlo criterion, with ``criterion_12_s`` as verify prints it;
 - ``solve_118_cli_s``: wall time of ``python -m freewalk solve --family
   uniform-per-factor --orders 60,60 --weights 0.5,0.5``, the 118-letter solve;
 - ``solve_118_s``: that command's ``main`` call, timed inside a fresh
@@ -45,6 +47,7 @@ SWEEP = ["sweep", "--family", "z2z3", "--resolution", "0.01"]
 QUALITY = ["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal", "--sup",
            "--resolution", "1e-3"]
 VERIFY = ["verify", "--criteria", "6,10"]
+VERIFY_12 = ["verify", "--criteria", "12"]
 SOLVE_118 = ["solve", "--family", "uniform-per-factor", "--orders", "60,60", "--weights", "0.5,0.5"]
 
 # Run in a fresh interpreter: time one call after the imports, print seconds.
@@ -70,7 +73,7 @@ print(time.perf_counter() - start)
 
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
          "quality_sup_s": "s", "verify_6_10_cli_s": "s", "criterion_6_s": "s", "criterion_10_s": "s",
-         "solve_118_cli_s": "s", "solve_118_s": "s"}
+         "verify_12_cli_s": "s", "criterion_12_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -103,7 +106,8 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
     row["quality_sup_cli_s"] = _child(tree, ["-m", "freewalk", *QUALITY], workdir)[0]
     row["quality_sup_s"] = float(_child(tree, ["-c", TIME_QUALITY_SUP], workdir)[2])
     row["verify_6_10_cli_s"], _, text = _child(tree, ["-m", "freewalk", *VERIFY], workdir)
-    for number, seconds in re.findall(r"criterion +(\d+):.*\(([0-9.]+) s\)$", text, re.M):
+    row["verify_12_cli_s"], _, more = _child(tree, ["-m", "freewalk", *VERIFY_12], workdir)
+    for number, seconds in re.findall(r"criterion +(\d+):.*\(([0-9.]+) s\)$", text + more, re.M):
         row[f"criterion_{number}_s"] = float(seconds)
     row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
     row["solve_118_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118)], workdir)[2])
