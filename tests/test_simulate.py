@@ -282,7 +282,7 @@ def _green(product, mu):
         (_high_letters, None, Letter(1, 129), 30, 20),
         # prefix and hitting blocks settle near step 1,400 and draw no second chunk
         (lambda: uniform_per_factor([3, 4, 5]), None, Letter(0, 1), _CHUNK + 16, 20),
-        # both walks are deeper than 17 from step 1,136, and walk 0 first hits c at 3,919
+        # both walks are deeper than 17 at step 1,136, and walk 0 first hits c at step 3,919
         (lambda: z2z2z2(0.4999), None, Letter(2, 1), 4000, 2),
     ],
     ids=["natural", "minimal-unsupported-target", "green", "three-factors", "block-boundary",
