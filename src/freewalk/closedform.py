@@ -10,6 +10,7 @@ recurrences F and G), and per-factor-uniform walks on a pair of factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -160,32 +161,106 @@ def _G_sign(n: int, y: Fraction) -> int:
     return _sign(_scaled_G(n, m, d), 4 * m * (3 * d - 2 * m) ** n)
 
 
+def _fixed_F(k: int, x: int, bits: int) -> int:
+    """2^bits (F_k(x / 2^bits) - 1), each product rounded down to ``bits`` fraction bits."""
+    one = 1 << bits
+    factor = 2 * (2 * one - x)
+    prev, cur = one, x
+    for _ in range(k - 1):
+        prev, cur = cur, (factor * cur >> bits) - prev
+    return cur - one
+
+
+def _fixed_G(n: int, y: int, bits: int) -> int:
+    """2^bits (G_n(y / 2^bits) - y / 2^bits) for n >= 1, in ``bits``-bit fixed point."""
+    one = 1 << bits
+    factor = (8 * (one - y) << bits) // (3 * one - 2 * y)
+    prev, cur = (2 * y + one) >> 2, y
+    for _ in range(n - 1):
+        prev, cur = cur, (factor * cur >> bits) - prev
+    return cur - y
+
+
+def _guess_root(value, start: float, steps: int, k: int) -> Fraction:
+    """A guess at the root of ``value(x, bits)``, good to about ``steps`` bits.
+
+    Secant steps on x / 2^bits with bits = steps + 2k + 16, from the float
+    ``start``, until a step moves x by at most 2^-(steps + 8), or 12 steps.
+    The guess is not trusted: ``_certified_cell`` checks it exactly.
+    """
+    bits = steps + 2 * k + 16
+    num, den = start.as_integer_ratio()
+    x0 = (num << bits) // den
+    x1 = x0 + (1 << (bits - 40))
+    f0, f1 = value(x0, bits), value(x1, bits)
+    for _ in range(12):
+        if f1 == f0 or abs(x1 - x0) <= 1 << (bits - steps - 8):
+            break
+        x0, x1 = x1, x1 - f1 * (x1 - x0) // (f1 - f0)
+        f0, f1 = f1, value(x1, bits)
+    return Fraction(x1, 1 << bits)
+
+
+def _certified_cell(sign, lo, hi, steps: int, guess) -> tuple[Fraction, Fraction]:
+    """The cell that ``_checked_bracket(sign, lo, hi, steps)`` returns, read off a guess.
+
+    Of the 2^steps cells (a, b] that bisection can end in, take the one
+    holding the guess and certify sign(a) < 0 <= sign(b) exactly, stepping
+    to a neighbour at most twice.  The sign changes once on [lo, hi], so a
+    certified cell is bisection's.  A guess that misses falls back to the
+    bisection itself.
+    """
+    cells = 2**steps
+    width = (hi - lo) / cells
+    sign_at = functools.cache(lambda i: sign(lo + i * width))
+    j = min(max(math.ceil((guess - lo) / width) - 1, 0), cells - 1)
+    for _ in range(3):  # the guessed cell and at most two neighbours
+        if not 0 <= j < cells:
+            break
+        if sign_at(j) >= 0:
+            j -= 1
+        elif sign_at(j + 1) < 0:
+            j += 1
+        else:
+            return lo + j * width, lo + (j + 1) * width
+    return _checked_bracket(sign, lo, hi, steps)
+
+
 def gamma_zkzk_interval(k: int) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Z/k * Z/k simple-walk drift.
 
     The root gap x_k - 1/3 decays like 3^-k, far below double resolution
     for large k, so monotonicity in k is only checkable exactly.  The
-    enclosure width shrinks below that gap (about 1.6k + 30 bits).  Each
-    bisection step decides the sign of F_k(m/d) - 1 exactly from the
-    scaled integer recurrence S_n = d^n F_n(m/d) (see ``_scaled_F``), so no
-    rational arithmetic runs on the 10^4-bit values of F_k.
+    enclosure is the cell that ``steps`` = 1.6k + 45 bisection steps of
+    [1/4, 3/4] end in, narrower than that gap.  A secant iteration on the
+    recurrence in (steps + 2k + 16)-bit fixed point, started at
+    ``solve_xk(k)``, guesses the cell, and a few exact signs of
+    F_k(m/d) - 1 from the scaled integer recurrence S_n = d^n F_n(m/d)
+    (see ``_scaled_F``) certify it, so no rational arithmetic runs on the
+    10^4-bit values of F_k.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     steps = math.ceil(1.585 * k) + 45
-    lo, hi = _checked_bracket(lambda x: _F_sign(k, x), Fraction(1, 4), Fraction(3, 4), steps)
+    guess = _guess_root(lambda x, bits: _fixed_F(k, x, bits), solve_xk(k), steps, k)
+    lo, hi = _certified_cell(lambda x: _F_sign(k, x), Fraction(1, 4), Fraction(3, 4), steps, guess)
     return (1 - hi) / 2, (1 - lo) / 2
 
 
 def gamma_hecke_interval(k: int) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Z/2 * Z/k simple-walk drift.
 
-    The signs of G_{k-1}(y) - y come from the scaled integer recurrence
-    H_n = 4d c^n G_n(m/d), c = 3d - 2m (see ``_scaled_G``).
+    As ``gamma_zkzk_interval``, with k + 45 steps on [1/8, 3/8], a guess
+    from ``solve_yk(k)``, and the exact signs of G_{k-1}(y) - y from the
+    scaled integer recurrence H_n = 4d c^n G_n(m/d), c = 3d - 2m (see
+    ``_scaled_G``).
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    lo, hi = _checked_bracket(lambda y: _G_sign(k - 1, y), Fraction(1, 8), Fraction(3, 8), k + 45)
+    steps = k + 45
+    guess = _guess_root(lambda y, bits: _fixed_G(k - 1, y, bits), solve_yk(k), steps, k)
+    lo, hi = _certified_cell(lambda y: _G_sign(k - 1, y), Fraction(1, 8), Fraction(3, 8), steps,
+                             guess)
     return (1 - 2 * hi) / 3, (1 - 2 * lo) / 3
 
 

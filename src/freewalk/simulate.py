@@ -99,24 +99,27 @@ class _Streams:
                                  minlength=self.cells).cumsum()[: self.cells]
         inside = self.edges[self.edges != np.floor(self.edges)].astype(np.intp)
         self.passes = int(np.bincount(inside).max()) if inside.size else 0
-        self.seed = seed
         self.bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self.generator = np.random.Generator(self.bits)
-        self.buffer = np.empty((walks, steps))
-
-    def uniforms(self, stream: int, skip: int, out: np.ndarray) -> None:
-        """Fill out with uniforms skip, skip + 1, ... of walk (seed, stream); skip % 4 == 0."""
-        self.bits.state = {
+        # the state that ``uniforms`` sets, with counter[0] and key[1] rewritten in place
+        self.state = {
             "bit_generator": "Philox",
             "state": {
-                "counter": np.array([skip // 4, 0, 0, 0], dtype=np.uint64),
-                "key": np.array([self.seed, stream], dtype=np.uint64),
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([seed, 0], dtype=np.uint64),
             },
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+        self.buffer = np.empty((walks, steps))
+
+    def uniforms(self, stream: int, skip: int, out: np.ndarray) -> None:
+        """Fill out with uniforms skip, skip + 1, ... of walk (seed, stream); skip % 4 == 0."""
+        self.state["state"]["counter"][0] = skip // 4
+        self.state["state"]["key"][1] = stream
+        self.bits.state = self.state
         self.generator.random(out=out)
 
     def letters(self, u: np.ndarray) -> np.ndarray:

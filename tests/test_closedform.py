@@ -138,24 +138,28 @@ def test_exact_intervals_pinned(k):
     assert cf.gamma_hecke_interval(k) == PINNED_HECKE[k]
 
 
-def _sign_points(monkeypatch, name, interval, k):
-    """Every point at which ``interval(k)`` asks ``cf.<name>`` for a sign."""
+def _steps_zkzk(k):
+    return math.ceil(1.585 * k) + 45
+
+
+def _bisection_points(sign, lo, hi, steps):
+    """Every point at which a full ``_checked_bracket`` run asks ``sign`` for a value."""
     seen = []
-    real = getattr(cf, name)
-    monkeypatch.setattr(cf, name, lambda n, x: seen.append(x) or real(n, x))
-    interval(k)
-    monkeypatch.undo()
+    cf._checked_bracket(lambda x: seen.append(x) or sign(x), lo, hi, steps)
     return seen
 
 
-def test_scaled_integer_recurrences_match_fraction_evaluators(monkeypatch):
+def test_scaled_integer_recurrences_match_fraction_evaluators():
+    # the points of full k = 64 bisections reach every denominator from 2^2 to 2^steps
     rng = random.Random(20240809)
     randoms = []
     for _ in range(6):
         d = rng.randrange(2, 2**40)
         randoms.append(Fraction(rng.randrange(1, d), d))
-    f_points = _sign_points(monkeypatch, "_F_sign", cf.gamma_zkzk_interval, 64)
-    g_points = _sign_points(monkeypatch, "_G_sign", cf.gamma_hecke_interval, 64)
+    f_points = _bisection_points(lambda x: cf._F_sign(64, x), Fraction(1, 4), Fraction(3, 4),
+                                 _steps_zkzk(64))
+    g_points = _bisection_points(lambda y: cf._G_sign(63, y), Fraction(1, 8), Fraction(3, 8),
+                                 64 + 45)
     assert all(Fraction(1, 4) <= x <= Fraction(3, 4) for x in f_points)
     assert all(Fraction(1, 8) <= y <= Fraction(3, 8) for y in g_points)
     for x in f_points[::12] + randoms:
@@ -167,6 +171,79 @@ def test_scaled_integer_recurrences_match_fraction_evaluators(monkeypatch):
         c = 3 * d - 2 * m
         for n in range(65):
             assert cf._scaled_G(n, m, d) - 4 * m * c**n == 4 * d * c**n * (cf.eval_G(n, y) - y)
+
+
+def _bisected_zkzk(k):
+    lo, hi = cf._checked_bracket(lambda x: cf._F_sign(k, x), Fraction(1, 4), Fraction(3, 4),
+                                 _steps_zkzk(k))
+    return (1 - hi) / 2, (1 - lo) / 2
+
+
+def _bisected_hecke(k):
+    lo, hi = cf._checked_bracket(lambda y: cf._G_sign(k - 1, y), Fraction(1, 8), Fraction(3, 8),
+                                 k + 45)
+    return (1 - 2 * hi) / 3, (1 - 2 * lo) / 3
+
+
+FAMILIES = [(cf.gamma_zkzk_interval, _bisected_zkzk, "_F_sign"),
+            (cf.gamma_hecke_interval, _bisected_hecke, "_G_sign")]
+FAMILY_IDS = ["zkzk", "hecke"]
+
+
+@pytest.mark.parametrize("interval, bisected, _", FAMILIES, ids=FAMILY_IDS)
+def test_certified_cell_is_the_bisection_cell(interval, bisected, _):
+    for k in [*range(3, 65), 65, 100]:
+        assert interval(k) == bisected(k), k
+
+
+def test_z3z3_root_on_a_cell_edge():
+    # x_3 = 1/2 is a bisection midpoint: its sign is 0, and the cell ends there
+    assert cf._F_sign(3, Fraction(1, 2)) == 0
+    lo, hi = cf.gamma_zkzk_interval(3)
+    assert lo == Fraction(1, 4) and hi - lo == Fraction(1, 2**(_steps_zkzk(3) + 2))
+    assert (lo, hi) == _bisected_zkzk(3)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(cf, name)
+    monkeypatch.setattr(cf, name, lambda n, x: calls.append(x) or real(n, x))
+    return calls
+
+
+@pytest.mark.parametrize("interval, _, name", FAMILIES, ids=FAMILY_IDS)
+def test_certified_cell_needs_few_exact_signs(monkeypatch, interval, _, name):
+    calls = _counted(monkeypatch, name)
+    for k in [*range(3, 65), 100]:
+        calls.clear()
+        interval(k)
+        assert 2 <= len(calls) <= 6, (k, len(calls))
+
+
+@pytest.mark.parametrize("interval, bisected, name", FAMILIES, ids=FAMILY_IDS)
+@pytest.mark.parametrize("cells", [-2, -1, 1, 2])
+def test_guess_a_cell_or_two_off_is_stepped_back(monkeypatch, interval, bisected, name, cells):
+    for k in (3, 4, 17, 64):
+        lo, hi = bisected(k)
+        real = cf._guess_root
+        # gamma is decreasing in the root, so the root cell moves by -cells
+        shift = (hi - lo) * cells * (2 if interval is cf.gamma_zkzk_interval else Fraction(3, 2))
+        monkeypatch.setattr(cf, "_guess_root", lambda *args: real(*args) + shift)
+        calls = _counted(monkeypatch, name)
+        assert interval(k) == (lo, hi), k
+        assert len(calls) <= 2 + abs(cells)  # at most one more exact sign per step
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("interval, bisected, name", FAMILIES, ids=FAMILY_IDS)
+@pytest.mark.parametrize("guess", [Fraction(0), Fraction(1, 3), Fraction(1)])
+def test_far_guess_falls_back_to_bisection(monkeypatch, interval, bisected, name, guess):
+    monkeypatch.setattr(cf, "_guess_root", lambda *args: guess)
+    calls = _counted(monkeypatch, name)
+    for k in (3, 17, 64):
+        calls.clear()
+        assert interval(k) == bisected(k), k
+        assert len(calls) > 6  # the fallback bisection ran
 
 
 def test_drift_z2z3_values_and_domain():

@@ -18,6 +18,7 @@ from freewalk.metrics import drift, drift_weighted, entropy, volume
 from freewalk.simulate import (
     _BLOCK,
     _CHUNK,
+    _WATCH,
     _Streams,
     distribution_entropy,
     estimate_drift,
@@ -407,3 +408,40 @@ def test_settled_blocks_stop_drawing(monkeypatch):
     drawn.clear()
     estimate_drift(product, mu, _CHUNK + 16, 20, SEED)
     assert drawn == [0] * 20 + [_CHUNK] * 20
+
+
+_DEPTH = 2 * _WATCH  # depth at the look after step _DEPTH
+_CLIMB = [1, 2] * (_DEPTH // 2)
+
+
+@pytest.mark.parametrize(
+    "walk, goal, paths, left",
+    [
+        # b c b c ... down through the empty word to a: on Z/2 * Z/2 * Z/2 the
+        # first letter changes only there, so d + 1 steps are just enough
+        (lambda: z2z2z2(1 / 3), Letter(0, 1),
+         [_CLIMB + _CLIMB[::-1] + [0], [1, 2] * _DEPTH + [1]], _DEPTH + 1),
+        # a b a b ... down to a, then a * a = a^2: d steps are just enough
+        (lambda: zkzk_simple(3), Letter(0, 2),
+         [[0, 2] * (_DEPTH // 2) + [3, 1] * (_DEPTH // 2 - 1) + [3, 0], [2, 0] * _DEPTH], _DEPTH),
+    ],
+    ids=["z2z2z2-through-empty", "z3z3-at-depth-1"],
+)
+def test_settled_stop_keeps_a_hit_on_the_last_step(monkeypatch, walk, goal, paths, left):
+    # Walk 0 climbs to depth d without cancelling, cancels back down and hits
+    # the goal on its last step; at the look after step d it sits at depth d
+    # with the fewest steps left that can still reach the goal.  Walk 1 keeps
+    # climbing and never hits.
+    product, mu = walk()
+    n = product.nletters
+    cdf = np.cumsum(mu.probs)
+    assert np.array_equal(np.searchsorted(cdf, (np.arange(n) + 0.5) / n, side="right"),
+                          np.arange(n))
+    horizon = len(paths[0])
+    assert horizon == len(paths[1]) == _DEPTH + left
+
+    def scripted(self, stream, skip, out):
+        out[:] = (np.array(paths[stream][skip : skip + len(out)]) + 0.5) / n
+
+    monkeypatch.setattr(_Streams, "uniforms", scripted)
+    assert estimate_hitting(product, mu, goal, horizon, 2, SEED).estimate == 0.5

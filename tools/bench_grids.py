@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_14.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_15.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -16,6 +16,8 @@ of a shared machine falls on all of them.  The measurements:
   zkzk-simple --k 4 --gens minimal --sup --resolution 1e-3`` (999 solves);
 - ``quality_sup_s``: ``metrics.quality_sup`` on that grid, timed inside a
   fresh interpreter after its imports;
+- ``verify_4_cli_s``: wall time of ``python -m freewalk verify --criteria 4``,
+  the certified drift enclosures, with ``criterion_4_s`` as verify prints it;
 - ``verify_6_10_cli_s``: wall time of ``python -m freewalk verify --criteria
   6,10``, with ``criterion_6_s`` and ``criterion_10_s`` as verify prints them;
 - ``verify_12_cli_s``: wall time of ``python -m freewalk verify --criteria
@@ -46,6 +48,7 @@ from pathlib import Path
 SWEEP = ["sweep", "--family", "z2z3", "--resolution", "0.01"]
 QUALITY = ["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal", "--sup",
            "--resolution", "1e-3"]
+VERIFY_4 = ["verify", "--criteria", "4"]
 VERIFY = ["verify", "--criteria", "6,10"]
 VERIFY_12 = ["verify", "--criteria", "12"]
 SOLVE_118 = ["solve", "--family", "uniform-per-factor", "--orders", "60,60", "--weights", "0.5,0.5"]
@@ -72,8 +75,8 @@ print(time.perf_counter() - start)
 """
 
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
-         "quality_sup_s": "s", "verify_6_10_cli_s": "s", "criterion_6_s": "s", "criterion_10_s": "s",
-         "verify_12_cli_s": "s", "criterion_12_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s"}
+         "quality_sup_s": "s", "verify_4_cli_s": "s", "criterion_4_s": "s",
+         "verify_6_10_cli_s": "s", "criterion_6_s": "s", "criterion_10_s": "s", "verify_12_cli_s": "s", "criterion_12_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -105,9 +108,12 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
     row["sweep_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SWEEP)], workdir)[2])
     row["quality_sup_cli_s"] = _child(tree, ["-m", "freewalk", *QUALITY], workdir)[0]
     row["quality_sup_s"] = float(_child(tree, ["-c", TIME_QUALITY_SUP], workdir)[2])
-    row["verify_6_10_cli_s"], _, text = _child(tree, ["-m", "freewalk", *VERIFY], workdir)
-    row["verify_12_cli_s"], _, more = _child(tree, ["-m", "freewalk", *VERIFY_12], workdir)
-    for number, seconds in re.findall(r"criterion +(\d+):.*\(([0-9.]+) s\)$", text + more, re.M):
+    text = ""
+    for name, argv in (("verify_4_cli_s", VERIFY_4), ("verify_6_10_cli_s", VERIFY),
+                       ("verify_12_cli_s", VERIFY_12)):
+        row[name], _, out = _child(tree, ["-m", "freewalk", *argv], workdir)
+        text += out
+    for number, seconds in re.findall(r"criterion +(\d+):.*\(([0-9.]+) s\)$", text, re.M):
         row[f"criterion_{number}_s"] = float(seconds)
     row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
     row["solve_118_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118)], workdir)[2])
