@@ -120,13 +120,13 @@ def r_hecke(k: int) -> list[float]:
     return [float(eval_G(i, yk)) for i in range(k)]
 
 
-def _two_term(n: int, first: int, second: int, a: int, b: int) -> int:
-    """Term n of t_0 = first, t_1 = second, t_n = a t_{n-1} - b t_{n-2}, in integers."""
+def _two_term(n: int, first: int, second: int, a: int, b: int, shift: int = 0) -> int:
+    """Term n of t_0 = first, t_1 = second, t_n = (a t_{n-1} >> shift) - b t_{n-2}, in integers."""
     if n == 0:
         return first
     prev, cur = first, second
     for _ in range(n - 1):
-        prev, cur = cur, a * cur - b * prev
+        prev, cur = cur, (a * cur >> shift) - b * prev
     return cur
 
 
@@ -164,21 +164,14 @@ def _G_sign(n: int, y: Fraction) -> int:
 def _fixed_F(k: int, x: int, bits: int) -> int:
     """2^bits (F_k(x / 2^bits) - 1), each product rounded down to ``bits`` fraction bits."""
     one = 1 << bits
-    factor = 2 * (2 * one - x)
-    prev, cur = one, x
-    for _ in range(k - 1):
-        prev, cur = cur, (factor * cur >> bits) - prev
-    return cur - one
+    return _two_term(k, one, x, 2 * (2 * one - x), 1, bits) - one
 
 
 def _fixed_G(n: int, y: int, bits: int) -> int:
-    """2^bits (G_n(y / 2^bits) - y / 2^bits) for n >= 1, in ``bits``-bit fixed point."""
+    """2^bits (G_n(y / 2^bits) - y / 2^bits), in ``bits``-bit fixed point."""
     one = 1 << bits
     factor = (8 * (one - y) << bits) // (3 * one - 2 * y)
-    prev, cur = (2 * y + one) >> 2, y
-    for _ in range(n - 1):
-        prev, cur = cur, (factor * cur >> bits) - prev
-    return cur - y
+    return _two_term(n, (2 * y + one) >> 2, y, factor, 1, bits) - y
 
 
 def _guess_root(value, start: float, steps: int, k: int) -> Fraction:

@@ -188,11 +188,12 @@ def _bisected_hecke(k):
 FAMILIES = [(cf.gamma_zkzk_interval, _bisected_zkzk, "_F_sign"),
             (cf.gamma_hecke_interval, _bisected_hecke, "_G_sign")]
 FAMILY_IDS = ["zkzk", "hecke"]
+CERTIFIED_K = [*range(3, 65), 65, 100]
 
 
 @pytest.mark.parametrize("interval, bisected, _", FAMILIES, ids=FAMILY_IDS)
 def test_certified_cell_is_the_bisection_cell(interval, bisected, _):
-    for k in [*range(3, 65), 65, 100]:
+    for k in CERTIFIED_K:
         assert interval(k) == bisected(k), k
 
 
@@ -214,7 +215,7 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("interval, _, name", FAMILIES, ids=FAMILY_IDS)
 def test_certified_cell_needs_few_exact_signs(monkeypatch, interval, _, name):
     calls = _counted(monkeypatch, name)
-    for k in [*range(3, 65), 100]:
+    for k in CERTIFIED_K:
         calls.clear()
         interval(k)
         assert 2 <= len(calls) <= 6, (k, len(calls))

@@ -76,7 +76,8 @@ print(time.perf_counter() - start)
 
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
          "quality_sup_s": "s", "verify_4_cli_s": "s", "criterion_4_s": "s",
-         "verify_6_10_cli_s": "s", "criterion_6_s": "s", "criterion_10_s": "s", "verify_12_cli_s": "s", "criterion_12_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s"}
+         "verify_6_10_cli_s": "s", "criterion_6_s": "s", "criterion_10_s": "s", "verify_12_cli_s": "s",
+         "criterion_12_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
