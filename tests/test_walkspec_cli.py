@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -460,6 +461,28 @@ def test_cli_simulate(capsys):
     metrics = {row[0] for row in rows[1:]}
     assert "drift" in metrics and "hitting(1:1)" in metrics
     assert any(m.startswith("prefix(") for m in metrics)
+
+
+@pytest.mark.parametrize(
+    "walk, digest",
+    [
+        (["--family", "hecke-simple", "--k", "3"],
+         "ec74615d90cde76bd4ee2a264628306702180d12d1076d0ca3b2f629eab5bbd1"),
+        (["--family", "zkzk-simple", "--k", "4", "--gens", "minimal"],
+         "7b0132a714e6b28e8017906496ad3f99d626c727f82d6ed92a38099a1f34bcc0"),
+    ],
+    ids=["natural", "minimal"],
+)
+def test_cli_simulate_dump_lengths_is_pinned(tmp_path, capsys, walk, digest):
+    # 2,100 steps cross one chunk of drawn letters; the default --dump-reps
+    # (10) is cut to the 3 replications
+    path = tmp_path / "lengths.csv"
+    assert main(["simulate", *walk, "--steps", "2100", "--reps", "3",
+                 "--dump-lengths", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert data.count(b"\n") == 1 + 3 * 2101
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_cli_cylinder(capsys):
