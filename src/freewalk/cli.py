@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -42,7 +43,7 @@ from .traffic import (
     check_tolerance,
     solve_walk,
 )
-from .simulate import check_sizes, estimate_drift, estimate_hitting, estimate_prefix, simulate
+from .simulate import check_sizes, estimate_drift, estimate_hitting, estimate_prefix, trajectories
 from .walkspec import (
     WalkSpec,
     build_family,
@@ -288,28 +289,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         target = Letter.parse(args.hitting)
         product.letter_index(target)
         check_sizes(args.horizon, args.reps)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["metric", "estimate", "stderr", "replications", "horizon", "note"])
-    est = estimate_drift(product, mu, steps=args.steps, reps=args.reps, seed=spec.seed, lengths=lengths)
-    writer.writerow(["drift", _csv_float(est.estimate), _csv_float(est.stderr),
-                     est.replications, est.horizon, est.note])
-    if args.hitting:
-        hit = estimate_hitting(product, mu, target, horizon=args.horizon, reps=args.reps, seed=spec.seed)
-        writer.writerow([f"hitting({target})", _csv_float(hit.estimate), _csv_float(hit.stderr),
-                         hit.replications, hit.horizon, hit.note])
-    if args.prefix_len:
-        pre = estimate_prefix(product, mu, steps=args.steps, reps=args.reps,
-                              seed=spec.seed, prefix_len=args.prefix_len)
-        kept = pre.replications - pre.dropped
-        for word in sorted(pre.frequencies, key=str):
-            writer.writerow([f"prefix({word})", _csv_float(pre.frequencies[word]), "",
-                             kept, pre.horizon, f"dropped={pre.dropped}"])
-    if args.dump_lengths:
-        with open(args.dump_lengths, "w", newline="", encoding="utf-8") as handle:
+    if args.dump_reps < 1:
+        raise ValueError(f"--dump-reps must be >= 1, got {args.dump_reps}")
+    # open the dump first, so that an unwritable path fails before any estimate is printed
+    with (open(args.dump_lengths, "w", newline="", encoding="utf-8") if args.dump_lengths
+          else contextlib.nullcontext()) as handle:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["metric", "estimate", "stderr", "replications", "horizon", "note"])
+        est = estimate_drift(product, mu, args.steps, args.reps, spec.seed, lengths)
+        writer.writerow(["drift", _csv_float(est.estimate), _csv_float(est.stderr),
+                         est.replications, est.horizon, est.note])
+        if args.hitting:
+            hit = estimate_hitting(product, mu, target, args.horizon, args.reps, spec.seed)
+            writer.writerow([f"hitting({target})", _csv_float(hit.estimate), _csv_float(hit.stderr),
+                             hit.replications, hit.horizon, hit.note])
+        if args.prefix_len:
+            pre = estimate_prefix(product, mu, args.steps, args.reps, spec.seed, args.prefix_len)
+            kept = pre.replications - pre.dropped
+            for word in sorted(pre.frequencies, key=str):
+                writer.writerow([f"prefix({word})", _csv_float(pre.frequencies[word]), "",
+                                 kept, pre.horizon, f"dropped={pre.dropped}"])
+        if handle is not None:
             dump = csv.writer(handle, lineterminator="\n")
             dump.writerow(["replication", "step", "length"])
-            for rep in range(min(args.reps, args.dump_reps)):
-                traj = simulate(product, mu, args.steps, spec.seed, lengths=lengths, stream=rep)
+            walks = min(args.reps, args.dump_reps)
+            for rep, traj in enumerate(trajectories(product, mu, args.steps, walks, spec.seed, lengths)):
                 for n, value in enumerate(traj.lengths):
                     dump.writerow([rep, n, _csv_float(value)])
     return EXIT_OK

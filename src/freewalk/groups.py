@@ -5,8 +5,9 @@ identity fixed at index 0.  A letter is a nonidentity element of one
 factor; a word is a sequence of letters in which consecutive letters come
 from distinct factors.  Words in this normal form are in bijection with
 the elements of the free product, and the group law is concatenation with
-simplification at the contact point; ``simulate._right_multiply`` applies
-it one letter at a time.
+simplification at the contact point.  The step tables of ``simulate``,
+built from the solver's in-factor pair tables, are the one place that
+applies it, one letter at a time.
 """
 
 from __future__ import annotations
@@ -221,13 +222,6 @@ class FreeProduct:
 
     def letter_inverse(self, u: Letter) -> Letter:
         return Letter(u.factor, self.factors[u.factor].inv[u.elem])
-
-    def letter_product(self, u: Letter, v: Letter) -> Letter | None:
-        """In-factor product of two letters; None when they cancel."""
-        if u.factor != v.factor:
-            raise ValueError(f"letters {u} and {v} live in different factors")
-        e = self.factors[u.factor].mul[u.elem][v.elem]
-        return None if e == 0 else Letter(u.factor, e)
 
     def word(self, letters: Iterable[Letter]) -> Word:
         """Validated Word whose letters all belong to this product."""

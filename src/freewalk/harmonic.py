@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FreeProduct, Word
+from .simulate import _merge_array
 from .traffic import HittingVector, RootVector, StepDistribution, letter_tables
 
 _LOG_SPACE_CUTOFF = 200
@@ -142,7 +143,7 @@ def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:
     factor and v1 back in it.  Zero (to rounding) for every strictly
     positive root vector on two factors, whether or not it solves the
     traffic system: the prefix masses sum to nu(w) for any r.  It
-    therefore cannot detect a wrong solve; ``mu_invariance_residual``
+    therefore cannot detect a wrong solve; ``max_mu_invariance_residual``
     can.
     """
     if chain.product.nfactors != 2:
@@ -150,44 +151,38 @@ def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:
     return _shift_residual(chain, w, 2)
 
 
-def mu_invariance_residual(chain: LetterChain, mu: StepDistribution, w: Word) -> float:
-    """Residual of mu-invariance of the measure on one cylinder.
+def max_mu_invariance_residual(chain: LetterChain, mu: StepDistribution, length: int) -> float:
+    """The largest mu-invariance residual over the cylinders of 1..length letters.
 
     The harmonic measure is the unique probability on infinite normal
-    words fixed by averaging the left letter action over mu.  For a
-    cylinder the preimage under the action of a letter reduces to finitely
-    many cylinders (prepend / in-factor merge / cancellation), so the
-    identity can be checked exactly.
+    words fixed by averaging the left letter action over mu.  The preimage
+    of the cylinder of w = head tail under a letter a is one cylinder: the
+    tail when a is the head (a prepends; for one letter, every letter
+    outside a's factor), (a^-1 head) tail when a shares the head's factor
+    (a merges), and a^-1 w otherwise (a cancels).  Each term is a gather
+    from the masses of k - 1, k or k + 1 letters, built as in
+    ``max_shift_residual``, with a^-1 head read from the step tables'
+    ``_merge_array``; the terms are weighted by mu and added in alphabet
+    order, as one cylinder at a time would add them.  Words with two
+    letters of one factor in a row are masked out.
     """
     product = chain.product
-    if len(w) == 0:
-        raise ValueError("need a nonempty cylinder word")
-    head = w[0]
-    tail = Word(w.letters[1:])
-    total = 0.0
-    for a, p in zip(product.alphabet, mu.probs):
-        if p == 0.0:
-            continue
-        acted = 0.0
-        # a prepends: the tail of w must follow, with its first letter
-        # outside a's factor (automatic for len(w) > 1).
-        if a == head:
-            if len(w) > 1:
-                acted += cylinder_prob(chain, tail)
-            else:
-                acted += sum(
-                    chain.first[product.letter_index(c)]
-                    for c in product.alphabet
-                    if c.factor != a.factor
-                )
-        # a merges with the first letter of the tape: that letter must be
-        # a^-1 * head, which is a genuine letter exactly when head != a.
-        if head.factor == a.factor and head != a:
-            b = product.letter_product(product.letter_inverse(a), head)
-            acted += cylinder_prob(chain, Word((b,) + tail.letters))
-        # a cancels the first tape letter a^-1, exposing w itself.
-        if head.factor != a.factor:
-            acted += cylinder_prob(chain, Word((product.letter_inverse(a),) + w.letters))
-        total += p * acted
-    return abs(cylinder_prob(chain, w) - total)
-
+    n = product.nletters
+    cross = letter_tables(product).cross
+    inv = product.inv_index
+    merged = _merge_array(product)[inv]  # merged[a, h] = a^-1 h within a factor
+    outside = np.cumsum(np.where(cross, chain.first, 0.0), axis=1)[:, -1]  # summed in order
+    masses = [None, chain.first]  # masses[k]: the cylinders of k letters
+    for _ in range(length):
+        masses.append(masses[-1][..., np.newaxis] * chain.trans)
+    normal = np.ones(n, dtype=bool)
+    worst = 0.0
+    for k in range(1, length + 1):
+        pair = (n, n) + (1,) * (k - 1)  # (a, head), broadcast over the tail
+        prepend = outside if k == 1 else masses[k - 1]
+        term = np.where(np.eye(n, dtype=bool).reshape(pair), prepend,
+                        np.where(cross.reshape(pair), masses[k + 1][inv], masses[k][merged]))
+        total = np.cumsum(mu.probs.reshape((n,) + (1,) * k) * term, axis=0)[-1]  # a in order
+        worst = max(worst, float(np.abs(masses[k] - total)[normal].max()))
+        normal = normal[..., np.newaxis] & cross
+    return worst

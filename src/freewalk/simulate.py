@@ -19,7 +19,6 @@ step.  Drift reads every step and never stops early.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -146,36 +145,45 @@ _APART = -2  # merge[t][u] when t and u lie in different factors
 
 
 def _merge_array(product: FreeProduct) -> np.ndarray:
+    """merge[t, u]: alphabet index of t * u for letters of one factor, else _CANCEL or _APART."""
     s = letter_tables(product)
     merge = np.where(np.equal.outer(s.factor_of, s.factor_of), _CANCEL, _APART)
     merge[s.pair_u, s.pair_v] = s.pair_a
     return merge
 
 
-@functools.lru_cache(maxsize=1)
-def _merge_table(product: FreeProduct) -> tuple[tuple[int, ...], ...]:
-    """merge[t][u]: alphabet index of t * u for letters of one factor, else _CANCEL or _APART."""
-    return tuple(map(tuple, _merge_array(product).tolist()))
+class _Steps(NamedTuple):
+    """The letter action on a stack of cells, per (top cell, drawn letter) pair.
 
-
-def _right_multiply(stack: list[int], u: int, merge) -> tuple[int, int]:
-    """Right-multiply a normal-form stack of letter indices by the letter u, in place.
-
-    Returns the letters (removed, added) at the top, _CANCEL for none.
+    A word is a stack of cells, letter index + 1, above a cell 0 for the
+    empty word, and pair (top, drawn) has index top * n + drawn.  Right
+    multiplying by the drawn letter pushes it, replaces the top by the
+    product, or pops the top: the step writes ``value`` at the top plus
+    ``lift`` and moves the top by ``rise``.  A pop writes 0, so the cells
+    above the top stay 0 when they were.
     """
-    if stack:
-        merged = merge[stack[-1]][u]
-        if merged != _APART:
-            top = stack.pop()
-            if merged != _CANCEL:
-                stack.append(merged)
-            return top, merged
-    stack.append(u)
-    return _CANCEL, u
+
+    value: np.ndarray  # the cell written: letter added + 1, 0 for none
+    lift: np.ndarray  # 1 when the cell is written above the top, else 0
+    rise: np.ndarray  # change of depth: 1, 0 or -1
+    added: np.ndarray  # letter index added at the top, _CANCEL for none
+    removed: np.ndarray  # letter index removed from the top, _CANCEL for none
 
 
-def _letters(product: FreeProduct, stack) -> tuple[Letter, ...]:
-    return tuple(product.alphabet[i] for i in stack)
+def _steps(product: FreeProduct) -> _Steps:
+    n = product.nletters
+    merge = np.vstack([np.full(n, _APART), _merge_array(product)])  # row 0: the empty word
+    push = merge == _APART
+    added = np.where(push, np.arange(n), merge)
+    removed = np.where(push, _CANCEL, np.arange(-1, n)[:, None])
+    rise = np.where(push, 1, np.where(merge == _CANCEL, -1, 0))
+    value = (added + 1).astype(np.min_scalar_type(n))
+    return _Steps(*(t.ravel() for t in (value, push.astype(np.intp), rise, added, removed)))
+
+
+def _word(product: FreeProduct, cells) -> Word:
+    """The word of a sequence of cells, letter index + 1."""
+    return Word(tuple(product.alphabet[c - 1] for c in cells))
 
 
 def simulate(
@@ -186,20 +194,25 @@ def simulate(
     lengths: LengthTable | None = None,
     stream: int = 0,
 ) -> Trajectory:
-    """Run one walk for the given number of steps; deterministic in (seed, stream)."""
+    """Run one walk for the given number of steps; deterministic in (seed, stream).
+
+    The walks (seed, 0), ..., (seed, stream) are stepped together by
+    ``trajectories`` and the last one is returned.
+    """
+    return trajectories(product, mu, steps, stream + 1, seed, lengths)[stream]
+
+
+def trajectories(
+    product: FreeProduct,
+    mu: StepDistribution,
+    steps: int,
+    reps: int,
+    seed: int,
+    lengths: LengthTable | None = None,
+) -> list[Trajectory]:
+    """The walks (seed, 0), ..., (seed, reps - 1), each with its length after every step."""
     table = lengths if lengths is not None else natural_lengths(product)
-    weights = table.weights.tolist() + [0]  # weights[_CANCEL] == 0
-    merge = _merge_table(product)
-    series = np.zeros(steps + 1)
-    stack: list[int] = []
-    current = 0.0
-    picks = np.empty((steps, 1), dtype=np.intp)
-    _Streams(mu, seed, steps).fill(picks, stream)
-    for n, pick in enumerate(picks[:, 0].tolist(), start=1):
-        removed, added = _right_multiply(stack, pick, merge)
-        current += weights[added] - weights[removed]
-        series[n] = current
-    return Trajectory(lengths=series, final=Word(_letters(product, stack)))
+    return _lockstep(product, mu, steps, reps, seed, weights=table.weights, record=True).record
 
 
 _BLOCK = 512  # walks stepped together
@@ -215,6 +228,7 @@ class _Walks(NamedTuple):
     weight: np.ndarray  # weight of the final word, 0 without weights
     hit: np.ndarray  # whether the word was the one letter goal at some step
     prefix: np.ndarray  # (prefix_len, reps): first letters, index + 1, where depth >= prefix_len
+    record: list[Trajectory]  # with ``record``, each walk's weight after every step
 
 
 def _lockstep(
@@ -226,20 +240,18 @@ def _lockstep(
     weights: np.ndarray | None = None,
     goal: int = -1,
     prefix_len: int = 0,
+    record: bool = False,
 ) -> _Walks:
     """Step the walks (seed, 0), ..., (seed, reps - 1) together, _BLOCK at a time.
 
-    Each walk keeps its normal form as a stack of small ints, letter index
-    + 1 with 0 for the empty word under it.  Every (top, drawn letter) pair
-    has one outcome of ``_right_multiply``: push the letter, replace the top
-    by the product, or pop the top.  Tables indexed by top * n + drawn hold
-    the cell value written, 1 when it is written above the top, the change
-    of depth and the change of weight w[added] - w[removed], so a step is a
-    few gathers over the block and each walk's weight adds up as in
-    ``simulate``.  The letters are drawn _CHUNK steps at a time, so memory
-    is the stacks' _BLOCK * (steps + 1) small ints plus _BLOCK * _CHUNK
-    drawn letters and the _FEW * _CHUNK uniforms being mapped, whatever
-    ``reps``.
+    Each walk keeps its normal form as a stack of cells (see ``_Steps``).
+    The step tables, scaled to the block's interleaved stacks, and the
+    change of weight w[added] - w[removed] per (top, drawn letter) pair
+    make a step a few gathers over the block.  The letters are drawn
+    _CHUNK steps at a time, so memory is the stacks' _BLOCK * (steps + 1)
+    small ints plus _BLOCK * _CHUNK drawn letters and the _FEW * _CHUNK
+    uniforms being mapped, whatever ``reps``, unless the walks are
+    recorded, which needs weights and keeps steps + 1 of them per walk.
 
     Every _WATCH steps a block looks at how deep its walks are; depth
     moves by at most one a step.  A goal is only tested while some walk
@@ -251,30 +263,25 @@ def _lockstep(
     n = product.nletters
     width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
     streams = _Streams(mu, seed, min(steps, _CHUNK), min(width, _FEW))
-    merge = np.vstack([np.full(n, _APART), _merge_array(product)])  # row 0: the empty word
-    push = merge == _APART
-    added = np.where(push, np.arange(n), merge)
-    removed = np.where(push, _CANCEL, np.arange(-1, n)[:, None])
-    cell = np.min_scalar_type(n)
-    value = (added + 1).astype(cell).ravel()
-    lift = push.astype(np.intp).ravel() * width
-    rise = np.where(push, 1, np.where(merge == _CANCEL, -1, 0)).ravel() * width
+    act = _steps(product)
+    value, lift, rise = act.value, act.lift * width, act.rise * width
     w = np.append(weights if weights is not None else np.zeros(n), 0)  # w[_CANCEL] == 0
-    gain = (w[added] - w[removed]).astype(float).ravel()
+    gain = (w[act.added] - w[act.removed]).astype(float)
     row_code = np.arange(n + 1) * n
     out = _Walks(np.empty(reps, dtype=np.intp), np.zeros(reps), np.zeros(reps, dtype=bool),
-                 np.zeros((prefix_len, reps), dtype=cell))
+                 np.zeros((prefix_len, reps), dtype=value.dtype), [])
+    series = np.zeros((reps if record else 0, steps + 1))
     # A walk reads a cell above depth 0 only after writing it, so blocks
     # share one stack and one buffer of drawn letters.
-    stack = np.zeros((steps + 1) * width, dtype=cell)
-    picks = np.empty((min(steps, _CHUNK), width), dtype=cell)
+    stack = np.zeros((steps + 1) * width, dtype=value.dtype)
+    picks = np.empty((min(steps, _CHUNK), width), dtype=value.dtype)
     settle = weights is None  # the weights are read at every step
     read = 1 if goal >= 0 else prefix_len  # the deepest cell read
     for start in range(0, reps, width):
         b = min(width, reps - start)
         at = np.arange(b)  # the cell of each walk's top
         first = at + width
-        top = np.zeros(b, dtype=cell)
+        top = np.zeros(b, dtype=value.dtype)
         block = slice(start, start + b)
         total, hit = out.weight[block], out.hit[block]
         for done in range(0, steps, _WATCH):
@@ -284,7 +291,7 @@ def _lockstep(
             if row == 0:
                 streams.fill(picks[: min(_CHUNK, left), :b], start, done)
             watch = goal >= 0 and at.min() < (_WATCH + 2) * width
-            for drawn in picks[row : row + min(_WATCH, left), :b]:
+            for step, drawn in enumerate(picks[row : row + min(_WATCH, left), :b], done + 1):
                 code = row_code[top]
                 code += drawn
                 stack[at + lift[code]] = value[code]
@@ -292,11 +299,16 @@ def _lockstep(
                 top = stack[at]
                 if weights is not None:
                     total += gain[code]
+                    if record:
+                        series[block, step] = total
                 if watch:
                     hit |= (at == first) & (top == goal + 1)
         out.depth[block] = at // width
         cells = stack.reshape(steps + 1, width)
         out.prefix[: min(prefix_len, steps), block] = cells[1 : prefix_len + 1, :b]
+        if record:
+            out.record.extend(Trajectory(series[start + j], _word(product, cells[1 : d + 1, j]))
+                              for j, d in enumerate(out.depth[block].tolist()))
     return out
 
 
@@ -374,11 +386,11 @@ def estimate_prefix(
     """
     check_sizes(steps, reps, prefix_len)
     walks = _lockstep(product, mu, steps, reps, seed, prefix_len=prefix_len)
-    prefixes = walks.prefix[:, walks.depth >= prefix_len].T - 1
+    prefixes = walks.prefix[:, walks.depth >= prefix_len].T
     counts = Counter(map(tuple, prefixes.tolist()))
     kept = counts.total()
     dropped = reps - kept
-    freqs = {Word(_letters(product, k)): c / kept for k, c in counts.items()} if kept else {}
+    freqs = {_word(product, k): c / kept for k, c in counts.items()} if kept else {}
     return PrefixReport(frequencies=freqs, dropped=dropped, replications=reps, horizon=steps)
 
 
@@ -390,27 +402,37 @@ def exact_convolution(
 ) -> dict[Word, float]:
     """Exact law of X_n as a sparse map from normal-form words to mass.
 
-    Pushes the law forward one letter at a time through the group law.
-    Intended for small n; raises StateBudgetError when the support would
-    exceed ``max_support``.
+    Pushes the law forward one letter at a time through the step tables.
+    The support is a matrix of stacks of cells (see ``_Steps``), one row
+    and one mass per word; a word's depth is its count of nonzero cells.
+    Each step acts with every support letter on every word in row-major
+    order, numbers the distinct rows in the order they first appear (a
+    dict keyed by the rows' bytes, several times faster here than sorting
+    the rows), and sums their masses in that order, so each word's mass is
+    the sum a dict filled word by word would hold.  Intended for small n;
+    raises StateBudgetError when the support would exceed ``max_support``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    support = [(u, p) for u, p in enumerate(mu.probs) if p > 0.0]
-    merge = _merge_table(product)
-    dist: dict[tuple[int, ...], float] = {(): 1.0}
+    act = _steps(product)
+    letters = np.flatnonzero(mu.probs > 0.0)
+    cells = np.zeros((1, n + 1), dtype=act.value.dtype)  # column 0: the empty word
+    mass = np.ones(1)
     for _ in range(n):
-        out: dict[tuple[int, ...], float] = {}
-        for word, mass in dist.items():
-            for u, p in support:
-                stack = list(word)
-                _right_multiply(stack, u, merge)
-                nw = tuple(stack)
-                out[nw] = out.get(nw, 0.0) + mass * p
-        if len(out) > max_support:
+        at = np.repeat(np.count_nonzero(cells, axis=1), len(letters))  # the top cells
+        cells = np.repeat(cells, len(letters), axis=0)
+        rows = np.arange(len(cells))
+        code = cells[rows, at].astype(np.intp) * product.nletters + np.resize(letters, len(rows))
+        cells[rows, at + act.lift[code]] = act.value[code]
+        keys = cells.view(f"V{cells.itemsize * (n + 1)}").ravel().tolist()  # one bytes per row
+        seen: dict[bytes, int] = {}
+        word = np.array([seen.setdefault(key, len(seen)) for key in keys])
+        if len(seen) > max_support:
             raise StateBudgetError(f"convolution support exceeds {max_support} words")
-        dist = out
-    return {Word(_letters(product, w)): p for w, p in dist.items()}
+        mass = np.bincount(word, np.outer(mass, mu.probs[letters]).ravel())
+        cells = cells[np.unique(word, return_index=True)[1]]
+    depth = np.count_nonzero(cells, axis=1).tolist()
+    return {_word(product, row[1 : d + 1]): p for row, d, p in zip(cells.tolist(), depth, mass)}
 
 
 def expected_length(dist: dict[Word, float], lengths: LengthTable | None = None) -> float:

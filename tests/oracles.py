@@ -1,11 +1,15 @@
 """Independent oracles used by the tests.
 
-``append_letter`` is the group law on letter tuples, one case at a time;
+``letter_product`` multiplies two letters of one factor through its
+multiplication table, and ``append_letter`` is the group law on letter
+tuples, one case at a time; neither reads the step tables of
+``freewalk.simulate``, the package's one letter action.
 ``ball_count`` enumerates the normal-form words of a ball and
 ``ball_count_bfs`` searches the Cayley graph, two independent checks of
 ``sphere_series``.  The per-letter loops restate the index tables of the
 solver and the additive-drift kernel of the metrics one letter at a time,
-and the shift-invariance residuals one normal-form prefix at a time.  Three
+the shift-invariance residuals one normal-form prefix at a time, and the
+mu-invariance residual one cylinder and one letter at a time.  Three
 more restate a vectorized kernel the slow way and agree with it bit for
 bit: the Jacobian of the hitting map accumulated term by term with
 ``np.add.at``, the growth equation of the volume summed one letter at a
@@ -17,14 +21,15 @@ solve.  Killing at the boundary biases the value downward by at most the
 probability of returning from the sphere, which decays geometrically in
 the radius.  ``exact_fixed_point`` solves the hitting map, written one
 letter at a time, to far below float precision.  The Monte Carlo
-references step one walk at a time through ``_right_multiply``, each from
-a freshly keyed Philox generator, as the estimators did before they
-stepped all walks together, and map uniforms to letters by a binary
-search of the cdf, where the estimators use a guide table.
+references step one walk at a time through ``_right_multiply``, a stack
+of letter indices with a merge table built from ``letter_product``, each
+walk from a freshly keyed Philox generator, and map uniforms to letters by
+a binary search of the cdf, where the estimators use a guide table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -43,7 +48,7 @@ from freewalk.groups import (
     natural_lengths,
 )
 from freewalk.harmonic import LetterChain, cylinder_prob
-from freewalk.simulate import EstimateReport, PrefixReport, _letters, _merge_table, _right_multiply
+from freewalk.simulate import EstimateReport, PrefixReport
 from freewalk.traffic import RootVector, StepDistribution, _Structure
 
 # The symmetric group S3 as a multiplication table, identity at index 0.
@@ -53,10 +58,18 @@ S3_TABLE = [
 ]
 
 
+def letter_product(product: FreeProduct, u: Letter, v: Letter) -> Letter | None:
+    """In-factor product of two letters; None when they cancel."""
+    if u.factor != v.factor:
+        raise ValueError(f"letters {u} and {v} live in different factors")
+    e = product.factors[u.factor].mul[u.elem][v.elem]
+    return None if e == 0 else Letter(u.factor, e)
+
+
 def append_letter(product: FreeProduct, letters: tuple[Letter, ...], u: Letter) -> tuple[Letter, ...]:
     """Right-multiply a normal-form letter tuple by one letter."""
     if letters and letters[-1].factor == u.factor:
-        merged = product.letter_product(letters[-1], u)
+        merged = letter_product(product, letters[-1], u)
         if merged is None:
             return letters[:-1]
         return letters[:-1] + (merged,)
@@ -186,7 +199,7 @@ def pair_tables_oracle(product: FreeProduct) -> tuple[list[int], list[int], list
             if u != a:
                 pa.append(idx(a))
                 pu.append(idx(u))
-                pv.append(idx(product.letter_product(product.letter_inverse(u), a)))
+                pv.append(idx(letter_product(product, product.letter_inverse(u), a)))
     return pa, pu, pv
 
 
@@ -279,7 +292,7 @@ def additive_drift_oracle(
         change = w[idx(a)] * outside - w[idx(a_inv)] * r[a_inv]
         for b in product.alphabet[product.factor_slice(a.factor)]:
             if b != a_inv:
-                change += (w[idx(product.letter_product(a, b))] - w[idx(b)]) * r[b]
+                change += (w[idx(letter_product(product, a, b))] - w[idx(b)]) * r[b]
         total += p * change
     return total
 
@@ -304,11 +317,87 @@ def tau2_residual_oracle(chain: LetterChain, w: Word) -> float:
     return abs(cylinder_prob(chain, w) - total)
 
 
+def mu_invariance_residual(chain: LetterChain, mu: StepDistribution, w: Word) -> float:
+    """Residual of mu-invariance of the measure on one cylinder.
+
+    For a cylinder the preimage under the action of a letter reduces to
+    finitely many cylinders (prepend / in-factor merge / cancellation), so
+    the identity can be checked exactly.
+    """
+    product = chain.product
+    if len(w) == 0:
+        raise ValueError("need a nonempty cylinder word")
+    head = w[0]
+    tail = Word(w.letters[1:])
+    total = 0.0
+    for a, p in zip(product.alphabet, mu.probs):
+        if p == 0.0:
+            continue
+        acted = 0.0
+        # a prepends: the tail of w must follow, with its first letter
+        # outside a's factor (automatic for len(w) > 1).
+        if a == head:
+            if len(w) > 1:
+                acted += cylinder_prob(chain, tail)
+            else:
+                acted += sum(
+                    chain.first[product.letter_index(c)]
+                    for c in product.alphabet
+                    if c.factor != a.factor
+                )
+        # a merges with the first letter of the tape: that letter must be
+        # a^-1 * head, which is a genuine letter exactly when head != a.
+        if head.factor == a.factor and head != a:
+            b = letter_product(product, product.letter_inverse(a), head)
+            acted += cylinder_prob(chain, Word((b,) + tail.letters))
+        # a cancels the first tape letter a^-1, exposing w itself.
+        if head.factor != a.factor:
+            acted += cylinder_prob(chain, Word((product.letter_inverse(a),) + w.letters))
+        total += p * acted
+    return abs(cylinder_prob(chain, w) - total)
+
+
 def letter_reference(mu: StepDistribution, u: np.ndarray) -> np.ndarray:
     """The letter of each uniform u: a binary search of the cdf of mu."""
     cdf = np.cumsum(mu.probs)
     cdf[-1] = 1.0
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+_CANCEL = -1  # merge[t][u] when t * u is the identity; also "no letter"
+_APART = -2  # merge[t][u] when t and u lie in different factors
+
+
+@functools.lru_cache(maxsize=1)
+def _merge_table(product: FreeProduct) -> tuple[tuple[int, ...], ...]:
+    """merge[t][u]: alphabet index of t * u for letters of one factor, else _CANCEL or _APART."""
+    idx = product.letter_index
+    return tuple(
+        tuple(_APART if t.factor != u.factor
+              else _CANCEL if (tu := letter_product(product, t, u)) is None else idx(tu)
+              for u in product.alphabet)
+        for t in product.alphabet
+    )
+
+
+def _right_multiply(stack: list[int], u: int, merge) -> tuple[int, int]:
+    """Right-multiply a normal-form stack of letter indices by the letter u, in place.
+
+    Returns the letters (removed, added) at the top, _CANCEL for none.
+    """
+    if stack:
+        merged = merge[stack[-1]][u]
+        if merged != _APART:
+            top = stack.pop()
+            if merged != _CANCEL:
+                stack.append(merged)
+            return top, merged
+    stack.append(u)
+    return _CANCEL, u
+
+
+def _letters(product: FreeProduct, stack) -> tuple[Letter, ...]:
+    return tuple(product.alphabet[i] for i in stack)
 
 
 def _reference_walk(product: FreeProduct, mu: StepDistribution, steps: int, seed: int, rep: int):

@@ -20,7 +20,7 @@ from freewalk.groups import (
     normal_words,
     sphere_series,
 )
-from freewalk.simulate import _letters, _merge_table, _right_multiply
+from freewalk.simulate import _steps
 
 from oracles import S3_TABLE, append_letter, ball_count, ball_count_bfs, factor_distances_oracle
 
@@ -95,12 +95,16 @@ def test_word_domain_validation_and_parsing():
 
 
 def concat_normalize(product, w1: Word, w2: Word) -> Word:
-    """w1 right-multiplied by each letter of w2, through the letter action of the simulator."""
-    merge = _merge_table(product)
-    stack = [product.letter_index(u) for u in w1]
+    """w1 right-multiplied by each letter of w2, through the step tables of the package."""
+    act = _steps(product)
+    stack = np.zeros(len(w1) + len(w2) + 1, dtype=np.intp)  # cells: letter index + 1
+    stack[1 : len(w1) + 1] = [product.letter_index(u) + 1 for u in w1]
+    at = len(w1)
     for u in w2:
-        _right_multiply(stack, product.letter_index(u), merge)
-    return Word(_letters(product, stack))
+        code = stack[at] * product.nletters + product.letter_index(u)
+        stack[at + act.lift[code]] = act.value[code]
+        at += act.rise[code]
+    return Word(tuple(product.alphabet[c - 1] for c in stack[1 : at + 1]))
 
 
 def test_concat_same_factor_merge():

@@ -9,9 +9,9 @@ from freewalk.harmonic import (
     build_chain,
     cylinder_prob,
     log_cylinder_prob,
+    max_mu_invariance_residual,
     max_shift_residual,
     _shift_residual,
-    mu_invariance_residual,
     tau2_invariance_residual,
     two_factor_identity,
 )
@@ -19,7 +19,7 @@ from freewalk.traffic import RootVector, solve_walk
 from freewalk.verify import _battery
 from freewalk.walkspec import hecke_simple, uniform_per_factor, z2z3_walk, z2z2z2, zkzk_simple
 
-from oracles import tau1_residual_oracle, tau2_residual_oracle
+from oracles import mu_invariance_residual, tau1_residual_oracle, tau2_residual_oracle
 
 
 def chain_for(product, mu):
@@ -214,6 +214,15 @@ def test_max_shift_residual_is_the_per_word_maximum_bitwise(length):
             assert max_shift_residual(chain, length, steps) == expected, (name, steps)
 
 
+@pytest.mark.parametrize("length", [2, 3])
+def test_max_mu_invariance_residual_is_the_per_word_maximum_bitwise(length):
+    # criterion 8's battery, against the residual summed one cylinder at a time
+    for name, (product, mu) in _battery():
+        _, chain = chain_for(product, mu)
+        expected = max(mu_invariance_residual(chain, mu, w) for w in normal_words(product, length))
+        assert max_mu_invariance_residual(chain, mu, length) == expected, name
+
+
 def test_max_tau2_residual_on_118_letters_is_the_per_word_maximum():
     product, mu = uniform_per_factor([60, 60], [0.5, 0.5])
     _, chain = chain_for(product, mu)
@@ -225,10 +234,7 @@ def test_mu_invariance_identity_small_cylinders():
     cases = [zkzk_simple(4), hecke_simple(3), hecke_simple(4), z2z3_walk(0.5, 0.1), z2z2z2(0.28)]
     for product, mu in cases:
         _, chain = chain_for(product, mu)
-        worst = max(
-            mu_invariance_residual(chain, mu, w) for w in normal_words(product, 4)
-        )
-        assert worst < 1e-10
+        assert max_mu_invariance_residual(chain, mu, 4) < 1e-10
 
 
 def test_mu_invariance_fails_for_wrong_measure():
@@ -237,8 +243,7 @@ def test_mu_invariance_fails_for_wrong_measure():
     from freewalk.traffic import RootVector
 
     wrong = build_chain(product, RootVector(product, np.full(product.nletters, 1 / 3)))
-    residuals = [mu_invariance_residual(wrong, mu, w) for w in normal_words(product, 2)]
-    assert max(residuals) > 1e-3
+    assert max_mu_invariance_residual(wrong, mu, 2) > 1e-3
 
 
 def test_mu_invariance_catches_a_root_vector_that_tau2_accepts():
@@ -246,7 +251,6 @@ def test_mu_invariance_catches_a_root_vector_that_tau2_accepts():
     # mu-invariance tells the uniform vector from the solution.
     product, mu = z2z3_walk(0.3, 0.1)
     wrong = build_chain(product, RootVector(product, np.full(product.nletters, 1 / 3)))
-    words = normal_words(product, 2)
-    assert max(mu_invariance_residual(wrong, mu, w) for w in words) >= 0.1
-    assert max(tau2_invariance_residual(wrong, w) for w in words) <= 1e-15
+    assert max_mu_invariance_residual(wrong, mu, 2) >= 0.1
+    assert max(tau2_invariance_residual(wrong, w) for w in normal_words(product, 2)) <= 1e-15
 

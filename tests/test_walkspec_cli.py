@@ -194,11 +194,17 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
         ["closed-form", "--family", "z2z3", "--p", "nan", "--q", "0.1"],
         ["closed-form", "--family", "z3z3-asym", "--p", "0.2", "--q", "nan"],
         ["solve", "--family", "z2z3", "--p", "0.5", "--q", "0.1", "--max-iter", "0"],
+        # a writable dump path: a late rejection would leave estimates on stdout
+        ["simulate", "--family", "hecke-simple", "--k", "3", "--steps", "10", "--reps", "2",
+         "--dump-lengths", os.devnull, "--dump-reps", "0"],
+        ["simulate", "--family", "hecke-simple", "--k", "3", "--steps", "10", "--reps", "2",
+         "--dump-lengths", os.devnull, "--dump-reps", "-3"],
     ],
     ids=["missing-k", "quality-resolution-0", "sweep-resolution-0", "negative-seed", "tol-0",
          "tol-nan", "sweep-tol-0", "sweep-tol-nan", "quality-sup-tol-0", "quality-sup-tol-nan",
          "closed-form-fractional-k", "tol-1e-3", "tol-inf", "sweep-tol-inf", "sweep-resolution-3",
-         "closed-form-z2z3-p-nan", "closed-form-z3z3-asym-q-nan", "max-iter-0"],
+         "closed-form-z2z3-p-nan", "closed-form-z3z3-asym-q-nan", "max-iter-0", "dump-reps-0",
+         "dump-reps-negative"],
 )
 def test_cli_invalid_input_exits_3_without_traceback(argv):
     assert_invalid_input(argv)
@@ -483,6 +489,15 @@ def test_cli_simulate_dump_lengths_is_pinned(tmp_path, capsys, walk, digest):
     data = path.read_bytes()
     assert data.count(b"\n") == 1 + 3 * 2101
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_cli_simulate_unwritable_dump_exits_5_before_any_output(tmp_path, capsys):
+    path = tmp_path / "missing" / "lengths.csv"
+    assert main(["simulate", "--family", "hecke-simple", "--k", "3", "--steps", "10",
+                 "--reps", "2", "--dump-lengths", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o failure:") and captured.err.count("\n") == 1
 
 
 def test_cli_cylinder(capsys):
