@@ -3,10 +3,12 @@
 Randomness comes from numpy's Philox 4x64-10 counter-based generator,
 keyed by (master seed, replication index): trajectories are bit-identical
 across platforms and replications are independent streams that may be
-computed in any order.  The estimators step their replications together,
-in blocks of up to 512, each walk on its own stream; the letter action
-and the float sums are those of the one-walk stepper ``simulate``, so the
-estimates equal those of stepping one replication at a time.
+computed in any order.  The estimators and ``simulate`` step their
+replications together, in blocks of up to 512, each walk on its own
+stream, and each walk's float sums are those of stepping it alone, so the
+results equal those of stepping one replication at a time.  One letter
+action serves them and the exact convolution powers: the step tables of
+``_Steps``, built from the solver's in-factor pair tables.
 
 Letters are drawn a few walks at a time: each walk's uniforms fill one
 row of a small float buffer, and an exact guide table maps the rows to
