@@ -4,7 +4,8 @@
 multiplication table, and ``append_letter`` is the group law on letter
 tuples, one case at a time; neither reads the step tables of
 ``freewalk.simulate``, the package's one letter action.
-``ball_count`` enumerates the normal-form words of a ball and
+``convolution_oracle`` pushes a law forward one word and one letter at
+a time.  ``ball_count`` enumerates the normal-form words of a ball and
 ``ball_count_bfs`` searches the Cayley graph, two independent checks of
 ``sphere_series``.  The per-letter loops restate the index tables of the
 solver and the additive-drift kernel of the metrics one letter at a time,
@@ -74,6 +75,20 @@ def append_letter(product: FreeProduct, letters: tuple[Letter, ...], u: Letter) 
             return letters[:-1]
         return letters[:-1] + (merged,)
     return letters + (u,)
+
+
+def convolution_oracle(product: FreeProduct, mu: StepDistribution, n: int) -> dict[Word, float]:
+    """The law of X_n, pushed forward one word and one letter at a time into a dict."""
+    dist: dict[tuple[Letter, ...], float] = {(): 1.0}
+    support = [(u, p) for u, p in zip(product.alphabet, mu.probs) if p > 0.0]
+    for _ in range(n):
+        out: dict[tuple[Letter, ...], float] = {}
+        for word, mass in dist.items():
+            for u, p in support:
+                nw = append_letter(product, word, u)
+                out[nw] = out.get(nw, 0.0) + mass * p
+        dist = out
+    return {Word(w): p for w, p in dist.items()}
 
 
 def ball_count(

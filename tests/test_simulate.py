@@ -39,6 +39,7 @@ from freewalk.walkspec import (
 )
 from oracles import (
     _reference_walk,
+    convolution_oracle,
     drift_reference,
     hitting_reference,
     letter_reference,
@@ -164,6 +165,22 @@ def test_exact_convolution_small_laws():
     for n in (3, 6):
         law = exact_convolution(product, mu, n)
         assert abs(sum(law.values()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "walk, n",
+    [(lambda: zkzk_simple(3), 8), (lambda: zkzk_simple(4), 5), (lambda: z2z3_walk(0.5, 0.1), 6),
+     (lambda: hecke_simple(4), 6), (lambda: uniform_per_factor([3, 4, 5]), 3),
+     (lambda: _high_letters(), 2)],
+    ids=["z3z3", "z4z4", "z2z3", "hecke4-unsupported-letter", "three-factors", "258-letters"],
+)
+def test_exact_convolution_matches_dict_push_forward_bitwise(walk, n):
+    # same words, in the same order, each mass summed in the same order
+    product, mu = walk()
+    for m in range(n + 1):
+        law, expected = exact_convolution(product, mu, m), convolution_oracle(product, mu, m)
+        assert list(law) == list(expected)
+        assert [p.hex() for p in law.values()] == [p.hex() for p in expected.values()]
 
 
 def test_exact_convolution_budget_guard():

@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_15.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_16.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -17,11 +17,17 @@ of a shared machine falls on all of them.  The measurements:
 - ``quality_sup_s``: ``metrics.quality_sup`` on that grid, timed inside a
   fresh interpreter after its imports;
 - ``verify_4_cli_s``: wall time of ``python -m freewalk verify --criteria 4``,
-  the certified drift enclosures, with ``criterion_4_s`` as verify prints it;
+  the certified drift enclosures;
 - ``verify_6_10_cli_s``: wall time of ``python -m freewalk verify --criteria
-  6,10``, with ``criterion_6_s`` and ``criterion_10_s`` as verify prints them;
+  6,10``;
 - ``verify_12_cli_s``: wall time of ``python -m freewalk verify --criteria
-  12``, the Monte Carlo criterion, with ``criterion_12_s`` as verify prints it;
+  12``, the Monte Carlo criterion;
+- ``criterion_N_s`` for N in 4, 6, 8, 10, 12 and 13: ``verify.run_criterion(N)``
+  timed inside a fresh interpreter after its imports, at full precision
+  where verify prints two decimals;
+- ``exact_convolution_z4z4_10_s``: ``exact_convolution`` of the simple walk
+  on Z/4 * Z/4 at n = 10 (13,859 words), timed inside a fresh interpreter
+  after its imports;
 - ``solve_118_cli_s``: wall time of ``python -m freewalk solve --family
   uniform-per-factor --orders 60,60 --weights 0.5,0.5``, the 118-letter solve;
 - ``solve_118_s``: that command's ``main`` call, timed inside a fresh
@@ -37,7 +43,6 @@ import argparse
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -74,10 +79,28 @@ quality_sup(product, gens, 1e-3)
 print(time.perf_counter() - start)
 """
 
+TIME_CRITERION = """
+import time
+from freewalk.verify import run_criterion
+start = time.perf_counter()
+run_criterion({number})
+print(time.perf_counter() - start)
+"""
+TIME_CONVOLUTION = """
+import time
+from freewalk.simulate import exact_convolution
+from freewalk.walkspec import zkzk_simple
+product, mu = zkzk_simple(4)
+start = time.perf_counter()
+exact_convolution(product, mu, 10)
+print(time.perf_counter() - start)
+"""
+CRITERIA = (4, 6, 8, 10, 12, 13)
+
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
-         "quality_sup_s": "s", "verify_4_cli_s": "s", "criterion_4_s": "s",
-         "verify_6_10_cli_s": "s", "criterion_6_s": "s", "criterion_10_s": "s", "verify_12_cli_s": "s",
-         "criterion_12_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s"}
+         "quality_sup_s": "s", "verify_4_cli_s": "s", "verify_6_10_cli_s": "s",
+         "verify_12_cli_s": "s", **{f"criterion_{n}_s": "s" for n in CRITERIA},
+         "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -109,13 +132,13 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
     row["sweep_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SWEEP)], workdir)[2])
     row["quality_sup_cli_s"] = _child(tree, ["-m", "freewalk", *QUALITY], workdir)[0]
     row["quality_sup_s"] = float(_child(tree, ["-c", TIME_QUALITY_SUP], workdir)[2])
-    text = ""
     for name, argv in (("verify_4_cli_s", VERIFY_4), ("verify_6_10_cli_s", VERIFY),
                        ("verify_12_cli_s", VERIFY_12)):
-        row[name], _, out = _child(tree, ["-m", "freewalk", *argv], workdir)
-        text += out
-    for number, seconds in re.findall(r"criterion +(\d+):.*\(([0-9.]+) s\)$", text, re.M):
-        row[f"criterion_{number}_s"] = float(seconds)
+        row[name] = _child(tree, ["-m", "freewalk", *argv], workdir)[0]
+    for number in CRITERIA:
+        row[f"criterion_{number}_s"] = float(
+            _child(tree, ["-c", TIME_CRITERION.format(number=number)], workdir)[2])
+    row["exact_convolution_z4z4_10_s"] = float(_child(tree, ["-c", TIME_CONVOLUTION], workdir)[2])
     row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
     row["solve_118_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118)], workdir)[2])
     return row
