@@ -409,10 +409,10 @@ def exact_convolution(
     and one mass per word; a word's depth is its count of nonzero cells.
     Each step acts with every support letter on every word in row-major
     order, numbers the distinct rows in the order they first appear (a
-    dict keyed by the rows' bytes, several times faster here than sorting
-    the rows), and sums their masses in that order, so each word's mass is
-    the sum a dict filled word by word would hold.  Intended for small n;
-    raises StateBudgetError when the support would exceed ``max_support``.
+    dict keyed by the rows' bytes, faster than sorting the rows), and sums
+    their masses in that order, so each word's mass is the sum a dict
+    filled word by word would hold.  Intended for small n; raises
+    StateBudgetError when the support would exceed ``max_support``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -386,13 +386,13 @@ _APART = -2  # merge[t][u] when t and u lie in different factors
 @functools.lru_cache(maxsize=1)
 def _merge_table(product: FreeProduct) -> tuple[tuple[int, ...], ...]:
     """merge[t][u]: alphabet index of t * u for letters of one factor, else _CANCEL or _APART."""
-    idx = product.letter_index
-    return tuple(
-        tuple(_APART if t.factor != u.factor
-              else _CANCEL if (tu := letter_product(product, t, u)) is None else idx(tu)
-              for u in product.alphabet)
-        for t in product.alphabet
-    )
+    def entry(t: Letter, u: Letter) -> int:
+        if t.factor != u.factor:
+            return _APART
+        tu = letter_product(product, t, u)
+        return _CANCEL if tu is None else product.letter_index(tu)
+
+    return tuple(tuple(entry(t, u) for u in product.alphabet) for t in product.alphabet)
 
 
 def _right_multiply(stack: list[int], u: int, merge) -> tuple[int, int]:
