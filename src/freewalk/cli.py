@@ -458,7 +458,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -206,8 +207,8 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
          "closed-form-z2z3-p-nan", "closed-form-z3z3-asym-q-nan", "max-iter-0", "dump-reps-0",
          "dump-reps-negative"],
 )
-def test_cli_invalid_input_exits_3_without_traceback(argv):
-    assert_invalid_input(argv)
+def test_cli_invalid_input_exits_3_without_traceback(argv, capfd):
+    assert_invalid_input(argv, capfd)
 
 
 @pytest.mark.parametrize(
@@ -216,40 +217,52 @@ def test_cli_invalid_input_exits_3_without_traceback(argv):
      ["--prefix-len", "-2"], ["--hitting", "9:1"]],
     ids=["steps-0", "reps-1", "horizon-negative", "prefix-len-negative", "unknown-hitting-letter"],
 )
-def test_cli_simulate_rejects_bad_input_before_any_output(flags, capsys):
-    argv = ["simulate", "--family", "hecke-simple", "--k", "3", "--steps", "10", "--reps", "4", *flags]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+def test_cli_simulate_rejects_bad_input_before_any_output(flags, capfd):
+    assert_invalid_input(["simulate", "--family", "hecke-simple", "--k", "3", "--steps", "10",
+                          "--reps", "4", *flags], capfd)
 
 
 @pytest.mark.parametrize("k", ["0", "-4", "2"])
-def test_cli_minimal_sweep_rejects_small_k_before_any_output(k, capsys):
-    assert main(["sweep", "--family", "quality-zkzk-minimal", "--k", k, "--resolution", "0.25"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+def test_cli_minimal_sweep_rejects_small_k_before_any_output(k, capfd):
+    assert_invalid_input(["sweep", "--family", "quality-zkzk-minimal", "--k", k,
+                          "--resolution", "0.25"], capfd)
 
 
 def test_python_dash_m_freewalk_runs_the_cli():
+    # the one exit-code test across a real process boundary; the other cases run main in-process
     env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "freewalk", "solve", "--family", "z2z3", "--p", "0.5", "--q", "0.1"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "freewalk", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = run("solve", "--family", "z2z3", "--p", "0.5", "--q", "0.1")
     assert proc.returncode == 0, proc.stderr
     assert "gamma = " in proc.stdout
-
-
-def assert_invalid_input(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run("solve", "--family", "zkzk-simple", "--k", "4", "--tol", "0")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("invalid input:") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def assert_invalid_input(argv, capfd):
+    """``main(argv)`` exits 3 with one ``invalid input:`` line and no other output.
+
+    File-descriptor capture also sees writes that bypass ``sys.stdout`` and
+    ``sys.stderr``.  A warning counts as output: a fresh interpreter would
+    print it to stderr, and pytest would otherwise swallow it.  An exception
+    that escapes ``main`` fails the test, as a traceback would.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(argv)
+    captured = capfd.readouterr()
+    assert status == 3
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert [str(w.message) for w in caught] == []
 
 
 _FAMILY = {"measure": {"family": "zkzk-simple", "k": 4}}
@@ -277,10 +290,10 @@ _LETTERS = {"factors": [{"cyclic": 2}, {"cyclic": 3}],
          "p-beyond-float", "max-iter-null", "letters-not-a-map", "table-not-a-list",
          "cyclic-fractional", "seed-fractional", "weights-string"],
 )
-def test_malformed_spec_exits_3_without_traceback(tmp_path, spec):
+def test_malformed_spec_exits_3_without_traceback(tmp_path, spec, capfd):
     path = tmp_path / "walk.json"
     path.write_text(json.dumps(spec))
-    assert_invalid_input(["solve", "--spec", str(path)])
+    assert_invalid_input(["solve", "--spec", str(path)], capfd)
 
 
 def test_spec_null_weights_select_equal_weights(tmp_path, capsys):
