@@ -27,8 +27,6 @@ from .groups import FreeProduct, Word
 from .simulate import _merge_array
 from .traffic import HittingVector, RootVector, StepDistribution, letter_tables
 
-_LOG_SPACE_CUTOFF = 200
-
 
 @dataclass(frozen=True)
 class LetterChain:
@@ -59,21 +57,20 @@ def build_chain(product: FreeProduct, r: RootVector) -> LetterChain:
 def cylinder_prob(chain: LetterChain, w: Word) -> float:
     """Mass of the cylinder of infinite normal words starting with w.
 
-    The empty word denotes the full space.  Long words are accumulated in
-    log-space: a product of a few hundred letter probabilities underflows
-    double precision.
+    The empty word denotes the full space.  The mass is the running product
+    first[w_1] T[w_1,w_2] ... T[w_{k-1},w_k], taken left to right.  Every
+    factor is at most 1, so the product underflows only where exp of the
+    summed logs would too; ``log_cylinder_prob`` gives the logarithm of
+    masses below the float range.
     """
-    k = len(w)
-    if k == 0:
+    if len(w) == 0:
         return 1.0
     idx = chain.product.letter_index
     positions = [idx(u) for u in w]
-    if k <= _LOG_SPACE_CUTOFF:
-        mass = chain.first[positions[0]]
-        for a, b in zip(positions, positions[1:]):
-            mass *= chain.trans[a, b]
-        return float(mass)
-    return math.exp(log_cylinder_prob(chain, w))
+    mass = chain.first[positions[0]]
+    for a, b in zip(positions, positions[1:]):
+        mass *= chain.trans[a, b]
+    return float(mass)
 
 
 def log_cylinder_prob(chain: LetterChain, w: Word) -> float:

@@ -589,15 +589,6 @@ def traffic_residual(product: FreeProduct, mu: StepDistribution, r: RootVector) 
                                    np.asarray(r.values, dtype=float)))
 
 
-def stationarity_check(product: FreeProduct, r: RootVector) -> bool:
-    """True when every factor carries first-letter mass 1/|I|.
-
-    For a root vector solving the traffic system this decides whether the
-    harmonic measure is stationary (and ergodic) under the one-step shift.
-    """
-    return bool(_stationary(letter_tables(product), np.asarray(r.values, dtype=float)))
-
-
 def chunk_rows(nletters: int) -> int:
     """Rows per chunk of a batch on n letters, so that B n^2 floats stay within JACOBIAN_FLOATS."""
     return max(1, JACOBIAN_FLOATS // nletters**2)

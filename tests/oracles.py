@@ -20,7 +20,8 @@ a given radius, absorbing at the target letter and killed at the
 boundary, and solves the linear hitting system with a sparse direct
 solve.  Killing at the boundary biases the value downward by at most the
 probability of returning from the sphere, which decays geometrically in
-the radius.  ``exact_fixed_point`` solves the hitting map, written one
+the radius.  ``stationarity_check`` restates ``SolveReport.stationary``
+one factor at a time.  ``exact_fixed_point`` solves the hitting map, written one
 letter at a time, to far below float precision.  The Monte Carlo
 references step one walk at a time through ``_right_multiply``, a stack
 of letter indices with a merge table built from ``letter_product``, each
@@ -50,7 +51,7 @@ from freewalk.groups import (
 )
 from freewalk.harmonic import LetterChain, cylinder_prob
 from freewalk.simulate import EstimateReport, PrefixReport
-from freewalk.traffic import RootVector, StepDistribution, _Structure
+from freewalk.traffic import STATIONARY_TOL, RootVector, StepDistribution, _Structure
 
 # The symmetric group S3 as a multiplication table, identity at index 0.
 S3_TABLE = [
@@ -203,6 +204,16 @@ def hitting_oracle(
     b[tgt] = 1.0  # the target row of I - chain is e_tgt: q(target) = 1
     q = spsolve((sparse.identity(n, format="csr") - chain).tocsc(), b)
     return float(q[index[()]])
+
+
+def stationarity_check(product: FreeProduct, r: RootVector) -> bool:
+    """True when every factor carries first-letter mass 1/|I|, summed one factor at a time.
+
+    For a root vector solving the traffic system this decides whether the
+    harmonic measure is stationary (and ergodic) under the one-step shift.
+    """
+    return all(abs(r.factor_sum(i) - 1.0 / product.nfactors) < STATIONARY_TOL
+               for i in range(product.nfactors))
 
 
 def pair_tables_oracle(product: FreeProduct) -> tuple[list[int], list[int], list[int]]:

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +128,14 @@ def test_log_cylinder_matches_product_path():
     long_word = Word(tuple(Letter(n % 2, 1) for n in range(600)))
     assert math.isfinite(log_cylinder_prob(chain, long_word))
     assert cylinder_prob(chain, long_word) >= 0.0
+    # 600 letters, mass about 1.3e-293: the running product stays within rounding
+    # of the exact product of its float factors (exp of the summed logs is 5.7e-12 off)
+    long_word = Word(tuple(Letter(n % 2, 1 + (n % 3)) for n in range(600)))
+    positions = [product.letter_index(u) for u in long_word]
+    exact = Fraction(float(chain.first[positions[0]]))
+    for a, b in zip(positions, positions[1:]):
+        exact *= Fraction(float(chain.trans[a, b]))
+    assert abs(Fraction(cylinder_prob(chain, long_word)) - exact) <= Fraction(1e-13) * exact
 
 
 def test_two_factor_identity_values():

@@ -23,7 +23,6 @@ from freewalk.traffic import (
     _phi_array,
     q_to_r,
     solve_walk,
-    stationarity_check,
     letter_tables,
     traffic_residual,
     validate_walk,
@@ -36,6 +35,7 @@ from oracles import (
     hitting_oracle,
     jacobian_oracle,
     pair_tables_oracle,
+    stationarity_check,
 )
 
 
