@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_16.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_17.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -31,7 +31,10 @@ of a shared machine falls on all of them.  The measurements:
 - ``solve_118_cli_s``: wall time of ``python -m freewalk solve --family
   uniform-per-factor --orders 60,60 --weights 0.5,0.5``, the 118-letter solve;
 - ``solve_118_s``: that command's ``main`` call, timed inside a fresh
-  interpreter after its imports.
+  interpreter after its imports;
+- ``tier1_s``: wall time of the tier-1 suite, ``python -m pytest -q
+  --continue-on-collection-errors``, run with the tree as the working
+  directory, so that each tree runs its own tests.
 
 The file holds, per tree and measurement, the median, the quartiles and
 every run, with the machine and each tree's commit.
@@ -57,6 +60,7 @@ VERIFY_4 = ["verify", "--criteria", "4"]
 VERIFY = ["verify", "--criteria", "6,10"]
 VERIFY_12 = ["verify", "--criteria", "12"]
 SOLVE_118 = ["solve", "--family", "uniform-per-factor", "--orders", "60,60", "--weights", "0.5,0.5"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 # Run in a fresh interpreter: time one call after the imports, print seconds.
 TIME_MAIN = """
@@ -100,7 +104,8 @@ CRITERIA = (4, 6, 8, 10, 12, 13)
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
          "quality_sup_s": "s", "verify_4_cli_s": "s", "verify_6_10_cli_s": "s",
          "verify_12_cli_s": "s", **{f"criterion_{n}_s": "s" for n in CRITERIA},
-         "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s"}
+         "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s",
+         "tier1_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -141,6 +146,7 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
     row["exact_convolution_z4z4_10_s"] = float(_child(tree, ["-c", TIME_CONVOLUTION], workdir)[2])
     row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
     row["solve_118_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118)], workdir)[2])
+    row["tier1_s"] = _child(tree, TIER1, str(tree))[0]
     return row
 
 
