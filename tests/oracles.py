@@ -21,8 +21,8 @@ boundary, and solves the linear hitting system with a sparse direct
 solve.  Killing at the boundary biases the value downward by at most the
 probability of returning from the sphere, which decays geometrically in
 the radius.  ``stationarity_check`` restates ``SolveReport.stationary``
-one factor at a time.  ``exact_fixed_point`` solves the hitting map, written one
-letter at a time, to far below float precision.  The Monte Carlo
+one factor at a time.  ``exact_fixed_point`` solves the hitting map,
+written one letter at a time, to far below float precision.  The Monte Carlo
 references step one walk at a time through ``_right_multiply``, a stack
 of letter indices with a merge table built from ``letter_product``, each
 walk from a freshly keyed Philox generator, and map uniforms to letters by
