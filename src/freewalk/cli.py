@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -377,7 +378,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``freewalk`` parser, built on first use and kept for the process.
+
+    Each ``parse_args`` call fills a new namespace, so nothing carries over
+    from one ``main`` call to the next; no default is a mutable object.
+    """
     parser = argparse.ArgumentParser(
         prog="freewalk",
         description="Random walks on free products of finite groups: traffic solver, "

@@ -69,8 +69,10 @@ def make_cyclic(k: int) -> FiniteGroup:
     """Cyclic group of order ``k`` in additive notation."""
     if k < 2:
         raise GroupTableError(f"cyclic group needs order >= 2, got {k}")
-    mul = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
-    inv = tuple((-a) % k for a in range(k))
+    # Lists, not generators: tuple() of a generator allocates 10 slots and then
+    # resizes, which leaves CPython's per-size tuple freelists filling up.
+    mul = tuple([tuple([(a + b) % k for b in range(k)]) for a in range(k)])
+    inv = tuple([(-a) % k for a in range(k)])
     return FiniteGroup(order=k, mul=mul, inv=inv)
 
 
@@ -91,7 +93,7 @@ def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
         for b, value in enumerate(row):
             if not (isinstance(value, (int, np.integer)) and 0 <= value < m):
                 raise GroupTableError(f"entry mul({a},{b})={value!r} outside 0..{m - 1}")
-        rows.append(tuple(int(v) for v in row))
+        rows.append(tuple([int(v) for v in row]))  # a list, as in make_cyclic
     mul = tuple(rows)
     for a in range(m):
         if mul[0][a] != a or mul[a][0] != a:

@@ -527,6 +527,36 @@ def test_cli_cylinder(capsys):
     assert main(["cylinder", "--family", "zkzk-simple", "--k", "4", "--word", "0:1.0:2"]) == 3
 
 
+def test_kept_parser_carries_no_words_between_calls(capsys):
+    assert build_parser() is build_parser()
+    cylinder = ["cylinder", "--family", "zkzk-simple", "--k", "4", "--word", "0:1"]
+    assert main([*cylinder, "--word", "1:1"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in first] == ["cylinder(0:1)", "cylinder(1:1)"]
+    assert main(cylinder) == 0
+    assert capsys.readouterr().out.splitlines() == first[:1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["top", "solve"])
+def test_kept_parser_prints_the_same_help_twice(argv, capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] and texts[0] == texts[1]
+
+
+def test_kept_parser_solves_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--family", "zkzk-simple", "--k", "four"])
+    assert stop.value.code == 2
+    capsys.readouterr()
+    assert main(["solve", "--family", "zkzk-simple", "--k", "4"]) == 0
+    assert "gamma = 0.30901699437494734" in capsys.readouterr().out
+
+
 def test_cli_quality(capsys):
     assert main(["quality", "--family", "zkzk-simple", "--k", "4", "--gens", "minimal"]) == 0
     out = capsys.readouterr().out

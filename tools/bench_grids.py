@@ -1,11 +1,14 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_17.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_18.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
 pinned to one thread, and the trees take turns run by run, so a slow spell
-of a shared machine falls on all of them.  The measurements:
+of a shared machine falls on all of them.  Which tree goes first alternates
+from run to run (the order given in odd runs, reversed in even ones), so a
+bias of the first or second slot does not read as a change.  The
+measurements:
 
 - ``sweep_cli_s``: wall time of ``python -m freewalk sweep --family z2z3
   --resolution 0.01 --out FILE``, the README sweep (5,151 rows), and
@@ -32,6 +35,9 @@ of a shared machine falls on all of them.  The measurements:
   uniform-per-factor --orders 60,60 --weights 0.5,0.5``, the 118-letter solve;
 - ``solve_118_s``: that command's ``main`` call, timed inside a fresh
   interpreter after its imports;
+- ``solve_inprocess_x20_s``: 20 calls of ``main(["solve", "--family",
+  "zkzk-simple", "--k", "4"])`` in one fresh interpreter after its imports,
+  the way perfbench and other in-process callers use the CLI;
 - ``tier1_s``: wall time of the tier-1 suite, ``python -m pytest -q
   --continue-on-collection-errors``, run with the tree as the working
   directory, so that each tree runs its own tests.
@@ -60,16 +66,18 @@ VERIFY_4 = ["verify", "--criteria", "4"]
 VERIFY = ["verify", "--criteria", "6,10"]
 VERIFY_12 = ["verify", "--criteria", "12"]
 SOLVE_118 = ["solve", "--family", "uniform-per-factor", "--orders", "60,60", "--weights", "0.5,0.5"]
+SOLVE_K4 = ["solve", "--family", "zkzk-simple", "--k", "4"]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
-# Run in a fresh interpreter: time one call after the imports, print seconds.
+# Run in a fresh interpreter: time the calls after the imports, print seconds.
 TIME_MAIN = """
 import io, time
 from contextlib import redirect_stdout
 from freewalk.cli import main
 start = time.perf_counter()
 with redirect_stdout(io.StringIO()):
-    main({argv!r})
+    for _ in range({calls}):
+        main({argv!r})
 print(time.perf_counter() - start)
 """
 TIME_QUALITY_SUP = """
@@ -105,7 +113,7 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          "quality_sup_s": "s", "verify_4_cli_s": "s", "verify_6_10_cli_s": "s",
          "verify_12_cli_s": "s", **{f"criterion_{n}_s": "s" for n in CRITERIA},
          "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s",
-         "tier1_s": "s"}
+         "solve_inprocess_x20_s": "s", "tier1_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -134,7 +142,7 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
     row: dict[str, float] = {}
     row["sweep_cli_s"], row["sweep_peak_rss_mb"], _ = _child(
         tree, ["-m", "freewalk", *SWEEP, "--out", "surface.csv"], workdir)
-    row["sweep_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SWEEP)], workdir)[2])
+    row["sweep_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SWEEP, calls=1)], workdir)[2])
     row["quality_sup_cli_s"] = _child(tree, ["-m", "freewalk", *QUALITY], workdir)[0]
     row["quality_sup_s"] = float(_child(tree, ["-c", TIME_QUALITY_SUP], workdir)[2])
     for name, argv in (("verify_4_cli_s", VERIFY_4), ("verify_6_10_cli_s", VERIFY),
@@ -145,7 +153,10 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
             _child(tree, ["-c", TIME_CRITERION.format(number=number)], workdir)[2])
     row["exact_convolution_z4z4_10_s"] = float(_child(tree, ["-c", TIME_CONVOLUTION], workdir)[2])
     row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
-    row["solve_118_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118)], workdir)[2])
+    row["solve_118_s"] = float(
+        _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118, calls=1)], workdir)[2])
+    row["solve_inprocess_x20_s"] = float(
+        _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_K4, calls=20)], workdir)[2])
     row["tier1_s"] = _child(tree, TIER1, str(tree))[0]
     return row
 
@@ -199,7 +210,10 @@ def main(argv: list[str] | None = None) -> int:
     runs: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
     with tempfile.TemporaryDirectory() as workdir:
         for number in range(args.runs):
-            for label, tree in trees.items():
+            order = list(trees.items())
+            if number % 2:
+                order.reverse()
+            for label, tree in order:
                 runs[label].append(measure(tree, workdir))
                 print(f"run {number + 1}/{args.runs} {label}: "
                       + ", ".join(f"{k} {v:.3f}" for k, v in runs[label][-1].items()), flush=True)
