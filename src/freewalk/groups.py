@@ -69,8 +69,7 @@ def make_cyclic(k: int) -> FiniteGroup:
     """Cyclic group of order ``k`` in additive notation."""
     if k < 2:
         raise GroupTableError(f"cyclic group needs order >= 2, got {k}")
-    # Lists, not generators: tuple() of a generator allocates 10 slots and then
-    # resizes, which leaves CPython's per-size tuple freelists filling up.
+    # Lists, not generators: tuple(<generator>) resizes from 10 slots and fills tuple freelists.
     mul = tuple([tuple([(a + b) % k for b in range(k)]) for a in range(k)])
     inv = tuple([(-a) % k for a in range(k)])
     return FiniteGroup(order=k, mul=mul, inv=inv)

@@ -136,7 +136,7 @@ Runs = tuple[tuple[tuple[int | float, int], ...], ...]
 def _factor_runs(product: FreeProduct, lengths: LengthTable) -> Runs:
     """Per factor, its letter weights in alphabet order as runs (weight, count) of equal ones."""
     weights = lengths.weights.tolist()
-    # Lists, not generators, so each tuple is allocated at its size (see groups.make_cyclic).
+    # Lists, not generators, so each tuple is allocated at its final size (see make_cyclic).
     return tuple([
         tuple([(w, len(list(run))) for w, run in itertools.groupby(weights[product.factor_slice(i)])])
         for i in range(product.nfactors)
