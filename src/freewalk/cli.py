@@ -285,7 +285,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     product, mu = spec.product, spec.mu
     lengths = letter_lengths(product, spec.generators)
     # reject bad sizes and an unknown target before any simulation or output
-    check_sizes(args.steps, args.reps, args.prefix_len or 1)
+    check_sizes(args.steps, args.reps, args.prefix_len or 1,
+                min(args.reps, args.dump_reps) if args.dump_lengths else 0)
     if args.hitting:
         target = Letter.parse(args.hitting)
         product.letter_index(target)

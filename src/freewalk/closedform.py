@@ -1,4 +1,4 @@
-"""Closed-form drift and root-vector formulas for small free products.
+"""Closed-form drift formulas for small free products.
 
 Every function here evaluates an explicit formula or a one-variable
 polynomial root, independently of the fixed-point solver; the test suite
@@ -77,23 +77,36 @@ def _checked_bracket(fn, lo, hi, steps: int = 200):
     return bisect_increasing(fn, lo, hi, steps)
 
 
+# The largest k whose float recurrence stays finite on the whole bracket:
+# F_k(1e-12) grows like (2 + sqrt 3)^k and G_{k-1}(1e-12) like about 2.2^k,
+# and past these k they overflow, so inf - inf makes the end sign NaN.
+ZKZK_MAX_K = 542
+HECKE_MAX_K = 898
+
+
+def _check_k(k: int, most: int) -> None:
+    """Reject k outside 3..most before the recurrence runs."""
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    if k > most:
+        raise ValueError(f"k must be at most {most}: the float recurrence overflows beyond it")
+
+
 def solve_xk(k: int) -> float:
     """Unique root in (0,1) of F_k(x) = 1; the doubled first-letter mass.
 
     F_k - 1 is negative near 0 and positive just left of 1 (x = 1 itself
     solves F_k = 1 but lies outside the open interval), so bisection on
-    [eps, 1-eps] certifies the interior root.
+    [eps, 1-eps] certifies the interior root.  k runs from 3 to ZKZK_MAX_K.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    _check_k(k, ZKZK_MAX_K)
     lo, hi = _checked_bracket(lambda x: eval_F(k, x) - 1, 1e-12, 1.0 - 1e-9)
     return 0.5 * (lo + hi)
 
 
 def solve_yk(k: int) -> float:
-    """Unique root in (0, 1/2) of G_{k-1}(y) = y for the Hecke walk."""
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    """Unique root in (0, 1/2) of G_{k-1}(y) = y for the Hecke walk, k from 3 to HECKE_MAX_K."""
+    _check_k(k, HECKE_MAX_K)
     lo, hi = _checked_bracket(lambda y: eval_G(k - 1, y) - y, 1e-12, 0.5 - 1e-9)
     return 0.5 * (lo + hi)
 
@@ -103,21 +116,9 @@ def drift_zkzk(k: int) -> float:
     return 0.5 * (1.0 - solve_xk(k))
 
 
-def r_zkzk(k: int) -> list[float]:
-    """Per-letter root vector [r(a), r(a^2), ...] = [F_i(x_k)/2]; same for b."""
-    xk = solve_xk(k)
-    return [float(eval_F(i, xk)) / 2.0 for i in range(1, k)]
-
-
 def drift_hecke(k: int) -> float:
     """Drift of the simple walk on Z/2 * Z/k: (1 - 2 y_k)/3."""
     return (1.0 - 2.0 * solve_yk(k)) / 3.0
-
-
-def r_hecke(k: int) -> list[float]:
-    """Root vector [r(a), r(b), r(b^2), ...] = [G_0(y_k), G_1(y_k), ...]."""
-    yk = solve_yk(k)
-    return [float(eval_G(i, yk)) for i in range(k)]
 
 
 def _two_term(n: int, first: int, second: int, a: int, b: int, shift: int = 0) -> int:
@@ -232,8 +233,6 @@ def gamma_zkzk_interval(k: int) -> tuple[Fraction, Fraction]:
     (see ``_scaled_F``) certify it, so no rational arithmetic runs on the
     10^4-bit values of F_k.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
     steps = math.ceil(1.585 * k) + 45
     guess = _guess_root(lambda x, bits: _fixed_F(k, x, bits), solve_xk(k), steps, k)
     lo, hi = _certified_cell(lambda x: _F_sign(k, x), Fraction(1, 4), Fraction(3, 4), steps, guess)
@@ -248,8 +247,6 @@ def gamma_hecke_interval(k: int) -> tuple[Fraction, Fraction]:
     scaled integer recurrence H_n = 4d c^n G_n(m/d), c = 3d - 2m (see
     ``_scaled_G``).
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
     steps = k + 45
     guess = _guess_root(lambda y, bits: _fixed_G(k - 1, y, bits), solve_yk(k), steps, k)
     lo, hi = _certified_cell(lambda y: _G_sign(k - 1, y), Fraction(1, 8), Fraction(3, 8), steps,
@@ -275,51 +272,11 @@ def drift_z2z3(p, q):
     return 2.0 * r * (p * q - p - q + root) / ((r + p) ** 2 + (r + q) ** 2 - p * q + 2.0)
 
 
-def r_z2z3(p: float, q: float) -> tuple[float, float, float]:
-    """Root vector (r(a), r(b), r(b^2)) of the Z/2 * Z/3 walk, for p != q.
-
-    The printed expressions carry removable (q - p) denominators; at p = q
-    use the solver instead.
-    """
-    if not (p >= 0 and q >= 0 and p + q < 1):
-        raise ValueError("need p, q >= 0 and p + q < 1")
-    if abs(p - q) < 1e-12:
-        raise ValueError("formulas degenerate at p = q; use the traffic solver")
-    d1 = math.sqrt(
-        p**4 + q**4 - 2 * p**3 - 2 * q**3 + 2 * p**2 * q**2
-        - 6 * p**2 * q - 6 * p * q**2 + 5 * p**2 + 5 * q**2 + 6 * p * q
-    )
-    d2 = p**2 + q**2 - p * q - 2 * p - 2 * q + 4
-    ra = (p**2 + q**2 - 2 * p * q - p - q + 4 - d1) / (2 * d2)
-    rb = (q**3 - 3 * q**2 + p**2 * q - 5 * p * q + 2 * p + 6 * q - (2 - q) * d1) / (
-        2 * (q - p) * d2
-    )
-    rb2 = (p**3 - 3 * p**2 + p * q**2 - 5 * p * q + 6 * p + 2 * q - (2 - p) * d1) / (
-        2 * (p - q) * d2
-    )
-    return ra, rb, rb2
-
-
 def drift_z3z3_sym(p: float) -> float:
     """Drift on Z/3 * Z/3 for mu(a)=mu(b)=p, mu(a^2)=mu(b^2)=1/2-p."""
     if not 0.0 < p < 0.5:
         raise ValueError("need 0 < p < 1/2")
     return -0.25 + 0.25 * math.sqrt(16.0 * p * p - 8.0 * p + 5.0)
-
-
-def r_z3z3_sym(p: float) -> tuple[float, float]:
-    """(r(a), r(a^2)) for the symmetric Z/3 * Z/3 family; r(b) = r(a).
-
-    The 0/0 at p = 1/4 is removable with limit (1/4, 1/4).
-    """
-    if not 0.0 < p < 0.5:
-        raise ValueError("need 0 < p < 1/2")
-    if abs(4.0 * p - 1.0) < 1e-9:
-        return 0.25, 0.25
-    root = math.sqrt(16.0 * p * p - 8.0 * p + 5.0)
-    ra = (4.0 * p - 3.0 + root) / (4.0 * (4.0 * p - 1.0))
-    ra2 = (4.0 * p + 1.0 - root) / (4.0 * (4.0 * p - 1.0))
-    return ra, ra2
 
 
 def drift_z3z3_asym(p: float, q: float) -> float:

@@ -9,7 +9,8 @@ Haissinsky and Mathieu, Ann. Probab. 36 (2008)).  One kernel therefore
 computes drift, weighted drift and entropy.  Volume is the exponential
 growth rate of spheres, obtained as -log of the root of the factor
 length-series equation.  Quality compares the three: Q = h / (gamma * v),
-which never exceeds 1.
+which never exceeds 1.  ``metrics_rows`` assembles them for the solve
+outcomes of a batch of walks, and ``metrics_report`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -305,11 +306,10 @@ def quality_sup(
         for letter, j, size in columns:
             probs[:, letter] = points[:, j] / steps / size
         solved = solve_batch(product, probs, tol=tol)
-        ok = [i for i, report in enumerate(solved) if not isinstance(report, Exception)]
-        evaluations += len(ok)
-        for i, m in zip(ok, metrics_rows(product, probs[ok], [solved[i] for i in ok], lengths)):
+        evaluations += sum(not isinstance(report, Exception) for report in solved)
+        for point, row, m in zip(points, probs, metrics_rows(product, probs, solved, lengths)):
             if not isinstance(m, Exception) and m.quality > best_q:
-                best_q, best_point, best_probs = m.quality, points[i], probs[i]
+                best_q, best_point, best_probs = m.quality, point, row
     if best_point is None:
         raise ValueError("no admissible grid point")
     hi = steps - (len(orbits) - 1)
@@ -321,28 +321,25 @@ def quality_sup(
 _NO_DRIFT = "weighted drift is zero: walk is not transient enough for quality"
 
 
-def _summary(gamma: float, h: float, v: float, stationary: bool) -> MetricsReport:
-    """The metrics of a walk from its drift, entropy and volume."""
-    return MetricsReport(gamma=gamma, entropy=h, volume=v, quality=h / (gamma * v),
-                         hd_measure=h / gamma, hd_support=v, stationary=stationary)
-
-
 def metrics_rows(
     product: FreeProduct,
     probs: np.ndarray,
-    reports: Sequence[SolveReport],
+    outcomes: Sequence[SolveReport | Exception],
     lengths: LengthTable | None = None,
-) -> list[MetricsReport | ValueError]:
-    """The metrics of each solved row of a (B, n) stack of step laws, in a letter length table.
+) -> list[MetricsReport | Exception]:
+    """The metrics of each row of a (B, n) stack of step laws, from the row's solve outcome.
 
-    Each row is bit-identical to ``metrics_report`` of the row alone, or
-    the ValueError that it raises; the volume is computed once for all rows.
+    A row whose outcome is an exception keeps it.  gamma and volume are
+    measured in ``lengths``, natural by default; a drift at or below
+    QUALITY_GAMMA_FLOOR is a ValueError, since the quotients divide by it.
+    The volume is computed once for all rows.
     """
     if lengths is None:
         lengths = natural_lengths(product)
-    p = np.asarray(probs, dtype=float)
-    r = np.array([report.r.values for report in reports]).reshape(p.shape)
-    q = np.array([report.q.values for report in reports]).reshape(p.shape)
+    ok = [i for i, report in enumerate(outcomes) if not isinstance(report, Exception)]
+    p = np.asarray(probs, dtype=float)[ok]
+    r = np.array([outcomes[i].r.values for i in ok]).reshape(p.shape)
+    q = np.array([outcomes[i].q.values for i in ok]).reshape(p.shape)
     # in chunks, as the pair terms take up to n^2 floats per row
     gammas, entropies = [], []
     size = chunk_rows(product.nletters)
@@ -351,9 +348,12 @@ def metrics_rows(
         gammas += drift_weighted(product, p[rows], r[rows], lengths).tolist()
         entropies += entropy(product, p[rows], r[rows], q[rows]).tolist()
     v = volume(product, lengths) if any(not g <= QUALITY_GAMMA_FLOOR for g in gammas) else math.nan
-    return [ValueError(_NO_DRIFT) if gamma <= QUALITY_GAMMA_FLOOR
-            else _summary(gamma, h, v, report.stationary)
-            for gamma, h, report in zip(gammas, entropies, reports)]
+    out = list(outcomes)
+    for i, gamma, h in zip(ok, gammas, entropies):
+        out[i] = ValueError(_NO_DRIFT) if gamma <= QUALITY_GAMMA_FLOOR else MetricsReport(
+            gamma=gamma, entropy=h, volume=v, quality=h / (gamma * v), hd_measure=h / gamma,
+            hd_support=v, stationary=outcomes[i].stationary)
+    return out
 
 
 def metrics_walks(
@@ -377,11 +377,7 @@ def metrics_walks(
             out.extend([exc] * len(run))
             continue
         probs = np.array([mu.probs for _, mu in run])
-        outcomes = solve_batch(product, probs, tol=tol)
-        ok = [i for i, report in enumerate(outcomes) if not isinstance(report, Exception)]
-        for i, m in zip(ok, metrics_rows(product, probs[ok], [outcomes[i] for i in ok], lengths)):
-            outcomes[i] = m
-        out.extend(outcomes)
+        out.extend(metrics_rows(product, probs, solve_batch(product, probs, tol=tol), lengths))
     return out
 
 
@@ -391,17 +387,14 @@ def metrics_report(
     report: SolveReport | None = None,
     lengths: LengthTable | None = None,
 ) -> MetricsReport:
-    """Assemble the scalar metrics of a walk in a letter length table, natural by default.
+    """The scalar metrics of one walk in a letter length table, natural by default.
 
-    gamma and volume are measured in ``lengths``; a drift at or below
-    QUALITY_GAMMA_FLOOR is a ValueError, since the quotients divide by it.
+    The batch of one of ``metrics_rows``: a drift at or below
+    QUALITY_GAMMA_FLOOR raises the ValueError that it returns.
     """
     if report is None:
         report = solve_walk(product, mu)
-    if lengths is None:
-        lengths = natural_lengths(product)
-    gamma = drift_weighted(product, mu, report.r, lengths)
-    if gamma <= QUALITY_GAMMA_FLOOR:
-        raise ValueError(_NO_DRIFT)
-    return _summary(gamma, entropy(product, mu, report.r, report.q), volume(product, lengths),
-                    report.stationary)
+    (m,) = metrics_rows(product, mu.probs[None], [report], lengths)
+    if isinstance(m, Exception):
+        raise m
+    return m

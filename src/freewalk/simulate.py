@@ -3,7 +3,7 @@
 Randomness comes from numpy's Philox 4x64-10 counter-based generator,
 keyed by (master seed, replication index): trajectories are bit-identical
 across platforms and replications are independent streams that may be
-computed in any order.  The estimators and ``simulate`` step their
+computed in any order.  The estimators and ``trajectories`` step their
 replications together, in blocks of up to 512, each walk on its own
 stream, and each walk's float sums are those of stepping it alone, so the
 results equal those of stepping one replication at a time.  One letter
@@ -32,6 +32,8 @@ from .groups import FreeProduct, LengthTable, Letter, StateBudgetError, Word, na
 from .traffic import StepDistribution, letter_tables
 
 CONVOLUTION_BUDGET = 1_000_000
+# cells of a block's stacks or of a recorded series; criterion 12's drift run takes 2e6
+STACK_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,22 @@ class EstimateReport:
     note: str = ""
 
 
-def check_sizes(steps: int, reps: int, prefix_len: int = 1) -> None:
-    """Reject a Monte Carlo run with steps < 1, reps < 2 or prefix_len < 1.
+def check_sizes(steps: int, reps: int, prefix_len: int = 1, recorded: int = 0) -> None:
+    """Reject a Monte Carlo run with steps < 1, reps < 2 or prefix_len < 1, or too large to hold.
 
-    For ``estimate_hitting`` the steps are its horizon.
+    For ``estimate_hitting`` the steps are its horizon.  A block of walks
+    keeps steps + 1 stack cells per walk, and each of ``recorded`` walks
+    keeps steps + 1 weights; more than STACK_BUDGET cells of either is
+    rejected before anything is allocated.
     """
     if steps < 1 or reps < 2:
         raise ValueError(f"need steps >= 1 and reps >= 2, got steps={steps}, reps={reps}")
     if prefix_len < 1:
         raise ValueError(f"prefix_len must be >= 1, got {prefix_len}")
+    walks = max(min(reps, _BLOCK), recorded)
+    if (steps + 1) * walks > STACK_BUDGET:
+        raise ValueError(f"{steps} steps of {walks} walks at a time need more than "
+                         f"{STACK_BUDGET} cells")
 
 
 class _Streams:
@@ -186,22 +195,6 @@ def _steps(product: FreeProduct) -> _Steps:
 def _word(product: FreeProduct, cells) -> Word:
     """The word of a sequence of cells, letter index + 1."""
     return Word(tuple(product.alphabet[c - 1] for c in cells))
-
-
-def simulate(
-    product: FreeProduct,
-    mu: StepDistribution,
-    steps: int,
-    seed: int,
-    lengths: LengthTable | None = None,
-    stream: int = 0,
-) -> Trajectory:
-    """Run one walk for the given number of steps; deterministic in (seed, stream).
-
-    The walks (seed, 0), ..., (seed, stream) are stepped together by
-    ``trajectories`` and the last one is returned.
-    """
-    return trajectories(product, mu, steps, stream + 1, seed, lengths)[stream]
 
 
 def trajectories(

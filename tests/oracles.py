@@ -27,6 +27,8 @@ references step one walk at a time through ``_right_multiply``, a stack
 of letter indices with a merge table built from ``letter_product``, each
 walk from a freshly keyed Philox generator, and map uniforms to letters by
 a binary search of the cdf, where the estimators use a guide table.
+``r_zkzk``, ``r_hecke``, ``r_z2z3`` and ``r_z3z3_sym`` are the printed
+closed-form root vectors of four families, checked against the solver.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
+from freewalk.closedform import eval_F, eval_G, solve_xk, solve_yk
 from freewalk.groups import (
     FiniteGroup,
     FreeProduct,
@@ -498,3 +501,55 @@ def prefix_reference(
     kept = reps - dropped
     freqs = {Word(_letters(product, k)): c / kept for k, c in counts.items()} if kept else {}
     return PrefixReport(frequencies=freqs, dropped=dropped, replications=reps, horizon=steps)
+
+
+def r_zkzk(k: int) -> list[float]:
+    """Per-letter root vector [r(a), r(a^2), ...] = [F_i(x_k)/2]; same for b."""
+    xk = solve_xk(k)
+    return [float(eval_F(i, xk)) / 2.0 for i in range(1, k)]
+
+
+def r_hecke(k: int) -> list[float]:
+    """Root vector [r(a), r(b), r(b^2), ...] = [G_0(y_k), G_1(y_k), ...]."""
+    yk = solve_yk(k)
+    return [float(eval_G(i, yk)) for i in range(k)]
+
+
+def r_z2z3(p: float, q: float) -> tuple[float, float, float]:
+    """Root vector (r(a), r(b), r(b^2)) of the Z/2 * Z/3 walk, for p != q.
+
+    The printed expressions carry removable (q - p) denominators; at p = q
+    use the solver instead.
+    """
+    if not (p >= 0 and q >= 0 and p + q < 1):
+        raise ValueError("need p, q >= 0 and p + q < 1")
+    if abs(p - q) < 1e-12:
+        raise ValueError("formulas degenerate at p = q; use the traffic solver")
+    d1 = math.sqrt(
+        p**4 + q**4 - 2 * p**3 - 2 * q**3 + 2 * p**2 * q**2
+        - 6 * p**2 * q - 6 * p * q**2 + 5 * p**2 + 5 * q**2 + 6 * p * q
+    )
+    d2 = p**2 + q**2 - p * q - 2 * p - 2 * q + 4
+    ra = (p**2 + q**2 - 2 * p * q - p - q + 4 - d1) / (2 * d2)
+    rb = (q**3 - 3 * q**2 + p**2 * q - 5 * p * q + 2 * p + 6 * q - (2 - q) * d1) / (
+        2 * (q - p) * d2
+    )
+    rb2 = (p**3 - 3 * p**2 + p * q**2 - 5 * p * q + 6 * p + 2 * q - (2 - p) * d1) / (
+        2 * (p - q) * d2
+    )
+    return ra, rb, rb2
+
+
+def r_z3z3_sym(p: float) -> tuple[float, float]:
+    """(r(a), r(a^2)) for the symmetric Z/3 * Z/3 family; r(b) = r(a).
+
+    The 0/0 at p = 1/4 is removable with limit (1/4, 1/4).
+    """
+    if not 0.0 < p < 0.5:
+        raise ValueError("need 0 < p < 1/2")
+    if abs(4.0 * p - 1.0) < 1e-9:
+        return 0.25, 0.25
+    root = math.sqrt(16.0 * p * p - 8.0 * p + 5.0)
+    ra = (4.0 * p - 3.0 + root) / (4.0 * (4.0 * p - 1.0))
+    ra2 = (4.0 * p + 1.0 - root) / (4.0 * (4.0 * p - 1.0))
+    return ra, ra2

@@ -17,6 +17,8 @@ from freewalk.walkspec import (
     zkzk_simple,
 )
 
+from oracles import r_hecke, r_z2z3, r_z3z3_sym, r_zkzk
+
 
 def test_printed_polynomials():
     xs = np.linspace(0.0, 1.0, 11)
@@ -74,10 +76,10 @@ def test_solve_yk_small_roots():
 
 def test_r_vectors_normalized_and_palindromic():
     for k in range(3, 13):
-        r = cf.r_zkzk(k)
+        r = r_zkzk(k)
         assert abs(2 * sum(r) - 1.0) < 1e-10  # both factors carry the same letters
         assert all(abs(r[i] - r[k - 2 - i]) < 1e-10 for i in range(k - 1))
-        rh = cf.r_hecke(k)
+        rh = r_hecke(k)
         assert abs(sum(rh) - 1.0) < 1e-10
 
 
@@ -274,30 +276,30 @@ def test_drift_z2z3_arrays_checked_entry_by_entry():
 
 
 def test_r_z2z3_sum_solver_and_traffic_residual():
-    ra, rb, rb2 = cf.r_z2z3(0.4, 0.2)
+    ra, rb, rb2 = r_z2z3(0.4, 0.2)
     assert abs(ra + rb + rb2 - 1.0) < 1e-12
     product, mu = z2z3_walk(0.5, 0.1)
     report = solve_walk(product, mu)
-    fa, fb, fb2 = cf.r_z2z3(0.5, 0.1)
+    fa, fb, fb2 = r_z2z3(0.5, 0.1)
     assert abs(fa - report.r.values[0]) < 1e-9
     assert abs(fb - report.r.values[1]) < 1e-9
     assert abs(fb2 - report.r.values[2]) < 1e-9
     formula_root = RootVector(product, np.array([fa, fb, fb2]))
     assert traffic_residual(product, mu, formula_root) < 1e-9
     with pytest.raises(ValueError):
-        cf.r_z2z3(0.3, 0.3)
+        r_z2z3(0.3, 0.3)
 
 
 def test_z3z3_sym_formulas():
     assert abs(cf.drift_z3z3_sym(0.25) - 0.25) < 1e-13
-    assert cf.r_z3z3_sym(0.25) == (0.25, 0.25)
+    assert r_z3z3_sym(0.25) == (0.25, 0.25)
     for p in (0.1, 0.3, 0.45):
-        ra, ra2 = cf.r_z3z3_sym(p)
+        ra, ra2 = r_z3z3_sym(p)
         assert abs(ra + ra2 - 0.5) < 1e-12
     product, mu = z3z3_sym(0.4)
     report = solve_walk(product, mu)
     assert abs(cf.drift_z3z3_sym(0.4) - drift(product, mu, report.r)) < 1e-10
-    ra, ra2 = cf.r_z3z3_sym(0.4)
+    ra, ra2 = r_z3z3_sym(0.4)
     assert abs(ra - report.r.values[0]) < 1e-10
     assert abs(ra2 - report.r.values[1]) < 1e-10
 

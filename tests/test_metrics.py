@@ -284,7 +284,9 @@ def test_quality_rejects_drift_at_or_below_the_floor(monkeypatch):
     product, mu = zkzk_simple(4)
     minimal = minimal_generators(product)
     for gamma in (QUALITY_GAMMA_FLOOR, 0.0):
-        monkeypatch.setattr(metrics, "drift_weighted", lambda *args, gamma=gamma: gamma)
+        # one drift per row of the stack that metrics_rows passes
+        monkeypatch.setattr(metrics, "drift_weighted",
+                            lambda product, p, *args, gamma=gamma: np.full(len(p), gamma))
         with pytest.raises(ValueError, match="weighted drift is zero"):
             quality(product, mu, minimal)
 

@@ -16,17 +16,19 @@ from freewalk.groups import (
 from freewalk.harmonic import build_chain, cylinder_prob
 from freewalk.metrics import drift, drift_weighted, entropy, volume
 from freewalk.simulate import (
+    STACK_BUDGET,
     _BLOCK,
     _CHUNK,
     _WATCH,
     _Streams,
+    check_sizes,
     distribution_entropy,
     estimate_drift,
     estimate_hitting,
     estimate_prefix,
     exact_convolution,
     expected_length,
-    simulate,
+    trajectories,
 )
 from freewalk.traffic import StepDistribution, solve_walk
 from freewalk.walkspec import (
@@ -51,21 +53,20 @@ SEED = 424242
 
 def test_simulate_zero_steps_and_determinism():
     product, mu = zkzk_simple(4)
-    traj = simulate(product, mu, 0, SEED)
+    (traj,) = trajectories(product, mu, 0, 1, SEED)
     assert traj.lengths.tolist() == [0.0]
     assert len(traj.final) == 0
-    a = simulate(product, mu, 2000, SEED, stream=3)
-    b = simulate(product, mu, 2000, SEED, stream=3)
+    a, c = trajectories(product, mu, 2000, 5, SEED)[3:]
+    b = trajectories(product, mu, 2000, 4, SEED)[3]
     assert a.final == b.final
     assert np.array_equal(a.lengths, b.lengths)
-    c = simulate(product, mu, 2000, SEED, stream=4)
     assert c.final != a.final
 
 
 def test_simulate_length_changes_bounded_by_max_weight():
     product, mu = hecke_simple(4)
     lengths = letter_lengths(product, minimal_generators(product))
-    traj = simulate(product, mu, 3000, SEED, lengths=lengths)
+    (traj,) = trajectories(product, mu, 3000, 1, SEED, lengths)
     deltas = np.abs(np.diff(traj.lengths))
     assert deltas.max() <= lengths.weights.max()
     assert traj.lengths[-1] == lengths.word_weight(traj.final)
@@ -350,6 +351,18 @@ def test_estimators_reject_bad_sizes_before_drawing(call, monkeypatch):
         call(product, mu)
 
 
+def test_sizes_past_the_stack_budget_are_rejected():
+    # criterion 12's drift run, the largest in the package, is far inside the budget
+    check_sizes(10_000, 200)
+    steps = STACK_BUDGET // _BLOCK - 1  # the most steps that a full block may take
+    check_sizes(steps, 10**9)
+    with pytest.raises(ValueError, match="cells"):
+        check_sizes(steps + 1, 10**9)
+    check_sizes(steps, 2, recorded=_BLOCK)
+    with pytest.raises(ValueError, match="cells"):
+        check_sizes(steps, 2, recorded=_BLOCK + 1)
+
+
 def test_lockstep_memory_stays_bounded():
     # 4,000 walks of 300 steps: a float64 or intp array of reps x steps
     # would take 9.2 MiB and 4,000 live generators about 2.3 MiB, while the
@@ -399,7 +412,7 @@ def test_guide_table_matches_binary_search(walk, passes):
     u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
     u = u[u < 1.0]
     assert np.array_equal(streams.letters(u.copy()), letter_reference(mu, u))
-    traj = simulate(product, mu, 500, SEED, stream=7)
+    traj = trajectories(product, mu, 500, 8, SEED)[7]
     stack = []
     for step, (_, _, stack) in enumerate(_reference_walk(product, mu, 500, SEED, 7), start=1):
         assert traj.lengths[step] == len(stack)

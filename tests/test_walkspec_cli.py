@@ -222,6 +222,27 @@ def test_cli_simulate_rejects_bad_input_before_any_output(flags, capfd):
                           "--reps", "4", *flags], capfd)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--steps", "1000000000000", "--reps", "2"],
+     ["--steps", "100000", "--reps", "2000", "--dump-lengths", os.devnull, "--dump-reps", "2000"],
+     ["--steps", "10", "--reps", "2", "--hitting", "0:1", "--horizon", "1000000000"]],
+    ids=["stack", "recorded-series", "hitting-horizon"],
+)
+def test_cli_simulate_rejects_oversized_runs_before_allocating(flags, capfd, monkeypatch):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("the walks were stepped")
+
+    monkeypatch.setattr("freewalk.simulate._lockstep", no_walks)
+    assert_invalid_input(["simulate", "--family", "hecke-simple", "--k", "3", *flags], capfd)
+
+
+@pytest.mark.parametrize("family, k", [("zkzk", "1e300"), ("zkzk", "543"), ("hecke", "899")])
+def test_cli_closed_form_rejects_k_past_the_float_recurrence(family, k, capfd):
+    # k = 1e300 would run the recurrence 1e300 steps; from 543 and 899 it overflowed to NaN
+    assert_invalid_input(["closed-form", "--family", family, "--k", k], capfd)
+
+
 @pytest.mark.parametrize("k", ["0", "-4", "2"])
 def test_cli_minimal_sweep_rejects_small_k_before_any_output(k, capfd):
     assert_invalid_input(["sweep", "--family", "quality-zkzk-minimal", "--k", k,
@@ -340,6 +361,12 @@ def test_cli_closed_form(capsys):
     value = float(capsys.readouterr().out.strip())
     assert abs(value - cf.drift_zkzk(4)) < 1e-15
     assert main(["closed-form", "--family", "z2z3"]) == 3  # missing parameters
+    capsys.readouterr()
+    # the largest k of each recurrence still prints
+    for family, k, gamma in (("zkzk", cf.ZKZK_MAX_K, "0.33333333333333337"),
+                             ("hecke", cf.HECKE_MAX_K, "0.22222222222222224")):
+        assert main(["closed-form", "--family", family, "--k", str(k)]) == 0
+        assert capsys.readouterr().out == gamma + "\n"
 
 
 def test_cli_closed_form_batch(tmp_path, capsys):
