@@ -13,10 +13,13 @@ action serves them and the exact convolution powers: the step tables of
 Letters are drawn a few walks at a time: each walk's uniforms fill one
 row of a small float buffer, and an exact guide table maps the rows to
 letters in one vectorised pass, the letters a binary search of the cdf
-would give.  A block of prefix or hitting walks stops stepping once no
-walk can change what is read, because each has hit or is deeper than
-the steps left plus the prefix length; depth moves by at most one a
-step.  Drift reads every step and never stops early.
+would give.  Each letter is drawn as its offset in the step tables, so a
+step begins with one add of the top cells and the drawn offsets.  A
+prefix or hitting walk stops stepping, and drawing, once it can no longer
+change what is read, because it has hit or is deeper than the steps left
+plus the prefix length; depth moves by at most one a step.  A block ends
+when none of its walks is left.  Drift reads every step and never stops
+early.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .groups import FreeProduct, LengthTable, Letter, StateBudgetError, Word, na
 from .traffic import StepDistribution, letter_tables
 
 CONVOLUTION_BUDGET = 1_000_000
-# cells of a block's stacks or of a recorded series; criterion 12's drift run takes 2e6
+# cells of a block's stacks, of a recorded series or of the walks' results;
+# criterion 12's drift run takes 2e6
 STACK_BUDGET = 100_000_000
 
 
@@ -59,9 +63,11 @@ def check_sizes(steps: int, reps: int, prefix_len: int = 1, recorded: int = 0) -
     """Reject a Monte Carlo run with steps < 1, reps < 2 or prefix_len < 1, or too large to hold.
 
     For ``estimate_hitting`` the steps are its horizon.  A block of walks
-    keeps steps + 1 stack cells per walk, and each of ``recorded`` walks
-    keeps steps + 1 weights; more than STACK_BUDGET cells of either is
-    rejected before anything is allocated.
+    keeps steps + 1 stack cells per walk, each of ``recorded`` walks keeps
+    steps + 1 weights, and each of the ``reps`` walks keeps prefix_len + 4
+    results: its depth, weight, hit flag, drift value and prefix cells.
+    More than STACK_BUDGET cells of any of these is rejected before
+    anything is allocated.
     """
     if steps < 1 or reps < 2:
         raise ValueError(f"need steps >= 1 and reps >= 2, got steps={steps}, reps={reps}")
@@ -71,6 +77,8 @@ def check_sizes(steps: int, reps: int, prefix_len: int = 1, recorded: int = 0) -
     if (steps + 1) * walks > STACK_BUDGET:
         raise ValueError(f"{steps} steps of {walks} walks at a time need more than "
                          f"{STACK_BUDGET} cells")
+    if (prefix_len + 4) * reps > STACK_BUDGET:
+        raise ValueError(f"the results of {reps} walks need more than {STACK_BUDGET} cells")
 
 
 class _Streams:
@@ -92,17 +100,21 @@ class _Streams:
     counts the values at most c / cells, a lower bound for u's count,
     and each of ``passes`` steps k += (u >= value k) moves it up by one
     while value k is at most u; the most values strictly inside one cell
-    bound the steps needed.  ``letter_of`` maps the count of distinct
-    values back to the count of cdf entries, which differ where a letter
-    has no mass.
+    bound the steps needed.  ``offset_of`` maps the count of distinct
+    values to the letter's offset letter * (n + 1) in the step tables (see
+    ``_Steps``), where the letter is the count of cdf entries; the two
+    counts differ where a letter has no mass.
     """
 
     def __init__(self, mu: StepDistribution, seed: int, steps: int, walks: int = 1):
         cdf = np.cumsum(mu.probs)
         cdf[-1] = 1.0
         last = np.append(cdf[1:] != cdf[:-1], True)  # the last entry of each distinct value
-        self.letter_of = np.append(0, np.flatnonzero(last[:-1]) + 1).astype(
-            np.min_scalar_type(len(cdf)))
+        n = len(cdf)
+        # the least dtype that holds every code, at most n * (n + 1) - 1: top cells have a
+        # narrower one, so the add of a top cell and an offset runs in it and cannot wrap
+        self.offset_of = (np.append(0, np.flatnonzero(last[:-1]) + 1) * (n + 1)).astype(
+            np.min_scalar_type(n * (n + 1) - 1))
         self.cells = 1 << (4 * int(last.sum()) - 1).bit_length()
         self.edges = cdf[last] * self.cells  # exact: cells is a power of two
         self.guide = np.bincount(np.ceil(self.edges).astype(np.intp),
@@ -132,23 +144,23 @@ class _Streams:
         self.bits.state = self.state
         self.generator.random(out=out)
 
-    def letters(self, u: np.ndarray) -> np.ndarray:
-        """#{i : cdf[i] <= u} for each uniform in [0, 1); scales u in place."""
+    def offsets(self, u: np.ndarray) -> np.ndarray:
+        """The offset of letter #{i : cdf[i] <= u} for each uniform in [0, 1); scales u in place."""
         u *= self.cells
         k = self.guide[u.astype(np.intp)]
         for _ in range(self.passes):
             k += u >= self.edges[k]  # a value of at least 1 stops every k
-        return self.letter_of[k]
+        return self.offset_of[k]
 
-    def fill(self, picks: np.ndarray, start: int, skip: int = 0) -> None:
-        """picks[:, j] = letters skip, skip + 1, ... of walk (seed, start + j)."""
-        steps, walks = picks.shape
+    def fill(self, picks: np.ndarray, streams: np.ndarray, skip: int = 0) -> None:
+        """picks[j] = offsets of letters skip, skip + 1, ... of walk (seed, streams[j])."""
+        walks, steps = picks.shape
         few = len(self.buffer)
         for lo in range(0, walks, few):
             rows = self.buffer[: min(few, walks - lo), :steps]
-            for j, row in enumerate(rows):
-                self.uniforms(start + lo + j, skip, row)
-            picks[:, lo : lo + len(rows)] = self.letters(rows).T
+            for stream, row in zip(streams[lo : lo + len(rows)].tolist(), rows):
+                self.uniforms(stream, skip, row)
+            picks[lo : lo + len(rows)] = self.offsets(rows)
 
 
 _CANCEL = -1  # merge[t][u] when t * u is the identity; also "no letter"
@@ -164,18 +176,19 @@ def _merge_array(product: FreeProduct) -> np.ndarray:
 
 
 class _Steps(NamedTuple):
-    """The letter action on a stack of cells, per (top cell, drawn letter) pair.
+    """The letter action on a stack of cells, per (drawn letter, top cell) pair.
 
     A word is a stack of cells, letter index + 1, above a cell 0 for the
-    empty word, and pair (top, drawn) has index top * n + drawn.  Right
-    multiplying by the drawn letter pushes it, replaces the top by the
-    product, or pops the top: the step writes ``value`` at the top plus
-    ``lift`` and moves the top by ``rise``.  A pop writes 0, so the cells
-    above the top stay 0 when they were.
+    empty word, and pair (drawn, top) has code drawn * (n + 1) + top: a
+    letter is drawn as its offset drawn * (n + 1), so one add of the top
+    cell gives the code.  Right multiplying by the drawn letter pushes it,
+    replaces the top by the product, or pops the top: the step moves the
+    top by ``rise`` and writes ``value`` at the higher of the old and the
+    new top.  A pop writes 0, so the cells above the top stay 0 when they
+    were.
     """
 
     value: np.ndarray  # the cell written: letter added + 1, 0 for none
-    lift: np.ndarray  # 1 when the cell is written above the top, else 0
     rise: np.ndarray  # change of depth: 1, 0 or -1
     added: np.ndarray  # letter index added at the top, _CANCEL for none
     removed: np.ndarray  # letter index removed from the top, _CANCEL for none
@@ -183,13 +196,13 @@ class _Steps(NamedTuple):
 
 def _steps(product: FreeProduct) -> _Steps:
     n = product.nletters
-    merge = np.vstack([np.full(n, _APART), _merge_array(product)])  # row 0: the empty word
+    merge = np.hstack([np.full((n, 1), _APART), _merge_array(product).T])  # column 0: empty word
     push = merge == _APART
-    added = np.where(push, np.arange(n), merge)
-    removed = np.where(push, _CANCEL, np.arange(-1, n)[:, None])
+    added = np.where(push, np.arange(n)[:, None], merge)
+    removed = np.where(push, _CANCEL, np.arange(-1, n))
     rise = np.where(push, 1, np.where(merge == _CANCEL, -1, 0))
     value = (added + 1).astype(np.min_scalar_type(n))
-    return _Steps(*(t.ravel() for t in (value, push.astype(np.intp), rise, added, removed)))
+    return _Steps(*(t.ravel() for t in (value, rise, added, removed)))
 
 
 def _word(product: FreeProduct, cells) -> Word:
@@ -217,9 +230,13 @@ _WATCH = 16  # steps between looks at which walks can still change what is read
 
 
 class _Walks(NamedTuple):
-    """Per walk, after the last step of ``_lockstep``."""
+    """Per walk, after its last step in ``_lockstep``.
 
-    depth: np.ndarray  # letters in the final word; if stopped early, still above the cells read
+    That is the last step of the run, or, for a prefix or hitting walk
+    that settled, the step before the look at which it left.
+    """
+
+    depth: np.ndarray  # letters in the final word; if it left early, still above the cells read
     weight: np.ndarray  # weight of the final word, 0 without weights
     hit: np.ndarray  # whether the word was the one letter goal at some step
     prefix: np.ndarray  # (prefix_len, reps): first letters, index + 1, where depth >= prefix_len
@@ -239,66 +256,89 @@ def _lockstep(
 ) -> _Walks:
     """Step the walks (seed, 0), ..., (seed, reps - 1) together, _BLOCK at a time.
 
-    Each walk keeps its normal form as a stack of cells (see ``_Steps``).
-    The step tables, scaled to the block's interleaved stacks, and the
-    change of weight w[added] - w[removed] per (top, drawn letter) pair
-    make a step a few gathers over the block.  The letters are drawn
-    _CHUNK steps at a time, so memory is the stacks' _BLOCK * (steps + 1)
-    small ints plus _BLOCK * _CHUNK drawn letters and the _FEW * _CHUNK
-    uniforms being mapped, whatever ``reps``, unless the walks are
-    recorded, which needs weights and keeps steps + 1 of them per walk.
+    Each walk keeps its normal form as a stack of cells and draws each
+    letter as its offset in the step tables (see ``_Steps``), so a step
+    begins with one add of the top cells and the drawn offsets into a
+    reused buffer of codes.  The step tables, scaled to the block's
+    interleaved stacks, and the change of weight w[added] - w[removed]
+    per code make the rest of a step a few gathers over the walks still
+    stepping.  The letters are drawn _CHUNK steps at a time, a row per
+    walk, and each look copies the next _WATCH steps of the walks still
+    stepping to a row per step.  So memory is the stacks' _BLOCK *
+    (steps + 1) small ints plus _BLOCK * _CHUNK drawn offsets and the
+    _FEW * _CHUNK uniforms being mapped, whatever ``reps``, unless the
+    walks are recorded, which needs weights and keeps steps + 1 of them
+    per walk.
 
     Every _WATCH steps a block looks at how deep its walks are; depth
     moves by at most one a step.  A goal is only tested while some walk
     can be at depth 1 within the next _WATCH steps.  Without weights, a
-    block stops once every walk is settled: it has hit, or it is deeper
-    than the steps left plus the deepest cell read (depth 1 for a hit,
-    prefix_len for a prefix), so nothing read can change any more.
+    walk stops stepping at the first look at which it is settled: it has
+    hit, or it is deeper than the steps left plus the deepest cell read
+    (depth 1 for a hit, prefix_len for a prefix), so nothing read can
+    change any more.  It keeps its depth, hit flag and cells.  At a
+    _CHUNK boundary only the walks still stepping draw letters, and a
+    block ends when none is left.  With weights every walk reads every
+    step and none stops early.
     """
     n = product.nletters
     width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
     streams = _Streams(mu, seed, min(steps, _CHUNK), min(width, _FEW))
     act = _steps(product)
-    value, lift, rise = act.value, act.lift * width, act.rise * width
+    value, rise = act.value, act.rise * width
     w = np.append(weights if weights is not None else np.zeros(n), 0)  # w[_CANCEL] == 0
     gain = (w[act.added] - w[act.removed]).astype(float)
-    row_code = np.arange(n + 1) * n
     out = _Walks(np.empty(reps, dtype=np.intp), np.zeros(reps), np.zeros(reps, dtype=bool),
                  np.zeros((prefix_len, reps), dtype=value.dtype), [])
     series = np.zeros((reps if record else 0, steps + 1))
     # A walk reads a cell above depth 0 only after writing it, so blocks
-    # share one stack and one buffer of drawn letters.
+    # share one stack and one buffer of drawn offsets, a row per walk.
     stack = np.zeros((steps + 1) * width, dtype=value.dtype)
-    picks = np.empty((min(steps, _CHUNK), width), dtype=value.dtype)
+    picks = np.empty((width, min(steps, _CHUNK)), dtype=streams.offset_of.dtype)
+    codes = np.empty(width, dtype=np.intp)
     settle = weights is None  # the weights are read at every step
     read = 1 if goal >= 0 else prefix_len  # the deepest cell read
     for start in range(0, reps, width):
         b = min(width, reps - start)
-        at = np.arange(b)  # the cell of each walk's top
-        first = at + width
+        walk = np.arange(b)  # the block column of each walk still stepping
+        at = walk.copy()  # the cell of each walk's top
         top = np.zeros(b, dtype=value.dtype)
+        hit = np.zeros(b, dtype=bool)
         block = slice(start, start + b)
-        total, hit = out.weight[block], out.hit[block]
+        total = out.weight[block]
         for done in range(0, steps, _WATCH):
-            row, left = done % _CHUNK, steps - done
-            if settle and (hit | (at >= (left + read + 1) * width)).all():
-                break
-            if row == 0:
-                streams.fill(picks[: min(_CHUNK, left), :b], start, done)
+            col, left = done % _CHUNK, steps - done
+            if settle:
+                stay = ~hit & (at < (left + read + 1) * width)
+                if not stay.all():
+                    gone = ~stay
+                    out.depth[start + walk[gone]] = at[gone] // width
+                    out.hit[start + walk[gone]] = hit[gone]
+                    slot = slot[stay]
+                    walk, at, top, hit = walk[stay], at[stay], top[stay], hit[stay]
+                    if not walk.size:
+                        break
+            if col == 0:
+                streams.fill(picks[: len(walk), : min(_CHUNK, left)], start + walk, done)
+                slot = np.arange(len(walk))  # the picks row of each walk still stepping
+            drawn = picks[slot, col : col + min(_WATCH, left)].T.copy()  # one row per step
+            code = codes[: len(walk)]
             watch = goal >= 0 and at.min() < (_WATCH + 2) * width
-            for step, drawn in enumerate(picks[row : row + min(_WATCH, left), :b], done + 1):
-                code = row_code[top]
-                code += drawn
-                stack[at + lift[code]] = value[code]
-                at += rise[code]
+            for step, offset in enumerate(drawn, done + 1):
+                np.add(top, offset, out=code)
+                moved = rise[code]
+                moved += at
+                stack[np.maximum(at, moved, out=at)] = value[code]
+                at = moved
                 top = stack[at]
                 if weights is not None:
                     total += gain[code]
                     if record:
                         series[block, step] = total
                 if watch:
-                    hit |= (at == first) & (top == goal + 1)
-        out.depth[block] = at // width
+                    hit |= (at < 2 * width) & (top == goal + 1)  # depth 1: cell 0 is never a letter
+        out.depth[start + walk] = at // width
+        out.hit[start + walk] = hit
         cells = stack.reshape(steps + 1, width)
         out.prefix[: min(prefix_len, steps), block] = cells[1 : prefix_len + 1, :b]
         if record:
@@ -411,14 +451,15 @@ def exact_convolution(
         raise ValueError("n must be >= 0")
     act = _steps(product)
     letters = np.flatnonzero(mu.probs > 0.0)
+    offsets = letters * (product.nletters + 1)
     cells = np.zeros((1, n + 1), dtype=act.value.dtype)  # column 0: the empty word
     mass = np.ones(1)
     for _ in range(n):
         at = np.repeat(np.count_nonzero(cells, axis=1), len(letters))  # the top cells
         cells = np.repeat(cells, len(letters), axis=0)
         rows = np.arange(len(cells))
-        code = cells[rows, at].astype(np.intp) * product.nletters + np.resize(letters, len(rows))
-        cells[rows, at + act.lift[code]] = act.value[code]
+        code = np.resize(offsets, len(rows)) + cells[rows, at]
+        cells[rows, np.maximum(at, at + act.rise[code])] = act.value[code]
         keys = cells.view(f"V{cells.itemsize * (n + 1)}").ravel().tolist()  # one bytes per row
         seen: dict[bytes, int] = {}
         word = np.array([seen.setdefault(key, len(seen)) for key in keys])

@@ -101,8 +101,8 @@ def concat_normalize(product, w1: Word, w2: Word) -> Word:
     stack[1 : len(w1) + 1] = [product.letter_index(u) + 1 for u in w1]
     at = len(w1)
     for u in w2:
-        code = stack[at] * product.nletters + product.letter_index(u)
-        stack[at + act.lift[code]] = act.value[code]
+        code = product.letter_index(u) * (product.nletters + 1) + stack[at]
+        stack[max(at, at + act.rise[code])] = act.value[code]
         at += act.rise[code]
     return Word(tuple(product.alphabet[c - 1] for c in stack[1 : at + 1]))
 

@@ -303,9 +303,14 @@ def _green(product, mu):
         (lambda: uniform_per_factor([3, 4, 5]), None, Letter(0, 1), _CHUNK + 16, 20),
         # both walks are deeper than 17 at step 1,136, and walk 0 first hits c at step 3,919
         (lambda: z2z2z2(0.4999), None, Letter(2, 1), 4000, 2),
+        # 504 hitting walks hit a and leave before step _CHUNK; 9 draw a second chunk
+        (lambda: z2z2z2(0.4999), None, Letter(0, 1), _CHUNK + 512, _BLOCK + 1),
+        # codes reach 16 * 17 - 1 = 271: an add of two uint8 operands would wrap
+        (lambda: uniform_per_factor([9, 9]), None, Letter(1, 8), 60, 30),
     ],
     ids=["natural", "minimal-unsupported-target", "green", "three-factors", "block-boundary",
-         "chunk-boundary", "uint16-cells", "settled-stop", "late-return"],
+         "chunk-boundary", "uint16-cells", "settled-stop", "late-return", "walks-leave-mid-chunk",
+         "16-letters"],
 )
 def test_lockstep_matches_scalar_reference(walk, lengths, target, steps, reps):
     # The lockstep estimators must reproduce the one-walk-at-a-time stepper
@@ -355,12 +360,18 @@ def test_sizes_past_the_stack_budget_are_rejected():
     # criterion 12's drift run, the largest in the package, is far inside the budget
     check_sizes(10_000, 200)
     steps = STACK_BUDGET // _BLOCK - 1  # the most steps that a full block may take
-    check_sizes(steps, 10**9)
+    check_sizes(steps, 10**6)
     with pytest.raises(ValueError, match="cells"):
-        check_sizes(steps + 1, 10**9)
+        check_sizes(steps + 1, 10**6)
     check_sizes(steps, 2, recorded=_BLOCK)
     with pytest.raises(ValueError, match="cells"):
         check_sizes(steps, 2, recorded=_BLOCK + 1)
+    # each walk keeps its depth, weight, hit flag, drift value and prefix cells
+    for prefix_len in (1, 3):
+        reps = STACK_BUDGET // (prefix_len + 4)
+        check_sizes(1, reps, prefix_len)
+        with pytest.raises(ValueError, match="cells"):
+            check_sizes(1, reps + 1, prefix_len)
 
 
 def test_lockstep_memory_stays_bounded():
@@ -411,7 +422,8 @@ def test_guide_table_matches_binary_search(walk, passes):
                              np.random.default_rng(SEED).random(20_000)])
     u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
     u = u[u < 1.0]
-    assert np.array_equal(streams.letters(u.copy()), letter_reference(mu, u))
+    offsets = letter_reference(mu, u) * (product.nletters + 1)  # see _Steps
+    assert np.array_equal(streams.offsets(u.copy()), offsets)
     traj = trajectories(product, mu, 500, 8, SEED)[7]
     stack = []
     for step, (_, _, stack) in enumerate(_reference_walk(product, mu, 500, SEED, 7), start=1):
@@ -438,6 +450,39 @@ def test_settled_blocks_stop_drawing(monkeypatch):
     drawn.clear()
     estimate_drift(product, mu, _CHUNK + 16, 20, SEED)
     assert drawn == [0] * 20 + [_CHUNK] * 20
+
+
+def test_walks_that_left_draw_nothing_after_a_chunk_boundary(monkeypatch):
+    # On Z/2 * Z/2 * Z/2 with mu(c) = 2e-4 the walks move nearly on a line
+    # and settle one by one, at the first look at which a walk has hit c or
+    # is deeper than the steps left plus one.  Walks that left at a look up
+    # to step _CHUNK draw no second chunk; the others draw it.
+    product, mu = z2z2z2(0.4999)
+    horizon, reps, goal = _CHUNK + 16, 40, [product.letter_index(Letter(2, 1))]
+    stepping = []  # the walks still stepping after the look at step _CHUNK
+    for rep in range(reps):
+        hit = False
+        for step, (_, _, stack) in enumerate(_reference_walk(product, mu, _CHUNK, SEED, rep), 1):
+            hit = hit or stack == goal
+            if step % _WATCH == 0 and (hit or len(stack) > horizon - step + 1):
+                break
+        else:
+            stepping.append(rep)
+    assert 0 < len(stepping) < reps // 4
+    drawn = []
+    uniforms = _Streams.uniforms
+
+    def counted(self, stream, skip, out):
+        drawn.append((skip, stream))
+        uniforms(self, stream, skip, out)
+
+    monkeypatch.setattr(_Streams, "uniforms", counted)
+    expected = [(0, rep) for rep in range(reps)] + [(_CHUNK, rep) for rep in stepping]
+    estimate_hitting(product, mu, Letter(2, 1), horizon, reps, SEED)
+    assert drawn == expected
+    drawn.clear()
+    estimate_prefix(product, mu, horizon, reps, SEED, prefix_len=1)  # no walk hits c here
+    assert drawn == expected
 
 
 _DEPTH = 2 * _WATCH  # depth at the look after step _DEPTH

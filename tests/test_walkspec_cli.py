@@ -226,8 +226,9 @@ def test_cli_simulate_rejects_bad_input_before_any_output(flags, capfd):
     "flags",
     [["--steps", "1000000000000", "--reps", "2"],
      ["--steps", "100000", "--reps", "2000", "--dump-lengths", os.devnull, "--dump-reps", "2000"],
-     ["--steps", "10", "--reps", "2", "--hitting", "0:1", "--horizon", "1000000000"]],
-    ids=["stack", "recorded-series", "hitting-horizon"],
+     ["--steps", "10", "--reps", "2", "--hitting", "0:1", "--horizon", "1000000000"],
+     ["--steps", "1", "--reps", "1000000000000"]],
+    ids=["stack", "recorded-series", "hitting-horizon", "reps"],
 )
 def test_cli_simulate_rejects_oversized_runs_before_allocating(flags, capfd, monkeypatch):
     def no_walks(*args, **kwargs):

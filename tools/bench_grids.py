@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_18.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_20.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -28,6 +28,10 @@ measurements:
 - ``criterion_N_s`` for N in 4, 6, 8, 10, 12 and 13: ``verify.run_criterion(N)``
   timed inside a fresh interpreter after its imports, at full precision
   where verify prints two decimals;
+- ``mc_drift_s``, ``mc_prefix_s`` and ``mc_hitting_s``: criterion 12's calls
+  of ``estimate_drift``, ``estimate_prefix`` or ``estimate_hitting`` on both
+  of its walks, each timed inside a fresh interpreter after its imports, so
+  that a change to ``criterion_12_s`` shows which estimator moved;
 - ``exact_convolution_z4z4_10_s``: ``exact_convolution`` of the simple walk
   on Z/4 * Z/4 at n = 10 (13,859 words), timed inside a fresh interpreter
   after its imports;
@@ -108,10 +112,30 @@ exact_convolution(product, mu, 10)
 print(time.perf_counter() - start)
 """
 CRITERIA = (4, 6, 8, 10, 12, 13)
+# criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
+TIME_MONTE_CARLO = """
+import time
+from freewalk.groups import Letter
+from freewalk.simulate import estimate_drift, estimate_hitting, estimate_prefix
+from freewalk.verify import SEED
+from freewalk.walkspec import hecke_simple, zkzk_simple
+walks = [zkzk_simple(4), hecke_simple(3)]
+start = time.perf_counter()
+for product, mu in walks:
+    {call}
+print(time.perf_counter() - start)
+"""
+MONTE_CARLO = {
+    "mc_drift_s": "estimate_drift(product, mu, steps=10_000, reps=200, seed=SEED)",
+    "mc_prefix_s": "estimate_prefix(product, mu, steps=1500, reps=4000, seed=SEED + 1, prefix_len=1)",
+    "mc_hitting_s": "estimate_hitting(product, mu, Letter(0, 1), horizon=1000, reps=4000, "
+                    "seed=SEED + 2)",
+}
 
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
          "quality_sup_s": "s", "verify_4_cli_s": "s", "verify_6_10_cli_s": "s",
          "verify_12_cli_s": "s", **{f"criterion_{n}_s": "s" for n in CRITERIA},
+         **{name: "s" for name in MONTE_CARLO},
          "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s",
          "solve_inprocess_x20_s": "s", "tier1_s": "s"}
 
@@ -151,6 +175,8 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
     for number in CRITERIA:
         row[f"criterion_{number}_s"] = float(
             _child(tree, ["-c", TIME_CRITERION.format(number=number)], workdir)[2])
+    for name, call in MONTE_CARLO.items():
+        row[name] = float(_child(tree, ["-c", TIME_MONTE_CARLO.format(call=call)], workdir)[2])
     row["exact_convolution_z4z4_10_s"] = float(_child(tree, ["-c", TIME_CONVOLUTION], workdir)[2])
     row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
     row["solve_118_s"] = float(
