@@ -19,7 +19,6 @@ from typing import Iterable
 from . import closedform as cf
 from . import verify as verify_mod
 from .groups import (
-    GroupTableError,
     Letter,
     NonGeneratingSetError,
     free_product_of_cyclics,
@@ -454,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (NonGeneratingSetError, RecurrentGroupError, GroupTableError) as exc:
+    except (NonGeneratingSetError, RecurrentGroupError) as exc:
         sys.stderr.write(f"invalid walk: {exc}\n")
         return EXIT_INVALID
     except (MaxIterationsError, ConsistencyError) as exc:

@@ -1,18 +1,21 @@
 """Finite groups, their free product, and normal-form words.
 
 Elements of a finite factor are the integers ``0..order-1`` with the
-identity fixed at index 0.  A letter is a nonidentity element of one
-factor; a word is a sequence of letters in which consecutive letters come
-from distinct factors.  Words in this normal form are in bijection with
-the elements of the free product, and the group law is concatenation with
-simplification at the contact point.  The step tables of ``simulate``,
-built from the solver's in-factor pair tables, are the one place that
-applies it, one letter at a time.
+identity fixed at index 0; its multiplication table is a read-only numpy
+array of at most GROUP_TABLE_CELLS cells.  A letter is a nonidentity
+element of one factor; a word is a sequence of letters in which
+consecutive letters come from distinct factors.  Words in this normal
+form are in bijection with the elements of the free product, and the
+group law is concatenation with simplification at the contact point.
+The step tables of ``simulate``, built from the solver's in-factor pair
+tables, are the one place that applies it, one letter at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -56,23 +59,84 @@ class Letter(NamedTuple):
         return letter
 
 
-@dataclass(frozen=True)
+# A factor's multiplication table may hold at most this many cells, order
+# 4,096; a larger order is rejected before any table is built
+GROUP_TABLE_CELLS = 2**24
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Finite group given by a multiplication table, identity at index 0."""
+    """Finite group given by a multiplication table, identity at index 0.
+
+    ``mul[a, b]`` is the product a * b, in a read-only (order, order) array
+    of the least unsigned dtype that holds ``order - 1``; ``inv`` lists the
+    inverses.  Two groups are equal, and hash alike, when their tables are
+    equal.
+    """
 
     order: int
-    mul: tuple[tuple[int, ...], ...]
+    mul: np.ndarray
     inv: tuple[int, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self is other or (self.order == other.order and np.array_equal(self.mul, other.mul))
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.mul.tobytes()))
+
+
+def _check_order(order: int) -> None:
+    """Reject a group order whose multiplication table exceeds GROUP_TABLE_CELLS."""
+    if order * order > GROUP_TABLE_CELLS:
+        raise GroupTableError(
+            f"group order {order} needs a table of {order * order} cells, more than the "
+            f"{GROUP_TABLE_CELLS} allowed (order at most {math.isqrt(GROUP_TABLE_CELLS)})")
+
+
+def _frozen_table(values: np.ndarray) -> np.ndarray:
+    """A new table with entries in 0..order-1 as read-only, in the least unsigned dtype."""
+    table = values.astype(np.min_scalar_type(len(values) - 1), copy=False)
+    table.flags.writeable = False
+    return table
 
 
 def make_cyclic(k: int) -> FiniteGroup:
     """Cyclic group of order ``k`` in additive notation."""
     if k < 2:
         raise GroupTableError(f"cyclic group needs order >= 2, got {k}")
-    # Lists, not generators: tuple(<generator>) resizes from 10 slots and fills tuple freelists.
-    mul = tuple([tuple([(a + b) % k for b in range(k)]) for a in range(k)])
-    inv = tuple([(-a) % k for a in range(k)])
-    return FiniteGroup(order=k, mul=mul, inv=inv)
+    _check_order(k)
+    elems = np.arange(k, dtype=np.min_scalar_type(2 * k - 2))
+    mul = np.add.outer(elems, elems)
+    mul %= k
+    inv = tuple([(-a) % k for a in range(k)])  # a list, so the tuple is allocated at its size
+    return FiniteGroup(order=k, mul=_frozen_table(mul), inv=inv)
+
+
+def _entry_error(a: int, b: int, value: object, m: int) -> GroupTableError:
+    return GroupTableError(f"entry mul({a},{b})={value!r} outside 0..{m - 1}")
+
+
+def _table_values(rows: list, m: int) -> np.ndarray:
+    """Full rows of a table as an array, or the error of their first entry that is not in 0..m-1.
+
+    The entries must be integers (``int``, booleans included, or numpy
+    integers); the first bad entry is looked for by rows.
+    """
+    integer = (int, np.integer)
+    if not all(issubclass(t, integer) for t in set(map(type, itertools.chain.from_iterable(rows)))):
+        # some entry is not an integer, so some entry is bad: find the first
+        for a, row in enumerate(rows):
+            for b, value in enumerate(row):
+                if not (isinstance(value, integer) and 0 <= value < m):
+                    raise _entry_error(a, b, value, m)
+    values = np.array(rows).reshape(len(rows), m)
+    bad = np.flatnonzero((values < 0) | (values >= m))
+    if len(bad):
+        a, b = divmod(int(bad[0]), m)
+        raise _entry_error(a, b, rows[a][b], m)
+    return values
 
 
 def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -80,56 +144,64 @@ def make_finite_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
 
     The table must be square over ``0..m-1`` with the identity at index 0,
     every element invertible, and the operation associative.  Validation is
-    exhaustive; the first violated triple is reported.
+    exhaustive and checks in that order, each entry by rows; the first
+    violation is reported, for associativity the least violated triple.
     """
     m = len(table)
     if m < 2:
         raise GroupTableError(f"group order must be >= 2, got {m}")
+    _check_order(m)
     rows = []
-    for a, row in enumerate(table):
+    for row in table:
         if len(row) != m:
-            raise GroupTableError(f"row {a} has length {len(row)}, expected {m}")
-        for b, value in enumerate(row):
-            if not (isinstance(value, (int, np.integer)) and 0 <= value < m):
-                raise GroupTableError(f"entry mul({a},{b})={value!r} outside 0..{m - 1}")
-        rows.append(tuple([int(v) for v in row]))  # a list, as in make_cyclic
-    mul = tuple(rows)
+            # the entries of the rows above are checked first
+            _table_values(rows, m)
+            raise GroupTableError(f"row {len(rows)} has length {len(row)}, expected {m}")
+        rows.append(row)
+    mul = _frozen_table(_table_values(rows, m))
+    elems = np.arange(m)
+    bad = np.flatnonzero((mul[0] != elems) | (mul[:, 0] != elems))
+    if len(bad):
+        raise GroupTableError(f"index 0 is not a two-sided identity at element {bad[0]}")
+    # b is a two-sided inverse of a where mul[a, b] and mul[b, a] are both 0
+    inverse = (mul == 0) & (mul.T == 0)
+    missing = np.flatnonzero(~inverse.any(axis=1))
+    if len(missing):
+        raise GroupTableError(f"element {missing[0]} has no two-sided inverse")
     for a in range(m):
-        if mul[0][a] != a or mul[a][0] != a:
-            raise GroupTableError(f"index 0 is not a two-sided identity at element {a}")
-    inv = [-1] * m
-    for a in range(m):
-        for b in range(m):
-            if mul[a][b] == 0 and mul[b][a] == 0:
-                inv[a] = b
-                break
-        if inv[a] < 0:
-            raise GroupTableError(f"element {a} has no two-sided inverse")
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise GroupTableError(
-                        f"associativity fails at ({a},{b},{c}): "
-                        f"({a}*{b})*{c}={mul[mul[a][b]][c]} but {a}*({b}*{c})={mul[a][mul[b][c]]}"
-                    )
-    return FiniteGroup(order=m, mul=mul, inv=tuple(inv))
+        # (a*b)*c and a*(b*c) for every b and c
+        left, right = mul[mul[a]], mul[a][mul]
+        bad = np.flatnonzero(left != right)
+        if len(bad):
+            b, c = divmod(int(bad[0]), m)
+            raise GroupTableError(
+                f"associativity fails at ({a},{b},{c}): "
+                f"({a}*{b})*{c}={left[b, c]} but {a}*({b}*{c})={right[b, c]}"
+            )
+    return FiniteGroup(order=m, mul=mul, inv=tuple(inverse.argmax(axis=1).tolist()))
 
 
 def factor_distances(group: FiniteGroup, gens: Iterable[int]) -> dict[int, int]:
     """Word length over ``gens`` of every element of ``group`` that they reach.
 
     Breadth-first search from the identity under right multiplication; the
-    keys are the subgroup that ``gens`` generate.  The search stops as soon
-    as it has reached every element, since a breadth-first search never
-    shortens a distance once found.
+    keys are the subgroup that ``gens`` generate.  The identity's
+    neighbours are the generators themselves, so the table is read only
+    past them, one column per generator.  The search stops as soon as it
+    has reached every element, since a breadth-first search never shortens
+    a distance once found.
     """
     gens = list(gens)
     dist = {0: 0}
-    queue = [0]
+    for g in gens:
+        dist.setdefault(g, 1)
+    if len(dist) == group.order:
+        return dist
+    columns = [group.mul[:, g].tolist() for g in gens]  # columns[j][x] = x * gens[j]
+    queue = list(dist)[1:]
     for x in queue:  # the queue grows while it is read
-        for g in gens:
-            y = group.mul[x][g]
+        for column in columns:
+            y = column[x]
             if y not in dist:
                 dist[y] = dist[x] + 1
                 if len(dist) == group.order:

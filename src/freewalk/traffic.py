@@ -172,33 +172,27 @@ class _Structure:
     def __init__(self, product: FreeProduct):
         n = product.nletters
         self.cross = np.not_equal.outer(product.factor_of, product.factor_of)
-        # every (a, u) of two distinct letters of one factor, by a then u;
-        # u = a would leave v the identity
-        same = ~self.cross
-        np.fill_diagonal(same, False)
-        a, u = np.nonzero(same)
-        # v = u^-1 * a, read from the factors' multiplication tables laid end
-        # to end.  Letter a of factor i (order k, table from ``start``) is the
-        # element a - base, so entry (inv u, a) of that table sits at
-        # start + k (inv_index[u] - base) + a - base = offset + k inv_index[u] + a.
-        factors = product.factors
-        tables = np.fromiter(
-            itertools.chain.from_iterable(row for g in factors for row in g.mul),
-            np.intp,
-            sum(g.order**2 for g in factors),
-        )
-        per_factor, start = [], 0
-        for i, g in enumerate(factors):
-            k, base = g.order, product.factor_slice(i).start - 1
-            per_factor.append((start - base * (k + 1), k, base))
-            start += k * k
-        offset, order, base = np.repeat(
-            np.array(per_factor, dtype=np.intp), [g.order - 1 for g in factors], axis=0
-        ).T
-        self.pair_a = a
-        self.pair_u = u
-        self.pair_v = base[a] + tables[offset[a] + order[a] * product.inv_index[u] + a]
-        self.pair_flat = a * n + self.pair_v
+        # per factor, every (a, u) of two distinct letters, by a then u (u = a
+        # would leave v the identity), and v = u^-1 * a from its table; the
+        # letter at alphabet index base + e is element e of the factor.  A
+        # factor of order 2 has one letter, so no pair.
+        none = np.zeros(0, dtype=np.intp)
+        pair_a, pair_u, pair_v = [none], [none], [none]
+        for i, g in enumerate(product.factors):
+            if g.order == 2:
+                continue
+            base = product.factor_slice(i).start - 1
+            a, u = np.nonzero(~np.eye(g.order - 1, dtype=bool))
+            a += base + 1
+            u += base + 1
+            # cast before adding base: a uint8 table would wrap
+            v = g.mul[product.inv_index[u] - base, a - base].astype(np.intp)
+            v += base
+            pair_a.append(a)
+            pair_u.append(u)
+            pair_v.append(v)
+        self.pair_a, self.pair_u, self.pair_v = map(np.concatenate, (pair_a, pair_u, pair_v))
+        self.pair_flat = self.pair_a * n + self.pair_v
         self.diag_flat = np.arange(n) * (n + 1)
         self.inv_index = product.inv_index
         self.factor_of = product.factor_of
@@ -297,26 +291,17 @@ def _consistency_residual(s: _Structure, q: np.ndarray):
     return abs(np.add.reduce(sums / (1.0 + sums), axis=-1) - 1.0)
 
 
-def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray, back: np.ndarray | None = None,
-              mu_pair: np.ndarray | None = None, mu_inv: np.ndarray | None = None) -> np.ndarray:
-    """Jacobian of the hitting map at q.
-
-    ``back`` and ``mu_pair`` are as for ``_phi_array``, and ``mu_inv`` is mu
-    at the letters' inverses; each is computed when not given.
-    """
+def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jacobian of the hitting map at q."""
     rows = 1 if q.ndim == 1 else len(q)
-    if mu_pair is None:
-        mu_pair = mu.take(s.pair_u, axis=-1)
-    if mu_inv is None:
-        mu_inv = mu.take(s.inv_index, axis=-1)
     # d/dq(d) of q(a) * mu(d^-1) q(d) over letters d outside a's factor; the
     # in-factor entries are all overwritten below
-    jac = q[..., :, None] * mu_inv[..., None, :]
+    jac = q[..., :, None] * mu.take(s.inv_index, axis=-1)[..., None, :]
     flat = jac.reshape(-1)
     # d/dq(v) of the in-factor convolution terms
-    flat[s.stacked("pair_flat", rows)] = mu_pair.ravel()
+    flat[s.stacked("pair_flat", rows)] = mu.take(s.pair_u, axis=-1).ravel()
     # d/dq(a) of q(a) * back(a)
-    flat[s.stacked("diag_flat", rows)] = (_back(s, mu, q) if back is None else back).ravel()
+    flat[s.stacked("diag_flat", rows)] = _back(s, mu, q).ravel()
     return jac
 
 
@@ -416,14 +401,15 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     q = np.zeros((rows, n))
     steps = np.zeros(rows, dtype=np.intp)
     kappa = np.full(rows, math.nan)
-    eye = np.eye(n)
     rhs = np.ones((rows, n, 2))
     floor = 0.01 * tol
     # the rows still stepping: their indices, step laws, iterates, last sup
     # residuals and last solutions x (NaN before the first step)
     live, pl, ql, last, xl = np.arange(rows), p, q, np.full(rows, math.inf), np.full((rows, n), math.nan)
-    # the parts of phi and J that depend on mu alone
-    pair, inv = p.take(s.pair_u, axis=1), p.take(s.inv_index, axis=1)
+    # the parts of phi and I - J that depend on mu alone; each negation is
+    # 0.0 - x, as in eye - J
+    pair = p.take(s.pair_u, axis=1)
+    neg_pair, neg_inv = 0.0 - pair, 0.0 - p.take(s.inv_index, axis=1)
 
     def leave(mask, taken):
         out = live[mask]
@@ -441,10 +427,18 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
                 return q, steps, kappa
             keep = leave(stop, taken)
             live, pl, ql, xl, back, sup = live[keep], pl[keep], ql[keep], xl[keep], back[keep], sup[keep]
-            pair, inv = pair[keep], inv[keep]
+            pair, neg_pair, neg_inv = pair[keep], neg_pair[keep], neg_inv[keep]
             rhs[:len(live), :, 0] = residual[keep]
         b = len(live)
-        matrices = eye - _jacobian(s, pl, ql, back, pair, inv)
+        # I - J in one pass, each entry as in eye - J (see ``_jacobian``):
+        # -q(a) mu(d^-1) for d outside a's factor, -mu(u) at (a, v) for
+        # u * v = a, and 1 - back(a) on the diagonal.  Where q is 0 an entry
+        # is -0.0 where eye - J holds 0.0; no nonzero number of the solve
+        # depends on the sign of a zero entry.
+        matrices = ql[:, :, None] * neg_inv[:, None, :]
+        flat = matrices.reshape(-1)
+        flat[s.stacked("pair_flat", b)] = neg_pair.ravel()
+        flat[s.stacked("diag_flat", b)] = (1.0 - back).ravel()
         try:
             sol = np.linalg.solve(matrices, rhs[:b])
         except np.linalg.LinAlgError:
@@ -459,7 +453,7 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
             keep = leave(stop, taken)
             live, pl, xl, candidate, sol, sup = (
                 live[keep], pl[keep], xl[keep], candidate[keep], sol[keep], sup[keep])
-            pair, inv = pair[keep], inv[keep]
+            pair, neg_pair, neg_inv = pair[keep], neg_pair[keep], neg_inv[keep]
         ql, xl, last = candidate, sol[:, :, 1], sup
     leave(np.ones(len(live), dtype=bool), max_iter)
     return q, steps, kappa

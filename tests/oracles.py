@@ -21,7 +21,12 @@ boundary, and solves the linear hitting system with a sparse direct
 solve.  Killing at the boundary biases the value downward by at most the
 probability of returning from the sphere, which decays geometrically in
 the radius.  ``stationarity_check`` restates ``SolveReport.stationary``
-one factor at a time.  ``exact_fixed_point`` solves the hitting map,
+one factor at a time.  ``pair_tables_reference`` builds the solver's pair
+tables for the whole product at once, from one ``np.nonzero`` and the
+factors' tables laid end to end, and ``make_finite_group_reference``
+validates a table one entry and one triple at a time; the package works
+one factor block and one element's slice at a time and must agree with
+both exactly.  ``exact_fixed_point`` solves the hitting map,
 written one letter at a time, to far below float precision.  The Monte Carlo
 references step one walk at a time through ``_right_multiply``, a stack
 of letter indices with a merge table built from ``letter_product``, each
@@ -34,6 +39,7 @@ closed-form root vectors of four families, checked against the solver.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -46,6 +52,7 @@ from freewalk.closedform import eval_F, eval_G, solve_xk, solve_yk
 from freewalk.groups import (
     FiniteGroup,
     FreeProduct,
+    GroupTableError,
     LengthTable,
     Letter,
     StateBudgetError,
@@ -67,7 +74,7 @@ def letter_product(product: FreeProduct, u: Letter, v: Letter) -> Letter | None:
     """In-factor product of two letters; None when they cancel."""
     if u.factor != v.factor:
         raise ValueError(f"letters {u} and {v} live in different factors")
-    e = product.factors[u.factor].mul[u.elem][v.elem]
+    e = int(product.factors[u.factor].mul[u.elem, v.elem])
     return None if e == 0 else Letter(u.factor, e)
 
 
@@ -232,6 +239,77 @@ def pair_tables_oracle(product: FreeProduct) -> tuple[list[int], list[int], list
     return pa, pu, pv
 
 
+def pair_tables_reference(product: FreeProduct) -> tuple[np.ndarray, ...]:
+    """``pair_a``, ``pair_u``, ``pair_v`` and ``pair_flat`` built for the whole product at once.
+
+    One ``np.nonzero`` lists the pairs (a, u) of distinct letters of one
+    factor, and v = u^-1 a is read from the factors' multiplication tables
+    laid end to end in one ``np.fromiter``.
+    """
+    n = product.nletters
+    same = np.equal.outer(product.factor_of, product.factor_of)
+    np.fill_diagonal(same, False)
+    a, u = np.nonzero(same)
+    factors = product.factors
+    tables = np.fromiter(
+        itertools.chain.from_iterable(row for g in factors for row in g.mul.tolist()),
+        np.intp,
+        sum(g.order**2 for g in factors),
+    )
+    # letter a of factor i (order k, table from ``start``) is element a - base,
+    # so entry (inv u, a) sits at start + k (inv_index[u] - base) + a - base
+    per_factor, start = [], 0
+    for i, g in enumerate(factors):
+        k, base = g.order, product.factor_slice(i).start - 1
+        per_factor.append((start - base * (k + 1), k, base))
+        start += k * k
+    offset, order, base = np.repeat(
+        np.array(per_factor, dtype=np.intp), [g.order - 1 for g in factors], axis=0
+    ).T
+    v = base[a] + tables[offset[a] + order[a] * product.inv_index[u] + a]
+    return a, u, v, a * n + v
+
+
+def make_finite_group_reference(table) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(order, mul, inv) of a multiplication table, validated one entry and one triple at a time.
+
+    Raises the GroupTableError of the first violation: the rows and their
+    entries in order, then the identity, the inverses and associativity.
+    """
+    m = len(table)
+    if m < 2:
+        raise GroupTableError(f"group order must be >= 2, got {m}")
+    rows = []
+    for a, row in enumerate(table):
+        if len(row) != m:
+            raise GroupTableError(f"row {a} has length {len(row)}, expected {m}")
+        for b, value in enumerate(row):
+            if not (isinstance(value, (int, np.integer)) and 0 <= value < m):
+                raise GroupTableError(f"entry mul({a},{b})={value!r} outside 0..{m - 1}")
+        rows.append(tuple(int(v) for v in row))
+    mul = tuple(rows)
+    for a in range(m):
+        if mul[0][a] != a or mul[a][0] != a:
+            raise GroupTableError(f"index 0 is not a two-sided identity at element {a}")
+    inv = [-1] * m
+    for a in range(m):
+        for b in range(m):
+            if mul[a][b] == 0 and mul[b][a] == 0:
+                inv[a] = b
+                break
+        if inv[a] < 0:
+            raise GroupTableError(f"element {a} has no two-sided inverse")
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise GroupTableError(
+                        f"associativity fails at ({a},{b},{c}): "
+                        f"({a}*{b})*{c}={mul[mul[a][b]][c]} but {a}*({b}*{c})={mul[a][mul[b][c]]}"
+                    )
+    return m, mul, tuple(inv)
+
+
 def jacobian_oracle(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Jacobian of the hitting map at q: each term added into a zero matrix with ``np.add.at``."""
     n = s.nletters
@@ -263,7 +341,7 @@ def factor_distances_oracle(group: FiniteGroup, gens: Iterable[int]) -> dict[int
     queue = [0]
     for x in queue:
         for g in gens:
-            y = group.mul[x][g]
+            y = int(group.mul[x, g])
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)

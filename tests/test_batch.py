@@ -24,12 +24,14 @@ from freewalk.groups import (
     letter_lengths,
     make_cyclic,
     make_finite_group,
+    natural_lengths,
 )
 from freewalk.metrics import (
     QUALITY_GAMMA_FLOOR,
     MetricsReport,
     drift_weighted,
     entropy,
+    metrics_report,
     metrics_walks,
     volume,
 )
@@ -172,6 +174,28 @@ def test_probabilities_of_the_wrong_shape_raise():
     assert solve_batch(product, np.zeros((0, 3))) == []
     with pytest.raises(ValueError, match="tolerance must be in"):
         solve_batch(product, np.array([[0.2, 0.3, 0.5]]), tol=0.0)
+
+
+def test_metrics_walks_batch_separately_built_equal_products(monkeypatch):
+    # two products built apart from equal tables: one run, one solve_batch
+    calls = []
+
+    def counted(product, probs, tol=DEFAULT_TOL):
+        calls.append(len(probs))
+        return solve_batch(product, probs, tol=tol)
+
+    monkeypatch.setattr("freewalk.metrics.solve_batch", counted)
+    first = FreeProduct([make_cyclic(3), make_cyclic(4)])
+    second = FreeProduct([make_finite_group([list(row) for row in make_cyclic(3).mul]),
+                          make_cyclic(4)])
+    assert first is not second and first.factors == second.factors
+    rng = np.random.default_rng(11)
+    walks = [(product, StepDistribution(product, rng.dirichlet(np.ones(product.nletters))))
+             for product in (first, second, first)]
+    got = metrics_walks(walks, natural_lengths)
+    assert calls == [3]
+    for (product, mu), m in zip(walks, got):
+        assert m == metrics_report(product, mu)
 
 
 def test_metrics_walks_match_metrics_report():

@@ -5,12 +5,14 @@ import pytest
 
 from freewalk.groups import (
     EMPTY_WORD,
+    GROUP_TABLE_CELLS,
     FreeProduct,
     GroupTableError,
     Letter,
     NonGeneratingSetError,
     StateBudgetError,
     Word,
+    _check_order,
     factor_distances,
     free_product_of_cyclics,
     letter_lengths,
@@ -22,7 +24,14 @@ from freewalk.groups import (
 )
 from freewalk.simulate import _steps
 
-from oracles import S3_TABLE, append_letter, ball_count, ball_count_bfs, factor_distances_oracle
+from oracles import (
+    S3_TABLE,
+    append_letter,
+    ball_count,
+    ball_count_bfs,
+    factor_distances_oracle,
+    make_finite_group_reference,
+)
 
 KLEIN_TABLE = [
     [0, 1, 2, 3],
@@ -69,6 +78,136 @@ def test_make_finite_group_reports_associativity_witness():
 def test_make_finite_group_requires_identity_at_zero():
     with pytest.raises(GroupTableError):
         make_finite_group([[1, 0], [0, 1]])
+
+
+def test_group_tables_are_read_only_arrays_of_the_least_dtype():
+    for k, dtype in ((2, np.uint8), (256, np.uint8), (257, np.uint16)):
+        group = make_cyclic(k)
+        assert group.mul.dtype == dtype and group.mul.shape == (k, k)
+        assert not group.mul.flags.writeable
+        assert group.mul[k - 1, 1] == 0 and group.inv[1] == k - 1
+    s3 = make_finite_group(S3_TABLE)
+    assert s3.mul.dtype == np.uint8 and not s3.mul.flags.writeable
+    assert s3.mul.tolist() == S3_TABLE
+
+
+def test_group_table_budget_edge():
+    # the largest order used by the tests, CI, verify and the benchmark is 130
+    edge = math.isqrt(GROUP_TABLE_CELLS)
+    assert edge == 4096 and edge * edge == GROUP_TABLE_CELLS
+    _check_order(edge)
+    with pytest.raises(GroupTableError, match="cells"):
+        _check_order(edge + 1)
+    with pytest.raises(GroupTableError, match="cells"):
+        make_cyclic(edge + 1)
+    with pytest.raises(GroupTableError, match="cells"):
+        make_cyclic(100_000)
+    # rejected before any row is read: each row here is empty
+    with pytest.raises(GroupTableError, match="cells"):
+        make_finite_group([[]] * (edge + 1))
+
+
+# A Latin square with identity 0 in which every element is its own
+# inverse, but (1*1)*2 = 2 while 1*(1*2) = 4.
+LOOP_TABLE = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def broken(table, *edits):
+    rows = [list(row) for row in table]
+    for a, b, value in edits:
+        rows[a][b] = value
+    return rows
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        broken(S3_TABLE, (2, 3, 6)),
+        broken(S3_TABLE, (4, 1, -1)),
+        broken(S3_TABLE, (3, 5, "5")),
+        broken(S3_TABLE, (3, 5, 2.0)),
+        broken(S3_TABLE, (1, 1, None), (0, 4, 9)),
+        broken(S3_TABLE, (3, 5, 2**70)),
+        [[0, 1, 2], [1, 2], [2, 0, 1]],
+        [[0, 1, 2], [1, 2, 0], [2, 0]],
+        [[0, 1, 2], [1, 2, 7], [2]],
+        [[0, 1], [0, 1]],
+        [[1, 0], [0, 1]],
+        broken(KLEIN_TABLE, (2, 0, 3)),
+        [[0, 1], [1, 1]],
+        broken(KLEIN_TABLE, (3, 3, 1)),
+        LOOP_TABLE,
+        broken(S3_TABLE, (4, 4, 3), (5, 5, 2)),
+        [[0]],
+        [],
+    ],
+    ids=["entry-too-large", "entry-negative", "entry-string", "entry-float", "entry-before-a-none",
+         "entry-huge-int", "short-row", "short-last-row", "bad-entry-before-short-row",
+         "no-identity-row", "no-identity-at-0", "no-identity-column", "no-inverse",
+         "no-inverse-klein", "loop", "s3-two-entries", "order-1", "empty"],
+)
+def test_make_finite_group_reports_the_reference_error(table):
+    with pytest.raises(GroupTableError) as want:
+        make_finite_group_reference(table)
+    with pytest.raises(GroupTableError) as got:
+        make_finite_group(table)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_make_finite_group_reports_the_first_violated_triple_of_the_reference():
+    # corrupt entries off the identity's row and column of groups of order 8 and 12
+    rng = np.random.default_rng(3)
+    # S3 x Z/2, element 2 s + z for s in S3 and z in Z/2
+    s3z2 = [[2 * S3_TABLE[a // 2][b // 2] + (a + b) % 2 for b in range(12)] for a in range(12)]
+    tables = [s3z2, [[(a + b) % 8 for b in range(8)] for a in range(8)]]
+    messages = set()
+    for table in tables:
+        make_finite_group(table)  # the uncorrupted table is a group
+        for _ in range(40):
+            m = len(table)
+            edits = [(int(rng.integers(1, m)), int(rng.integers(1, m)), int(rng.integers(m)))
+                     for _ in range(int(rng.integers(1, 3)))]
+            rows = broken(table, *edits)
+            try:
+                order, mul, inv = make_finite_group_reference(rows)
+            except GroupTableError as exc:
+                with pytest.raises(GroupTableError) as got:
+                    make_finite_group(rows)
+                assert str(got.value) == str(exc)
+                messages.add(str(exc).split(" ")[0])
+                continue
+            group = make_finite_group(rows)
+            assert group.mul.tolist() == [list(row) for row in mul] and group.inv == inv
+    assert messages == {"associativity", "element"}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [KLEIN_TABLE, S3_TABLE, [[False, True], [True, False]], [[0, True], [True, 0]],
+     [[np.int64(0), np.uint8(1)], [1, 0]], np.array(S3_TABLE, dtype=np.int16),
+     [list(row) for row in make_cyclic(5).mul]],
+    ids=["klein", "s3", "booleans", "mixed-booleans", "numpy-integers", "array", "cyclic-rows"],
+)
+def test_make_finite_group_matches_the_reference_on_groups(table):
+    order, mul, inv = make_finite_group_reference(table)
+    group = make_finite_group(table)
+    assert group.order == order and group.mul.tolist() == [list(row) for row in mul]
+    assert group.inv == inv and all(type(x) is int for x in group.inv)
+
+
+def test_equal_tables_give_equal_groups():
+    z5 = make_cyclic(5)
+    same = make_finite_group([list(row) for row in z5.mul])
+    assert same is not z5 and same == z5 and hash(same) == hash(z5)
+    assert make_cyclic(5) == z5 and hash(make_cyclic(5)) == hash(z5)
+    assert make_cyclic(6) != z5 and make_cyclic(4) != make_finite_group(KLEIN_TABLE)
+    assert z5 != "Z/5" and len({z5, same, make_cyclic(5), make_cyclic(6)}) == 2
 
 
 def test_word_normal_form_enforced():

@@ -35,6 +35,7 @@ from oracles import (
     hitting_oracle,
     jacobian_oracle,
     pair_tables_oracle,
+    pair_tables_reference,
     stationarity_check,
 )
 
@@ -341,3 +342,18 @@ def test_letter_tables_match_per_letter_loop():
         mu = rng.dirichlet(np.ones(product.nletters))
         for q in (np.zeros(product.nletters), rng.uniform(0.01, 0.99, product.nletters)):
             assert np.array_equal(_jacobian(s, mu, q), jacobian_oracle(s, mu, q))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2, 3), (4, 4), (3, 7, 2, 5), (60, 60), (S3_TABLE, 2, 4)],
+    ids=["z2z3", "z4z4", "z3z7z2z5", "z60z60", "s3z2z4"],
+)
+def test_pair_tables_match_the_whole_product_reference(factors):
+    # each factor block read from its own table equals the one-nonzero construction
+    product = FreeProduct([make_cyclic(f) if isinstance(f, int) else make_finite_group(f)
+                           for f in factors])
+    s = letter_tables(product)
+    for name, want in zip(("pair_a", "pair_u", "pair_v", "pair_flat"), pair_tables_reference(product)):
+        got = getattr(s, name)
+        assert got.dtype == np.intp and np.array_equal(got, want), name

@@ -200,12 +200,14 @@ def test_cli_solve_from_spec_file(tmp_path, capsys):
          "--dump-lengths", os.devnull, "--dump-reps", "0"],
         ["simulate", "--family", "hecke-simple", "--k", "3", "--steps", "10", "--reps", "2",
          "--dump-lengths", os.devnull, "--dump-reps", "-3"],
+        # Z/100000 needs a table of 10^10 cells, past the group-table budget
+        ["solve", "--family", "zkzk-simple", "--k", "100000"],
     ],
     ids=["missing-k", "quality-resolution-0", "sweep-resolution-0", "negative-seed", "tol-0",
          "tol-nan", "sweep-tol-0", "sweep-tol-nan", "quality-sup-tol-0", "quality-sup-tol-nan",
          "closed-form-fractional-k", "tol-1e-3", "tol-inf", "sweep-tol-inf", "sweep-resolution-3",
          "closed-form-z2z3-p-nan", "closed-form-z3z3-asym-q-nan", "max-iter-0", "dump-reps-0",
-         "dump-reps-negative"],
+         "dump-reps-negative", "k-past-the-table-budget"],
 )
 def test_cli_invalid_input_exits_3_without_traceback(argv, capfd):
     assert_invalid_input(argv, capfd)
@@ -307,10 +309,11 @@ _LETTERS = {"factors": [{"cyclic": 2}, {"cyclic": 3}],
         {**_LETTERS, "factors": [{"cyclic": 2}, {"cyclic": 3.9}]},
         {**_FAMILY, "seed": 1.5},
         {"measure": {"family": "uniform-per-factor", "orders": [3, 3], "weights": "0.5"}},
+        {**_LETTERS, "factors": [{"table": [[0, 1], [1, 1]]}, {"cyclic": 3}]},
     ],
     ids=["k-fractional", "k-string", "orders-fractional", "orders-not-a-list", "p-string",
          "p-beyond-float", "max-iter-null", "letters-not-a-map", "table-not-a-list",
-         "cyclic-fractional", "seed-fractional", "weights-string"],
+         "cyclic-fractional", "seed-fractional", "weights-string", "table-not-a-group"],
 )
 def test_malformed_spec_exits_3_without_traceback(tmp_path, spec, capfd):
     path = tmp_path / "walk.json"

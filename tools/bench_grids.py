@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_20.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_21.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -42,6 +42,13 @@ measurements:
 - ``solve_inprocess_x20_s``: 20 calls of ``main(["solve", "--family",
   "zkzk-simple", "--k", "4"])`` in one fresh interpreter after its imports,
   the way perfbench and other in-process callers use the CLI;
+- ``tables_118_s``: building ``free_product_of_cyclics(60, 60)`` and the
+  solver's index tables (``traffic._Structure``) of its 118 letters, the
+  median of 50 builds in one fresh interpreter, with the product cache
+  cleared before each;
+- ``make_finite_group_200_s``: ``make_finite_group`` on the table of Z/200
+  given as a list of lists of ints, as a spec's table arrives, timed
+  inside a fresh interpreter after its imports;
 - ``tier1_s``: wall time of the tier-1 suite, ``python -m pytest -q
   --continue-on-collection-errors``, run with the tree as the working
   directory, so that each tree runs its own tests.
@@ -111,6 +118,26 @@ start = time.perf_counter()
 exact_convolution(product, mu, 10)
 print(time.perf_counter() - start)
 """
+TIME_TABLES = """
+import statistics, time
+from freewalk.groups import free_product_of_cyclics
+from freewalk.traffic import _Structure
+times = []
+for _ in range(50):
+    free_product_of_cyclics.cache_clear()
+    start = time.perf_counter()
+    _Structure(free_product_of_cyclics(60, 60))
+    times.append(time.perf_counter() - start)
+print(statistics.median(times))
+"""
+TIME_MAKE_FINITE_GROUP = """
+import time
+from freewalk.groups import make_finite_group
+table = [[(a + b) % 200 for b in range(200)] for a in range(200)]
+start = time.perf_counter()
+make_finite_group(table)
+print(time.perf_counter() - start)
+"""
 CRITERIA = (4, 6, 8, 10, 12, 13)
 # criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
 TIME_MONTE_CARLO = """
@@ -137,7 +164,8 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          "verify_12_cli_s": "s", **{f"criterion_{n}_s": "s" for n in CRITERIA},
          **{name: "s" for name in MONTE_CARLO},
          "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s",
-         "solve_inprocess_x20_s": "s", "tier1_s": "s"}
+         "solve_inprocess_x20_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
+         "tier1_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -183,6 +211,8 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118, calls=1)], workdir)[2])
     row["solve_inprocess_x20_s"] = float(
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_K4, calls=20)], workdir)[2])
+    row["tables_118_s"] = float(_child(tree, ["-c", TIME_TABLES], workdir)[2])
+    row["make_finite_group_200_s"] = float(_child(tree, ["-c", TIME_MAKE_FINITE_GROUP], workdir)[2])
     row["tier1_s"] = _child(tree, TIER1, str(tree))[0]
     return row
 
