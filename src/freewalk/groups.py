@@ -96,7 +96,7 @@ def _check_order(order: int) -> None:
 
 
 def _frozen_table(values: np.ndarray) -> np.ndarray:
-    """A new table with entries in 0..order-1 as read-only, in the least unsigned dtype."""
+    """``values``, a new table with entries in 0..order-1, read-only in the least unsigned dtype."""
     table = values.astype(np.min_scalar_type(len(values) - 1), copy=False)
     table.flags.writeable = False
     return table

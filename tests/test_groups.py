@@ -160,7 +160,7 @@ def test_make_finite_group_reports_the_reference_error(table):
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
-def test_make_finite_group_reports_the_first_violated_triple_of_the_reference():
+def test_make_finite_group_matches_the_reference_on_corrupted_tables():
     # corrupt entries off the identity's row and column of groups of order 8 and 12
     rng = np.random.default_rng(3)
     # S3 x Z/2, element 2 s + z for s in S3 and z in Z/2

@@ -346,11 +346,13 @@ def test_letter_tables_match_per_letter_loop():
 
 @pytest.mark.parametrize(
     "factors",
-    [(2, 3), (4, 4), (3, 7, 2, 5), (60, 60), (S3_TABLE, 2, 4)],
-    ids=["z2z3", "z4z4", "z3z7z2z5", "z60z60", "s3z2z4"],
+    [(2, 3), (4, 4), (3, 7, 2, 5), (60, 60), (S3_TABLE, 2, 4), (130, 130)],
+    ids=["z2z3", "z4z4", "z3z7z2z5", "z60z60", "s3z2z4", "z130z130"],
 )
 def test_pair_tables_match_the_whole_product_reference(factors):
-    # each factor block read from its own table equals the one-nonzero construction
+    # each factor block read from its own table equals the one-nonzero
+    # construction; on Z/130 * Z/130 a uint8 entry plus its block's base
+    # passes 255
     product = FreeProduct([make_cyclic(f) if isinstance(f, int) else make_finite_group(f)
                            for f in factors])
     s = letter_tables(product)
