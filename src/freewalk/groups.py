@@ -337,15 +337,11 @@ class LengthTable:
     (cross-factor letters in any product can only cancel completely), so
     the length of a word is the sum of its letter lengths.  Any additive
     letter weight fits the same table, e.g. the Green metric -log q with
-    float weights; ``word_weight`` returns the table's own scalar type.
+    float weights.
     """
 
     product: FreeProduct
     weights: np.ndarray
-
-    def word_weight(self, w: Word) -> int | float:
-        idx = self.product.letter_index
-        return self.weights[[idx(u) for u in w.letters]].sum().item()
 
 
 def natural_lengths(product: FreeProduct) -> LengthTable:

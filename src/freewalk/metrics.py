@@ -209,30 +209,17 @@ def extremal_measure(product: FreeProduct) -> StepDistribution:
     return StepDistribution(product, probs / probs.sum())
 
 
-def extremal_cylinders(product: FreeProduct, w: Word) -> tuple[float, float]:
-    """Cylinder mass of w under the extremal harmonic and max-entropy measures.
+def extremal_cylinders(product: FreeProduct, w: Word) -> float:
+    """Cylinder mass of w under the harmonic measure of the extremal walk.
 
     The harmonic measure of the extremal walk charges a length-k cylinder
-    ending in factor j with rho^-(k-1) / (rho + k_j).  The measure of
-    maximal entropy of the normal-form subshift is the Parry measure of
-    the letter adjacency: both Perron vectors have per-factor entries
-    1/(rho + k_i), so a length-k cylinder starting in factor i and ending
-    in factor j carries
-        [1/(rho+k_i)] rho^-(k-1) [1/(rho+k_j)] / sum_m k_m/(rho+k_m)^2.
-    The two coincide when all factors have equal size.
+    ending in factor j with rho^-(k-1) / (rho + k_j).
     """
     k = len(w)
     if k == 0:
         raise ValueError("need a nonempty cylinder word")
     rho = growth_rho(product)
-    sizes = [g.order - 1 for g in product.factors]
-    first, last = w[0].factor, w[k - 1].factor
-    harmonic = rho ** (-(k - 1)) / (rho + sizes[last])
-    norm = sum(m / (rho + m) ** 2 for m in sizes)
-    max_entropy = (
-        rho ** (-(k - 1)) / ((rho + sizes[first]) * (rho + sizes[last])) / norm
-    )
-    return harmonic, max_entropy
+    return rho ** (-(k - 1)) / (rho + product.factors[w[k - 1].factor].order - 1)
 
 
 def quality(

@@ -429,13 +429,30 @@ def estimate_prefix(
     return PrefixReport(frequencies=freqs, dropped=dropped, replications=reps, horizon=steps)
 
 
+@dataclass(frozen=True)
+class ExactLaw:
+    """The exact law of X_n: one word per row of ``cells``, with its mass.
+
+    Row i is word i as a stack of cells (see ``_Steps``): cell 0 for the
+    empty word, then letter index + 1 of each letter, then zeros.
+    ``mass[i]`` is its mass, and ``len()`` is the support size.
+    """
+
+    product: FreeProduct
+    cells: np.ndarray
+    mass: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mass)
+
+
 def exact_convolution(
     product: FreeProduct,
     mu: StepDistribution,
     n: int,
     max_support: int = CONVOLUTION_BUDGET,
-) -> dict[Word, float]:
-    """Exact law of X_n as a sparse map from normal-form words to mass.
+) -> ExactLaw:
+    """Exact law of X_n, its words as rows of cells with their masses.
 
     Pushes the law forward one letter at a time through the step tables.
     The support is a matrix of stacks of cells (see ``_Steps``), one row
@@ -443,9 +460,10 @@ def exact_convolution(
     Each step acts with every support letter on every word in row-major
     order, numbers the distinct rows in the order they first appear (a
     dict keyed by the rows' bytes, faster than sorting the rows), and sums
-    their masses in that order, so each word's mass is the sum a dict
-    filled word by word would hold.  Intended for small n; raises
-    StateBudgetError when the support would exceed ``max_support``.
+    their masses in that order, so the words come in the order a dict
+    filled word by word would hold them, each with that dict's mass.
+    Intended for small n; raises StateBudgetError when the support would
+    exceed ``max_support``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -467,17 +485,16 @@ def exact_convolution(
             raise StateBudgetError(f"convolution support exceeds {max_support} words")
         mass = np.bincount(word, np.outer(mass, mu.probs[letters]).ravel())
         cells = cells[np.unique(word, return_index=True)[1]]
-    depth = np.count_nonzero(cells, axis=1).tolist()
-    return {_word(product, row[1 : d + 1]): p for row, d, p in zip(cells.tolist(), depth, mass)}
+    return ExactLaw(product, cells, mass)
 
 
-def expected_length(dist: dict[Word, float], lengths: LengthTable | None = None) -> float:
+def expected_length(law: ExactLaw, lengths: LengthTable | None = None) -> float:
     """E |X| under an exact law, in natural or weighted length."""
-    if lengths is None:
-        return sum(mass * len(word) for word, mass in dist.items())
-    return sum(mass * lengths.word_weight(word) for word, mass in dist.items())
+    table = lengths if lengths is not None else natural_lengths(law.product)
+    weight = np.append(0, table.weights)[law.cells].sum(axis=1)  # cell 0 weighs nothing
+    return sum((law.mass * weight).tolist())
 
 
-def distribution_entropy(dist: dict[Word, float]) -> float:
+def distribution_entropy(law: ExactLaw) -> float:
     """Shannon entropy (nats) of an exact law."""
-    return -sum(mass * math.log(mass) for mass in dist.values() if mass > 0.0)
+    return -sum(mass * math.log(mass) for mass in law.mass.tolist() if mass > 0.0)

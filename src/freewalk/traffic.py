@@ -291,18 +291,25 @@ def _consistency_residual(s: _Structure, q: np.ndarray):
     return abs(np.add.reduce(sums / (1.0 + sums), axis=-1) - 1.0)
 
 
-def _jacobian(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Jacobian of the hitting map at q."""
+def _i_minus_j(s: _Structure, q: np.ndarray, back: np.ndarray, neg_inv: np.ndarray,
+               neg_pair: np.ndarray) -> np.ndarray:
+    """I - J at q, J the Jacobian of the hitting map, in one pass (per row of a stack).
+
+    ``back`` is ``_back(s, mu, q)``, ``neg_inv`` is 0.0 - mu(inv) per
+    letter and ``neg_pair`` 0.0 - mu at the pairs' first letters, so each
+    entry is the float of eye - J: -q(a) mu(d^-1) for d outside a's
+    factor, -mu(u) at (a, v) for u * v = a, and 1 - back(a) on the
+    diagonal.  Where q is 0 an off-factor entry is -0.0 where eye - J
+    holds 0.0; no nonzero number of a solve depends on the sign of a zero
+    entry.
+    """
     rows = 1 if q.ndim == 1 else len(q)
-    # d/dq(d) of q(a) * mu(d^-1) q(d) over letters d outside a's factor; the
-    # in-factor entries are all overwritten below
-    jac = q[..., :, None] * mu.take(s.inv_index, axis=-1)[..., None, :]
-    flat = jac.reshape(-1)
-    # d/dq(v) of the in-factor convolution terms
-    flat[s.stacked("pair_flat", rows)] = mu.take(s.pair_u, axis=-1).ravel()
-    # d/dq(a) of q(a) * back(a)
-    flat[s.stacked("diag_flat", rows)] = _back(s, mu, q).ravel()
-    return jac
+    # the off-factor entries; the in-factor ones are all overwritten below
+    matrices = q[..., :, None] * neg_inv[..., None, :]
+    flat = matrices.reshape(-1)
+    flat[s.stacked("pair_flat", rows)] = neg_pair.ravel()
+    flat[s.stacked("diag_flat", rows)] = (1.0 - back).ravel()
+    return matrices
 
 
 def _root(s: _Structure, q: np.ndarray) -> np.ndarray:
@@ -406,8 +413,7 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     # the rows still stepping: their indices, step laws, iterates, last sup
     # residuals and last solutions x (NaN before the first step)
     live, pl, ql, last, xl = np.arange(rows), p, q, np.full(rows, math.inf), np.full((rows, n), math.nan)
-    # the parts of phi and I - J that depend on mu alone; each negation is
-    # 0.0 - x, as in eye - J
+    # the parts of phi and I - J that depend on mu alone (see ``_i_minus_j``)
     pair = p.take(s.pair_u, axis=1)
     neg_pair, neg_inv = 0.0 - pair, 0.0 - p.take(s.inv_index, axis=1)
 
@@ -430,15 +436,7 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
             pair, neg_pair, neg_inv = pair[keep], neg_pair[keep], neg_inv[keep]
             rhs[:len(live), :, 0] = residual[keep]
         b = len(live)
-        # I - J in one pass, each entry as in eye - J (see ``_jacobian``):
-        # -q(a) mu(d^-1) for d outside a's factor, -mu(u) at (a, v) for
-        # u * v = a, and 1 - back(a) on the diagonal.  Where q is 0 an entry
-        # is -0.0 where eye - J holds 0.0; no nonzero number of the solve
-        # depends on the sign of a zero entry.
-        matrices = ql[:, :, None] * neg_inv[:, None, :]
-        flat = matrices.reshape(-1)
-        flat[s.stacked("pair_flat", b)] = neg_pair.ravel()
-        flat[s.stacked("diag_flat", b)] = (1.0 - back).ravel()
+        matrices = _i_minus_j(s, ql, back, neg_inv, neg_pair)
         try:
             sol = np.linalg.solve(matrices, rhs[:b])
         except np.linalg.LinAlgError:
@@ -491,8 +489,9 @@ def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     A float residual is itself off by about eps, which (I - J)^-1 amplifies
     by kappa; the exact residual removes that floor.
     """
+    neg_inv, neg_pair = 0.0 - p[s.inv_index], 0.0 - p[s.pair_u]
     for _ in range(3):
-        candidate = q + np.linalg.solve(np.eye(s.nletters) - _jacobian(s, p, q),
+        candidate = q + np.linalg.solve(_i_minus_j(s, q, _back(s, p, q), neg_inv, neg_pair),
                                         _exact_residual(s, p, q))
         if np.array_equal(candidate, q) or np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
             break

@@ -5,7 +5,10 @@ multiplication table, and ``append_letter`` is the group law on letter
 tuples, one case at a time; neither reads the step tables of
 ``freewalk.simulate``, the package's one letter action.
 ``convolution_oracle`` pushes a law forward one word and one letter at
-a time.  ``ball_count`` enumerates the normal-form words of a ball and
+a time, and ``law_as_dict`` turns an ``ExactLaw`` into the same kind of
+dict.  ``word_weight`` sums a word's letter weights one letter at a time.
+``parry_cylinder`` is the cylinder mass of the measure of maximal entropy,
+which the extremal harmonic measure equals on equal factors.  ``ball_count`` enumerates the normal-form words of a ball and
 ``ball_count_bfs`` searches the Cayley graph, two independent checks of
 ``sphere_series``.  The per-letter loops restate the index tables of the
 solver and the additive-drift kernel of the metrics one letter at a time,
@@ -60,7 +63,8 @@ from freewalk.groups import (
     natural_lengths,
 )
 from freewalk.harmonic import LetterChain, cylinder_prob
-from freewalk.simulate import EstimateReport, PrefixReport
+from freewalk.metrics import growth_rho
+from freewalk.simulate import EstimateReport, ExactLaw, PrefixReport
 from freewalk.traffic import STATIONARY_TOL, RootVector, StepDistribution, _Structure
 
 # The symmetric group S3 as a multiplication table, identity at index 0.
@@ -100,6 +104,35 @@ def convolution_oracle(product: FreeProduct, mu: StepDistribution, n: int) -> di
                 out[nw] = out.get(nw, 0.0) + mass * p
         dist = out
     return {Word(w): p for w, p in dist.items()}
+
+
+def law_as_dict(law: ExactLaw) -> dict[Word, float]:
+    """An exact law as a map from normal-form words to mass, in the law's word order."""
+    letters = law.product.alphabet
+    return {Word(tuple(letters[c - 1] for c in row if c)): p
+            for row, p in zip(law.cells.tolist(), law.mass.tolist())}
+
+
+def word_weight(lengths: LengthTable, w: Word) -> int | float:
+    """The sum of the letter weights of w, in the table's own scalar type."""
+    idx = lengths.product.letter_index
+    return lengths.weights[[idx(u) for u in w.letters]].sum().item()
+
+
+def parry_cylinder(product: FreeProduct, w: Word) -> float:
+    """Cylinder mass of a nonempty w under the measure of maximal entropy of the normal forms.
+
+    That is the Parry measure of the letter adjacency: both Perron vectors
+    have per-factor entries 1/(rho + k_i), so a length-k cylinder starting
+    in factor i and ending in factor j carries
+        [1/(rho+k_i)] rho^-(k-1) [1/(rho+k_j)] / sum_m k_m/(rho+k_m)^2.
+    """
+    k = len(w)
+    rho = growth_rho(product)
+    sizes = [g.order - 1 for g in product.factors]
+    first, last = w[0].factor, w[k - 1].factor
+    norm = sum(m / (rho + m) ** 2 for m in sizes)
+    return rho ** (-(k - 1)) / ((rho + sizes[first]) * (rho + sizes[last])) / norm
 
 
 def ball_count(

@@ -10,6 +10,10 @@ loosened assertion.
 import pytest
 
 from freewalk import verify
+from freewalk.metrics import metrics_report
+from freewalk.simulate import distribution_entropy, exact_convolution, expected_length
+from freewalk.traffic import solve_walk
+from freewalk.walkspec import zkzk_simple
 
 
 def _run(number: int) -> None:
@@ -46,3 +50,23 @@ def test_criterion_7_finds_the_first_maximum_of_the_grid():
         "ok  solver drift at argmax: 0.163378699743327 vs 0.16337869974332694 "
         "(|err|=5.551e-17, tol=1e-09)",
     ]
+
+
+def test_criterion_13_note_holds_from_n_12_to_17():
+    # The NOTE's claims on the simple walk on Z/3 * Z/3: from n = 12 to 17
+    # each increment stays above its limit, each gap shrinks by a factor in
+    # [0.85, 0.95] per step, and the gaps enter the 0.02 (length) and 0.05
+    # (entropy) bands at n = 13 and n = 17.  Measured: 0.0206 -> 0.0184 and
+    # 0.0509 -> 0.0474 across the band edges; ratios 0.88-0.90 and 0.91-0.93.
+    product, mu = zkzk_simple(3)
+    m = metrics_report(product, mu, solve_walk(product, mu))
+    laws = {n: exact_convolution(product, mu, n) for n in range(11, 18)}
+    for limit, read, band, enters in ((m.gamma, expected_length, 0.02, 13),
+                                      (m.entropy, distribution_entropy, 0.05, 17)):
+        value = {n: read(law) for n, law in laws.items()}
+        gap = {n: value[n] - value[n - 1] - limit for n in range(12, 18)}
+        assert all(g > 0.0 for g in gap.values())
+        assert all(0.85 <= gap[n] / gap[n - 1] <= 0.95 for n in range(13, 18))
+        assert [n for n, g in gap.items() if g <= band] == list(range(enters, 18))
+    (note,) = verify.run_criterion(13).notes
+    assert "0.85-0.95 per step" in note and "at n = 13 and n = 17" in note

@@ -40,7 +40,7 @@ from freewalk.walkspec import (
     zkzk_simple,
 )
 
-from oracles import S3_TABLE, additive_drift_oracle, growth_equation_oracle
+from oracles import S3_TABLE, additive_drift_oracle, growth_equation_oracle, parry_cylinder
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -168,22 +168,21 @@ def test_extremal_cylinders_match_harmonic_solution():
 
     chain = build_chain(product, report.r)
     for w in normal_words(product, 3):
-        harmonic, _ = extremal_cylinders(product, w)
-        assert abs(cylinder_prob(chain, w) - harmonic) < 1e-12
+        assert abs(cylinder_prob(chain, w) - extremal_cylinders(product, w)) < 1e-12
 
 
 def test_extremal_cylinders_normalization_and_consistency():
     product = free_product_of_cyclics(2, 4)
     level2 = [w for w in normal_words(product, 2) if len(w) == 2]
-    harm_total = sum(extremal_cylinders(product, w)[0] for w in level2)
-    max_total = sum(extremal_cylinders(product, w)[1] for w in level2)
+    harm_total = sum(extremal_cylinders(product, w) for w in level2)
+    max_total = sum(parry_cylinder(product, w) for w in level2)
     assert abs(harm_total - 1.0) < 1e-12
     assert abs(max_total - 1.0) < 1e-12
     # one-step consistency of the max-entropy values
     for w in normal_words(product, 2):
-        parent = extremal_cylinders(product, w)[1]
+        parent = parry_cylinder(product, w)
         children = sum(
-            extremal_cylinders(product, product.word(w.letters + (v,)))[1]
+            parry_cylinder(product, product.word(w.letters + (v,)))
             for v in product.alphabet
             if v.factor != w[len(w) - 1].factor
         )
@@ -193,8 +192,7 @@ def test_extremal_cylinders_normalization_and_consistency():
 def test_extremal_cylinders_equal_sizes_coincide():
     product = free_product_of_cyclics(3, 3, 3)
     for w in normal_words(product, 3):
-        harmonic, max_entropy = extremal_cylinders(product, w)
-        assert abs(harmonic - max_entropy) < 1e-14
+        assert abs(extremal_cylinders(product, w) - parry_cylinder(product, w)) < 1e-14
 
 
 def test_hausdorff_dimensions():

@@ -44,8 +44,10 @@ from oracles import (
     convolution_oracle,
     drift_reference,
     hitting_reference,
+    law_as_dict,
     letter_reference,
     prefix_reference,
+    word_weight,
 )
 
 SEED = 424242
@@ -69,7 +71,7 @@ def test_simulate_length_changes_bounded_by_max_weight():
     (traj,) = trajectories(product, mu, 3000, 1, SEED, lengths)
     deltas = np.abs(np.diff(traj.lengths))
     assert deltas.max() <= lengths.weights.max()
-    assert traj.lengths[-1] == lengths.word_weight(traj.final)
+    assert traj.lengths[-1] == word_weight(lengths, traj.final)
 
 
 def test_simulate_long_run_speed_z4z4():
@@ -158,13 +160,13 @@ def test_estimate_prefix_total_variation_shrinks_with_steps():
 
 def test_exact_convolution_small_laws():
     product, mu = hecke_simple(3)
-    law1 = exact_convolution(product, mu, 1)
+    law1 = law_as_dict(exact_convolution(product, mu, 1))
     for u in product.alphabet:
         assert abs(law1.get(product.word([u]), 0.0) - mu[u]) < 1e-15
-    law2 = exact_convolution(product, mu, 2)
+    law2 = law_as_dict(exact_convolution(product, mu, 2))
     assert abs(law2[Word(())] - 1 / 3) < 1e-15  # sum of mu(a) mu(a^-1)
     for n in (3, 6):
-        law = exact_convolution(product, mu, n)
+        law = law_as_dict(exact_convolution(product, mu, n))
         assert abs(sum(law.values()) - 1.0) < 1e-12
 
 
@@ -176,12 +178,21 @@ def test_exact_convolution_small_laws():
     ids=["z3z3", "z4z4", "z2z3", "hecke4-unsupported-letter", "three-factors", "258-letters"],
 )
 def test_exact_convolution_matches_dict_push_forward_bitwise(walk, n):
-    # same words, in the same order, each mass summed in the same order
+    # same words, in the same order, each mass summed in the same order; and
+    # E|X| in natural and in minimal-generator lengths equals the sum taken
+    # word by word over the dict
     product, mu = walk()
+    minimal = _minimal(product, mu)
     for m in range(n + 1):
         law, expected = exact_convolution(product, mu, m), convolution_oracle(product, mu, m)
-        assert list(law) == list(expected)
-        assert [p.hex() for p in law.values()] == [p.hex() for p in expected.values()]
+        assert len(law) == len(expected)
+        words = law_as_dict(law)
+        assert list(words) == list(expected)
+        assert [p.hex() for p in words.values()] == [p.hex() for p in expected.values()]
+        for table in (None, minimal):
+            direct = sum(mass * (len(word) if table is None else word_weight(table, word))
+                         for word, mass in expected.items())
+            assert expected_length(law, table).hex() == direct.hex()
 
 
 def test_exact_convolution_budget_guard():
@@ -261,13 +272,13 @@ def test_length_table_keeps_float_weights():
     green = LengthTable(product, -np.log(report.q.values))
     weight = dict(zip(product.alphabet, green.weights.tolist()))
     w = product.word([Letter(0, 1), Letter(1, 2), Letter(0, 3)])
-    assert green.word_weight(product.word([Letter(1, 2)])) == weight[Letter(1, 2)]
-    assert green.word_weight(w) == pytest.approx(sum(weight[u] for u in w), rel=1e-15)
+    assert word_weight(green, product.word([Letter(1, 2)])) == weight[Letter(1, 2)]
+    assert word_weight(green, w) == pytest.approx(sum(weight[u] for u in w), rel=1e-15)
     assert green.weights.max() == max(weight.values())
     law = exact_convolution(product, mu, 3)
-    direct = sum(mass * sum(weight[u] for u in word) for word, mass in law.items())
+    direct = sum(mass * sum(weight[u] for u in word) for word, mass in law_as_dict(law).items())
     assert expected_length(law, green) == pytest.approx(direct, rel=1e-14)
-    assert green.word_weight(Word(())) == 0.0
+    assert word_weight(green, Word(())) == 0.0
     # scaling every letter weight by c divides the growth rate by c
     scaled = LengthTable(product, np.full(product.nletters, 1.5))
     assert volume(product, scaled) == pytest.approx(volume(product, natural_lengths(product)) / 1.5)

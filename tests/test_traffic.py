@@ -19,7 +19,8 @@ from freewalk.traffic import (
     MaxIterationsError,
     RecurrentGroupError,
     StepDistribution,
-    _jacobian,
+    _back,
+    _i_minus_j,
     _phi_array,
     q_to_r,
     solve_walk,
@@ -338,10 +339,13 @@ def test_letter_tables_match_per_letter_loop():
         pa, pu, pv = pair_tables_oracle(product)
         assert s.pair_a.tolist() == pa and s.pair_u.tolist() == pu and s.pair_v.tolist() == pv
         assert letter_tables(product) is s  # built once per product
-        # the Jacobian assembled from the tables, bit for bit as np.add.at accumulates it
+        # I - J assembled from the tables, bit for bit as eye minus the
+        # Jacobian that np.add.at accumulates
         mu = rng.dirichlet(np.ones(product.nletters))
+        neg_inv, neg_pair = 0.0 - mu[s.inv_index], 0.0 - mu[s.pair_u]
         for q in (np.zeros(product.nletters), rng.uniform(0.01, 0.99, product.nletters)):
-            assert np.array_equal(_jacobian(s, mu, q), jacobian_oracle(s, mu, q))
+            assert np.array_equal(_i_minus_j(s, q, _back(s, mu, q), neg_inv, neg_pair),
+                                  np.eye(product.nletters) - jacobian_oracle(s, mu, q))
 
 
 @pytest.mark.parametrize(

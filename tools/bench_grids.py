@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_21.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_22.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -33,8 +33,10 @@ measurements:
   of its walks, each timed inside a fresh interpreter after its imports, so
   that a change to ``criterion_12_s`` shows which estimator moved;
 - ``exact_convolution_z4z4_10_s``: ``exact_convolution`` of the simple walk
-  on Z/4 * Z/4 at n = 10 (13,859 words), timed inside a fresh interpreter
-  after its imports;
+  on Z/4 * Z/4 at n = 10 (13,859 words), the median of 5 calls in one fresh
+  interpreter after its imports, with the index-table cache
+  (``traffic.letter_tables``) cleared before each, so every call pays for
+  the tables as the first does;
 - ``solve_118_cli_s``: wall time of ``python -m freewalk solve --family
   uniform-per-factor --orders 60,60 --weights 0.5,0.5``, the 118-letter solve;
 - ``solve_118_s``: that command's ``main`` call, timed inside a fresh
@@ -47,8 +49,9 @@ measurements:
   median of 50 builds in one fresh interpreter, with the product cache
   cleared before each;
 - ``make_finite_group_200_s``: ``make_finite_group`` on the table of Z/200
-  given as a list of lists of ints, as a spec's table arrives, timed
-  inside a fresh interpreter after its imports;
+  given as a list of lists of ints, as a spec's table arrives, the median
+  of 5 calls in one fresh interpreter after its imports (nothing on its
+  path is cached);
 - ``tier1_s``: wall time of the tier-1 suite, ``python -m pytest -q
   --continue-on-collection-errors``, run with the tree as the working
   directory, so that each tree runs its own tests.
@@ -110,13 +113,18 @@ run_criterion({number})
 print(time.perf_counter() - start)
 """
 TIME_CONVOLUTION = """
-import time
+import statistics, time
 from freewalk.simulate import exact_convolution
+from freewalk.traffic import letter_tables
 from freewalk.walkspec import zkzk_simple
 product, mu = zkzk_simple(4)
-start = time.perf_counter()
-exact_convolution(product, mu, 10)
-print(time.perf_counter() - start)
+times = []
+for _ in range(5):
+    letter_tables.cache_clear()
+    start = time.perf_counter()
+    exact_convolution(product, mu, 10)
+    times.append(time.perf_counter() - start)
+print(statistics.median(times))
 """
 TIME_TABLES = """
 import statistics, time
@@ -131,12 +139,15 @@ for _ in range(50):
 print(statistics.median(times))
 """
 TIME_MAKE_FINITE_GROUP = """
-import time
+import statistics, time
 from freewalk.groups import make_finite_group
 table = [[(a + b) % 200 for b in range(200)] for a in range(200)]
-start = time.perf_counter()
-make_finite_group(table)
-print(time.perf_counter() - start)
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    make_finite_group(table)
+    times.append(time.perf_counter() - start)
+print(statistics.median(times))
 """
 CRITERIA = (4, 6, 8, 10, 12, 13)
 # criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
