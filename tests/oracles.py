@@ -8,7 +8,8 @@ tuples, one case at a time; neither reads the step tables of
 a time, and ``law_as_dict`` turns an ``ExactLaw`` into the same kind of
 dict.  ``word_weight`` sums a word's letter weights one letter at a time.
 ``parry_cylinder`` is the cylinder mass of the measure of maximal entropy,
-which the extremal harmonic measure equals on equal factors.  ``ball_count`` enumerates the normal-form words of a ball and
+which the extremal harmonic measure equals on equal factors.
+``ball_count`` enumerates the normal-form words of a ball and
 ``ball_count_bfs`` searches the Cayley graph, two independent checks of
 ``sphere_series``.  The per-letter loops restate the index tables of the
 solver and the additive-drift kernel of the metrics one letter at a time,
