@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .closedform import bisect_increasing
-from .groups import FreeProduct, LengthTable, Letter, Word, letter_lengths, natural_lengths
+from .groups import FreeProduct, LengthTable, Letter, letter_lengths, natural_lengths
 from .traffic import (
     DEFAULT_TOL,
     DOMAIN_ERRORS,
@@ -73,13 +73,12 @@ class QualitySweep:
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray):
-    """``np.dot`` of two rows, or of each pair of rows of two stacks.
+    """The dot product of two rows, or of each pair of rows of two stacks.
 
     A stacked ``matmul`` of 1 x n by n x 1 matrices runs ``np.dot``'s
-    kernel on each pair, so each row's sum is that of the row alone.
+    kernel on each pair, so each row's sum is that of the row alone, and
+    one row is a stack of one.
     """
-    if a.ndim == b.ndim == 1:
-        return np.dot(a, b)
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -207,19 +206,6 @@ def extremal_measure(product: FreeProduct) -> StepDistribution:
     rho = growth_rho(product)
     probs = 1.0 / (rho + np.bincount(product.factor_of)[product.factor_of])
     return StepDistribution(product, probs / probs.sum())
-
-
-def extremal_cylinders(product: FreeProduct, w: Word) -> float:
-    """Cylinder mass of w under the harmonic measure of the extremal walk.
-
-    The harmonic measure of the extremal walk charges a length-k cylinder
-    ending in factor j with rho^-(k-1) / (rho + k_j).
-    """
-    k = len(w)
-    if k == 0:
-        raise ValueError("need a nonempty cylinder word")
-    rho = growth_rho(product)
-    return rho ** (-(k - 1)) / (rho + product.factors[w[k - 1].factor].order - 1)
 
 
 def quality(

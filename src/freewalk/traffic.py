@@ -158,6 +158,31 @@ class SolveReport:
     stationary: bool
 
 
+def _shifted(index: np.ndarray, width: int, rows: int) -> np.ndarray:
+    """The index table ``index`` for a flattened stack of ``rows`` rows.
+
+    Row r's copy is shifted by r times ``width``, the length of the axis
+    it indexes (factors, letters or matrix entries), so it indexes row r of
+    the stack.  One row takes the table itself; a stack's copies are built
+    per call.  The test is ``rows == 1``, since a stack may have no rows.
+    """
+    if rows == 1:
+        return index
+    return (index + width * np.arange(rows)[:, None]).ravel()
+
+
+def _bincount(index: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
+    """``np.bincount`` of ``index`` with each row of ``weights``, in one call.
+
+    Each bin takes the same additions, in the same order, as a bincount
+    of its row alone.
+    """
+    if weights.ndim == 1:
+        return np.bincount(index, weights, width)
+    rows = len(weights)
+    return np.bincount(_shifted(index, width, rows), weights.ravel(), rows * width).reshape(rows, width)
+
+
 class _Structure:
     """Index tables for the vectorized hitting map of one product.
 
@@ -166,7 +191,9 @@ class _Structure:
     exactly one u = a * v^-1, so ``pair_flat`` and ``diag_flat``, the flat
     indices of the entries (a, v) and (a, a) of an n x n matrix, have no
     repeats; between them they cover every in-factor entry.  ``cross``
-    masks the entries whose two letters lie in different factors.
+    masks the entries whose two letters lie in different factors.  The
+    tables are fixed once built; a stack of rows reads them through
+    ``_shifted``.
     """
 
     def __init__(self, product: FreeProduct):
@@ -198,47 +225,14 @@ class _Structure:
         self.factor_of = product.factor_of
         self.nletters = n
         self.nfactors = product.nfactors
-        # per index table, the length of the axis it indexes, and its copies
-        # for stacks of rows (see ``stacked``)
-        self._widths = {"factor_of": self.nfactors, "pair_a": n, "pair_flat": n * n,
-                        "diag_flat": n * n}
-        self._stacks: dict[str, np.ndarray] = {}
-
-    def stacked(self, name: str, rows: int) -> np.ndarray:
-        """The index table ``name`` repeated for ``rows`` rows laid end to end.
-
-        Row r's copy is shifted by r times the length of the axis it indexes
-        (factors, letters or matrix entries), so it indexes row r of a
-        flattened stack.  The indices for fewer rows are a prefix of those
-        for more, so the largest set built is kept and sliced.
-        """
-        index = getattr(self, name)
-        if rows == 1:
-            return index
-        table = self._stacks.get(name)
-        if table is None or len(table) < rows * len(index):
-            shifts = self._widths[name] * np.arange(rows)[:, None]
-            table = self._stacks[name] = (index + shifts).ravel()
-        return table[: rows * len(index)]
-
-    def _bincount(self, name: str, weights: np.ndarray, width: int) -> np.ndarray:
-        """``np.bincount`` of index table ``name`` with each row of ``weights``, in one call.
-
-        Each bin takes the same additions, in the same order, as a bincount
-        of its row alone.
-        """
-        if weights.ndim == 1:
-            return np.bincount(getattr(self, name), weights, width)
-        rows = len(weights)
-        return np.bincount(self.stacked(name, rows), weights.ravel(), rows * width).reshape(rows, width)
 
     def factor_sums(self, x: np.ndarray) -> np.ndarray:
         """Per factor i, the total of x over the letters of factor i (per row of a stack)."""
-        return self._bincount("factor_of", x, self.nfactors)
+        return _bincount(self.factor_of, x, self.nfactors)
 
     def pair_sums(self, x: np.ndarray) -> np.ndarray:
         """Per letter a, the total of x over the pairs u * v = a (per row of a stack)."""
-        return self._bincount("pair_a", x, self.nletters)
+        return _bincount(self.pair_a, x, self.nletters)
 
     def outside(self, x: np.ndarray) -> np.ndarray:
         """Per letter a, the total of x over the letters outside a's factor (per row of a stack)."""
@@ -304,11 +298,12 @@ def _i_minus_j(s: _Structure, q: np.ndarray, back: np.ndarray, neg_inv: np.ndarr
     entry.
     """
     rows = 1 if q.ndim == 1 else len(q)
+    width = s.nletters**2
     # the off-factor entries; the in-factor ones are all overwritten below
     matrices = q[..., :, None] * neg_inv[..., None, :]
     flat = matrices.reshape(-1)
-    flat[s.stacked("pair_flat", rows)] = neg_pair.ravel()
-    flat[s.stacked("diag_flat", rows)] = (1.0 - back).ravel()
+    flat[_shifted(s.pair_flat, width, rows)] = neg_pair.ravel()
+    flat[_shifted(s.diag_flat, width, rows)] = (1.0 - back).ravel()
     return matrices
 
 
@@ -587,10 +582,10 @@ def chunk_rows(nletters: int) -> int:
     return max(1, JACOBIAN_FLOATS // nletters**2)
 
 
-def batches(items: Iterable, size: int = BATCH_ROWS) -> Iterator[list]:
-    """Consecutive lists of ``size`` items (the last may be shorter), for grids solved in batches."""
+def batches(items: Iterable) -> Iterator[list]:
+    """Consecutive lists of BATCH_ROWS items (the last may be shorter), for grids solved in batches."""
     items = iter(items)
-    while block := list(itertools.islice(items, size)):
+    while block := list(itertools.islice(items, BATCH_ROWS)):
         yield block
 
 

@@ -37,7 +37,6 @@ from .harmonic import (
 )
 from .metrics import (
     drift,
-    extremal_cylinders,
     growth_rho,
     metrics_report,
     metrics_walks,
@@ -313,9 +312,13 @@ def criterion_9() -> _Check:
         gap = abs(m.entropy - m.gamma * m.volume)
         chk.true(f"{name}: |h - gamma*v|", gap <= 1e-9, f"{gap:.3e}")
         chain = build_chain(product, rep.r)
+        # a length-k cylinder ending in factor j carries rho^-(k-1) / (rho + k_j)
+        rho = growth_rho(product)
         worst = 0.0
         for w in normal_words(product, 3):
-            worst = max(worst, abs(cylinder_prob(chain, w) - extremal_cylinders(product, w)))
+            k = len(w)
+            order = product.factors[w[k - 1].factor].order
+            worst = max(worst, abs(cylinder_prob(chain, w) - rho ** (-(k - 1)) / (rho + order - 1)))
         chk.true(f"{name}: cylinders vs rho-power formula (len <= 3)", worst <= 1e-10, f"{worst:.3e}")
     return chk
 

@@ -120,6 +120,19 @@ def word_weight(lengths: LengthTable, w: Word) -> int | float:
     return lengths.weights[[idx(u) for u in w.letters]].sum().item()
 
 
+def extremal_cylinder(product: FreeProduct, w: Word) -> float:
+    """Cylinder mass of a nonempty w under the harmonic measure of the extremal walk.
+
+    The harmonic measure of the extremal walk (``metrics.extremal_measure``)
+    charges a length-k cylinder ending in factor j with rho^-(k-1) / (rho + k_j).
+    """
+    k = len(w)
+    if k == 0:
+        raise ValueError("need a nonempty cylinder word")
+    rho = growth_rho(product)
+    return rho ** (-(k - 1)) / (rho + product.factors[w[k - 1].factor].order - 1)
+
+
 def parry_cylinder(product: FreeProduct, w: Word) -> float:
     """Cylinder mass of a nonempty w under the measure of maximal entropy of the normal forms.
 

@@ -29,6 +29,7 @@ from freewalk.groups import (
 from freewalk.metrics import (
     QUALITY_GAMMA_FLOOR,
     MetricsReport,
+    drift,
     drift_weighted,
     entropy,
     metrics_report,
@@ -44,7 +45,7 @@ from freewalk.traffic import (
     solve_batch,
     solve_walk,
 )
-from freewalk.walkspec import resolve_generators, z2z2z2
+from freewalk.walkspec import minimal_generators, resolve_generators, z2z2z2
 
 from oracles import S3_TABLE
 
@@ -233,3 +234,45 @@ def test_a_singular_matrix_stops_only_its_row():
     matrices = np.stack([np.zeros((2, 2)), 2 * np.eye(2)])
     sol = traffic._solve_each(matrices, np.ones((2, 2, 2)))
     assert np.all(np.isinf(sol[0])) and np.array_equal(sol[1], np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 7])
+def test_index_tables_give_each_row_of_a_stack_its_own_result(rows):
+    # a row reads the index tables themselves, a stack their shifted copies;
+    # a stack of no rows must still take the shifted path
+    product = free_product_of_cyclics(3, 4, 5)  # in-factor pairs in every factor
+    s = traffic.letter_tables(product)
+    n = product.nletters
+    rng = np.random.default_rng(rows)
+    x, q, back, mu_inv = rng.random((4, rows, n))
+    mu_pair = rng.random((rows, len(s.pair_a)))
+    for kernel, y, width in ((s.factor_sums, x, s.nfactors), (s.pair_sums, mu_pair, n),
+                             (s.outside, x, n)):
+        got = kernel(y)
+        assert got.shape == (rows, width)
+        for i in range(rows):
+            assert got[i].tobytes() == kernel(y[i]).tobytes()
+    got = traffic._i_minus_j(s, q, back, -mu_inv, -mu_pair)
+    assert got.shape == (rows, n, n)
+    for i in range(rows):
+        alone = traffic._i_minus_j(s, q[i], back[i], -mu_inv[i], -mu_pair[i])
+        assert got[i].tobytes() == alone.tobytes()
+
+
+def test_one_walks_speeds_equal_its_stack_of_one():
+    product = free_product_of_cyclics(3, 4, 5)
+    mu = StepDistribution(product, np.random.default_rng(11).dirichlet(np.ones(product.nletters)))
+    s = traffic.letter_tables(product)
+    tables = dict(vars(s))
+    report = solve_walk(product, mu)
+    lengths = letter_lengths(product, minimal_generators(product))
+    p, r, q = mu.probs[None], report.r.values[None], report.q.values[None]
+    assert drift(product, mu, report.r).hex() == float(drift(product, p, r)[0]).hex()
+    assert (drift_weighted(product, mu, report.r, lengths).hex()
+            == float(drift_weighted(product, p, r, lengths)[0]).hex())
+    assert (entropy(product, mu, report.r, report.q).hex()
+            == float(entropy(product, p, r, q)[0]).hex())
+    # the tables keep no state: solves, stacked ones too, and the kernels set no attribute
+    solve_batch(product, np.stack([mu.probs] * 3))
+    assert traffic.letter_tables(product) is s
+    assert vars(s).keys() == tables.keys() and all(vars(s)[k] is v for k, v in tables.items())

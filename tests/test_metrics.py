@@ -21,7 +21,6 @@ from freewalk.metrics import (
     drift,
     drift_weighted,
     entropy,
-    extremal_cylinders,
     extremal_measure,
     growth_rho,
     metrics_report,
@@ -40,7 +39,13 @@ from freewalk.walkspec import (
     zkzk_simple,
 )
 
-from oracles import S3_TABLE, additive_drift_oracle, growth_equation_oracle, parry_cylinder
+from oracles import (
+    S3_TABLE,
+    additive_drift_oracle,
+    extremal_cylinder,
+    growth_equation_oracle,
+    parry_cylinder,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -168,13 +173,13 @@ def test_extremal_cylinders_match_harmonic_solution():
 
     chain = build_chain(product, report.r)
     for w in normal_words(product, 3):
-        assert abs(cylinder_prob(chain, w) - extremal_cylinders(product, w)) < 1e-12
+        assert abs(cylinder_prob(chain, w) - extremal_cylinder(product, w)) < 1e-12
 
 
 def test_extremal_cylinders_normalization_and_consistency():
     product = free_product_of_cyclics(2, 4)
     level2 = [w for w in normal_words(product, 2) if len(w) == 2]
-    harm_total = sum(extremal_cylinders(product, w) for w in level2)
+    harm_total = sum(extremal_cylinder(product, w) for w in level2)
     max_total = sum(parry_cylinder(product, w) for w in level2)
     assert abs(harm_total - 1.0) < 1e-12
     assert abs(max_total - 1.0) < 1e-12
@@ -192,7 +197,7 @@ def test_extremal_cylinders_normalization_and_consistency():
 def test_extremal_cylinders_equal_sizes_coincide():
     product = free_product_of_cyclics(3, 3, 3)
     for w in normal_words(product, 3):
-        assert abs(extremal_cylinders(product, w) - parry_cylinder(product, w)) < 1e-14
+        assert abs(extremal_cylinder(product, w) - parry_cylinder(product, w)) < 1e-14
 
 
 def test_hausdorff_dimensions():

@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_22.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_23.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -25,9 +25,10 @@ measurements:
   6,10``;
 - ``verify_12_cli_s``: wall time of ``python -m freewalk verify --criteria
   12``, the Monte Carlo criterion;
-- ``criterion_N_s`` for N in 4, 6, 8, 10, 12 and 13: ``verify.run_criterion(N)``
-  timed inside a fresh interpreter after its imports, at full precision
-  where verify prints two decimals;
+- ``criterion_N_s`` for N in 4, 6, 8, 9, 10, 12 and 13:
+  ``verify.run_criterion(N)`` timed inside a fresh interpreter after its
+  imports, at full precision where verify prints two decimals; criterion 9
+  is the one that evaluates ``harmonic.cylinder_prob`` word by word;
 - ``mc_drift_s``, ``mc_prefix_s`` and ``mc_hitting_s``: criterion 12's calls
   of ``estimate_drift``, ``estimate_prefix`` or ``estimate_hitting`` on both
   of its walks, each timed inside a fresh interpreter after its imports, so
@@ -54,7 +55,11 @@ measurements:
   path is cached);
 - ``tier1_s``: wall time of the tier-1 suite, ``python -m pytest -q
   --continue-on-collection-errors``, run with the tree as the working
-  directory, so that each tree runs its own tests.
+  directory, so that each tree runs its own tests;
+- ``tier1_common_s``: the same suite restricted to the test ids that every
+  tree collects (``pytest --collect-only -q`` in each tree, once before
+  the runs), so that a test added or removed by a change does not read as
+  faster or slower code.
 
 The file holds, per tree and measurement, the median, the quartiles and
 every run, with the machine and each tree's commit.
@@ -149,7 +154,7 @@ for _ in range(5):
     times.append(time.perf_counter() - start)
 print(statistics.median(times))
 """
-CRITERIA = (4, 6, 8, 10, 12, 13)
+CRITERIA = (4, 6, 8, 9, 10, 12, 13)
 # criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
 TIME_MONTE_CARLO = """
 import time
@@ -176,7 +181,7 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          **{name: "s" for name in MONTE_CARLO},
          "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s",
          "solve_inprocess_x20_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
-         "tier1_s": "s"}
+         "tier1_s": "s", "tier1_common_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -200,8 +205,15 @@ def _child(tree: Path, args: list[str], workdir: str) -> tuple[float, float, str
         return wall, usage.ru_maxrss / 1024.0, out.read()
 
 
-def measure(tree: Path, workdir: str) -> dict[str, float]:
-    """One run of every measurement on one tree."""
+def collect(tree: Path) -> list[str]:
+    """The test ids that the tree's tier-1 suite collects, in collection order."""
+    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q"], env=_env(tree),
+                          cwd=tree, capture_output=True, text=True)
+    return [line for line in proc.stdout.splitlines() if "::" in line]
+
+
+def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
+    """One run of every measurement on one tree; ``common`` are the test ids all trees collect."""
     row: dict[str, float] = {}
     row["sweep_cli_s"], row["sweep_peak_rss_mb"], _ = _child(
         tree, ["-m", "freewalk", *SWEEP, "--out", "surface.csv"], workdir)
@@ -225,6 +237,7 @@ def measure(tree: Path, workdir: str) -> dict[str, float]:
     row["tables_118_s"] = float(_child(tree, ["-c", TIME_TABLES], workdir)[2])
     row["make_finite_group_200_s"] = float(_child(tree, ["-c", TIME_MAKE_FINITE_GROUP], workdir)[2])
     row["tier1_s"] = _child(tree, TIER1, str(tree))[0]
+    row["tier1_common_s"] = _child(tree, [*TIER1, *common], str(tree))[0]
     return row
 
 
@@ -275,20 +288,27 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--tree {item!r}: need LABEL=PATH of a checkout with src/freewalk")
         trees[label] = Path(path).resolve()
     runs: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
+    collected = [collect(tree) for tree in trees.values()]
+    shared = set.intersection(*map(set, collected))
+    common = [test for test in collected[0] if test in shared]
+    if not common:
+        parser.error("the trees collect no test id in common")
     with tempfile.TemporaryDirectory() as workdir:
         for number in range(args.runs):
             order = list(trees.items())
             if number % 2:
                 order.reverse()
             for label, tree in order:
-                runs[label].append(measure(tree, workdir))
+                runs[label].append(measure(tree, workdir, common))
                 print(f"run {number + 1}/{args.runs} {label}: "
                       + ", ".join(f"{k} {v:.3f}" for k, v in runs[label][-1].items()), flush=True)
     record = {
         "script": "tools/bench_grids.py",
         "runs": args.runs,
         "machine": _machine(),
-        "trees": {label: {"commit": _commit(tree)} for label, tree in trees.items()},
+        "trees": {label: {"commit": _commit(tree), "tests_collected": len(ids)}
+                  for (label, tree), ids in zip(trees.items(), collected)},
+        "tests_in_common": len(common),
         "metrics": {
             name: {"unit": unit, **{label: _summary([run[name] for run in runs[label]])
                                     for label in trees}}
