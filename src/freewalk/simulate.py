@@ -4,22 +4,24 @@ Randomness comes from numpy's Philox 4x64-10 counter-based generator,
 keyed by (master seed, replication index): trajectories are bit-identical
 across platforms and replications are independent streams that may be
 computed in any order.  The estimators and ``trajectories`` step their
-replications together, in blocks of up to 512, each walk on its own
+replications together, in blocks of up to 1024, each walk on its own
 stream, and each walk's float sums are those of stepping it alone, so the
 results equal those of stepping one replication at a time.  One letter
 action serves them and the exact convolution powers: the step tables of
 ``_Steps``, built from the solver's in-factor pair tables.
 
-Letters are drawn a few walks at a time: each walk's uniforms fill one
-row of a small float buffer, and an exact guide table maps the rows to
-letters in one vectorised pass, the letters a binary search of the cdf
-would give.  Each letter is drawn as its offset in the step tables, so a
-step begins with one add of the top cells and the drawn offsets.  A
-prefix or hitting walk stops stepping, and drawing, once it can no longer
-change what is read, because it has hit or is deeper than the steps left
-plus the prefix length; depth moves by at most one a step.  A block ends
-when none of its walks is left.  Drift reads every step and never stops
-early.
+Letters are drawn a few walks at a time: each walk's 64-bit Philox words
+fill one row of a small buffer, and an exact guide table with integer
+thresholds maps the rows to letters in one vectorised pass, the letters a
+binary search of the cdf would give for the uniforms ``Generator.random``
+makes of the words.  Each letter is drawn as its offset in the step
+tables, so a step begins with one add of the top cells and the drawn
+offsets.  A prefix or hitting walk stops stepping, and drawing, once it
+can no longer change what is read, because it has hit or is deeper than
+the steps left plus the prefix length; depth moves by at most one a step,
+so such a run's stack needs only about half the steps' rows.  A block
+ends when none of its walks is left.  Drift reads every step and never
+stops early.
 """
 
 from __future__ import annotations
@@ -84,24 +86,27 @@ def check_sizes(steps: int, reps: int, prefix_len: int = 1, recorded: int = 0) -
 class _Streams:
     """The letters drawn by the walks (seed, stream), one Philox 4x64-10 stream each.
 
-    Walk (seed, stream) maps the uniforms of the Philox stream keyed
-    [seed, stream] to letters: uniform u gives letter #{i : cdf[i] <= u},
-    the cdf of mu with its last entry set to 1.  One bit generator serves
-    every walk: ``uniforms`` resets it to the walk's key and counter, which
-    costs a fraction of building a generator.  Counter c yields the 64-bit
-    words 4c .. 4c + 3, one uniform each, so the uniforms from a multiple
-    of 4 on start at counter skip / 4.
+    Walk (seed, stream) maps the 64-bit words of the Philox stream keyed
+    [seed, stream] to letters: word w gives letter #{i : cdf[i] <= u} for
+    u = (w >> 11) * 2**-53, the uniform that ``Generator.random`` makes of
+    it, and the cdf of mu with its last entry set to 1.  One bit generator
+    serves every walk: ``words`` resets it to the walk's key and counter,
+    which costs a fraction of building a generator.  Counter c yields the
+    words 4c .. 4c + 3, so the words from a multiple of 4 on start at
+    counter skip / 4.
 
-    ``fill`` fills a few walks' rows of a reusable float buffer and maps
+    ``fill`` fills a few walks' rows of a reusable word buffer and maps
     them to letters in one pass through a guide table (Chen and Asau,
-    1974; Devroye, *Non-Uniform Random Variate Generation*, III.2.4).
-    Over the m distinct cdf values, [0, 1) is cut into ``cells``, a power
-    of two near 4m, so u * cells and its floor c are exact.  ``guide[c]``
-    counts the values at most c / cells, a lower bound for u's count,
-    and each of ``passes`` steps k += (u >= value k) moves it up by one
-    while value k is at most u; the most values strictly inside one cell
-    bound the steps needed.  ``offset_of`` maps the count of distinct
-    values to the letter's offset letter * (n + 1) in the step tables (see
+    1974; Devroye, *Non-Uniform Random Variate Generation*, III.2.4), in
+    integers: since u lies on the grid of 2**-53, cdf[i] <= u exactly when
+    (w >> 11) >= ceil(cdf[i] * 2**53), the value's ``edges`` entry.  Over
+    the m distinct cdf values, [0, 1) is cut into ``cells``, a power of two
+    near 4m, so the top bits of w give u's cell c.  ``guide[c]`` counts
+    the values at most c / cells, a lower bound for u's count, and each of
+    ``passes`` steps k += ((w >> 11) >= edge k) moves it up by one while
+    value k is at most u; the most values strictly inside one cell bound
+    the steps needed.  ``offset_of`` maps the count of distinct values to
+    the letter's offset letter * (n + 1) in the step tables (see
     ``_Steps``), where the letter is the count of cdf entries; the two
     counts differ where a letter has no mass.
     """
@@ -116,14 +121,15 @@ class _Streams:
         self.offset_of = (np.append(0, np.flatnonzero(last[:-1]) + 1) * (n + 1)).astype(
             np.min_scalar_type(n * (n + 1) - 1))
         self.cells = 1 << (4 * int(last.sum()) - 1).bit_length()
-        self.edges = cdf[last] * self.cells  # exact: cells is a power of two
-        self.guide = np.bincount(np.ceil(self.edges).astype(np.intp),
+        self.shift = 65 - self.cells.bit_length()  # w >> shift is the cell of u
+        self.edges = np.ceil(cdf[last] * 2.0**53).astype(np.uint64)  # exact: at most 2**53
+        scaled = cdf[last] * self.cells  # exact: cells is a power of two
+        self.guide = np.bincount(np.ceil(scaled).astype(np.intp),
                                  minlength=self.cells).cumsum()[: self.cells]
-        inside = self.edges[self.edges != np.floor(self.edges)].astype(np.intp)
+        inside = scaled[scaled != np.floor(scaled)].astype(np.intp)
         self.passes = int(np.bincount(inside).max()) if inside.size else 0
         self.bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        self.generator = np.random.Generator(self.bits)
-        # the state that ``uniforms`` sets, with counter[0] and key[1] rewritten in place
+        # the state that ``words`` sets, with counter[0] and key[1] rewritten in place
         self.state = {
             "bit_generator": "Philox",
             "state": {
@@ -135,21 +141,20 @@ class _Streams:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self.buffer = np.empty((walks, steps))
+        self.buffer = np.empty((walks, steps), dtype=np.uint64)
 
-    def uniforms(self, stream: int, skip: int, out: np.ndarray) -> None:
-        """Fill out with uniforms skip, skip + 1, ... of walk (seed, stream); skip % 4 == 0."""
+    def words(self, stream: int, skip: int, out: np.ndarray) -> None:
+        """Fill out with words skip, skip + 1, ... of walk (seed, stream); skip % 4 == 0."""
         self.state["state"]["counter"][0] = skip // 4
         self.state["state"]["key"][1] = stream
         self.bits.state = self.state
-        self.generator.random(out=out)
+        out[...] = self.bits.random_raw(out.shape)
 
-    def offsets(self, u: np.ndarray) -> np.ndarray:
-        """The offset of letter #{i : cdf[i] <= u} for each uniform in [0, 1); scales u in place."""
-        u *= self.cells
-        k = self.guide[u.astype(np.intp)]
+    def offsets(self, w: np.ndarray) -> np.ndarray:
+        """The offset of letter #{i : cdf[i] <= (w >> 11) * 2**-53} for each word w."""
+        k = self.guide[(w >> self.shift).view(np.intp)]  # a view: the cells are below 2**63
         for _ in range(self.passes):
-            k += u >= self.edges[k]  # a value of at least 1 stops every k
+            k += (w >> 11) >= self.edges[k]  # an edge of 2**53 stops every k
         return self.offset_of[k]
 
     def fill(self, picks: np.ndarray, streams: np.ndarray, skip: int = 0) -> None:
@@ -159,7 +164,7 @@ class _Streams:
         for lo in range(0, walks, few):
             rows = self.buffer[: min(few, walks - lo), :steps]
             for stream, row in zip(streams[lo : lo + len(rows)].tolist(), rows):
-                self.uniforms(stream, skip, row)
+                self.words(stream, skip, row)
             picks[lo : lo + len(rows)] = self.offsets(rows)
 
 
@@ -223,7 +228,7 @@ def trajectories(
     return _lockstep(product, mu, steps, reps, seed, weights=table.weights, record=True).record
 
 
-_BLOCK = 512  # walks stepped together
+_BLOCK = 1024  # walks stepped together
 _CHUNK = 2048  # steps drawn per walk at a time, a multiple of 4 (see _Streams) and of _WATCH
 _FEW = 4  # walks whose letters are mapped together
 _WATCH = 16  # steps between looks at which walks can still change what is read
@@ -265,10 +270,11 @@ def _lockstep(
     stepping.  The letters are drawn _CHUNK steps at a time, a row per
     walk, and each look copies the next _WATCH steps of the walks still
     stepping to a row per step.  So memory is the stacks' _BLOCK *
-    (steps + 1) small ints plus _BLOCK * _CHUNK drawn offsets and the
-    _FEW * _CHUNK uniforms being mapped, whatever ``reps``, unless the
-    walks are recorded, which needs weights and keeps steps + 1 of them
-    per walk.
+    (depth + 1) small ints plus _BLOCK * _CHUNK drawn offsets and the
+    _FEW * _CHUNK words being mapped, whatever ``reps``, unless the walks
+    are recorded, which needs weights and keeps steps + 1 of them per
+    walk.  The depth is ``steps``, or less for a run without weights (see
+    below).
 
     Every _WATCH steps a block looks at how deep its walks are; depth
     moves by at most one a step.  A goal is only tested while some walk
@@ -278,8 +284,11 @@ def _lockstep(
     (depth 1 for a hit, prefix_len for a prefix), so nothing read can
     change any more.  It keeps its depth, hit flag and cells.  At a
     _CHUNK boundary only the walks still stepping draw letters, and a
-    block ends when none is left.  With weights every walk reads every
-    step and none stops early.
+    block ends when none is left.  A walk still stepping after the look at
+    step t is at most min(t, steps - t + read) <= (steps + read) // 2 deep,
+    for the deepest cell read, and goes at most _WATCH deeper before the
+    next look, so the stack holds that many rows above cell 0, or steps if
+    fewer.  With weights every walk reads every step and none stops early.
     """
     n = product.nletters
     width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
@@ -291,13 +300,14 @@ def _lockstep(
     out = _Walks(np.empty(reps, dtype=np.intp), np.zeros(reps), np.zeros(reps, dtype=bool),
                  np.zeros((prefix_len, reps), dtype=value.dtype), [])
     series = np.zeros((reps if record else 0, steps + 1))
-    # A walk reads a cell above depth 0 only after writing it, so blocks
-    # share one stack and one buffer of drawn offsets, a row per walk.
-    stack = np.zeros((steps + 1) * width, dtype=value.dtype)
-    picks = np.empty((width, min(steps, _CHUNK)), dtype=streams.offset_of.dtype)
-    codes = np.empty(width, dtype=np.intp)
     settle = weights is None  # the weights are read at every step
     read = 1 if goal >= 0 else prefix_len  # the deepest cell read
+    depth = min(steps, (steps + read) // 2 + _WATCH) if settle else steps  # rows above cell 0
+    # A walk reads a cell above depth 0 only after writing it, so blocks
+    # share one stack and one buffer of drawn offsets, a row per walk.
+    stack = np.zeros((depth + 1) * width, dtype=value.dtype)
+    picks = np.empty((width, min(steps, _CHUNK)), dtype=streams.offset_of.dtype)
+    codes = np.empty(width, dtype=np.intp)
     for start in range(0, reps, width):
         b = min(width, reps - start)
         walk = np.arange(b)  # the block column of each walk still stepping
@@ -339,7 +349,7 @@ def _lockstep(
                     hit |= (at < 2 * width) & (top == goal + 1)  # depth 1: cell 0 is never a letter
         out.depth[start + walk] = at // width
         out.hit[start + walk] = hit
-        cells = stack.reshape(steps + 1, width)
+        cells = stack.reshape(depth + 1, width)
         out.prefix[: min(prefix_len, steps), block] = cells[1 : prefix_len + 1, :b]
         if record:
             out.record.extend(Trajectory(series[start + j], _word(product, cells[1 : d + 1, j]))

@@ -34,8 +34,11 @@ both exactly.  ``exact_fixed_point`` solves the hitting map,
 written one letter at a time, to far below float precision.  The Monte Carlo
 references step one walk at a time through ``_right_multiply``, a stack
 of letter indices with a merge table built from ``letter_product``, each
-walk from a freshly keyed Philox generator, and map uniforms to letters by
-a binary search of the cdf, where the estimators use a guide table.
+walk from a freshly keyed Philox generator, and map its float uniforms to
+letters by a binary search of the cdf, where the estimators map the
+generator's 64-bit words through a guide table.  ``lockstep_references``
+steps each walk once and reads the drift, the hitting flag and the
+prefixes from that one pass.
 ``r_zkzk``, ``r_hecke``, ``r_z2z3`` and ``r_z3z3_sym`` are the printed
 closed-form root vectors of four families, checked against the solver.
 """
@@ -554,78 +557,77 @@ def _letters(product: FreeProduct, stack) -> tuple[Letter, ...]:
     return tuple(product.alphabet[i] for i in stack)
 
 
+def _reference_letters(mu: StepDistribution, steps: int, seed: int, rep: int) -> list[int]:
+    """The letters of walk (seed, rep), its Philox stream's uniforms through ``letter_reference``."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
+    return letter_reference(mu, rng.random(steps)).tolist()
+
+
 def _reference_walk(product: FreeProduct, mu: StepDistribution, steps: int, seed: int, rep: int):
     """Walk (seed, rep) one letter at a time: yields (removed, added, stack) after each step."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
-    picks = letter_reference(mu, rng.random(steps))
     merge = _merge_table(product)
     stack: list[int] = []
-    for pick in picks.tolist():
+    for pick in _reference_letters(mu, steps, seed, rep):
         removed, added = _right_multiply(stack, pick, merge)
         yield removed, added, stack
 
 
-def drift_reference(
+def lockstep_references(
     product: FreeProduct,
     mu: StepDistribution,
+    target: Letter,
     steps: int,
     reps: int,
     seed: int,
     lengths: LengthTable | None = None,
-) -> EstimateReport:
+    prefix_lens: tuple[int, ...] = (1, 3),
+) -> tuple[EstimateReport, EstimateReport, list[PrefixReport]]:
+    """The drift, hitting and prefix reports of the walks (seed, 0), ..., (seed, reps - 1).
+
+    Each walk is stepped once, to the end, one letter at a time: its
+    weighted length is summed step by step, it counts as a hit if its word
+    is the target letter after some step, and its final word gives one
+    prefix per length in ``prefix_lens``.
+    """
     table = lengths if lengths is not None else natural_lengths(product)
     weights = table.weights.tolist() + [0]  # weights[_CANCEL] == 0
+    goal = [product.letter_index(target)]
     values = np.empty(reps)
+    hits = 0
+    finals = []
     for rep in range(reps):
-        current = 0.0
-        for removed, added, _ in _reference_walk(product, mu, steps, seed, rep):
+        current, hit, stack = 0.0, False, []
+        for removed, added, stack in _reference_walk(product, mu, steps, seed, rep):
             current += weights[added] - weights[removed]
+            hit = hit or stack == goal
         values[rep] = current / steps
-    return EstimateReport(
+        hits += hit
+        finals.append(tuple(stack))
+    drift = EstimateReport(
         estimate=float(values.mean()),
         stderr=float(values.std(ddof=1) / math.sqrt(reps)),
         replications=reps,
         horizon=steps,
     )
-
-
-def hitting_reference(
-    product: FreeProduct, mu: StepDistribution, target: Letter, horizon: int, reps: int, seed: int
-) -> EstimateReport:
-    goal = [product.letter_index(target)]
-    hits = 0
-    for rep in range(reps):
-        for _, _, stack in _reference_walk(product, mu, horizon, seed, rep):
-            if stack == goal:
-                hits += 1
-                break
     p_hat = hits / reps
-    return EstimateReport(
+    hitting = EstimateReport(
         estimate=p_hat,
         stderr=math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / reps),
         replications=reps,
-        horizon=horizon,
+        horizon=steps,
         note="finite-horizon estimator; bias is downward (late hits are lost)",
     )
-
-
-def prefix_reference(
-    product: FreeProduct, mu: StepDistribution, steps: int, reps: int, seed: int, prefix_len: int
-) -> PrefixReport:
-    counts: dict[tuple[int, ...], int] = {}
-    dropped = 0
-    for rep in range(reps):
-        stack: list[int] = []
-        for _, _, stack in _reference_walk(product, mu, steps, seed, rep):
-            pass
-        if len(stack) < prefix_len:
-            dropped += 1
-            continue
-        key = tuple(stack[:prefix_len])
-        counts[key] = counts.get(key, 0) + 1
-    kept = reps - dropped
-    freqs = {Word(_letters(product, k)): c / kept for k, c in counts.items()} if kept else {}
-    return PrefixReport(frequencies=freqs, dropped=dropped, replications=reps, horizon=steps)
+    prefixes = []
+    for prefix_len in prefix_lens:
+        counts: dict[tuple[int, ...], int] = {}
+        for final in finals:
+            if len(final) >= prefix_len:
+                counts[final[:prefix_len]] = counts.get(final[:prefix_len], 0) + 1
+        kept = sum(counts.values())
+        freqs = {Word(_letters(product, k)): c / kept for k, c in counts.items()} if kept else {}
+        prefixes.append(PrefixReport(frequencies=freqs, dropped=reps - kept, replications=reps,
+                                     horizon=steps))
+    return drift, hitting, prefixes
 
 
 def r_zkzk(k: int) -> list[float]:

@@ -39,14 +39,13 @@ from freewalk.walkspec import (
     z2z3_walk,
     zkzk_simple,
 )
+import oracles
 from oracles import (
     _reference_walk,
     convolution_oracle,
-    drift_reference,
-    hitting_reference,
     law_as_dict,
     letter_reference,
-    prefix_reference,
+    lockstep_references,
     word_weight,
 )
 
@@ -314,7 +313,7 @@ def _green(product, mu):
         (lambda: uniform_per_factor([3, 4, 5]), None, Letter(0, 1), _CHUNK + 16, 20),
         # both walks are deeper than 17 at step 1,136, and walk 0 first hits c at step 3,919
         (lambda: z2z2z2(0.4999), None, Letter(2, 1), 4000, 2),
-        # 504 hitting walks hit a and leave before step _CHUNK; 9 draw a second chunk
+        # 1,000 hitting walks hit a and leave before step _CHUNK; 25 draw a second chunk
         (lambda: z2z2z2(0.4999), None, Letter(0, 1), _CHUNK + 512, _BLOCK + 1),
         # codes reach 16 * 17 - 1 = 271: an add of two uint8 operands would wrap
         (lambda: uniform_per_factor([9, 9]), None, Letter(1, 8), 60, 30),
@@ -329,16 +328,11 @@ def test_lockstep_matches_scalar_reference(walk, lengths, target, steps, reps):
     product, mu = walk()
     table = lengths(product, mu) if lengths else None
     seed = 20240917
-    assert estimate_drift(product, mu, steps, reps, seed, lengths=table) == drift_reference(
-        product, mu, steps, reps, seed, lengths=table
-    )
-    assert estimate_hitting(product, mu, target, steps, reps, seed) == hitting_reference(
-        product, mu, target, steps, reps, seed
-    )
-    for prefix_len in (1, 3):
-        assert estimate_prefix(product, mu, steps, reps, seed, prefix_len) == prefix_reference(
-            product, mu, steps, reps, seed, prefix_len
-        )
+    drift, hitting, prefixes = lockstep_references(product, mu, target, steps, reps, seed, table)
+    assert estimate_drift(product, mu, steps, reps, seed, lengths=table) == drift
+    assert estimate_hitting(product, mu, target, steps, reps, seed) == hitting
+    for prefix_len, prefix in zip((1, 3), prefixes):
+        assert estimate_prefix(product, mu, steps, reps, seed, prefix_len) == prefix
 
 
 @pytest.mark.parametrize(
@@ -362,7 +356,7 @@ def test_estimators_reject_bad_sizes_before_drawing(call, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew letters for a rejected run")
 
-    monkeypatch.setattr("freewalk.simulate._Streams.uniforms", no_draws)
+    monkeypatch.setattr("freewalk.simulate._Streams.words", no_draws)
     with pytest.raises(ValueError, match="need steps >= 1 and reps >= 2|prefix_len must be >= 1"):
         call(product, mu)
 
@@ -388,7 +382,7 @@ def test_sizes_past_the_stack_budget_are_rejected():
 def test_lockstep_memory_stays_bounded():
     # 4,000 walks of 300 steps: a float64 or intp array of reps x steps
     # would take 9.2 MiB and 4,000 live generators about 2.3 MiB, while the
-    # blocks' stack and drawn letters take 0.3 MiB.
+    # blocks' stack of 167 rows and drawn letters take 0.46 MiB.
     product, mu = zkzk_simple(4)
     estimate_prefix(product, mu, steps=10, reps=2, seed=SEED, prefix_len=1)  # fill the table caches
     tracemalloc.start()
@@ -422,19 +416,22 @@ def _zero_ends():
     ids=["z4z4-ties", "ninths", "zero-ends", "clustered-1e-12", "258-letters"],
 )
 def test_guide_table_matches_binary_search(walk, passes):
-    # The guide table must give searchsorted(cdf, u, side="right") for every
-    # uniform, also at the cdf values and the cell edges and one ulp off them,
-    # and the one-walk stepper must walk by its letters.
+    # The guide table must give searchsorted(cdf, u, side="right") for the
+    # uniform u = (w >> 11) * 2**-53 of every word w, also where the top 53
+    # bits sit at ceil(cdf * 2**53) or at a cell edge or one off them, and the
+    # one-walk stepper must walk by its letters.
     product, mu = walk()
     streams = _Streams(mu, SEED, 1)
     assert streams.passes == passes
     cdf = np.cumsum(mu.probs)
-    points = np.concatenate([cdf, np.arange(streams.cells) / streams.cells,
-                             np.random.default_rng(SEED).random(20_000)])
-    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
-    u = u[u < 1.0]
-    offsets = letter_reference(mu, u) * (product.nletters + 1)  # see _Steps
-    assert np.array_equal(streams.offsets(u.copy()), offsets)
+    raw = np.random.Philox(SEED).random_raw(20_000)
+    top = np.concatenate([np.ceil(cdf * 2**53).astype(np.uint64),
+                          np.arange(streams.cells, dtype=np.uint64) * (2**53 // streams.cells)])
+    top = np.concatenate([top, top - 1, top + 1])
+    top = top[top < 2**53]  # 0 - 1 wraps past it
+    w = np.concatenate([(top << 11) | (raw[: len(top)] & 2047), raw])  # low bits are not read
+    offsets = letter_reference(mu, (w >> 11) / 2**53) * (product.nletters + 1)  # see _Steps
+    assert np.array_equal(streams.offsets(w), offsets)
     traj = trajectories(product, mu, 500, 8, SEED)[7]
     stack = []
     for step, (_, _, stack) in enumerate(_reference_walk(product, mu, 500, SEED, 7), start=1):
@@ -448,13 +445,13 @@ def test_settled_blocks_stop_drawing(monkeypatch):
     # drift reads every step and draws both.
     product, mu = uniform_per_factor([3, 4, 5])
     drawn = []
-    uniforms = _Streams.uniforms
+    words = _Streams.words
 
     def counted(self, stream, skip, out):
         drawn.append(skip)
-        uniforms(self, stream, skip, out)
+        words(self, stream, skip, out)
 
-    monkeypatch.setattr(_Streams, "uniforms", counted)
+    monkeypatch.setattr(_Streams, "words", counted)
     estimate_prefix(product, mu, _CHUNK + 16, 20, SEED, prefix_len=2)
     estimate_hitting(product, mu, Letter(0, 1), _CHUNK + 16, 20, SEED)
     assert drawn == [0] * 40
@@ -481,13 +478,13 @@ def test_walks_that_left_draw_nothing_after_a_chunk_boundary(monkeypatch):
             stepping.append(rep)
     assert 0 < len(stepping) < reps // 4
     drawn = []
-    uniforms = _Streams.uniforms
+    words = _Streams.words
 
     def counted(self, stream, skip, out):
         drawn.append((skip, stream))
-        uniforms(self, stream, skip, out)
+        words(self, stream, skip, out)
 
-    monkeypatch.setattr(_Streams, "uniforms", counted)
+    monkeypatch.setattr(_Streams, "words", counted)
     expected = [(0, rep) for rep in range(reps)] + [(_CHUNK, rep) for rep in stepping]
     estimate_hitting(product, mu, Letter(2, 1), horizon, reps, SEED)
     assert drawn == expected
@@ -519,15 +516,45 @@ def test_settled_stop_keeps_a_hit_on_the_last_step(monkeypatch, walk, goal, path
     # with the fewest steps left that can still reach the goal.  Walk 1 keeps
     # climbing and never hits.
     product, mu = walk()
-    n = product.nletters
-    cdf = np.cumsum(mu.probs)
-    assert np.array_equal(np.searchsorted(cdf, (np.arange(n) + 0.5) / n, side="right"),
-                          np.arange(n))
     horizon = len(paths[0])
     assert horizon == len(paths[1]) == _DEPTH + left
+    _script(monkeypatch, mu, paths)
+    assert estimate_hitting(product, mu, goal, horizon, 2, SEED).estimate == 0.5
+
+
+def _script(monkeypatch, mu, paths):
+    # Walk j draws the letters paths[j]: the top 53 bits of each word encode
+    # the uniform (letter + 0.5) / n, and each letter has mass 1 / n.
+    n = len(mu.probs)
+    letter_words = ((np.arange(n) + 0.5) / n * 2**53).astype(np.uint64) << 11
+    assert np.array_equal(letter_reference(mu, (letter_words >> 11) / 2**53), np.arange(n))
 
     def scripted(self, stream, skip, out):
-        out[:] = (np.array(paths[stream][skip : skip + len(out)]) + 0.5) / n
+        out[:] = letter_words[paths[stream][skip : skip + len(out)]]
 
-    monkeypatch.setattr(_Streams, "uniforms", scripted)
-    assert estimate_hitting(product, mu, goal, horizon, 2, SEED).estimate == 0.5
+    monkeypatch.setattr(_Streams, "words", scripted)
+    monkeypatch.setattr(oracles, "_reference_letters",
+                        lambda mu, steps, seed, rep: paths[rep][:steps])
+
+
+@pytest.mark.parametrize("read", [1, 3])
+def test_settling_walks_reach_the_stack_depth_bound(monkeypatch, read):
+    # A walk that climbs without cancelling is t deep at the look at step t,
+    # stays while t <= steps - t + read and then climbs _WATCH more steps:
+    # with (steps + read) // 2 a look, it writes the stack's top row,
+    # (steps + read) // 2 + _WATCH.  Walk 1 hits a at once and then moves
+    # between a and a b.
+    product, mu = z2z2z2(1 / 3)
+    look = 2 * _WATCH
+    steps = 2 * look - read
+    assert steps % _WATCH and (steps + read) // 2 == look
+    paths = [[1, 2] * steps, [0] + [1] * steps]
+    _script(monkeypatch, mu, paths)
+    depths = [len(stack) for _, _, stack in _reference_walk(product, mu, steps, SEED, 0)]
+    assert depths[look + _WATCH - 1] == (steps + read) // 2 + _WATCH
+    drift, hitting, prefixes = lockstep_references(product, mu, Letter(0, 1), steps, 2, SEED,
+                                                   prefix_lens=(read,))
+    assert estimate_prefix(product, mu, steps, 2, SEED, read) == prefixes[0]
+    if read == 1:
+        assert estimate_hitting(product, mu, Letter(0, 1), steps, 2, SEED) == hitting
+        assert hitting.estimate == 0.5

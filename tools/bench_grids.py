@@ -1,6 +1,6 @@
 """Time the grid commands end to end and write the results to a BENCH file.
 
-    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_23.json
+    python tools/bench_grids.py --tree parent=../freewalk-old --tree change=. --out BENCH_24.json
 
 Each ``--tree LABEL=PATH`` names a source checkout; its ``src`` is put on
 ``PYTHONPATH``.  Every measurement runs in a fresh interpreter with BLAS
@@ -24,7 +24,9 @@ measurements:
 - ``verify_6_10_cli_s``: wall time of ``python -m freewalk verify --criteria
   6,10``;
 - ``verify_12_cli_s``: wall time of ``python -m freewalk verify --criteria
-  12``, the Monte Carlo criterion;
+  12``, the Monte Carlo criterion, and ``verify_12_peak_rss_mb``, the peak
+  RSS of that process, which holds the Monte Carlo blocks' stacks and drawn
+  letters;
 - ``criterion_N_s`` for N in 4, 6, 8, 9, 10, 12 and 13:
   ``verify.run_criterion(N)`` timed inside a fresh interpreter after its
   imports, at full precision where verify prints two decimals; criterion 9
@@ -177,7 +179,8 @@ MONTE_CARLO = {
 
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
          "quality_sup_s": "s", "verify_4_cli_s": "s", "verify_6_10_cli_s": "s",
-         "verify_12_cli_s": "s", **{f"criterion_{n}_s": "s" for n in CRITERIA},
+         "verify_12_cli_s": "s", "verify_12_peak_rss_mb": "MiB",
+         **{f"criterion_{n}_s": "s" for n in CRITERIA},
          **{name: "s" for name in MONTE_CARLO},
          "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s",
          "solve_inprocess_x20_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
@@ -220,9 +223,10 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
     row["sweep_s"] = float(_child(tree, ["-c", TIME_MAIN.format(argv=SWEEP, calls=1)], workdir)[2])
     row["quality_sup_cli_s"] = _child(tree, ["-m", "freewalk", *QUALITY], workdir)[0]
     row["quality_sup_s"] = float(_child(tree, ["-c", TIME_QUALITY_SUP], workdir)[2])
-    for name, argv in (("verify_4_cli_s", VERIFY_4), ("verify_6_10_cli_s", VERIFY),
-                       ("verify_12_cli_s", VERIFY_12)):
+    for name, argv in (("verify_4_cli_s", VERIFY_4), ("verify_6_10_cli_s", VERIFY)):
         row[name] = _child(tree, ["-m", "freewalk", *argv], workdir)[0]
+    row["verify_12_cli_s"], row["verify_12_peak_rss_mb"], _ = _child(
+        tree, ["-m", "freewalk", *VERIFY_12], workdir)
     for number in CRITERIA:
         row[f"criterion_{number}_s"] = float(
             _child(tree, ["-c", TIME_CRITERION.format(number=number)], workdir)[2])
