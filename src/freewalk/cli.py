@@ -284,12 +284,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     product, mu = spec.product, spec.mu
     lengths = letter_lengths(product, spec.generators)
     # reject bad sizes and an unknown target before any simulation or output
-    check_sizes(args.steps, args.reps, args.prefix_len or 1,
-                min(args.reps, args.dump_reps) if args.dump_lengths else 0)
+    check_sizes(args.steps, args.reps,
+                recorded=min(args.reps, args.dump_reps) if args.dump_lengths else 0)
+    if args.prefix_len:
+        check_sizes(args.steps, args.reps, args.prefix_len)
     if args.hitting:
         target = Letter.parse(args.hitting)
         product.letter_index(target)
-        check_sizes(args.horizon, args.reps)
+        check_sizes(args.horizon, args.reps, 1)
     if args.dump_reps < 1:
         raise ValueError(f"--dump-reps must be >= 1, got {args.dump_reps}")
     # open the dump first, so that an unwritable path fails before any estimate is printed

@@ -61,25 +61,30 @@ class EstimateReport:
     note: str = ""
 
 
-def check_sizes(steps: int, reps: int, prefix_len: int = 1, recorded: int = 0) -> None:
+def check_sizes(steps: int, reps: int, prefix_len: int | None = None, recorded: int = 0) -> None:
     """Reject a Monte Carlo run with steps < 1, reps < 2 or prefix_len < 1, or too large to hold.
 
-    For ``estimate_hitting`` the steps are its horizon.  A block of walks
-    keeps steps + 1 stack cells per walk, each of ``recorded`` walks keeps
-    steps + 1 weights, and each of the ``reps`` walks keeps prefix_len + 4
-    results: its depth, weight, hit flag, drift value and prefix cells.
+    ``prefix_len`` is the deepest cell that a settling run reads: the
+    prefix length of ``estimate_prefix``, or 1 for ``estimate_hitting``,
+    whose steps are its horizon.  None stands for a run that reads its
+    weights at every step, a drift or recorded run.  A block of walks
+    keeps ``_stack_depth(steps, prefix_len) + 1`` stack cells per walk:
+    steps + 1 for a drift or recorded run, about half that for a settling
+    one.  Each of ``recorded`` walks keeps steps + 1 weights, and each of
+    the ``reps`` walks keeps prefix_len + 4 results (5 with prefix_len
+    None): its depth, weight, hit flag, drift value and prefix cells.
     More than STACK_BUDGET cells of any of these is rejected before
     anything is allocated.
     """
     if steps < 1 or reps < 2:
         raise ValueError(f"need steps >= 1 and reps >= 2, got steps={steps}, reps={reps}")
-    if prefix_len < 1:
+    if prefix_len is not None and prefix_len < 1:
         raise ValueError(f"prefix_len must be >= 1, got {prefix_len}")
-    walks = max(min(reps, _BLOCK), recorded)
-    if (steps + 1) * walks > STACK_BUDGET:
-        raise ValueError(f"{steps} steps of {walks} walks at a time need more than "
+    walks = min(reps, _BLOCK)
+    if max((_stack_depth(steps, prefix_len) + 1) * walks, (steps + 1) * recorded) > STACK_BUDGET:
+        raise ValueError(f"{steps} steps of {max(walks, recorded)} walks at a time need more than "
                          f"{STACK_BUDGET} cells")
-    if (prefix_len + 4) * reps > STACK_BUDGET:
+    if ((prefix_len or 1) + 4) * reps > STACK_BUDGET:
         raise ValueError(f"the results of {reps} walks need more than {STACK_BUDGET} cells")
 
 
@@ -223,7 +228,13 @@ def trajectories(
     seed: int,
     lengths: LengthTable | None = None,
 ) -> list[Trajectory]:
-    """The walks (seed, 0), ..., (seed, reps - 1), each with its length after every step."""
+    """The walks (seed, 0), ..., (seed, reps - 1), each with its length after every step.
+
+    More than STACK_BUDGET recorded lengths, reps * (steps + 1), is
+    rejected before anything is allocated.
+    """
+    if reps * (steps + 1) > STACK_BUDGET:
+        raise ValueError(f"{steps} steps of {reps} recorded walks need more than {STACK_BUDGET} cells")
     table = lengths if lengths is not None else natural_lengths(product)
     return _lockstep(product, mu, steps, reps, seed, weights=table.weights, record=True).record
 
@@ -232,6 +243,19 @@ _BLOCK = 1024  # walks stepped together
 _CHUNK = 2048  # steps drawn per walk at a time, a multiple of 4 (see _Streams) and of _WATCH
 _FEW = 4  # walks whose letters are mapped together
 _WATCH = 16  # steps between looks at which walks can still change what is read
+
+
+def _stack_depth(steps: int, read: int | None) -> int:
+    """Rows above cell 0 that a block's stack needs for ``steps`` steps.
+
+    A run that reads its weights at every step (``read`` None) needs
+    ``steps``.  A settling run reads cells 1..read (see ``_lockstep``): a
+    walk still stepping after the look at step t is at most
+    min(t, steps - t + read) <= (steps + read) // 2 deep, and goes at most
+    _WATCH deeper before the next look, so it needs that many, or steps if
+    fewer.
+    """
+    return steps if read is None else min(steps, (steps + read) // 2 + _WATCH)
 
 
 class _Walks(NamedTuple):
@@ -284,11 +308,9 @@ def _lockstep(
     (depth 1 for a hit, prefix_len for a prefix), so nothing read can
     change any more.  It keeps its depth, hit flag and cells.  At a
     _CHUNK boundary only the walks still stepping draw letters, and a
-    block ends when none is left.  A walk still stepping after the look at
-    step t is at most min(t, steps - t + read) <= (steps + read) // 2 deep,
-    for the deepest cell read, and goes at most _WATCH deeper before the
-    next look, so the stack holds that many rows above cell 0, or steps if
-    fewer.  With weights every walk reads every step and none stops early.
+    block ends when none is left.  So the stack holds
+    ``_stack_depth(steps, read)`` rows above cell 0, for the deepest cell
+    read.  With weights every walk reads every step and none stops early.
     """
     n = product.nletters
     width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
@@ -302,7 +324,7 @@ def _lockstep(
     series = np.zeros((reps if record else 0, steps + 1))
     settle = weights is None  # the weights are read at every step
     read = 1 if goal >= 0 else prefix_len  # the deepest cell read
-    depth = min(steps, (steps + read) // 2 + _WATCH) if settle else steps  # rows above cell 0
+    depth = _stack_depth(steps, read if settle else None)  # rows above cell 0
     # A walk reads a cell above depth 0 only after writing it, so blocks
     # share one stack and one buffer of drawn offsets, a row per walk.
     stack = np.zeros((depth + 1) * width, dtype=value.dtype)
@@ -391,7 +413,7 @@ def estimate_hitting(
     downward; transience makes the missing mass decay geometrically in the
     horizon.
     """
-    check_sizes(horizon, reps)
+    check_sizes(horizon, reps, 1)
     goal = product.letter_index(target)
     hits = int(_lockstep(product, mu, horizon, reps, seed, goal=goal).hit.sum())
     p_hat = hits / reps

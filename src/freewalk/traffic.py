@@ -390,14 +390,19 @@ def _row_errors(product: FreeProduct, p: np.ndarray) -> list[ValueError | None]:
 def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     """Newton's method from q = 0 on q = phi(q), for every row of p; returns (q, steps, kappa).
 
-    Each step solves (I - J)[delta, x] = [phi(q) - q, 1] for all rows in
-    one stacked call.  As J >= 0 has spectral radius below 1, kappa =
-    max(x) = ||(I - J)^-1||_inf, and rounding leaves q about eps * kappa
-    from the fixed point.  A row stops once its sup residual is at most
-    tol/100 or stops falling; a singular step or a candidate outside (0,1)
-    stops it early and leaves it to the confirming step.  The rows step
-    together until one stops and then go on without it, so each row takes
-    the steps it would take alone.  kappa is NaN for a row that took no step.
+    Each step solves (I - J)[delta, x] = [phi(q) - q, 1] for all rows
+    still stepping in one stacked call, one LAPACK solve per matrix, so a
+    row's bits do not depend on the rows beside it.  As J >= 0 has
+    spectral radius below 1, kappa = max(x) = ||(I - J)^-1||_inf, and
+    rounding leaves q about eps * kappa from the fixed point.  A row stops
+    once its sup residual is at most tol/100 or stops falling, or once its
+    candidate leaves (0,1), as after a singular step, which leaves it to
+    the confirming step.  Each step ORs the two tests into one stop mask,
+    and the solve is skipped only when every row stops on its residual.
+    A stopping row leaves with its current q, its step count and its last
+    x, whichever test stopped it; the others go on without it, so each row
+    takes the steps it would take alone.  kappa is NaN for a row that took
+    no step.
     """
     rows, n = p.shape
     q = np.zeros((rows, n))
@@ -418,34 +423,26 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
         return ~mask
 
     for taken in range(max_iter):
+        b = len(live)
         back = _back(s, pl, ql)
-        residual = np.subtract(_phi_array(s, pl, ql, back, pair), ql, out=rhs[:len(live), :, 0])
+        residual = np.subtract(_phi_array(s, pl, ql, back, pair), ql, out=rhs[:b, :, 0])
         sup = _sup_norm(residual)
         stop = (sup <= floor) | (sup >= last)
+        if np.count_nonzero(stop) < b:  # some row goes on: solve for every row
+            matrices = _i_minus_j(s, ql, back, neg_inv, neg_pair)
+            try:
+                sol = np.linalg.solve(matrices, rhs[:b])
+            except np.linalg.LinAlgError:
+                sol = _solve_each(matrices, rhs[:b])
+            candidate = ql + sol[:, :, 0]
+            outside = (candidate <= 0.0) | (candidate >= 1.0)
+            if np.count_nonzero(outside):
+                stop |= outside.any(axis=1)
         if np.count_nonzero(stop):
-            if stop.all():
-                leave(stop, taken)
-                return q, steps, kappa
             keep = leave(stop, taken)
-            live, pl, ql, xl, back, sup = live[keep], pl[keep], ql[keep], xl[keep], back[keep], sup[keep]
-            pair, neg_pair, neg_inv = pair[keep], neg_pair[keep], neg_inv[keep]
-            rhs[:len(live), :, 0] = residual[keep]
-        b = len(live)
-        matrices = _i_minus_j(s, ql, back, neg_inv, neg_pair)
-        try:
-            sol = np.linalg.solve(matrices, rhs[:b])
-        except np.linalg.LinAlgError:
-            sol = _solve_each(matrices, rhs[:b])
-        candidate = ql + sol[:, :, 0]
-        outside = (candidate <= 0.0) | (candidate >= 1.0)
-        if np.count_nonzero(outside):
-            stop = outside.any(axis=1)
-            if stop.all():
-                leave(stop, taken)
+            if not keep.any():
                 return q, steps, kappa
-            keep = leave(stop, taken)
-            live, pl, xl, candidate, sol, sup = (
-                live[keep], pl[keep], xl[keep], candidate[keep], sol[keep], sup[keep])
+            live, pl, candidate, sol, sup = live[keep], pl[keep], candidate[keep], sol[keep], sup[keep]
             pair, neg_pair, neg_inv = pair[keep], neg_pair[keep], neg_inv[keep]
         ql, xl, last = candidate, sol[:, :, 1], sup
     leave(np.ones(len(live), dtype=bool), max_iter)

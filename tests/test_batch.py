@@ -37,6 +37,7 @@ from freewalk.metrics import (
     volume,
 )
 from freewalk.traffic import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DOMAIN_ERRORS,
     ConsistencyError,
@@ -234,6 +235,65 @@ def test_a_singular_matrix_stops_only_its_row():
     matrices = np.stack([np.zeros((2, 2)), 2 * np.eye(2)])
     sol = traffic._solve_each(matrices, np.ones((2, 2, 2)))
     assert np.all(np.isinf(sol[0])) and np.array_equal(sol[1], np.full((2, 2), 0.5))
+
+
+def newton_alone(s, p, tol, max_iter=DEFAULT_MAX_ITER):
+    """Newton's method on one step law as ``traffic._newton`` states it; (q, steps, kappa).
+
+    A reference for the loop's row bookkeeping: one row, one matrix a step,
+    and a return at each way of stopping.
+    """
+    n = len(p)
+    q, last, x = np.zeros(n), math.inf, np.full(n, math.nan)
+    for taken in range(max_iter):
+        residual = traffic._phi_array(s, p, q) - q
+        sup = np.abs(residual).max()
+        if sup <= 0.01 * tol or sup >= last:
+            return q, taken, x.max()
+        matrix = traffic._i_minus_j(s, q, traffic._back(s, p, q), 0.0 - p[s.inv_index],
+                                    0.0 - p[s.pair_u])
+        try:
+            sol = np.linalg.solve(matrix, np.stack([residual, np.ones(n)], axis=1))
+        except np.linalg.LinAlgError:
+            return q, taken, x.max()
+        candidate = q + sol[:, 0]
+        if np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
+            return q, taken, x.max()
+        q, x, last = candidate, sol[:, 1], sup
+    return q, max_iter, x.max()
+
+
+def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(monkeypatch):
+    # At Newton step 6 the first row stops on its residual (a floating-point
+    # fixed point, which then fails its confirming step), the second row's
+    # matrix is made singular, so its candidate leaves (0, 1), and the
+    # third row goes on to step 7.  No small walk's candidate leaves (0, 1)
+    # by itself, since Newton from 0 stays below the fixed point.
+    product = free_product_of_cyclics(2, 2, 2)
+    s = traffic.letter_tables(product)
+    probs = np.array([z2z2z2(1e-7)[1].probs, [0.6, 0.35, 0.05], [0.5, 0.45, 0.05]])
+    assert [newton_alone(s, p, DEFAULT_TOL)[1] for p in probs] == [6, 7, 7]
+    forced, _, _ = newton_alone(s, probs[1], DEFAULT_TOL, max_iter=6)  # its iterate at step 6
+    forced_inv = 0.0 - probs[1][s.inv_index]
+    i_minus_j = traffic._i_minus_j
+
+    def singular_at_forced(s, q, back, neg_inv, neg_pair):
+        matrices = i_minus_j(s, q, back, neg_inv, neg_pair)
+        matrices[np.all(q == forced, axis=-1) & np.all(neg_inv == forced_inv, axis=-1)] = 0.0
+        return matrices
+
+    monkeypatch.setattr(traffic, "_i_minus_j", singular_at_forced)
+    q, steps, kappa = traffic._newton(s, probs, DEFAULT_TOL, 20)
+    assert steps.tolist() == [6, 6, 7]
+    for i, p in enumerate(probs):
+        want_q, want_steps, want_kappa = newton_alone(s, p, DEFAULT_TOL)
+        assert q[i].tobytes() == want_q.tobytes()
+        assert steps[i] == want_steps and kappa[i].hex() == want_kappa.hex()
+    assert q[1].tobytes() == forced.tobytes()
+    outcomes = assert_rows_match(product, probs)
+    assert [type(o) for o in outcomes] == [MaxIterationsError, traffic.SolveReport,
+                                           traffic.SolveReport]
+    assert "after 7 iterations" in str(outcomes[0]) and outcomes[1].iterations == 7
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2, 7])

@@ -371,12 +371,38 @@ def test_sizes_past_the_stack_budget_are_rejected():
     check_sizes(steps, 2, recorded=_BLOCK)
     with pytest.raises(ValueError, match="cells"):
         check_sizes(steps, 2, recorded=_BLOCK + 1)
+    # a settling run reading cells 1..read keeps (steps + read) // 2 + _WATCH
+    # rows above cell 0: a hitting run (read 1) takes at most 195,278 steps
+    for read, most in ((1, 195_278), (3, 195_276)):
+        assert (most + read) // 2 + _WATCH + 1 == STACK_BUDGET // _BLOCK
+        check_sizes(most, 10**6, read)
+        with pytest.raises(ValueError, match="cells"):
+            check_sizes(most + 1, 10**6, read)
     # each walk keeps its depth, weight, hit flag, drift value and prefix cells
     for prefix_len in (1, 3):
         reps = STACK_BUDGET // (prefix_len + 4)
         check_sizes(1, reps, prefix_len)
         with pytest.raises(ValueError, match="cells"):
             check_sizes(1, reps + 1, prefix_len)
+
+
+def test_trajectories_past_the_stack_budget_are_rejected(monkeypatch):
+    product, mu = zkzk_simple(4)
+
+    class Stepped(Exception):
+        pass
+
+    def lockstep(*args, **kwargs):
+        raise Stepped
+
+    # _lockstep allocates the recorded lengths and the stack; a rejected run never reaches it
+    monkeypatch.setattr("freewalk.simulate._lockstep", lockstep)
+    reps = 10
+    steps = STACK_BUDGET // reps - 1  # reps * (steps + 1) recorded lengths fill the budget
+    with pytest.raises(Stepped):
+        trajectories(product, mu, steps, reps, SEED)
+    with pytest.raises(ValueError, match="cells"):
+        trajectories(product, mu, steps + 1, reps, SEED)
 
 
 def test_lockstep_memory_stays_bounded():
