@@ -232,15 +232,11 @@ def _sweep_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list[str]
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     header, rows = _sweep_rows(args)
-    handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if args.out:
-            handle.close()
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -411,11 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cf = sub.add_parser("closed-form", help="evaluate a closed-form drift formula")
     p_cf.add_argument("--family", required=True, choices=sorted(_CLOSED_FORMS))
-    p_cf.add_argument("--p", type=float)
-    p_cf.add_argument("--q", type=float)
-    p_cf.add_argument("--k", type=float)
-    p_cf.add_argument("--k1", type=float)
-    p_cf.add_argument("--k2", type=float)
+    for name in dict.fromkeys(name for names, _ in _CLOSED_FORMS.values() for name in names):
+        p_cf.add_argument(f"--{name}", type=float)
     p_cf.add_argument("--batch", help="CSV of parameter rows; emits rows with gamma appended")
     p_cf.set_defaults(fn=cmd_closed_form)
 

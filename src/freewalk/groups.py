@@ -390,32 +390,23 @@ def normal_words(product: FreeProduct, max_len: int) -> list[Word]:
 def sphere_series(product: FreeProduct, lengths: LengthTable, n: int) -> list[int]:
     """Exact sphere sizes for l = 0..n by dynamic programming on normal forms.
 
-    Counts words by (weighted length, factor of last letter); exact integer
-    arithmetic, no state explosion.  The tests check it against two
-    independent oracles in ``tests/oracles.py``: ``ball_count`` enumerates
-    every normal-form word of the ball, and ``ball_count_bfs`` runs a
-    breadth-first search on the Cayley graph.
+    Counts words by (weighted length, factor of last letter), in exact
+    integers.  A letter of factor j extends every word that does not end in
+    factor j: at each length, all the words counted there less those
+    ending in j, where the empty word is the only word of length 0.  The
+    tests check it against two independent oracles in ``tests/oracles.py``:
+    ``ball_count`` enumerates every normal-form word of the ball, and
+    ``ball_count_bfs`` runs a breadth-first search on the Cayley graph.
     """
-    nf = product.nfactors
-    letter_weights: list[list[int]] = [[] for _ in range(nf)]
-    for u in product.alphabet:
-        letter_weights[u.factor].append(int(lengths.weights[product.letter_index(u)]))
-    ending = [[0] * nf for _ in range(n + 1)]
-    for i in range(nf):
-        for w in letter_weights[i]:
-            if w <= n:
-                ending[w][i] += 1
-    for level in range(1, n + 1):
-        for i in range(nf):
-            c = ending[level][i]
-            if not c:
-                continue
-            for j in range(nf):
-                if j == i:
-                    continue
-                for w in letter_weights[j]:
-                    if level + w <= n:
-                        ending[level + w][j] += c
-    spheres = [sum(row) for row in ending]
-    spheres[0] = 1
+    weights = [int(w) for w in lengths.weights]
+    ending = [[0] * product.nfactors for _ in range(n + 1)]
+    spheres = []
+    for level in range(n + 1):
+        total = sum(ending[level]) if level else 1
+        spheres.append(total)
+        for j in range(product.nfactors):
+            extend = total - ending[level][j]
+            for w in weights[product.factor_slice(j)]:
+                if level + w <= n:
+                    ending[level + w][j] += extend
     return spheres

@@ -490,10 +490,11 @@ def exact_convolution(
     The support is a matrix of stacks of cells (see ``_Steps``), one row
     and one mass per word; a word's depth is its count of nonzero cells.
     Each step acts with every support letter on every word in row-major
-    order, numbers the distinct rows in the order they first appear (a
-    dict keyed by the rows' bytes, faster than sorting the rows), and sums
-    their masses in that order, so the words come in the order a dict
-    filled word by word would hold them, each with that dict's mass.
+    order, numbers the distinct rows in the order they first appear (one
+    ``np.unique`` over the rows viewed as single void items, its distinct
+    rows then ranked by their first index), and sums their masses in that
+    order, so the words come in the order a dict filled word by word would
+    hold them, each with that dict's mass.
     Intended for small n; raises StateBudgetError when the support would
     exceed ``max_support``.
     """
@@ -510,13 +511,14 @@ def exact_convolution(
         rows = np.arange(len(cells))
         code = np.resize(offsets, len(rows)) + cells[rows, at]
         cells[rows, np.maximum(at, at + act.rise[code])] = act.value[code]
-        keys = cells.view(f"V{cells.itemsize * (n + 1)}").ravel().tolist()  # one bytes per row
-        seen: dict[bytes, int] = {}
-        word = np.array([seen.setdefault(key, len(seen)) for key in keys])
-        if len(seen) > max_support:
+        keys = cells.view(f"V{cells.itemsize * (n + 1)}").ravel()  # one void item per row
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if len(first) > max_support:
             raise StateBudgetError(f"convolution support exceeds {max_support} words")
+        order = np.argsort(first)  # the distinct rows by first appearance
+        word = np.argsort(order)[inverse]
         mass = np.bincount(word, np.outer(mass, mu.probs[letters]).ravel())
-        cells = cells[np.unique(word, return_index=True)[1]]
+        cells = cells[first[order]]
     return ExactLaw(product, cells, mass)
 
 

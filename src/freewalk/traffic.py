@@ -106,6 +106,7 @@ class StepDistribution:
         return cls(product, probs)
 
 
+@dataclass(frozen=True)
 class _LetterVector:
     """Common accessors for per-letter real vectors (q and r)."""
 
@@ -119,13 +120,9 @@ class _LetterVector:
         return float(self.values[self.product.factor_slice(i)].sum())
 
 
-
 @dataclass(frozen=True)
 class HittingVector(_LetterVector):
     """q(a) = probability of ever visiting the letter a; all entries in (0,1)."""
-
-    product: FreeProduct
-    values: np.ndarray
 
     def consistency_residual(self) -> float:
         return float(_consistency_residual(letter_tables(self.product), self.values))
@@ -134,9 +131,6 @@ class HittingVector(_LetterVector):
 @dataclass(frozen=True)
 class RootVector(_LetterVector):
     """First-letter law r of the harmonic measure; positive, sums to 1."""
-
-    product: FreeProduct
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -491,10 +485,6 @@ def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _rows_where(mask: np.ndarray) -> list[int]:
-    return np.flatnonzero(mask).tolist() if mask.any() else []
-
-
 def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
                 max_iter: int) -> list:
     """Solve every row of p, a stack of valid step laws; one SolveReport or error per row.
@@ -507,7 +497,7 @@ def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
     to check.
     """
     q, iterations, kappa = _newton(s, p, tol, max_iter)
-    for i in _rows_where(_EPS * kappa > tol):
+    for i in np.flatnonzero(_EPS * kappa > tol).tolist():
         q[i] = _exact_finish(s, p[i], q[i])
     step = _phi_array(s, p, q)
     change = _sup_norm(step - q)
@@ -517,10 +507,10 @@ def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
         i: MaxIterationsError(
             f"no convergence after {iterations[i]} iterations: last change {change[i]:.3e},"
             f" consistency residual {consistency[i]:.3e} (condition number {kappa[i]:.3e})")
-        for i in _rows_where(~((change < tol) & (consistency <= 10.0 * tol)))
+        for i in np.flatnonzero(~((change < tol) & (consistency <= 10.0 * tol))).tolist()
     }
     sup = _sup_norm(_phi_array(s, p, q) - q)
-    for i in _rows_where(((q >= 1.0 - tol) | (q <= 0.0)).any(axis=1)):
+    for i in np.flatnonzero(((q >= 1.0 - tol) | (q <= 0.0)).any(axis=1)).tolist():
         errors.setdefault(i, ConsistencyError(
             "hitting probabilities left (0,1): walk is not transient"))
     ok = [i for i in range(len(p)) if i not in errors]

@@ -23,6 +23,7 @@ from freewalk.groups import (
     sphere_series,
 )
 from freewalk.simulate import _steps
+from freewalk.walkspec import minimal_generators
 
 from oracles import (
     S3_TABLE,
@@ -373,6 +374,17 @@ def test_sphere_series_matches_enumeration_and_bfs():
     assert dp == ball_count_bfs(product, minimal, n)
     natural = natural_lengths(product)
     assert sphere_series(product, natural, 5) == ball_count_bfs(product, product.alphabet, 5)
+
+
+@pytest.mark.parametrize("orders, n", [((2, 3, 4), 7), ((2, 2, 3), 9), ((3, 5, 2, 4), 5)])
+def test_sphere_series_matches_both_oracles_beyond_two_factors(orders, n):
+    # an order-2 factor has one letter, and Z/4 and Z/5 have letters two generators long
+    product = free_product_of_cyclics(*orders)
+    minimal = minimal_generators(product)
+    table = letter_lengths(product, minimal)
+    dp = sphere_series(product, table, n)
+    assert dp == ball_count(product, table, n)
+    assert dp == ball_count_bfs(product, minimal, n)
 
 
 def test_sphere_series_klein_factor():

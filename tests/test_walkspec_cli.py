@@ -19,7 +19,7 @@ import pytest
 import freewalk
 from freewalk import closedform as cf
 from freewalk import verify
-from freewalk.cli import build_parser, main
+from freewalk.cli import _CLOSED_FORMS, _f17, build_parser, main
 from freewalk.groups import Letter, free_product_of_cyclics, letter_lengths
 from freewalk.simulate import estimate_drift
 from freewalk.walkspec import (
@@ -373,6 +373,28 @@ def test_cli_closed_form(capsys):
         assert capsys.readouterr().out == gamma + "\n"
 
 
+# each closed-form family's flags and its library call, made without the CLI's table
+_CLOSED_FORM_CALLS = {
+    "z2z3": (["--p", "0.3", "--q", "0.2"], lambda: cf.drift_z2z3(0.3, 0.2)),
+    "z3z3-sym": (["--p", "0.2"], lambda: cf.drift_z3z3_sym(0.2)),
+    "z3z3-asym": (["--p", "0.2", "--q", "0.3"], lambda: cf.drift_z3z3_asym(0.2, 0.3)),
+    "zkzk": (["--k", "5"], lambda: cf.drift_zkzk(5)),
+    "hecke": (["--k", "5"], lambda: cf.drift_hecke(5)),
+    "uniform-pair": (["--p", "0.3", "--k1", "2", "--k2", "3"],
+                     lambda: cf.drift_uniform_pair(0.3, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CLOSED_FORMS))
+def test_cli_closed_form_prints_the_library_value_of_every_family(family, capsys):
+    assert set(_CLOSED_FORM_CALLS) == set(_CLOSED_FORMS)
+    flags, call = _CLOSED_FORM_CALLS[family]
+    assert main(["closed-form", "--family", family, *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _f17(call()) + "\n"
+    assert captured.err == ""
+
+
 def test_cli_closed_form_batch(tmp_path, capsys):
     path = tmp_path / "params.csv"
     path.write_text("p,q\n0.3333333333333333,0.3333333333333333\n0.5,0.1\n")
@@ -422,6 +444,25 @@ def test_cli_sweep_csv_and_byte_stability(capsys):
         p = float(row[0])
         assert abs(float(row[1]) - cf.drift_z3z3_sym(p)) < 1e-10
         assert float(row[4]) <= 1 + 1e-9
+
+
+def test_cli_sweep_out_writes_the_bytes_it_prints(tmp_path, capsys):
+    args = ["sweep", "--family", "z3z3-asym", "--resolution", "0.2"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "surface.csv"
+    assert main([*args, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
+def test_cli_sweep_unwritable_out_exits_5_with_empty_stdout(tmp_path, capsys):
+    path = tmp_path / "missing" / "surface.csv"
+    assert main(["sweep", "--family", "z3z3-sym", "--resolution", "0.1", "--out", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o failure:") and captured.err.count("\n") == 1
+    assert not path.parent.exists()
 
 
 # Rows of every sweep family, recorded before the sweeps called the walkspec

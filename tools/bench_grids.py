@@ -27,10 +27,11 @@ measurements:
   12``, the Monte Carlo criterion, and ``verify_12_peak_rss_mb``, the peak
   RSS of that process, which holds the Monte Carlo blocks' stacks and drawn
   letters;
-- ``criterion_N_s`` for N in 4, 6, 8, 9, 10, 12 and 13:
+- ``criterion_N_s`` for N in 4, 6, 8, 9, 10, 11, 12 and 13:
   ``verify.run_criterion(N)`` timed inside a fresh interpreter after its
   imports, at full precision where verify prints two decimals; criterion 9
-  is the one that evaluates ``harmonic.cylinder_prob`` word by word;
+  is the one that evaluates ``harmonic.cylinder_prob`` word by word, and
+  criterion 11 the one that counts spheres with ``groups.sphere_series``;
 - ``mc_drift_s``, ``mc_prefix_s`` and ``mc_hitting_s``: criterion 12's calls
   of ``estimate_drift``, ``estimate_prefix`` or ``estimate_hitting`` on both
   of its walks, each timed inside a fresh interpreter after its imports, so
@@ -40,6 +41,10 @@ measurements:
   interpreter after its imports, with the index-table cache
   (``traffic.letter_tables``) cleared before each, so every call pays for
   the tables as the first does;
+- ``exact_convolution_z3z3_17_s``: ``exact_convolution`` of
+  ``z3z3_sym(0.2)`` at n = 17 (524,285 words, about 1 M rows in its last
+  step), one call timed in a fresh interpreter after its imports, and
+  ``exact_convolution_z3z3_17_peak_rss_mb``, the peak RSS of that process;
 - ``solve_118_cli_s``: wall time of ``python -m freewalk solve --family
   uniform-per-factor --orders 60,60 --weights 0.5,0.5``, the 118-letter solve;
 - ``solve_118_s``: that command's ``main`` call, timed inside a fresh
@@ -133,6 +138,15 @@ for _ in range(5):
     times.append(time.perf_counter() - start)
 print(statistics.median(times))
 """
+TIME_CONVOLUTION_17 = """
+import time
+from freewalk.simulate import exact_convolution
+from freewalk.walkspec import z3z3_sym
+product, mu = z3z3_sym(0.2)
+start = time.perf_counter()
+exact_convolution(product, mu, 17)
+print(time.perf_counter() - start)
+"""
 TIME_TABLES = """
 import statistics, time
 from freewalk.groups import free_product_of_cyclics
@@ -156,7 +170,7 @@ for _ in range(5):
     times.append(time.perf_counter() - start)
 print(statistics.median(times))
 """
-CRITERIA = (4, 6, 8, 9, 10, 12, 13)
+CRITERIA = (4, 6, 8, 9, 10, 11, 12, 13)
 # criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
 TIME_MONTE_CARLO = """
 import time
@@ -182,7 +196,8 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          "verify_12_cli_s": "s", "verify_12_peak_rss_mb": "MiB",
          **{f"criterion_{n}_s": "s" for n in CRITERIA},
          **{name: "s" for name in MONTE_CARLO},
-         "exact_convolution_z4z4_10_s": "s", "solve_118_cli_s": "s", "solve_118_s": "s",
+         "exact_convolution_z4z4_10_s": "s", "exact_convolution_z3z3_17_s": "s",
+         "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "solve_118_cli_s": "s", "solve_118_s": "s",
          "solve_inprocess_x20_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
          "tier1_s": "s", "tier1_common_s": "s"}
 
@@ -233,6 +248,9 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
     for name, call in MONTE_CARLO.items():
         row[name] = float(_child(tree, ["-c", TIME_MONTE_CARLO.format(call=call)], workdir)[2])
     row["exact_convolution_z4z4_10_s"] = float(_child(tree, ["-c", TIME_CONVOLUTION], workdir)[2])
+    _, row["exact_convolution_z3z3_17_peak_rss_mb"], seconds = _child(
+        tree, ["-c", TIME_CONVOLUTION_17], workdir)
+    row["exact_convolution_z3z3_17_s"] = float(seconds)
     row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
     row["solve_118_s"] = float(
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118, calls=1)], workdir)[2])
