@@ -21,7 +21,6 @@ from . import verify as verify_mod
 from .groups import (
     Letter,
     NonGeneratingSetError,
-    free_product_of_cyclics,
     letter_lengths,
 )
 from .harmonic import (
@@ -38,7 +37,6 @@ from .traffic import (
     ConsistencyError,
     MaxIterationsError,
     RecurrentGroupError,
-    StepDistribution,
     batches,
     check_tolerance,
     solve_walk,
@@ -47,6 +45,7 @@ from .simulate import check_sizes, estimate_drift, estimate_hitting, estimate_pr
 from .walkspec import (
     WalkSpec,
     build_family,
+    cyclic_walk,
     integer,
     load_spec,
     resolve_generators,
@@ -139,7 +138,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if product.nfactors == 2:
         out.write(f"two-factor identity q(S1)q(S2) = {_f17(two_factor_identity(report.q))}\n")
         chain = build_chain(product, report.r)
-        worst = max_shift_residual(chain, 2, steps=2)
+        worst = max_shift_residual(chain, 2)
         out.write(f"tau^2 residual (cylinders <= 2) = {_f17(worst)}\n")
     out.write(f"gamma = {_f17(metrics.gamma)}\n")
     out.write(f"entropy = {_f17(metrics.entropy)}\n")
@@ -178,10 +177,9 @@ def _minimal_grid(args):
 def _zkzk_minimal(args, p):
     """Z/k * Z/k with mass p on a and a^-1 and (1 - 2p)/2 on b and b^-1."""
     k = args.k
-    product = free_product_of_cyclics(k, k)
     s = (1 - 2 * p) / 2
-    table = {Letter(0, 1): p, Letter(0, k - 1): p, Letter(1, 1): s, Letter(1, k - 1): s}
-    return product, StepDistribution.from_dict(product, table)
+    return cyclic_walk((k, k), {Letter(0, 1): p, Letter(0, k - 1): p,
+                                Letter(1, 1): s, Letter(1, k - 1): s})
 
 
 # family: (header, grid of parameters, generators, step law at a parameter

@@ -337,7 +337,8 @@ class LengthTable:
     (cross-factor letters in any product can only cancel completely), so
     the length of a word is the sum of its letter lengths.  Any additive
     letter weight fits the same table, e.g. the Green metric -log q with
-    float weights.
+    float weights.  Float weights suit drift and volume, but not sphere
+    counts: ``sphere_series`` needs integer weights of at least 1.
     """
 
     product: FreeProduct
@@ -397,7 +398,11 @@ def sphere_series(product: FreeProduct, lengths: LengthTable, n: int) -> list[in
     tests check it against two independent oracles in ``tests/oracles.py``:
     ``ball_count`` enumerates every normal-form word of the ball, and
     ``ball_count_bfs`` runs a breadth-first search on the Cayley graph.
+    Every weight must be an integer of at least 1, else ValueError.
     """
+    bad = [w for w in lengths.weights.tolist() if not (w >= 1 and w % 1 == 0)]
+    if bad:
+        raise ValueError(f"sphere counts need integer letter weights of at least 1, got {bad[0]!r}")
     weights = [int(w) for w in lengths.weights]
     ending = [[0] * product.nfactors for _ in range(n + 1)]
     spheres = []

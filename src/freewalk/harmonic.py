@@ -7,13 +7,14 @@ the product form q(u_1) ... q(u_{k-1}) r(u_k) with
 q(u) = r(u)/r(Sigma minus u's factor).
 
 In chain terms nu(w_1...w_k) = first[w_1] T[w_1,w_2] ... T[w_{k-1},w_k],
-and T vanishes inside a factor, so the m-letter prefixes v that keep vw
-normal are exactly the paths that the matrix power T^m counts.  The total
-mass they put in front of w therefore factors as
+and T vanishes inside a factor, so the two-letter prefixes v that keep vw
+normal are exactly the paths that T T counts.  The total mass they put in
+front of w therefore factors as
 
-    sum_v nu(v w) = nu(w) (first T^m)[w_1] / first[w_1],
+    sum_v nu(v w) = nu(w) (first T T)[w_1] / first[w_1],
 
-which gives the shift-invariance residuals without enumerating prefixes.
+which gives the two-step shift-invariance residual without enumerating
+prefixes.
 """
 
 from __future__ import annotations
@@ -92,27 +93,10 @@ def two_factor_identity(q: HittingVector) -> float:
     return q.factor_sum(0) * q.factor_sum(1)
 
 
-def _reach(chain: LetterChain, steps: int) -> np.ndarray:
-    """first T^steps: the mass that the prefixes of ``steps`` letters put in front of each letter."""
-    reach = chain.first
-    for _ in range(steps):
-        reach = reach @ chain.trans
-    return reach
+def max_shift_residual(chain: LetterChain, length: int) -> float:
+    """The largest ``tau2_invariance_residual(chain, w)`` over normal words w of 1..length letters.
 
-
-def _shift_residual(chain: LetterChain, w: Word, steps: int) -> float:
-    """|nu(w) - sum_v nu(vw)| over the normal-form prefixes v of ``steps`` letters."""
-    if len(w) == 0:
-        raise ValueError("need a nonempty cylinder word")
-    reach = _reach(chain, steps)
-    a = chain.product.letter_index(w[0])
-    mass = cylinder_prob(chain, w)
-    return float(abs(mass - mass * reach[a] / chain.first[a]))
-
-
-def max_shift_residual(chain: LetterChain, length: int, steps: int) -> float:
-    """The largest ``_shift_residual(chain, w, steps)`` over normal words w of 1..length letters.
-
+    For two-factor products, as that residual is; nothing here checks it.
     Bit-identical to that maximum: the masses of all words of k letters
     form one array first[w_1] T[w_1,w_2] ... T[w_{k-1},w_k], multiplied
     left to right as ``cylinder_prob`` does, and the residual takes its
@@ -120,7 +104,7 @@ def max_shift_residual(chain: LetterChain, length: int, steps: int) -> float:
     a row has mass exactly 0 (T vanishes there) and residual 0, so the
     full arrays give the same maximum as the normal words alone.
     """
-    reach, first = _reach(chain, steps), chain.first
+    reach, first = chain.first @ chain.trans @ chain.trans, chain.first
     mass = first
     worst = 0.0
     for k in range(length):
@@ -135,7 +119,7 @@ def max_shift_residual(chain: LetterChain, length: int, steps: int) -> float:
 def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:
     """Residual of two-step shift invariance for a two-factor product.
 
-    Sums the measure of v1 v2 w over the two-letter prefixes that keep the
+    |nu(w) - sum_v nu(vw)| over the two-letter prefixes v that keep the
     word normal; for two factors this forces v2 opposite to w's first
     factor and v1 back in it.  Zero (to rounding) for every strictly
     positive root vector on two factors, whether or not it solves the
@@ -145,7 +129,12 @@ def tau2_invariance_residual(chain: LetterChain, w: Word) -> float:
     """
     if chain.product.nfactors != 2:
         raise ValueError("two-step shift invariance applies to two-factor products")
-    return _shift_residual(chain, w, 2)
+    if len(w) == 0:
+        raise ValueError("need a nonempty cylinder word")
+    reach = chain.first @ chain.trans @ chain.trans
+    a = chain.product.letter_index(w[0])
+    mass = cylinder_prob(chain, w)
+    return float(abs(mass - mass * reach[a] / chain.first[a]))
 
 
 def max_mu_invariance_residual(chain: LetterChain, mu: StepDistribution, length: int) -> float:

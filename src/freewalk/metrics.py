@@ -254,12 +254,11 @@ def quality_sup(
     grid value of some orbit is flagged: the supremum may sit on the
     closure of the symmetric laws, where the walk degenerates.  Grid
     search is used instead of ascent precisely to keep that boundary
-    behavior visible and reproducible.
+    behavior visible and reproducible.  S must lie in the product and be
+    closed under inverses; ``letter_lengths`` checks both before the grid.
     """
     gens = list(generators)
-    for u in gens:
-        if product.letter_inverse(u) not in gens:
-            raise ValueError(f"generator set must be symmetric, missing inverse of {u}")
+    lengths = letter_lengths(product, gens)  # checks that S is in the product and symmetric
     if not grid_resolution > 0.0:
         raise ValueError(f"grid resolution must be positive, got {grid_resolution!r}")
     check_tolerance(tol)
@@ -270,7 +269,6 @@ def quality_sup(
     best_q = -math.inf
     best_point = best_probs = None
     evaluations = 0
-    lengths = letter_lengths(product, gens)
     columns = [(product.letter_index(u), j, len(orbit))
                for j, orbit in enumerate(orbits) for u in orbit]
     for block in batches(_compositions(steps, len(orbits))):

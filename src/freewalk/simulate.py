@@ -482,7 +482,6 @@ def exact_convolution(
     product: FreeProduct,
     mu: StepDistribution,
     n: int,
-    max_support: int = CONVOLUTION_BUDGET,
 ) -> ExactLaw:
     """Exact law of X_n, its words as rows of cells with their masses.
 
@@ -496,7 +495,7 @@ def exact_convolution(
     order, so the words come in the order a dict filled word by word would
     hold them, each with that dict's mass.
     Intended for small n; raises StateBudgetError when the support would
-    exceed ``max_support``.
+    exceed ``CONVOLUTION_BUDGET`` words, read at each call.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -513,8 +512,8 @@ def exact_convolution(
         cells[rows, np.maximum(at, at + act.rise[code])] = act.value[code]
         keys = cells.view(f"V{cells.itemsize * (n + 1)}").ravel()  # one void item per row
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if len(first) > max_support:
-            raise StateBudgetError(f"convolution support exceeds {max_support} words")
+        if len(first) > CONVOLUTION_BUDGET:
+            raise StateBudgetError(f"convolution support exceeds {CONVOLUTION_BUDGET} words")
         order = np.argsort(first)  # the distinct rows by first appearance
         word = np.argsort(order)[inverse]
         mass = np.bincount(word, np.outer(mass, mu.probs[letters]).ravel())

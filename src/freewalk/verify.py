@@ -52,8 +52,9 @@ from .simulate import (
     exact_convolution,
     expected_length,
 )
-from .traffic import StepDistribution, solve_walk
+from .traffic import solve_walk
 from .walkspec import (
+    cyclic_walk,
     extremal_walk,
     hecke_simple,
     minimal_generators,
@@ -296,7 +297,7 @@ def criterion_8() -> _Check:
             continue
         identity = two_factor_identity(rep.q)
         chk.true(f"{name}: q(S1)q(S2)=1", abs(identity - 1.0) <= 1e-10, f"{identity!r}")
-        tau2 = max_shift_residual(chain, 3, steps=2)
+        tau2 = max_shift_residual(chain, 3)
         chk.true(f"{name}: tau^2 residual (cylinders <= 3)", tau2 <= 1e-10, f"{tau2:.3e}")
     return chk
 
@@ -333,9 +334,8 @@ def criterion_10() -> _Check:
     closed = (5 + math.sqrt(5)) / 4 * math.log((1 + math.sqrt(5)) / 2) / math.log(1 + math.sqrt(2))
     chk.close("Z4*Z4 minimal: quality at the simple walk", quality(product, mu, minimal), closed, 1e-9)
 
-    product34 = free_product_of_cyclics(3, 4)
     p = 0.432693  # middle root of 5x^3 - 13x^2 + 7x - 1
-    mu34 = StepDistribution.from_dict(product34, {
+    product34, mu34 = cyclic_walk((3, 4), {
         Letter(0, 1): p, Letter(0, 2): p, Letter(1, 1): 0.5 - p, Letter(1, 3): 0.5 - p})
     m34 = metrics_report(product34, mu34, lengths=letter_lengths(product34, minimal_generators(product34)))
     gap = abs(m34.entropy - m34.gamma * m34.volume)

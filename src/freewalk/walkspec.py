@@ -6,10 +6,12 @@ family with parameters), an optional generating set (``"natural"``,
 ``"minimal"``, or a list of letters), and solver options.  Letters are
 written ``"factor:elem"``.  Unknown keys are rejected.
 
-The builders with real parameters write their masses with integer
-constants, so they accept exact rationals: ``z2z3_walk(Fraction(1, 4),
-Fraction(1, 2))`` stores each mass as the correctly rounded float of its
-exact value, and float parameters give the same bits as float constants.
+The family builders on cyclic factors build their walks through
+``cyclic_walk`` from a table of letter masses.  The builders with real
+parameters write their masses with integer constants, so they accept
+exact rationals: ``z2z3_walk(Fraction(1, 4), Fraction(1, 2))`` stores
+each mass as the correctly rounded float of its exact value, and float
+parameters give the same bits as float constants.
 """
 
 from __future__ import annotations
@@ -74,51 +76,45 @@ class WalkSpec:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
+def cyclic_walk(
+    orders: Sequence[int], table: Mapping[Letter, float]
+) -> tuple[FreeProduct, StepDistribution]:
+    """The free product of the given cyclics and the step law with the masses of ``table``."""
+    product = free_product_of_cyclics(*orders)
+    return product, StepDistribution.from_dict(product, table)
+
+
 def zkzk_simple(k: int) -> tuple[FreeProduct, StepDistribution]:
     """Simple walk on Z/k * Z/k over minimal generators: 1/4 on a, a^-1, b, b^-1."""
     if k < 3:
         raise ValueError("k must be >= 3 (k = 2 gives the recurrent Z/2 * Z/2)")
-    product = free_product_of_cyclics(k, k)
-    table = {
-        Letter(0, 1): 0.25,
-        Letter(0, k - 1): 0.25,
-        Letter(1, 1): 0.25,
-        Letter(1, k - 1): 0.25,
-    }
-    return product, StepDistribution.from_dict(product, table)
+    return cyclic_walk((k, k), {Letter(0, 1): 0.25, Letter(0, k - 1): 0.25,
+                                Letter(1, 1): 0.25, Letter(1, k - 1): 0.25})
 
 
 def hecke_simple(k: int) -> tuple[FreeProduct, StepDistribution]:
     """Simple walk on Z/2 * Z/k: 1/3 on a, b, b^-1."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    product = free_product_of_cyclics(2, k)
     third = 1.0 / 3.0
-    table = {Letter(0, 1): third, Letter(1, 1): third, Letter(1, k - 1): third}
-    return product, StepDistribution.from_dict(product, table)
+    return cyclic_walk((2, k), {Letter(0, 1): third, Letter(1, 1): third, Letter(1, k - 1): third})
 
 
 def z2z3_walk(p: float, q: float) -> tuple[FreeProduct, StepDistribution]:
     """General walk on Z/2 * Z/3: mu(a) = 1-p-q, mu(b) = p, mu(b^2) = q."""
-    product = free_product_of_cyclics(2, 3)
-    table = {Letter(0, 1): 1 - p - q, Letter(1, 1): p, Letter(1, 2): q}
-    return product, StepDistribution.from_dict(product, table)
+    return cyclic_walk((2, 3), {Letter(0, 1): 1 - p - q, Letter(1, 1): p, Letter(1, 2): q})
 
 
 def z3z3_sym(p: float) -> tuple[FreeProduct, StepDistribution]:
     """Z/3 * Z/3 with mu(a) = mu(b) = p and mu(a^2) = mu(b^2) = 1/2 - p."""
-    product = free_product_of_cyclics(3, 3)
     q = (1 - 2 * p) / 2
-    table = {Letter(0, 1): p, Letter(0, 2): q, Letter(1, 1): p, Letter(1, 2): q}
-    return product, StepDistribution.from_dict(product, table)
+    return cyclic_walk((3, 3), {Letter(0, 1): p, Letter(0, 2): q, Letter(1, 1): p, Letter(1, 2): q})
 
 
 def z3z3_asym(p: float, q: float) -> tuple[FreeProduct, StepDistribution]:
     """Z/3 * Z/3 with mu(a) = p, mu(a^2) = q, mu(b) = mu(b^2) = (1-p-q)/2."""
-    product = free_product_of_cyclics(3, 3)
     s = (1 - p - q) / 2
-    table = {Letter(0, 1): p, Letter(0, 2): q, Letter(1, 1): s, Letter(1, 2): s}
-    return product, StepDistribution.from_dict(product, table)
+    return cyclic_walk((3, 3), {Letter(0, 1): p, Letter(0, 2): q, Letter(1, 1): s, Letter(1, 2): s})
 
 
 def uniform_per_factor(
@@ -145,9 +141,7 @@ def extremal_walk(orders: Sequence[int]) -> tuple[FreeProduct, StepDistribution]
 
 def z2z2z2(p: float) -> tuple[FreeProduct, StepDistribution]:
     """Z/2 * Z/2 * Z/2 with mu(a) = mu(b) = p and mu(c) = 1 - 2p."""
-    product = free_product_of_cyclics(2, 2, 2)
-    table = {Letter(0, 1): p, Letter(1, 1): p, Letter(2, 1): 1 - 2 * p}
-    return product, StepDistribution.from_dict(product, table)
+    return cyclic_walk((2, 2, 2), {Letter(0, 1): p, Letter(1, 1): p, Letter(2, 1): 1 - 2 * p})
 
 
 # Family parameters have one meaning in every family that takes them.

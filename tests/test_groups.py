@@ -8,6 +8,7 @@ from freewalk.groups import (
     GROUP_TABLE_CELLS,
     FreeProduct,
     GroupTableError,
+    LengthTable,
     Letter,
     NonGeneratingSetError,
     StateBudgetError,
@@ -394,6 +395,14 @@ def test_sphere_series_klein_factor():
     table = letter_lengths(product, gens)
     assert weight(table, Letter(0, 3)) == 2  # third involution = product of the two generators
     assert sphere_series(product, table, 6) == ball_count_bfs(product, gens, 6)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 1.7, 1.7], [0, 1, 1]], ids=["fractional", "zero"])
+def test_sphere_series_rejects_weights_that_are_not_integers_of_at_least_one(weights):
+    # int() truncation would count [1, 2, 0, 0, 0, 0] for both tables, without an error
+    product = free_product_of_cyclics(2, 3)
+    with pytest.raises(ValueError, match="integer letter weights of at least 1"):
+        sphere_series(product, LengthTable(product, np.array(weights)), 5)
 
 
 def test_minimal_sphere_ratio_approaches_growth_rate():

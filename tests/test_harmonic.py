@@ -1,4 +1,3 @@
-import functools
 import math
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from freewalk.harmonic import (
     log_cylinder_prob,
     max_mu_invariance_residual,
     max_shift_residual,
-    _shift_residual,
     tau2_invariance_residual,
     two_factor_identity,
 )
@@ -162,10 +160,10 @@ def test_tau1_invariance_iff_stationary():
     product, mu = zkzk_simple(4)  # stationary
     _, chain = chain_for(product, mu)
     for w in normal_words(product, 2):
-        assert _shift_residual(chain, w, 1) < 1e-12
+        assert tau1_residual_oracle(chain, w) < 1e-12
     product, mu = hecke_simple(3)  # not stationary
     _, chain = chain_for(product, mu)
-    assert _shift_residual(chain, product.word([Letter(0, 1)]), 1) > 1e-3
+    assert tau1_residual_oracle(chain, product.word([Letter(0, 1)])) > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -177,7 +175,6 @@ def test_shift_residuals_match_prefix_enumeration(walk):
     _, chain = chain_for(product, mu)
     for w in normal_words(product, 3):
         scale = 1e-13 * cylinder_prob(chain, w)
-        assert abs(_shift_residual(chain, w, 1) - tau1_residual_oracle(chain, w)) <= scale
         assert abs(tau2_invariance_residual(chain, w) - tau2_residual_oracle(chain, w)) <= scale
 
 
@@ -189,38 +186,31 @@ def test_shift_residuals_match_prefix_enumeration_off_solution():
     chain = build_chain(product, RootVector(product, np.full(product.nletters, 1 / 3)))
     words = normal_words(product, 3)
     assert max(tau1_residual_oracle(chain, w) for w in words) > 1e-2
-    for residual, oracle in ((functools.partial(_shift_residual, steps=1), tau1_residual_oracle),
-                             (tau2_invariance_residual, tau2_residual_oracle)):
-        expected = [oracle(chain, w) for w in words]
-        for w, value in zip(words, expected):
-            scale = 1e-13 * cylinder_prob(chain, w)
-            assert residual(chain, w) == pytest.approx(value, rel=1e-13, abs=scale)
+    for w in words:
+        scale = 1e-13 * cylinder_prob(chain, w)
+        assert tau2_invariance_residual(chain, w) == pytest.approx(
+            tau2_residual_oracle(chain, w), rel=1e-13, abs=scale)
 
 
 def test_shift_residuals_three_factors():
     product, mu = uniform_per_factor([2, 3, 4])
     _, chain = chain_for(product, mu)
-    for w in normal_words(product, 3):
-        scale = 1e-13 * cylinder_prob(chain, w)
-        assert abs(_shift_residual(chain, w, 1) - tau1_residual_oracle(chain, w)) <= scale
     with pytest.raises(ValueError):
         tau2_invariance_residual(chain, product.word([Letter(0, 1)]))
     _, two_factor = chain_for(*hecke_simple(3))
-    with pytest.raises(ValueError):
-        _shift_residual(two_factor, Word(()), 1)
     with pytest.raises(ValueError):
         tau2_invariance_residual(two_factor, Word(()))
 
 
 @pytest.mark.parametrize("length", [2, 3])
 def test_max_shift_residual_is_the_per_word_maximum_bitwise(length):
-    # criterion 8's battery: two and three factors, stationary or not
+    # the two-factor walks of criterion 8's battery, stationary or not
     for name, (product, mu) in _battery():
+        if product.nfactors != 2:
+            continue
         _, chain = chain_for(product, mu)
-        words = normal_words(product, length)
-        for steps in (1, 2) if product.nfactors == 2 else (1,):
-            expected = max(_shift_residual(chain, w, steps) for w in words)
-            assert max_shift_residual(chain, length, steps) == expected, (name, steps)
+        expected = max(tau2_invariance_residual(chain, w) for w in normal_words(product, length))
+        assert max_shift_residual(chain, length) == expected, name
 
 
 @pytest.mark.parametrize("length", [2, 3])
@@ -236,7 +226,7 @@ def test_max_tau2_residual_on_118_letters_is_the_per_word_maximum():
     product, mu = uniform_per_factor([60, 60], [0.5, 0.5])
     _, chain = chain_for(product, mu)
     expected = max(tau2_invariance_residual(chain, w) for w in normal_words(product, 2))
-    assert max_shift_residual(chain, 2, steps=2) == expected
+    assert max_shift_residual(chain, 2) == expected
 
 
 def test_mu_invariance_identity_small_cylinders():

@@ -246,6 +246,21 @@ def test_quality_sup_z2z4_minimal_below_one_toward_boundary():
     assert sweep.at_boundary
 
 
+def test_quality_sup_rejects_a_set_that_is_not_symmetric():
+    product = free_product_of_cyclics(4, 4)
+    with pytest.raises(ValueError, match="symmetric"):
+        quality_sup(product, [Letter(0, 1), Letter(1, 1), Letter(1, 3)], 0.1)
+
+
+@pytest.mark.parametrize("outside", [Letter(2, 1), Letter(0, 7)], ids=["no-factor", "no-element"])
+def test_quality_sup_rejects_a_letter_outside_the_product(outside):
+    # the letter's inverse is looked up in the factor tables, so the check
+    # must come before it: a lookup first raises IndexError
+    product = free_product_of_cyclics(4, 4)
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        quality_sup(product, [*minimal_generators(product), outside], 0.1)
+
+
 def test_z2z2z2_family_quality():
     product, mu = z2z2z2(1 / 3)
     assert abs(quality(product, mu, product.alphabet) - 1.0) < 1e-9

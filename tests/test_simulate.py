@@ -194,10 +194,11 @@ def test_exact_convolution_matches_dict_push_forward_bitwise(walk, n):
             assert expected_length(law, table).hex() == direct.hex()
 
 
-def test_exact_convolution_budget_guard():
+def test_exact_convolution_budget_guard(monkeypatch):
     product, mu = zkzk_simple(4)
+    monkeypatch.setattr("freewalk.simulate.CONVOLUTION_BUDGET", 100)
     with pytest.raises(StateBudgetError):
-        exact_convolution(product, mu, 8, max_support=100)
+        exact_convolution(product, mu, 8)
 
 
 def test_entropy_subadditive():
