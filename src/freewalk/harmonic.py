@@ -96,14 +96,16 @@ def two_factor_identity(q: HittingVector) -> float:
 def max_shift_residual(chain: LetterChain, length: int) -> float:
     """The largest ``tau2_invariance_residual(chain, w)`` over normal words w of 1..length letters.
 
-    For two-factor products, as that residual is; nothing here checks it.
-    Bit-identical to that maximum: the masses of all words of k letters
-    form one array first[w_1] T[w_1,w_2] ... T[w_{k-1},w_k], multiplied
-    left to right as ``cylinder_prob`` does, and the residual takes its
-    operations in the same order.  A word with two letters of one factor in
-    a row has mass exactly 0 (T vanishes there) and residual 0, so the
-    full arrays give the same maximum as the normal words alone.
+    For two-factor products, as that residual is; any other product raises
+    its ValueError.  Bit-identical to that maximum: the masses of all words
+    of k letters form one array first[w_1] T[w_1,w_2] ... T[w_{k-1},w_k],
+    multiplied left to right as ``cylinder_prob`` does, and the residual
+    takes its operations in the same order.  A word with two letters of one
+    factor in a row has mass exactly 0 (T vanishes there) and residual 0,
+    so the full arrays give the same maximum as the normal words alone.
     """
+    if chain.product.nfactors != 2:
+        raise ValueError("two-step shift invariance applies to two-factor products")
     reach, first = chain.first @ chain.trans @ chain.trans, chain.first
     mass = first
     worst = 0.0

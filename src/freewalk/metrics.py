@@ -33,6 +33,7 @@ from .traffic import (
     SolveReport,
     StepDistribution,
     _Structure,
+    _stationary,
     batches,
     check_tolerance,
     chunk_rows,
@@ -303,7 +304,8 @@ def metrics_rows(
     A row whose outcome is an exception keeps it.  gamma and volume are
     measured in ``lengths``, natural by default; a drift at or below
     QUALITY_GAMMA_FLOOR is a ValueError, since the quotients divide by it.
-    The volume is computed once for all rows.
+    The volume is computed once for all rows, and the stationary flag once
+    per chunk of root vectors.
     """
     if lengths is None:
         lengths = natural_lengths(product)
@@ -312,18 +314,20 @@ def metrics_rows(
     r = np.array([outcomes[i].r.values for i in ok]).reshape(p.shape)
     q = np.array([outcomes[i].q.values for i in ok]).reshape(p.shape)
     # in chunks, as the pair terms take up to n^2 floats per row
-    gammas, entropies = [], []
+    gammas, entropies, stationary = [], [], []
+    s = letter_tables(product)
     size = chunk_rows(product.nletters)
     for start in range(0, len(p), size):
         rows = slice(start, start + size)
         gammas += drift_weighted(product, p[rows], r[rows], lengths).tolist()
         entropies += entropy(product, p[rows], r[rows], q[rows]).tolist()
+        stationary += _stationary(s, r[rows]).tolist()
     v = volume(product, lengths) if any(not g <= QUALITY_GAMMA_FLOOR for g in gammas) else math.nan
     out = list(outcomes)
-    for i, gamma, h in zip(ok, gammas, entropies):
+    for i, gamma, h, flag in zip(ok, gammas, entropies, stationary):
         out[i] = ValueError(_NO_DRIFT) if gamma <= QUALITY_GAMMA_FLOOR else MetricsReport(
             gamma=gamma, entropy=h, volume=v, quality=h / (gamma * v), hd_measure=h / gamma,
-            hd_support=v, stationary=outcomes[i].stationary)
+            hd_support=v, stationary=flag)
     return out
 
 

@@ -31,11 +31,11 @@ The root vector of the harmonic measure follows as
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import sys
+import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -52,6 +52,12 @@ JACOBIAN_FLOATS = 2**16
 # Grid searches and sweeps take their points this many at a time, which
 # bounds the reports held at once
 BATCH_ROWS = 512
+# ``letter_tables`` keeps the index tables of recently used products up to
+# this many bytes (512 KiB, as much as one chunk's Jacobian).  The tables
+# of a product of at most 12 letters take a few KB, so a sweep that
+# alternates between a hundred such products builds each once; those of
+# 118-126 letters take 240-270 KB, so few large products stay held.
+TABLE_BYTES = 2**19
 
 
 class RecurrentGroupError(ValueError):
@@ -135,21 +141,37 @@ class RootVector(_LetterVector):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output: hitting vector, root vector, and diagnostics.
+    """Solver output: hitting vector, root vector, the step law solved, and diagnostics.
 
     ``iterations`` counts the Newton steps plus one, the confirming step
     that the consistency check gates; the corrections with an exact
     residual are not counted.  In a batch each row counts the Newton steps
     it took before it left the batch, the same count as when it is solved
-    alone.
+    alone.  ``probs`` is the step law solved, a view like q and r.  The
+    three diagnostics are computed from ``probs``, q and r each time they
+    are read, so a solve whose diagnostics nobody reads pays for none.
     """
 
     q: HittingVector
     r: RootVector
     iterations: int
-    sup_residual: float
-    traffic_residual: float
-    stationary: bool
+    probs: np.ndarray
+
+    @property
+    def sup_residual(self) -> float:
+        """max |phi(q) - q|, the hitting map's move at the solved q."""
+        q = self.q.values
+        return float(_sup_norm(_phi_array(letter_tables(self.q.product), self.probs, q) - q))
+
+    @property
+    def traffic_residual(self) -> float:
+        """Sup-norm residual of the traffic polynomial system at r."""
+        return float(_traffic_residual(letter_tables(self.q.product), self.probs, self.r.values))
+
+    @property
+    def stationary(self) -> bool:
+        """Whether every factor carries mass 1/(number of factors) of r, to STATIONARY_TOL."""
+        return bool(_stationary(letter_tables(self.q.product), self.r.values))
 
 
 def _shifted(index: np.ndarray, width: int, rows: int) -> np.ndarray:
@@ -219,6 +241,9 @@ class _Structure:
         self.factor_of = product.factor_of
         self.nletters = n
         self.nfactors = product.nfactors
+        # the tables' bytes, array headers included, for the budget of ``letter_tables``
+        self.nbytes = sum(sys.getsizeof(x) for x in vars(self).values()
+                          if isinstance(x, np.ndarray))
 
     def factor_sums(self, x: np.ndarray) -> np.ndarray:
         """Per factor i, the total of x over the letters of factor i (per row of a stack)."""
@@ -234,14 +259,47 @@ class _Structure:
         return total - self.factor_sums(x).take(self.factor_of, axis=-1)
 
 
-@functools.lru_cache(maxsize=1)
-def letter_tables(product: FreeProduct) -> _Structure:
-    """The index tables of ``product``, kept for the most recent product only.
+# The index tables that ``letter_tables`` keeps, least recently used first
+_tables: dict[FreeProduct, _Structure] = {}
+_tables_lock = threading.Lock()
 
-    A solve and the metrics of its walk share one build, while a cache of
-    one holds the tables of a single product at a time.
+
+def letter_tables(product: FreeProduct) -> _Structure:
+    """The index tables of ``product``, kept for the most recently used products.
+
+    A solve and the metrics of its walk share one build, and a caller that
+    alternates between products builds each product's tables once.  A hit
+    moves the product to the newest end; a miss builds its tables, then
+    drops the least recently used products until the kept tables fit in
+    TABLE_BYTES, but never the newest.  Products are keyed by identity and
+    kept alive with their tables.  The lock keeps the order whole under
+    threads; two threads that miss on one product at once may both build,
+    and the first build is kept, as with ``functools.lru_cache``.
+    ``letter_tables.cache_clear()`` drops every kept table.
     """
-    return _Structure(product)
+    with _tables_lock:
+        s = _tables.pop(product, None)
+        if s is not None:
+            _tables[product] = s
+            return s
+    built = _Structure(product)
+    with _tables_lock:
+        s = _tables.setdefault(product, built)
+        if s is built:
+            held = sum(t.nbytes for t in _tables.values())
+            for old in list(_tables):
+                if held <= TABLE_BYTES or old is product:
+                    break
+                held -= _tables.pop(old).nbytes
+    return s
+
+
+def _clear_tables() -> None:
+    with _tables_lock:
+        _tables.clear()
+
+
+letter_tables.cache_clear = _clear_tables
 
 
 # The kernels below take one vector or a (B, n) stack of row vectors, and
@@ -458,15 +516,29 @@ def _solve_each(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
+def _dyadic(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The floats x as Python integers over one power of two: (numerators, exponent)."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    bits = max(d.bit_length() for _, d in ratios)
+    return np.array([m << (bits - d.bit_length()) for m, d in ratios], dtype=object), bits - 1
+
+
 def _exact_residual(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """phi(q) - q computed exactly in rationals from the floats p and q, then rounded."""
-    m = np.array([Fraction(x) for x in p.tolist()], dtype=object)
-    x = np.array([Fraction(v) for v in q.tolist()], dtype=object)
+    """phi(q) - q computed exactly from the floats p and q, then rounded.
+
+    With p = m / 2^a and q = x / 2^b in integers, every term of phi(q) - q
+    is an integer over 2^(a + 2b), so the sums are exact; each entry is
+    then one ``int / int`` division, which rounds correctly, as
+    ``Fraction.__float__`` does.
+    """
+    (m, a), (x, b) = _dyadic(p), _dyadic(q)
     back = m * x[s.inv_index]
-    sums = np.array([back[s.factor_of == i].sum() for i in range(s.nfactors)], dtype=object)
-    out = m + x * (back.sum() - sums[s.factor_of]) - x
-    np.add.at(out, s.pair_a, m[s.pair_u] * x[s.pair_v])
-    return out.astype(float)
+    sums = np.zeros(s.nfactors, dtype=object)
+    np.add.at(sums, s.factor_of, back)
+    out = (m << 2 * b) + x * (back.sum() - sums[s.factor_of]) - (x << (a + b))
+    np.add.at(out, s.pair_a, (m[s.pair_u] * x[s.pair_v]) << b)
+    scale = 1 << (a + 2 * b)
+    return np.array([v / scale for v in out.tolist()])
 
 
 def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -509,26 +581,17 @@ def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
             f" consistency residual {consistency[i]:.3e} (condition number {kappa[i]:.3e})")
         for i in np.flatnonzero(~((change < tol) & (consistency <= 10.0 * tol))).tolist()
     }
-    sup = _sup_norm(_phi_array(s, p, q) - q)
     for i in np.flatnonzero(((q >= 1.0 - tol) | (q <= 0.0)).any(axis=1)).tolist():
         errors.setdefault(i, ConsistencyError(
             "hitting probabilities left (0,1): walk is not transient"))
+    outcomes: list = [errors.get(i) for i in range(len(p))]
     ok = [i for i in range(len(p)) if i not in errors]
     if errors:
         p, q = p[ok], q[ok]
     r = _root(s, q)
-    traffic = _traffic_residual(s, p, r)
-    stationary = _stationary(s, r)
-    outcomes: list = [errors.get(i) for i in range(len(sup))]
     for j, i in enumerate(ok):
-        outcomes[i] = SolveReport(
-            q=HittingVector(product, q[j]),
-            r=RootVector(product, r[j]),
-            iterations=int(iterations[i]),
-            sup_residual=float(sup[i]),
-            traffic_residual=float(traffic[j]),
-            stationary=bool(stationary[j]),
-        )
+        outcomes[i] = SolveReport(q=HittingVector(product, q[j]), r=RootVector(product, r[j]),
+                                  iterations=int(iterations[i]), probs=p[j])
     return outcomes
 
 
@@ -592,7 +655,7 @@ def solve_batch(
     probabilities of the wrong shape raise ValueError.
     """
     n = product.nletters
-    p = np.asarray(probs, dtype=float)
+    p = np.array(probs, dtype=float)  # a copy: each report keeps a view of its row
     if p.ndim != 2 or p.shape[1] != n:
         raise ValueError(f"need probabilities of shape (B, {n}), got shape {p.shape}")
     return _solve(product, p, _row_errors(product, p), tol, max_iter)

@@ -31,7 +31,9 @@ factors' tables laid end to end, and ``make_finite_group_reference``
 validates a table one entry and one triple at a time; the package works
 one factor block and one element's slice at a time and must agree with
 both exactly.  ``exact_fixed_point`` solves the hitting map,
-written one letter at a time, to far below float precision.  The Monte Carlo
+written one letter at a time, to far below float precision, and
+``exact_residual_oracle`` computes phi(q) - q in ``Fraction`` arrays,
+which the solver's scaled-integer residual must match byte for byte.  The Monte Carlo
 references step one walk at a time through ``_right_multiply``, a stack
 of letter indices with a merge table built from ``letter_product``, each
 walk from a freshly keyed Philox generator, and map its float uniforms to
@@ -437,6 +439,17 @@ def exact_fixed_point(product: FreeProduct, mu: StepDistribution) -> np.ndarray:
         step = np.linalg.solve(np.eye(n) - jac, np.array([float(r) for r in residual]))
         q = [x + Fraction(d) for x, d in zip(q, step.tolist())]
     raise AssertionError("exact Newton did not converge in 60 steps")
+def exact_residual_oracle(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """phi(q) - q computed exactly in rationals from the floats p and q, then rounded."""
+    m = np.array([Fraction(x) for x in p.tolist()], dtype=object)
+    x = np.array([Fraction(v) for v in q.tolist()], dtype=object)
+    back = m * x[s.inv_index]
+    sums = np.array([back[s.factor_of == i].sum() for i in range(s.nfactors)], dtype=object)
+    out = m + x * (back.sum() - sums[s.factor_of]) - x
+    np.add.at(out, s.pair_a, m[s.pair_u] * x[s.pair_v])
+    return out.astype(float)
+
+
 def additive_drift_oracle(
     product: FreeProduct, mu: StepDistribution, r: RootVector, w: np.ndarray
 ) -> float:

@@ -9,6 +9,7 @@ and message.
 """
 
 import argparse
+import collections
 import itertools
 import math
 
@@ -138,6 +139,29 @@ def test_mixed_batch_keeps_each_rows_outcome():
         ValueError, ValueError, traffic.SolveReport,
     ]
     assert "after 7 iterations" in str(outcomes[2])
+
+
+def test_solve_batch_leaves_the_diagnostics_to_their_readers(monkeypatch):
+    # a row evaluates the hitting map once per Newton step and once to
+    # confirm, and no diagnostic; reading sup_residual evaluates it once more
+    product = free_product_of_cyclics(3, 4, 5)
+    probs = np.random.default_rng(28).dirichlet(np.ones(product.nletters), size=9)
+    calls = collections.Counter()
+
+    def counted(name):
+        kernel = getattr(traffic, name)
+
+        def call(s, p, *args):
+            calls[name] += 1 if p.ndim == 1 else len(p)
+            return kernel(s, p, *args)
+        return call
+
+    for name in ("_phi_array", "_traffic_residual", "_stationary"):
+        monkeypatch.setattr(traffic, name, counted(name))
+    reports = solve_batch(product, probs)
+    assert calls == {"_phi_array": sum(report.iterations + 1 for report in reports)}
+    assert all(report.sup_residual < 1e-12 for report in reports)
+    assert calls == {"_phi_array": sum(report.iterations + 2 for report in reports)}
 
 
 def test_budget_failures_leave_the_batch_alone():

@@ -195,8 +195,11 @@ def test_shift_residuals_match_prefix_enumeration_off_solution():
 def test_shift_residuals_three_factors():
     product, mu = uniform_per_factor([2, 3, 4])
     _, chain = chain_for(product, mu)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two-factor products"):
         tau2_invariance_residual(chain, product.word([Letter(0, 1)]))
+    for length in (1, 2):  # the maximum of that residual raises as it does
+        with pytest.raises(ValueError, match="two-factor products"):
+            max_shift_residual(chain, length)
     _, two_factor = chain_for(*hecke_simple(3))
     with pytest.raises(ValueError):
         tau2_invariance_residual(two_factor, Word(()))

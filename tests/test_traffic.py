@@ -1,9 +1,12 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from freewalk import traffic
 from freewalk.groups import (
     FreeProduct,
     Letter,
@@ -28,11 +31,20 @@ from freewalk.traffic import (
     traffic_residual,
     validate_walk,
 )
-from freewalk.walkspec import hecke_simple, z2z2z2, z2z3_walk, z3z3_sym, zkzk_simple
+from freewalk.verify import _battery
+from freewalk.walkspec import (
+    hecke_simple,
+    uniform_per_factor,
+    z2z2z2,
+    z2z3_walk,
+    z3z3_sym,
+    zkzk_simple,
+)
 
 from oracles import (
     S3_TABLE,
     exact_fixed_point,
+    exact_residual_oracle,
     hitting_oracle,
     jacobian_oracle,
     pair_tables_oracle,
@@ -363,3 +375,108 @@ def test_pair_tables_match_the_whole_product_reference(factors):
     for name, want in zip(("pair_a", "pair_u", "pair_v", "pair_flat"), pair_tables_reference(product)):
         got = getattr(s, name)
         assert got.dtype == np.intp and np.array_equal(got, want), name
+
+
+def test_exact_residual_equals_the_fraction_oracle_bytewise(monkeypatch):
+    # every residual of the exact finishes on the z2z2z2 edge grid, then q
+    # at and near the fixed points of criterion 8's battery and of the
+    # 118-126-letter walks
+    cases = []
+    residual = traffic._exact_residual
+
+    def recorded(s, p, q):
+        cases.append((s, p.copy(), q.copy()))
+        return residual(s, p, q)
+
+    monkeypatch.setattr(traffic, "_exact_residual", recorded)
+    finishes = 0
+    for p in np.geomspace(3.2e-7, 0.1, 200).tolist():
+        before = len(cases)
+        try:
+            solve_walk(*z2z2z2(p))
+        except MaxIterationsError:
+            pass
+        finishes += len(cases) > before
+    assert finishes == 133
+    monkeypatch.undo()
+    large = free_product_of_cyclics(41, 40, 42)
+    walks = [walk for _, walk in _battery()] + [
+        zkzk_simple(64), uniform_per_factor([60, 60], [0.5, 0.5]),
+        (large, StepDistribution(large, np.random.default_rng(7).dirichlet(np.ones(120))))]
+    rng = np.random.default_rng(28)
+    for product, mu in walks:
+        s = letter_tables(product)
+        q = solve_walk(product, mu).q.values
+        ulps = q + rng.integers(-4, 5, len(q)) * np.spacing(q)
+        cases += [(s, mu.probs, x) for x in (q, ulps, q * (1.0 + rng.uniform(-1e-9, 1e-9, len(q))))]
+    for s, p, q in cases:
+        assert residual(s, p, q).tobytes() == exact_residual_oracle(s, p, q).tobytes()
+
+
+@pytest.fixture
+def no_kept_tables():
+    letter_tables.cache_clear()
+    yield
+    letter_tables.cache_clear()
+
+
+def test_letter_tables_keep_recent_products_up_to_the_budget(monkeypatch, no_kept_tables):
+    products = [free_product_of_cyclics(*orders) for orders in ((2, 3), (4, 5), (3, 4), (2, 2, 3))]
+    sizes = [traffic._Structure(product).nbytes for product in products]
+    assert sizes[3] <= sizes[1]
+    monkeypatch.setattr(traffic, "TABLE_BYTES", sum(sizes[:3]))
+    first = [letter_tables(product) for product in products[:3]]
+    assert list(traffic._tables) == products[:3]  # exactly at the budget: all three kept
+    assert letter_tables(products[0]) is first[0]  # a hit makes it the newest
+    assert list(traffic._tables) == [products[1], products[2], products[0]]
+    letter_tables(products[3])  # over the budget: the least recently used goes
+    assert list(traffic._tables) == [products[2], products[0], products[3]]
+    assert letter_tables(products[2]) is first[2] and letter_tables(products[0]) is first[0]
+    assert letter_tables(products[1]) is not first[1]  # dropped, so built again
+
+
+def test_letter_tables_keep_the_newest_product_alone_over_the_budget(monkeypatch, no_kept_tables):
+    monkeypatch.setattr(traffic, "TABLE_BYTES", 1)
+    small, large = free_product_of_cyclics(2, 3), free_product_of_cyclics(5, 6)
+    s = letter_tables(large)
+    assert list(traffic._tables) == [large] and letter_tables(large) is s
+    letter_tables(small)
+    assert list(traffic._tables) == [small]
+    letter_tables(large)
+    letter_tables.cache_clear()
+    assert not traffic._tables
+    assert letter_tables(large) is not s and list(traffic._tables) == [large]
+
+
+def test_letter_tables_survive_threads_alternating_products(monkeypatch, no_kept_tables):
+    # a budget that holds one or two of these products, so that misses and
+    # evictions interleave across threads
+    products = [free_product_of_cyclics(*orders) for orders in ((2, 3), (3, 4), (4, 5), (3, 5))]
+    monkeypatch.setattr(traffic, "TABLE_BYTES",
+                        max(traffic._Structure(product).nbytes for product in products))
+    errors = []
+
+    def alternate(offset):
+        try:
+            for i in range(2000):
+                product = products[(i + offset) % len(products)]
+                if letter_tables(product).inv_index is not product.inv_index:
+                    errors.append(f"tables of another product for {product!r}")
+        except Exception as exc:  # reported below: a thread's exception is otherwise lost
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=alternate, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    kept = traffic._tables
+    assert sum(s.nbytes for s in kept.values()) <= traffic.TABLE_BYTES or len(kept) == 1
+    assert all(s.inv_index is product.inv_index for product, s in kept.items())

@@ -52,6 +52,10 @@ measurements:
 - ``solve_inprocess_x20_s``: 20 calls of ``main(["solve", "--family",
   "zkzk-simple", "--k", "4"])`` in one fresh interpreter after its imports,
   the way perfbench and other in-process callers use the CLI;
+- ``exact_residual_126_s``: one call of ``traffic._exact_residual``, the
+  exact phi(q) - q of the exact-residual finish, on Z/64 * Z/64 (126
+  letters) at the q its solve returns, timed in a fresh interpreter after
+  the solve;
 - ``tables_118_s``: building ``free_product_of_cyclics(60, 60)`` and the
   solver's index tables (``traffic._Structure``) of its 118 letters, the
   median of 50 builds in one fresh interpreter, with the product cache
@@ -159,6 +163,17 @@ for _ in range(50):
     times.append(time.perf_counter() - start)
 print(statistics.median(times))
 """
+TIME_EXACT_RESIDUAL = """
+import time
+from freewalk.traffic import _exact_residual, letter_tables, solve_walk
+from freewalk.walkspec import zkzk_simple
+product, mu = zkzk_simple(64)
+q = solve_walk(product, mu).q.values
+s = letter_tables(product)
+start = time.perf_counter()
+_exact_residual(s, mu.probs, q)
+print(time.perf_counter() - start)
+"""
 TIME_MAKE_FINITE_GROUP = """
 import statistics, time
 from freewalk.groups import make_finite_group
@@ -198,7 +213,7 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          **{name: "s" for name in MONTE_CARLO},
          "exact_convolution_z4z4_10_s": "s", "exact_convolution_z3z3_17_s": "s",
          "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "solve_118_cli_s": "s", "solve_118_s": "s",
-         "solve_inprocess_x20_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
+         "solve_inprocess_x20_s": "s", "exact_residual_126_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
          "tier1_s": "s", "tier1_common_s": "s"}
 
 
@@ -256,6 +271,7 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118, calls=1)], workdir)[2])
     row["solve_inprocess_x20_s"] = float(
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_K4, calls=20)], workdir)[2])
+    row["exact_residual_126_s"] = float(_child(tree, ["-c", TIME_EXACT_RESIDUAL], workdir)[2])
     row["tables_118_s"] = float(_child(tree, ["-c", TIME_TABLES], workdir)[2])
     row["make_finite_group_200_s"] = float(_child(tree, ["-c", TIME_MAKE_FINITE_GROUP], workdir)[2])
     row["tier1_s"] = _child(tree, TIER1, str(tree))[0]
