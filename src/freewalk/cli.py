@@ -134,7 +134,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         out.write(f"r({u}) = {_f17(report.r[u])}\n")
     for i in range(product.nfactors):
         out.write(f"r(Sigma_{i}) = {_f17(report.r.factor_sum(i))}\n")
-    out.write(f"stationary = {str(report.stationary).lower()}\n")
+    out.write(f"stationary = {str(metrics.stationary).lower()}\n")
     if product.nfactors == 2:
         out.write(f"two-factor identity q(S1)q(S2) = {_f17(two_factor_identity(report.q))}\n")
         chain = build_chain(product, report.r)

@@ -241,9 +241,10 @@ class _Structure:
         self.factor_of = product.factor_of
         self.nletters = n
         self.nfactors = product.nfactors
-        # the tables' bytes, array headers included, for the budget of ``letter_tables``
-        self.nbytes = sum(sys.getsizeof(x) for x in vars(self).values()
-                          if isinstance(x, np.ndarray))
+        # the bytes of the arrays built here, headers included, for the budget
+        # of ``letter_tables``; inv_index and factor_of are the product's
+        self.nbytes = sum(map(sys.getsizeof, (self.cross, self.pair_a, self.pair_u, self.pair_v,
+                                              self.pair_flat, self.diag_flat)))
 
     def factor_sums(self, x: np.ndarray) -> np.ndarray:
         """Per factor i, the total of x over the letters of factor i (per row of a stack)."""
@@ -259,8 +260,10 @@ class _Structure:
         return total - self.factor_sums(x).take(self.factor_of, axis=-1)
 
 
-# The index tables that ``letter_tables`` keeps, least recently used first
+# The index tables that ``letter_tables`` keeps, least recently used first,
+# and the sum of their ``nbytes``
 _tables: dict[FreeProduct, _Structure] = {}
+_tables_bytes = 0
 _tables_lock = threading.Lock()
 
 
@@ -277,6 +280,7 @@ def letter_tables(product: FreeProduct) -> _Structure:
     and the first build is kept, as with ``functools.lru_cache``.
     ``letter_tables.cache_clear()`` drops every kept table.
     """
+    global _tables_bytes
     with _tables_lock:
         s = _tables.pop(product, None)
         if s is not None:
@@ -286,17 +290,17 @@ def letter_tables(product: FreeProduct) -> _Structure:
     with _tables_lock:
         s = _tables.setdefault(product, built)
         if s is built:
-            held = sum(t.nbytes for t in _tables.values())
-            for old in list(_tables):
-                if held <= TABLE_BYTES or old is product:
-                    break
-                held -= _tables.pop(old).nbytes
+            _tables_bytes += s.nbytes
+            while _tables_bytes > TABLE_BYTES and len(_tables) > 1:
+                _tables_bytes -= _tables.pop(next(iter(_tables))).nbytes
     return s
 
 
 def _clear_tables() -> None:
+    global _tables_bytes
     with _tables_lock:
         _tables.clear()
+        _tables_bytes = 0
 
 
 letter_tables.cache_clear = _clear_tables

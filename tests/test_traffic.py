@@ -444,7 +444,7 @@ def test_letter_tables_keep_the_newest_product_alone_over_the_budget(monkeypatch
     assert list(traffic._tables) == [small]
     letter_tables(large)
     letter_tables.cache_clear()
-    assert not traffic._tables
+    assert not traffic._tables and traffic._tables_bytes == 0
     assert letter_tables(large) is not s and list(traffic._tables) == [large]
 
 
@@ -478,5 +478,6 @@ def test_letter_tables_survive_threads_alternating_products(monkeypatch, no_kept
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     kept = traffic._tables
-    assert sum(s.nbytes for s in kept.values()) <= traffic.TABLE_BYTES or len(kept) == 1
+    assert traffic._tables_bytes == sum(s.nbytes for s in kept.values())
+    assert traffic._tables_bytes <= traffic.TABLE_BYTES or len(kept) == 1
     assert all(s.inv_index is product.inv_index for product, s in kept.items())
