@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -448,12 +449,27 @@ def test_letter_tables_keep_the_newest_product_alone_over_the_budget(monkeypatch
     assert letter_tables(large) is not s and list(traffic._tables) == [large]
 
 
+class _YieldingTables(traffic._Structure):
+    """Index tables whose size is read across a thread switch, so that an
+    unlocked update of the kept byte total would be lost."""
+
+    @property
+    def nbytes(self):
+        time.sleep(0)
+        return self._nbytes
+
+    @nbytes.setter
+    def nbytes(self, value):
+        self._nbytes = value
+
+
 def test_letter_tables_survive_threads_alternating_products(monkeypatch, no_kept_tables):
     # a budget that holds one or two of these products, so that misses and
     # evictions interleave across threads
     products = [free_product_of_cyclics(*orders) for orders in ((2, 3), (3, 4), (4, 5), (3, 5))]
     monkeypatch.setattr(traffic, "TABLE_BYTES",
                         max(traffic._Structure(product).nbytes for product in products))
+    monkeypatch.setattr(traffic, "_Structure", _YieldingTables)
     errors = []
 
     def alternate(offset):
