@@ -56,7 +56,7 @@ BATCH_ROWS = 512
 # this many bytes (512 KiB, as much as one chunk's Jacobian).  The tables
 # of a product of at most 12 letters take a few KB, so a sweep that
 # alternates between a hundred such products builds each once; those of
-# 118-126 letters take 240-270 KB, so few large products stay held.
+# 118-126 letters take up to 270 KB, so few large products stay held.
 TABLE_BYTES = 2**19
 
 

@@ -443,7 +443,6 @@ def test_letter_tables_keep_the_newest_product_alone_over_the_budget(monkeypatch
     assert list(traffic._tables) == [large] and letter_tables(large) is s
     letter_tables(small)
     assert list(traffic._tables) == [small]
-    letter_tables(large)
     letter_tables.cache_clear()
     assert not traffic._tables and traffic._tables_bytes == 0
     assert letter_tables(large) is not s and list(traffic._tables) == [large]
