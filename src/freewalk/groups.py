@@ -328,7 +328,7 @@ def free_product_of_cyclics(*orders: int) -> FreeProduct:
     return FreeProduct([make_cyclic(k) for k in orders])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LengthTable:
     """Geodesic length of every letter with respect to a generating set S.
 

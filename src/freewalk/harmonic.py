@@ -29,7 +29,7 @@ from .simulate import _merge_array
 from .traffic import HittingVector, RootVector, StepDistribution, letter_tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LetterChain:
     """First-letter law, letter transition matrix, and its stationary law.
 

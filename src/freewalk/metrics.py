@@ -63,7 +63,7 @@ class MetricsReport:
     stationary: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QualitySweep:
     """Grid-search result for sup over symmetric step laws of h/(gamma v)."""
 
@@ -91,12 +91,15 @@ def _additive_drift(s: _Structure, p: np.ndarray, x: np.ndarray, w: np.ndarray) 
     (gain w(a)), cancels a first letter a^-1 (loss w(a^-1)), or turns a
     first letter v of a's factor into a*v (change w(a*v) - w(v)).  The last
     case runs over the solver's in-factor pair tables u * v = a.  p, x and
-    w are one row each or (B, n) stacks (w may be one row for all).
+    w are one row each or (B, n) stacks (w may be one row for all, or a
+    (W, B, n) stack of W weights, which gives W speeds per row).
     """
     inv = s.inv_index
     ends = _row_dot(p, w * s.outside(x) - w.take(inv, axis=-1) * x.take(inv, axis=-1))
-    merges = _row_dot(p.take(s.pair_u, axis=-1) * x.take(s.pair_v, axis=-1),
-                      w.take(s.pair_a, axis=-1) - w.take(s.pair_v, axis=-1))
+    # w(a * v) - w(v) at each pair, with one temporary of its size
+    change = w.take(s.pair_a, axis=-1)
+    change -= w.take(s.pair_v, axis=-1)
+    merges = _row_dot(p.take(s.pair_u, axis=-1) * x.take(s.pair_v, axis=-1), change)
     return ends + merges
 
 
@@ -317,10 +320,16 @@ def metrics_rows(
     gammas, entropies, stationary = [], [], []
     s = letter_tables(product)
     size = chunk_rows(product.nletters)
+    weights = np.asarray(lengths.weights, dtype=float)
     for start in range(0, len(p), size):
         rows = slice(start, start + size)
-        gammas += drift_weighted(product, p[rows], r[rows], lengths).tolist()
-        entropies += entropy(product, p[rows], r[rows], q[rows]).tolist()
+        # gamma and h in one call, with the weights in lengths and -log q
+        # stacked, so the terms in r are built once for both
+        w = np.empty((2,) + q[rows].shape)
+        w[0], w[1] = weights, -np.log(q[rows])
+        gamma, h = _additive_drift(s, p[rows], r[rows], w)
+        gammas += gamma.tolist()
+        entropies += h.tolist()
         stationary += _stationary(s, r[rows]).tolist()
     v = volume(product, lengths) if any(not g <= QUALITY_GAMMA_FLOOR for g in gammas) else math.nan
     out = list(outcomes)

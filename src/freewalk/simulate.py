@@ -42,7 +42,7 @@ CONVOLUTION_BUDGET = 1_000_000
 STACK_BUDGET = 100_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One realization: per-step lengths |X_0|..|X_steps| and the final word."""
 
@@ -461,7 +461,7 @@ def estimate_prefix(
     return PrefixReport(frequencies=freqs, dropped=dropped, replications=reps, horizon=steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactLaw:
     """The exact law of X_n: one word per row of ``cells``, with its mass.
 

@@ -76,7 +76,9 @@ class ConsistencyError(RuntimeError):
 DOMAIN_ERRORS = (ValueError, MaxIterationsError, ConsistencyError)
 
 
-@dataclass(frozen=True)
+# The dataclasses that hold arrays compare by identity (eq=False): a
+# generated __eq__ would compare the arrays inside tuples and raise.
+@dataclass(frozen=True, eq=False)
 class StepDistribution:
     """Step law mu on the letters, indexed by alphabet position."""
 
@@ -112,7 +114,7 @@ class StepDistribution:
         return cls(product, probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LetterVector:
     """Common accessors for per-letter real vectors (q and r)."""
 
@@ -126,7 +128,7 @@ class _LetterVector:
         return float(self.values[self.product.factor_slice(i)].sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HittingVector(_LetterVector):
     """q(a) = probability of ever visiting the letter a; all entries in (0,1)."""
 
@@ -134,12 +136,12 @@ class HittingVector(_LetterVector):
         return float(_consistency_residual(letter_tables(self.product), self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootVector(_LetterVector):
     """First-letter law r of the harmonic measure; positive, sums to 1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solver output: hitting vector, root vector, the step law solved, and diagnostics.
 
@@ -214,23 +216,33 @@ class _Structure:
 
     def __init__(self, product: FreeProduct):
         n = product.nletters
-        self.cross = np.not_equal.outer(product.factor_of, product.factor_of)
-        # per factor, every (a, u) of two distinct letters, by a then u (u = a
-        # would leave v the identity), and v = u^-1 * a from its table; the
-        # letter at alphabet index base + e is element e of the factor.  A
-        # factor of order 2 has one letter, so no pair.
+        self.cross = np.ones((n, n), dtype=bool)
+        # per factor, its diagonal block of cross, and every (a, u) of two
+        # distinct letters, by a then u (u = a would leave v the identity),
+        # and v = u^-1 * a from its table; the letter at alphabet index
+        # base + e is element e of the factor.  A factor of order 2 has one
+        # letter, so no pair.
         none = np.zeros(0, dtype=np.intp)
         pair_a, pair_u, pair_v = [none], [none], [none]
         for i, g in enumerate(product.factors):
-            if g.order == 2:
+            block = product.factor_slice(i)
+            self.cross[block, block] = False
+            k = g.order - 1
+            if k == 1:
                 continue
-            base = product.factor_slice(i).start - 1
-            a, u = np.nonzero(~np.eye(g.order - 1, dtype=bool))
-            a += base + 1
-            u += base + 1
-            # cast before adding base: a uint8 table would wrap
-            v = g.mul[product.inv_index[u] - base, a - base].astype(np.intp)
-            v += base
+            start = block.start
+            base = start - 1
+            # m runs over the factor's k (k - 1) pairs shifted by start (k - 1),
+            # so a = m // (k - 1) is a's alphabet index; u is then the j-th
+            # letter of the factor other than a, j = m - a (k - 1)
+            m = np.arange(start * (k - 1), (start + k) * (k - 1))
+            a = m // (k - 1)
+            u = m + start - a * (k - 1)
+            u += u >= a
+            # the flat index of (u^-1, a) in the factor's table
+            flat = product.inv_index.take(u) * g.order + (a - base * (g.order + 1))
+            # added in intp: a uint8 table would wrap
+            v = np.add(g.mul.ravel().take(flat), base, out=flat, dtype=np.intp)
             pair_a.append(a)
             pair_u.append(u)
             pair_v.append(v)
@@ -315,19 +327,24 @@ def _back(s: _Structure, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _phi_array(s: _Structure, mu: np.ndarray, q: np.ndarray, back: np.ndarray | None = None,
-               mu_pair: np.ndarray | None = None) -> np.ndarray:
+               mu_pair: np.ndarray | None = None, pairs: tuple | None = None) -> np.ndarray:
     """The hitting map at q.
 
     ``back`` is ``_back(s, mu, q)`` and ``mu_pair`` is mu at the pairs'
-    first letters, when the caller already has them.
+    first letters, when the caller already has them.  ``pairs``, a pair
+    of tables (pair_a, pair_v), restricts the pair sums to some of the
+    pairs, with ``mu_pair`` given at their first letters; a pair left out
+    whose mu(u) is 0 adds +0.0 to its sum, so leaving out only such pairs
+    keeps every bit.
     """
     if back is None:
         back = _back(s, mu, q)
     out = mu + q * back
-    if len(s.pair_a):
+    pair_a, pair_v = (s.pair_a, s.pair_v) if pairs is None else pairs
+    if len(pair_a):
         if mu_pair is None:
             mu_pair = mu.take(s.pair_u, axis=-1)
-        out += s.pair_sums(mu_pair * q.take(s.pair_v, axis=-1))
+        out += _bincount(pair_a, mu_pair * q.take(pair_v, axis=-1), s.nletters)
     return out
 
 
@@ -342,8 +359,8 @@ def _consistency_residual(s: _Structure, q: np.ndarray):
 
 
 def _i_minus_j(s: _Structure, q: np.ndarray, back: np.ndarray, neg_inv: np.ndarray,
-               neg_pair: np.ndarray) -> np.ndarray:
-    """I - J at q, J the Jacobian of the hitting map, in one pass (per row of a stack).
+               neg_pair: np.ndarray, matrices: np.ndarray | None = None) -> np.ndarray:
+    """I - J at q, J the Jacobian of the hitting map (per row of a stack).
 
     ``back`` is ``_back(s, mu, q)``, ``neg_inv`` is 0.0 - mu(inv) per
     letter and ``neg_pair`` 0.0 - mu at the pairs' first letters, so each
@@ -351,15 +368,19 @@ def _i_minus_j(s: _Structure, q: np.ndarray, back: np.ndarray, neg_inv: np.ndarr
     factor, -mu(u) at (a, v) for u * v = a, and 1 - back(a) on the
     diagonal.  Where q is 0 an off-factor entry is -0.0 where eye - J
     holds 0.0; no nonzero number of a solve depends on the sign of a zero
-    entry.
+    entry.  The entries -mu(u) depend on mu alone: they are written into
+    a new stack when ``matrices`` is None, and a caller that passes the
+    stack of its last call, for the same laws, has only the entries that
+    depend on q rewritten in it.
     """
     rows = 1 if q.ndim == 1 else len(q)
     width = s.nletters**2
-    # the off-factor entries; the in-factor ones are all overwritten below
-    matrices = q[..., :, None] * neg_inv[..., None, :]
-    flat = matrices.reshape(-1)
-    flat[_shifted(s.pair_flat, width, rows)] = neg_pair.ravel()
-    flat[_shifted(s.diag_flat, width, rows)] = (1.0 - back).ravel()
+    if matrices is None:
+        # the pair entries and the diagonal cover every in-factor entry
+        matrices = np.empty(q.shape + (s.nletters,))
+        matrices.reshape(-1)[_shifted(s.pair_flat, width, rows)] = neg_pair.ravel()
+    np.multiply(q[..., :, None], neg_inv[..., None, :], out=matrices, where=s.cross)
+    matrices.reshape(-1)[_shifted(s.diag_flat, width, rows)] = (1.0 - back).ravel()
     return matrices
 
 
@@ -444,7 +465,7 @@ def _row_errors(product: FreeProduct, p: np.ndarray) -> list[ValueError | None]:
 
 
 def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
-    """Newton's method from q = 0 on q = phi(q), for every row of p; returns (q, steps, kappa).
+    """Newton's method from q = 0 on q = phi(q), for every row of p; returns (q, phi(q), steps, kappa).
 
     Each step solves (I - J)[delta, x] = [phi(q) - q, 1] for all rows
     still stepping in one stacked call, one LAPACK solve per matrix, so a
@@ -455,37 +476,49 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     candidate leaves (0,1), as after a singular step, which leaves it to
     the confirming step.  Each step ORs the two tests into one stop mask,
     and the solve is skipped only when every row stops on its residual.
-    A stopping row leaves with its current q, its step count and its last
-    x, whichever test stopped it; the others go on without it, so each row
-    takes the steps it would take alone.  kappa is NaN for a row that took
-    no step.
+    A stopping row leaves with its current q, the phi(q) of its step, its
+    step count and its last x, whichever test stopped it; the others go on
+    without it, so each row takes the steps it would take alone.  A row
+    that runs out of steps has phi evaluated once more at its last q.
+    kappa is NaN for a row that took no step.  The stack of I - J is kept
+    from step to step, so its entries that depend on mu alone are written
+    once (see ``_i_minus_j``), and phi sums only over the pairs whose
+    first letter some row steps to.
     """
     rows, n = p.shape
-    q = np.zeros((rows, n))
+    q, phi = np.zeros((rows, n)), np.zeros((rows, n))
     steps = np.zeros(rows, dtype=np.intp)
     kappa = np.full(rows, math.nan)
     rhs = np.ones((rows, n, 2))
     floor = 0.01 * tol
     # the rows still stepping: their indices, step laws, iterates, last sup
-    # residuals and last solutions x (NaN before the first step)
+    # residuals, last solutions x (NaN before the first step) and I - J
     live, pl, ql, last, xl = np.arange(rows), p, q, np.full(rows, math.inf), np.full((rows, n), math.nan)
-    # the parts of phi and I - J that depend on mu alone (see ``_i_minus_j``)
+    matrices = None
+    # the parts of phi and I - J that depend on mu alone
     pair = p.take(s.pair_u, axis=1)
     neg_pair, neg_inv = 0.0 - pair, 0.0 - p.take(s.inv_index, axis=1)
+    # phi's pair sums take only the pairs whose u some row steps to (see
+    # ``_phi_array``): a walk on a few generators of large factors steps to
+    # few of them
+    pairs = None
+    if np.count_nonzero(pair) < pair.size:
+        stepped = np.flatnonzero(np.logical_or.reduce(pair, axis=0))
+        pairs, pair = (s.pair_a.take(stepped), s.pair_v.take(stepped)), pair.take(stepped, axis=1)
 
-    def leave(mask, taken):
+    def leave(mask, taken, phil):
         out = live[mask]
-        q[out], steps[out], kappa[out] = ql[mask], taken, xl[mask].max(axis=1)
+        q[out], phi[out], steps[out], kappa[out] = ql[mask], phil[mask], taken, xl[mask].max(axis=1)
         return ~mask
 
     for taken in range(max_iter):
         b = len(live)
         back = _back(s, pl, ql)
-        residual = np.subtract(_phi_array(s, pl, ql, back, pair), ql, out=rhs[:b, :, 0])
-        sup = _sup_norm(residual)
+        phil = _phi_array(s, pl, ql, back, pair, pairs)
+        sup = _sup_norm(np.subtract(phil, ql, out=rhs[:b, :, 0]))
         stop = (sup <= floor) | (sup >= last)
         if np.count_nonzero(stop) < b:  # some row goes on: solve for every row
-            matrices = _i_minus_j(s, ql, back, neg_inv, neg_pair)
+            matrices = _i_minus_j(s, ql, back, neg_inv, neg_pair, matrices)
             try:
                 sol = np.linalg.solve(matrices, rhs[:b])
             except np.linalg.LinAlgError:
@@ -495,14 +528,14 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
             if np.count_nonzero(outside):
                 stop |= outside.any(axis=1)
         if np.count_nonzero(stop):
-            keep = leave(stop, taken)
+            keep = leave(stop, taken, phil)
             if not keep.any():
-                return q, steps, kappa
+                return q, phi, steps, kappa
             live, pl, candidate, sol, sup = live[keep], pl[keep], candidate[keep], sol[keep], sup[keep]
-            pair, neg_pair, neg_inv = pair[keep], neg_pair[keep], neg_inv[keep]
+            pair, neg_pair, neg_inv, matrices = pair[keep], neg_pair[keep], neg_inv[keep], matrices[keep]
         ql, xl, last = candidate, sol[:, :, 1], sup
-    leave(np.ones(len(live), dtype=bool), max_iter)
-    return q, steps, kappa
+    leave(np.ones(len(live), dtype=bool), max_iter, _phi_array(s, pl, ql, mu_pair=pair, pairs=pairs))
+    return q, phi, steps, kappa
 
 
 def _solve_each(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -552,9 +585,10 @@ def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     by kappa; the exact residual removes that floor.
     """
     neg_inv, neg_pair = 0.0 - p[s.inv_index], 0.0 - p[s.pair_u]
+    matrix = None
     for _ in range(3):
-        candidate = q + np.linalg.solve(_i_minus_j(s, q, _back(s, p, q), neg_inv, neg_pair),
-                                        _exact_residual(s, p, q))
+        matrix = _i_minus_j(s, q, _back(s, p, q), neg_inv, neg_pair, matrix)
+        candidate = q + np.linalg.solve(matrix, _exact_residual(s, p, q))
         if np.array_equal(candidate, q) or np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
             break
         q = candidate
@@ -572,10 +606,12 @@ def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
     identity.  Any other row fails at once, so only the bounds of q remain
     to check.
     """
-    q, iterations, kappa = _newton(s, p, tol, max_iter)
-    for i in np.flatnonzero(_EPS * kappa > tol).tolist():
-        q[i] = _exact_finish(s, p[i], q[i])
-    step = _phi_array(s, p, q)
+    q, step, iterations, kappa = _newton(s, p, tol, max_iter)
+    finish = np.flatnonzero(_EPS * kappa > tol)
+    if len(finish):
+        for i in finish.tolist():
+            q[i] = _exact_finish(s, p[i], q[i])
+        step[finish] = _phi_array(s, p[finish], q[finish])
     change = _sup_norm(step - q)
     q, iterations = step, iterations + 1
     consistency = _consistency_residual(s, q)

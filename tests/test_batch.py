@@ -47,9 +47,9 @@ from freewalk.traffic import (
     solve_batch,
     solve_walk,
 )
-from freewalk.walkspec import minimal_generators, resolve_generators, z2z2z2
+from freewalk.walkspec import minimal_generators, resolve_generators, z2z2z2, zkzk_simple
 
-from oracles import S3_TABLE
+from oracles import S3_TABLE, jacobian_oracle
 
 
 def assert_rows_match(product, probs, tol=DEFAULT_TOL) -> list:
@@ -142,8 +142,9 @@ def test_mixed_batch_keeps_each_rows_outcome():
 
 
 def test_solve_batch_leaves_the_diagnostics_to_their_readers(monkeypatch):
-    # a row evaluates the hitting map once per Newton step and once to
-    # confirm, and no diagnostic; reading sup_residual evaluates it once more
+    # a row evaluates the hitting map once per Newton step, and its
+    # confirming step reuses Newton's last evaluation, so once per iteration
+    # in all and no diagnostic; reading sup_residual evaluates it once more
     product = free_product_of_cyclics(3, 4, 5)
     probs = np.random.default_rng(28).dirichlet(np.ones(product.nletters), size=9)
     calls = collections.Counter()
@@ -151,17 +152,17 @@ def test_solve_batch_leaves_the_diagnostics_to_their_readers(monkeypatch):
     def counted(name):
         kernel = getattr(traffic, name)
 
-        def call(s, p, *args):
+        def call(s, p, *args, **kwargs):
             calls[name] += 1 if p.ndim == 1 else len(p)
-            return kernel(s, p, *args)
+            return kernel(s, p, *args, **kwargs)
         return call
 
     for name in ("_phi_array", "_traffic_residual", "_stationary"):
         monkeypatch.setattr(traffic, name, counted(name))
     reports = solve_batch(product, probs)
-    assert calls == {"_phi_array": sum(report.iterations + 1 for report in reports)}
+    assert calls == {"_phi_array": sum(report.iterations for report in reports)}
     assert all(report.sup_residual < 1e-12 for report in reports)
-    assert calls == {"_phi_array": sum(report.iterations + 2 for report in reports)}
+    assert calls == {"_phi_array": sum(report.iterations + 1 for report in reports)}
 
 
 def test_budget_failures_leave_the_batch_alone():
@@ -262,29 +263,30 @@ def test_a_singular_matrix_stops_only_its_row():
 
 
 def newton_alone(s, p, tol, max_iter=DEFAULT_MAX_ITER):
-    """Newton's method on one step law as ``traffic._newton`` states it; (q, steps, kappa).
+    """Newton's method on one step law as ``traffic._newton`` states it; (q, phi(q), steps, kappa).
 
-    A reference for the loop's row bookkeeping: one row, one matrix a step,
-    and a return at each way of stopping.
+    A reference for the loop's row bookkeeping: one row, one matrix
+    assembled afresh a step, and a return at each way of stopping.
     """
     n = len(p)
     q, last, x = np.zeros(n), math.inf, np.full(n, math.nan)
     for taken in range(max_iter):
-        residual = traffic._phi_array(s, p, q) - q
+        phi = traffic._phi_array(s, p, q)
+        residual = phi - q
         sup = np.abs(residual).max()
         if sup <= 0.01 * tol or sup >= last:
-            return q, taken, x.max()
+            return q, phi, taken, x.max()
         matrix = traffic._i_minus_j(s, q, traffic._back(s, p, q), 0.0 - p[s.inv_index],
                                     0.0 - p[s.pair_u])
         try:
             sol = np.linalg.solve(matrix, np.stack([residual, np.ones(n)], axis=1))
         except np.linalg.LinAlgError:
-            return q, taken, x.max()
+            return q, phi, taken, x.max()
         candidate = q + sol[:, 0]
         if np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
-            return q, taken, x.max()
+            return q, phi, taken, x.max()
         q, x, last = candidate, sol[:, 1], sup
-    return q, max_iter, x.max()
+    return q, traffic._phi_array(s, p, q), max_iter, x.max()
 
 
 def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(monkeypatch):
@@ -296,28 +298,102 @@ def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(mon
     product = free_product_of_cyclics(2, 2, 2)
     s = traffic.letter_tables(product)
     probs = np.array([z2z2z2(1e-7)[1].probs, [0.6, 0.35, 0.05], [0.5, 0.45, 0.05]])
-    assert [newton_alone(s, p, DEFAULT_TOL)[1] for p in probs] == [6, 7, 7]
-    forced, _, _ = newton_alone(s, probs[1], DEFAULT_TOL, max_iter=6)  # its iterate at step 6
+    assert [newton_alone(s, p, DEFAULT_TOL)[2] for p in probs] == [6, 7, 7]
+    forced, _, _, _ = newton_alone(s, probs[1], DEFAULT_TOL, max_iter=6)  # its iterate at step 6
     forced_inv = 0.0 - probs[1][s.inv_index]
     i_minus_j = traffic._i_minus_j
 
-    def singular_at_forced(s, q, back, neg_inv, neg_pair):
-        matrices = i_minus_j(s, q, back, neg_inv, neg_pair)
+    def singular_at_forced(s, q, back, neg_inv, neg_pair, matrices=None):
+        matrices = i_minus_j(s, q, back, neg_inv, neg_pair, matrices)
         matrices[np.all(q == forced, axis=-1) & np.all(neg_inv == forced_inv, axis=-1)] = 0.0
         return matrices
 
     monkeypatch.setattr(traffic, "_i_minus_j", singular_at_forced)
-    q, steps, kappa = traffic._newton(s, probs, DEFAULT_TOL, 20)
+    q, phi, steps, kappa = traffic._newton(s, probs, DEFAULT_TOL, 20)
     assert steps.tolist() == [6, 6, 7]
     for i, p in enumerate(probs):
-        want_q, want_steps, want_kappa = newton_alone(s, p, DEFAULT_TOL)
-        assert q[i].tobytes() == want_q.tobytes()
+        want_q, want_phi, want_steps, want_kappa = newton_alone(s, p, DEFAULT_TOL)
+        assert q[i].tobytes() == want_q.tobytes() and phi[i].tobytes() == want_phi.tobytes()
         assert steps[i] == want_steps and kappa[i].hex() == want_kappa.hex()
     assert q[1].tobytes() == forced.tobytes()
     outcomes = assert_rows_match(product, probs)
     assert [type(o) for o in outcomes] == [MaxIterationsError, traffic.SolveReport,
                                            traffic.SolveReport]
     assert "after 7 iterations" in str(outcomes[0]) and outcomes[1].iterations == 7
+
+
+def near_z2z2(product, eps):
+    """On S3 * Z/2 * Z/4, mass eps on each letter but two involutions, so the walk nears Z/2 * Z/2."""
+    p = np.full(product.nletters, eps)
+    p[[5, 7]] = (1.0 - eps * (product.nletters - 2)) / 2  # the letters 1:1 and 2:2
+    return p
+
+
+@pytest.mark.parametrize("case", ["z2z2z2", "s3z2z4"])
+def test_the_kept_i_minus_j_is_the_fresh_one_at_every_step(monkeypatch, case):
+    # Newton keeps one stack of I - J and rewrites only its entries that
+    # depend on q; the stack that LAPACK gets must be, byte for byte, the
+    # one assembled afresh from the current iterates, and the matrix eye - J
+    # of the Jacobian oracle, also after rows have left the stack
+    if case == "z2z2z2":
+        product = free_product_of_cyclics(2, 2, 2)
+        probs = np.array([z2z2z2(1e-7)[1].probs, [0.6, 0.35, 0.05], [0.5, 0.45, 0.05]])
+        want_steps = [6, 7, 7]
+    else:
+        product = FreeProduct([make_finite_group(S3_TABLE), make_cyclic(2), make_cyclic(4)])
+        uniform = np.full(product.nletters, 1.0 / product.nletters)
+        probs = np.array([uniform] + [near_z2z2(product, eps) for eps in (1e-2, 1e-4, 1e-7)])
+        want_steps = [5, 6, 9, 14]
+    s = traffic.letter_tables(product)
+    n = product.nletters
+    back, solve, i_minus_j = traffic._back, np.linalg.solve, traffic._i_minus_j
+    current, sizes = [], []
+
+    def recorded_back(s, mu, q):
+        current[:] = [mu.copy(), q.copy()]
+        return back(s, mu, q)
+
+    def checked_solve(matrices, rhs):
+        mu, q = current
+        sizes.append(len(matrices))
+        for i in range(len(matrices)):
+            fresh = i_minus_j(s, q[i], back(s, mu[i], q[i]), 0.0 - mu[i][s.inv_index],
+                              0.0 - mu[i][s.pair_u])
+            assert matrices[i].tobytes() == fresh.tobytes()
+            assert np.array_equal(matrices[i], np.eye(n) - jacobian_oracle(s, mu[i], q[i]))
+        return solve(matrices, rhs)
+
+    monkeypatch.setattr(traffic, "_back", recorded_back)
+    monkeypatch.setattr(np.linalg, "solve", checked_solve)
+    q, phi, steps, kappa = traffic._newton(s, probs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    monkeypatch.undo()
+    assert steps.tolist() == want_steps and len(sizes) == max(want_steps)
+    # a solve for every row at each step it takes, rows that stop on their
+    # residual included; rows that have left take none
+    assert sizes == [sum(steps >= k) for k in range(max(want_steps))]
+    for i, p in enumerate(probs):
+        want_q, want_phi, want_steps_i, want_kappa = newton_alone(s, p, DEFAULT_TOL)
+        assert q[i].tobytes() == want_q.tobytes() and phi[i].tobytes() == want_phi.tobytes()
+        assert steps[i] == want_steps_i and kappa[i].hex() == want_kappa.hex()
+
+
+def test_newton_sums_over_the_pairs_its_rows_step_to_keep_every_bit():
+    # the simple walk on Z/64 * Z/64 steps to 4 of 126 letters, so Newton's
+    # hitting map sums over 248 of the 7,812 in-factor pairs; a second row
+    # steps to 4 other letters and writes its zeros as -0.0.  Each row, in
+    # the batch and alone, must match Newton with the full sums bit for bit
+    product, mu = zkzk_simple(64)
+    s = traffic.letter_tables(product)
+    other = np.full(product.nletters, -0.0)
+    other[[1, 60, 65, 124]] = [0.3, 0.2, 0.1, 0.4]  # 0:2, 0:61, 1:3, 1:62
+    probs = np.array([mu.probs, other])
+    for rows in (probs, probs[:1], probs[1:]):
+        q, phi, steps, kappa = traffic._newton(s, rows, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        for i, p in enumerate(rows):
+            want_q, want_phi, want_steps, want_kappa = newton_alone(s, p, DEFAULT_TOL)
+            assert q[i].tobytes() == want_q.tobytes() and phi[i].tobytes() == want_phi.tobytes()
+            assert steps[i] == want_steps and kappa[i].hex() == want_kappa.hex()
+    assert_rows_match(product, probs)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2, 7])

@@ -301,10 +301,15 @@ def test_metrics_report_defaults_to_natural_lengths():
 def test_quality_rejects_drift_at_or_below_the_floor(monkeypatch):
     product, mu = zkzk_simple(4)
     minimal = minimal_generators(product)
+    kernel = metrics._additive_drift
     for gamma in (QUALITY_GAMMA_FLOOR, 0.0):
-        # one drift per row of the stack that metrics_rows passes
-        monkeypatch.setattr(metrics, "drift_weighted",
-                            lambda product, p, *args, gamma=gamma: np.full(len(p), gamma))
+        # metrics_rows takes gamma and h in one call, gamma in the first row
+        def floored(s, p, x, w, gamma=gamma):
+            out = kernel(s, p, x, w)
+            out[0] = gamma
+            return out
+
+        monkeypatch.setattr(metrics, "_additive_drift", floored)
         with pytest.raises(ValueError, match="weighted drift is zero"):
             quality(product, mu, minimal)
 

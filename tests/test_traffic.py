@@ -17,6 +17,7 @@ from freewalk.groups import (
     make_finite_group,
 )
 from freewalk.harmonic import build_chain
+from freewalk.metrics import metrics_report
 from freewalk.traffic import (
     DEFAULT_TOL,
     MAX_TOL,
@@ -330,6 +331,19 @@ def test_hitting_oracle_z4z4():
     for target in (Letter(0, 1), Letter(0, 2)):
         oracle = hitting_oracle(product, mu, target, radius=9)
         assert abs(q[target] - oracle) < 1e-4
+
+
+def test_reports_holding_arrays_compare_by_identity():
+    # == on two solves of one walk, or on two step laws built alike, used to
+    # compare the arrays inside tuples and raise; reports that hold only
+    # numbers keep their equality by value
+    product, mu = zkzk_simple(4)
+    first, second = solve_walk(product, mu), solve_walk(product, mu)
+    assert first.q.values.tobytes() == second.q.values.tobytes()
+    assert first != second and first == first
+    assert first.q != second.q and first.r != second.r and first.q == first.q
+    assert StepDistribution(product, mu.probs) != StepDistribution(product, mu.probs)
+    assert metrics_report(product, mu, first) == metrics_report(product, mu, second)
 
 
 def test_hitting_oracle_z2z4():

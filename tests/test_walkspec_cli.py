@@ -18,7 +18,7 @@ import pytest
 
 import freewalk
 from freewalk import closedform as cf
-from freewalk import verify
+from freewalk import traffic, verify
 from freewalk.cli import _CLOSED_FORMS, _f17, build_parser, main
 from freewalk.groups import Letter, free_product_of_cyclics, letter_lengths
 from freewalk.simulate import estimate_drift
@@ -104,6 +104,57 @@ def test_load_spec_roundtrip(tmp_path):
     spec = load_spec(str(path))
     assert spec.seed == 7
     assert spec.generators == spec.product.alphabet
+
+
+def test_specs_with_equal_cyclic_orders_share_one_product(tmp_path, capsys, monkeypatch):
+    # the tables kept for a product then serve every later spec of its
+    # orders: two solves through the CLI build them once
+    paths = []
+    for number, masses in enumerate(([0.1, 0.2, 0.1, 0.2, 0.3, 0.1], [0.3, 0.1, 0.1, 0.1, 0.2, 0.2])):
+        letters = dict(zip(["0:1", "0:2", "1:1", "1:2", "1:3", "1:4"], masses))
+        paths.append(tmp_path / f"walk{number}.json")
+        paths[-1].write_text(json.dumps({"factors": [{"cyclic": 3}, {"cyclic": 5}],
+                                         "measure": {"letters": letters}}))
+    first, second = (load_spec(str(path)) for path in paths)
+    assert first.product is second.product is free_product_of_cyclics(3, 5)
+    builds = []
+
+    class CountedTables(traffic._Structure):
+        def __init__(self, product):
+            builds.append(product)
+            super().__init__(product)
+
+    monkeypatch.setattr(traffic, "_Structure", CountedTables)
+    traffic.letter_tables.cache_clear()
+    try:
+        outputs = []
+        for path in paths:
+            assert main(["solve", "--spec", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        traffic.letter_tables.cache_clear()
+    assert builds == [first.product] and outputs[0] != outputs[1]
+    # a table factor keeps a product of its own
+    table = {"factors": [{"table": KLEIN_TABLE}, {"cyclic": 3}],
+             "measure": {"letters": {"0:1": 0.5, "1:1": 0.25, "1:2": 0.25}}}
+    assert parse_spec(table).product is not parse_spec(table).product
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        ([{"cyclic": 1}, {"cyclic": 3.5}], "cyclic group needs order >= 2, got 1"),
+        ([{"cyclic": 3}, {"cyclic": 3.5}], "cyclic must be an integer, got 3.5"),
+        ([{"cyclic": 3}], "a free product needs at least two factors, got 1"),
+        ([{"cyclic": 1}, {"table": 5}], "cyclic group needs order >= 2, got 1"),
+        ([{"cyclic": 3}, {"cyc": 3}], "factor spec must be"),
+    ],
+)
+def test_cyclic_factor_lists_keep_their_errors_in_order(factors, message):
+    # the shared product is built only for a list that would parse; any
+    # other list raises the error of its first bad factor, as before
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_spec({"factors": factors, "measure": {"letters": {"0:1": 1.0}}})
 
 
 def test_minimal_generators_cyclic_only():
