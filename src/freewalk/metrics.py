@@ -320,13 +320,12 @@ def metrics_rows(
     gammas, entropies, stationary = [], [], []
     s = letter_tables(product)
     size = chunk_rows(product.nletters)
-    weights = np.asarray(lengths.weights, dtype=float)
     for start in range(0, len(p), size):
         rows = slice(start, start + size)
         # gamma and h in one call, with the weights in lengths and -log q
         # stacked, so the terms in r are built once for both
         w = np.empty((2,) + q[rows].shape)
-        w[0], w[1] = weights, -np.log(q[rows])
+        w[0], w[1] = lengths.weights, -np.log(q[rows])
         gamma, h = _additive_drift(s, p[rows], r[rows], w)
         gammas += gamma.tolist()
         entropies += h.tolist()

@@ -333,9 +333,9 @@ def _phi_array(s: _Structure, mu: np.ndarray, q: np.ndarray, back: np.ndarray | 
     ``back`` is ``_back(s, mu, q)`` and ``mu_pair`` is mu at the pairs'
     first letters, when the caller already has them.  ``pairs``, a pair
     of tables (pair_a, pair_v), restricts the pair sums to some of the
-    pairs, with ``mu_pair`` given at their first letters; a pair left out
-    whose mu(u) is 0 adds +0.0 to its sum, so leaving out only such pairs
-    keeps every bit.
+    pairs, with ``mu_pair`` given at their first letters; a pair whose
+    mu(u) is 0 adds a zero to a sum of nonnegative terms, which changes
+    nothing, so leaving out only such pairs keeps every bit.
     """
     if back is None:
         back = _back(s, mu, q)

@@ -149,6 +149,8 @@ def test_specs_with_equal_cyclic_orders_share_one_product(tmp_path, capsys, monk
         ([{"cyclic": 1}, {"table": 5}], "cyclic group needs order >= 2, got 1"),
         ([{"cyclic": 3}, {"cyc": 3}], "factor spec must be"),
     ],
+    ids=["bad-order-before-fraction", "fractional-order", "one-factor", "bad-order-before-table",
+         "unknown-factor-key"],
 )
 def test_cyclic_factor_lists_keep_their_errors_in_order(factors, message):
     # the shared product is built only for a list that would parse; any
