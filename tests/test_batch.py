@@ -289,6 +289,15 @@ def newton_alone(s, p, tol, max_iter=DEFAULT_MAX_ITER):
     return q, traffic._phi_array(s, p, q), max_iter, x.max()
 
 
+def assert_rows_are_newton_alone(s, probs, newton):
+    """Each row of ``traffic._newton``'s (q, phi, steps, kappa) is ``newton_alone`` on the row, bit for bit."""
+    q, phi, steps, kappa = newton
+    for i, p in enumerate(probs):
+        want_q, want_phi, want_steps, want_kappa = newton_alone(s, p, DEFAULT_TOL)
+        assert q[i].tobytes() == want_q.tobytes() and phi[i].tobytes() == want_phi.tobytes()
+        assert steps[i] == want_steps and kappa[i].hex() == want_kappa.hex()
+
+
 def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(monkeypatch):
     # At Newton step 6 the first row stops on its residual (a floating-point
     # fixed point, which then fails its confirming step), the second row's
@@ -311,10 +320,7 @@ def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(mon
     monkeypatch.setattr(traffic, "_i_minus_j", singular_at_forced)
     q, phi, steps, kappa = traffic._newton(s, probs, DEFAULT_TOL, 20)
     assert steps.tolist() == [6, 6, 7]
-    for i, p in enumerate(probs):
-        want_q, want_phi, want_steps, want_kappa = newton_alone(s, p, DEFAULT_TOL)
-        assert q[i].tobytes() == want_q.tobytes() and phi[i].tobytes() == want_phi.tobytes()
-        assert steps[i] == want_steps and kappa[i].hex() == want_kappa.hex()
+    assert_rows_are_newton_alone(s, probs, (q, phi, steps, kappa))
     assert q[1].tobytes() == forced.tobytes()
     outcomes = assert_rows_match(product, probs)
     assert [type(o) for o in outcomes] == [MaxIterationsError, traffic.SolveReport,
@@ -365,16 +371,13 @@ def test_the_kept_i_minus_j_is_the_fresh_one_at_every_step(monkeypatch, case):
 
     monkeypatch.setattr(traffic, "_back", recorded_back)
     monkeypatch.setattr(np.linalg, "solve", checked_solve)
-    q, phi, steps, kappa = traffic._newton(s, probs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    newton = traffic._newton(s, probs, DEFAULT_TOL, DEFAULT_MAX_ITER)
     monkeypatch.undo()
-    assert steps.tolist() == want_steps and len(sizes) == max(want_steps)
-    # a solve for every row at each step it takes, rows that stop on their
-    # residual included; rows that have left take none
+    steps = newton[2]
+    assert steps.tolist() == want_steps
+    # one stacked solve a step, of every row still in the stack
     assert sizes == [sum(steps >= k) for k in range(max(want_steps))]
-    for i, p in enumerate(probs):
-        want_q, want_phi, want_steps_i, want_kappa = newton_alone(s, p, DEFAULT_TOL)
-        assert q[i].tobytes() == want_q.tobytes() and phi[i].tobytes() == want_phi.tobytes()
-        assert steps[i] == want_steps_i and kappa[i].hex() == want_kappa.hex()
+    assert_rows_are_newton_alone(s, probs, newton)
 
 
 def test_newton_sums_over_the_pairs_its_rows_step_to_keep_every_bit():
@@ -388,11 +391,7 @@ def test_newton_sums_over_the_pairs_its_rows_step_to_keep_every_bit():
     other[[1, 60, 65, 124]] = [0.3, 0.2, 0.1, 0.4]  # 0:2, 0:61, 1:3, 1:62
     probs = np.array([mu.probs, other])
     for rows in (probs, probs[:1], probs[1:]):
-        q, phi, steps, kappa = traffic._newton(s, rows, DEFAULT_TOL, DEFAULT_MAX_ITER)
-        for i, p in enumerate(rows):
-            want_q, want_phi, want_steps, want_kappa = newton_alone(s, p, DEFAULT_TOL)
-            assert q[i].tobytes() == want_q.tobytes() and phi[i].tobytes() == want_phi.tobytes()
-            assert steps[i] == want_steps and kappa[i].hex() == want_kappa.hex()
+        assert_rows_are_newton_alone(s, rows, traffic._newton(s, rows, DEFAULT_TOL, DEFAULT_MAX_ITER))
     assert_rows_match(product, probs)
 
 
