@@ -51,18 +51,23 @@ def eval_G(n: int, x):
     return g_cur
 
 
-def bisect_increasing(fn, lo, hi, steps: int = 200):
+def bisect_increasing(fn, lo, hi, steps: int = 200, *, below=-math.inf, above=math.inf):
     """Bracket (lo, hi) of the root of an increasing fn, keeping fn(lo) < 0 <= fn(hi).
 
     The caller checks the bracket.  On floats the loop stops once the
     midpoint no longer splits the bracket; on Fractions it is exact and
-    runs all ``steps`` halvings.
+    runs all ``steps`` halvings.  ``below`` and ``above`` bound a decided
+    region: a midpoint at or below ``below`` becomes lo and one at or above
+    ``above`` becomes hi, without a call of fn.  They must be a certificate
+    that fn would have given those midpoints those signs, as
+    ``_certified_bounds`` returns; then the bracket is the one the plain
+    loop (the defaults, nothing decided) returns, bit for bit.
     """
     for _ in range(steps):
         mid = (lo + hi) / 2
         if not lo < mid < hi:
             break
-        if fn(mid) < 0:
+        if mid <= below or (mid < above and fn(mid) < 0):
             lo = mid
         else:
             hi = mid
@@ -218,6 +223,41 @@ def _certified_cell(sign, lo, hi, steps: int, guess) -> tuple[Fraction, Fraction
         else:
             return lo + j * width, lo + (j + 1) * width
     return _checked_bracket(sign, lo, hi, steps)
+
+
+def _certified_bounds(fn, lo, hi, guess: float, slack: float, slope: float) -> tuple[float, float]:
+    """A decided region (below, above) for ``bisect_increasing(fn, lo, hi)``, read off a float guess.
+
+    ``slack`` must bound |fn(x) - f(x)| on [lo, hi], where fn is the float
+    evaluation of a nondecreasing function f.  The certificate is
+    fn(below) < -2 slack and fn(above) > 2 slack: then f(below) < -slack,
+    so f(x) < -slack and fn(x) < 0 at every x <= below, and likewise
+    fn(x) > 0 at every x >= above.  Each midpoint the region decides
+    therefore gets the sign fn would give it, and the bisection returns the
+    plain loop's bracket whatever the guess.  With ``slope`` about f' near
+    the guess, the bounds are tried at guess -/+ 4 slack / slope, clipped
+    to [lo, hi], where f is about -/+4 slack if the guess is good; a side
+    that fails moves out 4 times as far, twice at most.  A guess outside
+    [lo, hi], a NaN, a slope that is not positive, or a side that still
+    fails gives (-inf, inf), the plain loop.
+    """
+    if not (lo <= guess <= hi and slope > 0):
+        return -math.inf, math.inf
+    radius = 4 * slack / slope
+    below = above = None
+    for _ in range(3):  # the radius, then 4 and 16 times it
+        if below is None:
+            x = guess - radius
+            if x <= lo or fn(x) < -2 * slack:
+                below = max(x, lo)
+        if above is None:
+            x = guess + radius
+            if x >= hi or fn(x) > 2 * slack:
+                above = min(x, hi)
+        if below is not None and above is not None:
+            return below, above
+        radius *= 4
+    return -math.inf, math.inf
 
 
 def gamma_zkzk_interval(k: int) -> tuple[Fraction, Fraction]:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .closedform import bisect_increasing
+from .closedform import _certified_bounds, bisect_increasing
 from .groups import FreeProduct, LengthTable, Letter, letter_lengths, natural_lengths
 from .traffic import (
     DEFAULT_TOL,
@@ -180,11 +180,117 @@ def volume(product: FreeProduct, lengths: LengthTable) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _volume_of_runs(runs: Runs) -> float:
-    """``volume`` from the factor runs, memoised on them: products and tables are rebuilt freely."""
+    """``volume`` from the factor runs, memoised on them: products and tables are rebuilt freely.
+
+    The root t* is bisected on [0, 1] from a certified float guess (see
+    ``_certified_bounds``), so the midpoints far from t* cost no call of
+    ``_growth_equation`` and the bracket is the plain bisection's.  The
+    certificate's slack bounds the rounding of ``_growth_equation`` for
+    weights in (0, inf), where the exact left side is nondecreasing in t.
+    With u = 2^-53, the sum of nonnegative terms of factor i takes
+    n_i - 1 roundings, and each t^w is within 2 ulp (4u relative; exact for
+    w = 1), so f_i has relative error at most gamma(a_i), a_i = n_i - 1, or
+    n_i + 3 if some weight of the factor is not 1 (gamma(k) = ku/(1 - ku),
+    Higham, Accuracy and Stability of Numerical Algorithms, 3.1); f/(1+f)
+    moves by at most that relative error of f and adds 2 roundings, so
+    g_i = f_i/(1 + f_i) <= 1 is within gamma(a_i + 2); adding the m values
+    of g_i errs by at most gamma(m - 1) m (1 + gamma(max a_i + 2)), and
+    subtracting 1 by u m.  The total is at most Ku/(1 - Ku)^2 <= 2Ku with
+    K = sum_i (a_i + 2) + m^2, so the slack is 2Ku.  A t^w in the subnormal
+    range errs by 2^-1073 more at most, far inside the factor 2; from
+    Python 3.12 ``sum`` compensates its rounding and errs less.
+    """
     if _growth_equation(runs, 1.0) < -1e-12:
         raise ValueError("growth equation has no root in (0,1]: invalid length table")
-    lo, hi = bisect_increasing(lambda t: _growth_equation(runs, t), 0.0, 1.0)
+    mixed = sum(any(w != 1 for w, _ in factor) for factor in runs)
+    slack = (sum(count for factor in runs for _, count in factor) + len(runs) + 4 * mixed
+             + len(runs) ** 2) * 2.0**-52
+    fn = lambda t: _growth_equation(runs, t)
+    guess, slope = _volume_guess(runs, slack)
+    below, above = _certified_bounds(fn, 0.0, 1.0, guess, slack, slope)
+    lo, hi = bisect_increasing(fn, 0.0, 1.0, below=below, above=above)
     return -math.log(0.5 * (lo + hi))
+
+
+def _rho_guess(sizes: Sequence[int]) -> float:
+    """A float guess at the root of sum_i k_i/(rho + k_i) = 1.
+
+    Two factors give rho = sqrt(k_1 k_2).  Otherwise Newton's method starts
+    at (m - 1) min k_i, where every term is at least 1/m, so at or below
+    the root; the map 1 - sum_i k_i/(rho + k_i) is increasing and concave,
+    so the iterates climb to the root.  Newton's error after a step is
+    about the square of the step's, so the loop ends after a step below
+    2^-26 rho, or one that does not climb.
+    """
+    if len(sizes) == 2:
+        return math.sqrt(sizes[0] * sizes[1])
+    rho = (len(sizes) - 1) * min(sizes)
+    for _ in range(64):
+        value, slope = 1.0, 0.0
+        for k in sizes:
+            x = k / (rho + k)
+            value -= x
+            slope += x / (rho + k)
+        step = -value / slope
+        if step > 0:
+            rho += step
+        if not 2.0**-26 * rho < step:
+            break
+    return rho
+
+
+def _growth_slope(runs: Runs, t: float) -> float:
+    """d/dt of the growth equation at t in (0, 1]: sum_i f_i'(t)/(1 + f_i(t))^2."""
+    total = 0.0
+    for factor in runs:
+        f = df = 0.0
+        for w, count in factor:
+            x = count * t**w
+            f += x
+            df += w * x
+        total += df / (t * (1.0 + f) ** 2)
+    return total
+
+
+def _volume_guess(runs: Runs, slack: float) -> tuple[float, float]:
+    """A float guess at the root t* of the growth equation, and the equation's slope there.
+
+    On (0, 1], n_i t^most <= f_i(t) <= n_i t^least for the least and most
+    weight, so t* lies between rho^(-1/least) and rho^(-1/most), where rho
+    solves the unit-weight equation (``_rho_guess`` on the letter counts);
+    equal weights w give t* = rho^(-1/w) at no call of ``_growth_equation``.
+    Otherwise Newton's method in log t runs from the bracket's geometric
+    midpoint, the bracket narrowed by the sign of each iterate and halved
+    in log t when a step leaves it, until a step is within the radius
+    4 slack / slope that ``_certified_bounds`` tries first, about the least
+    distance from t* at which its certificate can hold.  Weights outside
+    (0, inf), or so extreme that the iteration divides by zero or
+    overflows, give no guess (NaN).
+    """
+    weights = [w for factor in runs for w, _ in factor]
+    least, most = min(weights), max(weights)
+    if not 0 < least <= most < math.inf:
+        return math.nan, math.nan
+    rho = _rho_guess([sum(count for _, count in factor) for factor in runs])
+    lo, hi = rho ** (-1 / least), rho ** (-1 / most)
+    t, step = math.sqrt(lo * hi), 0.0 if least == most else math.inf
+    try:
+        for _ in range(64):
+            slope = _growth_slope(runs, t)
+            if abs(step) <= 4 * slack / slope:  # the radius of _certified_bounds
+                break
+            value = _growth_equation(runs, t)
+            if value < 0:
+                lo = t
+            else:
+                hi = t
+            new = t * math.exp(-value / (t * slope))  # a Newton step in log t
+            if not lo <= new <= hi:
+                new = math.sqrt(lo * hi)
+            step, t = new - t, new
+    except (ZeroDivisionError, OverflowError):  # weights so small or large that t or t^w underflows
+        return math.nan, math.nan
+    return t, slope
 
 
 def growth_rho(product: FreeProduct) -> float:
@@ -192,12 +298,22 @@ def growth_rho(product: FreeProduct) -> float:
 
     Unique positive solution of sum_i k_i/(rho + k_i) = 1 with k_i the
     number of nonidentity elements of factor i; exp(volume) for natural
-    lengths.  Solved by bisection on the increasing map 1 - sum_i k_i/(x + k_i).
+    lengths.  Solved by bisection on the increasing map 1 - sum_i k_i/(x + k_i)
+    over [0, sum_i k_i], from a certified float guess (``_rho_guess``; see
+    ``_certified_bounds``), so the bracket is the plain bisection's with
+    about a fifth of its evaluations.  The certificate's slack is
+    2m(m + 2)u for m factors and u = 2^-53: each term k/(x + k) <= 1 takes 2
+    roundings, their sum m - 1 more, and the subtraction from 1 errs by at
+    most u m, a total below m(m + 2)u/(1 - (m + 2)u)^2.
     """
     sizes = [g.order - 1 for g in product.factors]
-    lo, hi = bisect_increasing(
-        lambda x: 1.0 - sum(k / (x + k) for k in sizes), 0.0, float(sum(sizes))
-    )
+    fn = lambda x: 1.0 - sum(k / (x + k) for k in sizes)
+    m, top = len(sizes), float(sum(sizes))
+    slack = m * (m + 2) * 2.0**-52
+    guess = _rho_guess(sizes)
+    slope = sum(k / (guess + k) ** 2 for k in sizes)
+    below, above = _certified_bounds(fn, 0.0, top, guess, slack, slope)
+    lo, hi = bisect_increasing(fn, 0.0, top, below=below, above=above)
     return 0.5 * (lo + hi)
 
 

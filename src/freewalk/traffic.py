@@ -414,9 +414,10 @@ def check_tolerance(tol: float) -> None:
 
 def _support_error(product: FreeProduct, support: np.ndarray) -> ValueError | None:
     """What ``validate_walk`` raises for a step law with this support (a mask), or None."""
-    letters = [u for u, on in zip(product.alphabet, support.tolist()) if on]
+    on = support.tolist()
     for i, group in enumerate(product.factors):
-        gens = [u.elem for u in letters if u.factor == i]
+        # letter e of factor i sits at alphabet index start_i + e - 1
+        gens = [e for e, flag in enumerate(on[product.factor_slice(i)], 1) if flag]
         if len(factor_distances(group, gens)) != group.order:
             return NonGeneratingSetError(i, f"support of mu does not generate factor {i}")
     if product.nfactors == 2 and all(g.order == 2 for g in product.factors):

@@ -249,6 +249,51 @@ def test_far_guess_falls_back_to_bisection(monkeypatch, interval, bisected, name
         assert len(calls) > 6  # the fallback bisection ran
 
 
+def _noisy_increasing(root, noise):
+    """x - root plus a noise of at most ``noise`` that is fixed per x but not monotone."""
+    return lambda x: x - root + noise * (2 * random.Random(x).random() - 1)
+
+
+def test_certified_bounds_keep_the_plain_bracket_under_noise():
+    # Near the root the noise flips the sign of fn back and forth, so a
+    # region decided on fn(below) < 0 alone would send some midpoints the
+    # other way than fn does; the 2 * slack margin must keep them all.
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(150):
+        root, noise = rng.uniform(0.2, 0.8), 10.0 ** rng.uniform(-12, -6)
+        fn = _noisy_increasing(root, noise)
+        plain = cf.bisect_increasing(fn, 0.0, 1.0)
+        guess = root + noise * rng.uniform(-3, 3)
+        below, above = cf._certified_bounds(fn, 0.0, 1.0, guess, noise, rng.uniform(0.5, 8))
+        assert cf.bisect_increasing(fn, 0.0, 1.0, below=below, above=above) == plain
+        checked += below > 0.0
+    assert checked > 120  # most guesses were certified, not sent to the plain loop
+
+
+@pytest.mark.parametrize("guess, slope", [(math.nan, 1.0), (-0.5, 1.0), (1.5, 1.0), (math.inf, 1.0),
+                                          (0.0, 1.0), (1.0, 1.0), (0.3, 0.0), (0.3, math.nan)])
+def test_certified_bounds_without_a_usable_guess(guess, slope):
+    fn = _noisy_increasing(0.3, 1e-9)
+    assert cf._certified_bounds(fn, 0.0, 1.0, guess, 1e-9, slope) == (-math.inf, math.inf)
+
+
+def test_certified_bounds_skip_the_decided_midpoints():
+    calls = []
+    fn = _noisy_increasing(1 / 3, 1e-15)
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    plain = cf.bisect_increasing(counted, 0.0, 1.0)
+    assert len(calls) > 50
+    calls.clear()
+    below, above = cf._certified_bounds(counted, 0.0, 1.0, 1 / 3, 1e-15, 1.0)
+    assert cf.bisect_increasing(counted, 0.0, 1.0, below=below, above=above) == plain
+    assert len(calls) <= 12 and all(below < x < above for x in calls[2:])
+
+
 def test_drift_z2z3_values_and_domain():
     assert abs(cf.drift_z2z3(1 / 3, 1 / 3) - 2 / 15) < 1e-12
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -383,3 +384,96 @@ def test_volume_memo_hit_returns_the_fresh_bisection():
         again = volume(product, LengthTable(product, lengths.weights.copy()))
         assert memo.cache_info().hits == 1 and memo.cache_info().misses == 1
         assert first == again == fresh
+
+
+def certified_run_tables(count=1000, seed=30):
+    """Seeded factor runs, as ``metrics._factor_runs`` lays them out, and the products' orders.
+
+    Unit, integer (1-4) and float (-log U(0.01, 0.9), Green-style) weights
+    on 2-5 factors of 1 to 69 letters, beyond Z/64's 63; with unit weights
+    on two factors whose letter counts multiply to a power of 4, the root
+    t* = (n_1 n_2)^-1/2 is dyadic, and rho = 1/t* an integer.
+    """
+    rng = np.random.default_rng(seed)
+    dyadic = [(1, 1), (2, 2), (1, 4), (4, 4), (2, 8), (1, 16), (8, 8), (4, 16), (2, 32), (16, 16)]
+    for number in range(count):
+        kind = number % 3
+        most = 69 if kind == 0 or number % 30 < 3 else 12
+        sizes = (dyadic[number] if number < len(dyadic)
+                 else rng.integers(1, most + 1, size=int(rng.integers(2, 6))).tolist())
+        if kind == 0 or number < len(dyadic):
+            weights = [[1] * n for n in sizes]
+        elif kind == 1:
+            weights = [rng.integers(1, 5, size=n).tolist() for n in sizes]
+        else:
+            weights = [(-np.log(rng.uniform(0.01, 0.9, size=n))).tolist() for n in sizes]
+        runs = tuple(tuple((w, len(list(run))) for w, run in itertools.groupby(factor))
+                     for factor in weights)
+        yield runs, [n + 1 for n in sizes]
+
+
+def recorded_brackets(monkeypatch):
+    """Per certified bisection in ``metrics``, its bracket and the plain loop's."""
+    seen = []
+    real = metrics.bisect_increasing
+
+    def recording(fn, lo, hi, steps=200, **bounds):
+        bracket = real(fn, lo, hi, steps, **bounds)
+        seen.append((bracket, real(fn, lo, hi, steps)))
+        return bracket
+
+    monkeypatch.setattr(metrics, "bisect_increasing", recording)
+    return seen
+
+
+def test_certified_volume_and_rho_keep_the_plain_bracket(monkeypatch):
+    seen = recorded_brackets(monkeypatch)
+    volumes = rhos = 0
+    for runs, orders in certified_run_tables():
+        metrics._volume_of_runs.__wrapped__(runs)
+        volumes += 1
+        if all(w == 1 for factor in runs for w, _ in factor):
+            metrics.growth_rho(free_product_of_cyclics(*orders))
+            rhos += 1
+    assert len(seen) == volumes + rhos and rhos > 300
+    assert all(certified == plain for certified, plain in seen)
+    # the dyadic roots are found exactly: t* = 1/2 for Z/3 * Z/3
+    assert metrics._volume_of_runs.__wrapped__((((1, 2),),) * 2) == math.log(2)
+
+
+@pytest.mark.parametrize("guess", [math.nan, -1.0, 0.0, 1e-300, 0.999, 1.0, 2.0, math.inf])
+def test_certified_volume_and_rho_with_a_useless_guess(monkeypatch, guess):
+    seen = recorded_brackets(monkeypatch)
+    monkeypatch.setattr(metrics, "_volume_guess", lambda runs, slack: (guess, 1.0))
+    monkeypatch.setattr(metrics, "_rho_guess", lambda sizes: guess * sum(sizes))
+    for runs, orders in itertools.islice(certified_run_tables(seed=31), 12):
+        metrics._volume_of_runs.__wrapped__(runs)
+        metrics.growth_rho(free_product_of_cyclics(*orders))
+    assert len(seen) == 24 and all(certified == plain for certified, plain in seen)
+
+
+def test_extreme_weights_keep_the_plain_bracket(monkeypatch):
+    # t* = e^-139 for weights 1e-3; t^w underflows for weights 700 and 1e-300 ones
+    factors = [((1e-3, 3),), ((1e-3, 1), (1.0, 2)), ((1000.0, 3),), ((1e-3, 1), (50.0, 2)),
+               ((0.0, 1), (1.0, 2)), ((1e-300, 2),), ((700.0, 1), (1e-5, 1))]
+    seen = recorded_brackets(monkeypatch)
+    for runs in itertools.product(factors, repeat=2):
+        metrics._volume_of_runs.__wrapped__(runs)
+    assert len(seen) == len(factors) ** 2
+    assert all(certified == plain for certified, plain in seen)
+
+
+@pytest.mark.parametrize("orders", [(64, 64), (41, 40, 42), (2, 3)])
+def test_cold_volume_needs_few_growth_evaluations(monkeypatch, orders):
+    calls = []
+    real = metrics._growth_equation
+    monkeypatch.setattr(metrics, "_growth_equation", lambda runs, t: calls.append(t) or real(runs, t))
+    product = free_product_of_cyclics(*orders)
+    metrics._volume_of_runs.cache_clear()
+    v = volume(product, natural_lengths(product))
+    # the plain loop takes about 57; the guess, here from the letter counts alone, is included
+    assert len(calls) <= 24
+    metrics._volume_of_runs.cache_clear()
+    monkeypatch.setattr(metrics, "_growth_equation", real)
+    assert v == -math.log(0.5 * sum(
+        metrics.bisect_increasing(lambda t: real(metrics._factor_runs(product, natural_lengths(product)), t), 0.0, 1.0)))

@@ -101,6 +101,20 @@ def test_validate_walk_rejects_non_generating_factor():
     assert info.value.factor == 0
 
 
+@pytest.mark.parametrize("letters, factor", [
+    # Z/4 * Z/6 * Z/4: 2 and 4 generate only the subgroup of order 3 of Z/6
+    ({Letter(0, 1): 0.25, Letter(1, 2): 0.25, Letter(1, 4): 0.25, Letter(2, 3): 0.25}, 1),
+    ({Letter(0, 3): 0.25, Letter(1, 1): 0.25, Letter(1, 5): 0.25, Letter(2, 2): 0.25}, 2),
+    # both factors 1 and 2 fail; the first is reported
+    ({Letter(0, 1): 0.5, Letter(1, 3): 0.25, Letter(2, 2): 0.25}, 1),
+])
+def test_validate_walk_reports_the_first_non_generating_factor(letters, factor):
+    product = free_product_of_cyclics(4, 6, 4)
+    with pytest.raises(NonGeneratingSetError, match=f"does not generate factor {factor}$") as info:
+        validate_walk(product, StepDistribution.from_dict(product, letters))
+    assert info.value.factor == factor
+
+
 def test_phi_at_zero_is_mu():
     product, mu = zkzk_simple(4)
     assert np.allclose(phi(product, mu, np.zeros(product.nletters)), mu.probs)

@@ -64,6 +64,12 @@ measurements:
   given as a list of lists of ints, as a spec's table arrives, the median
   of 5 calls in one fresh interpreter after its imports (nothing on its
   path is cached);
+- ``volume_cold_s``: ``metrics._volume_of_runs`` on the natural runs of
+  Z/k * Z/k and Z/2 * Z/k for k = 3..64 (124 products), with its memo
+  cleared before each call, so every call bisects as on a product's first
+  use; the median of 5 passes in one fresh interpreter after its imports;
+- ``growth_rho_s``: ``metrics.growth_rho`` on the same products (it keeps
+  no memo), timed the same way;
 - ``tier1_s``: wall time of the tier-1 suite, ``python -m pytest -q
   --continue-on-collection-errors``, run with the tree as the working
   directory, so that each tree runs its own tests;
@@ -185,6 +191,26 @@ for _ in range(5):
     times.append(time.perf_counter() - start)
 print(statistics.median(times))
 """
+TIME_GROWTH = """
+import statistics, time
+from freewalk import metrics
+from freewalk.groups import free_product_of_cyclics, natural_lengths
+products = [free_product_of_cyclics(a, k) for k in range(3, 65) for a in (k, 2)]
+runs = [metrics._factor_runs(p, natural_lengths(p)) for p in products]
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    {loop}
+    times.append(time.perf_counter() - start)
+print(statistics.median(times))
+"""
+GROWTH = {
+    "volume_cold_s": """for r in runs:
+        metrics._volume_of_runs.cache_clear()
+        metrics._volume_of_runs(r)""",
+    "growth_rho_s": """for p in products:
+        metrics.growth_rho(p)""",
+}
 CRITERIA = (4, 6, 8, 9, 10, 11, 12, 13)
 # criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
 TIME_MONTE_CARLO = """
@@ -214,7 +240,7 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          "exact_convolution_z4z4_10_s": "s", "exact_convolution_z3z3_17_s": "s",
          "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "solve_118_cli_s": "s", "solve_118_s": "s",
          "solve_inprocess_x20_s": "s", "exact_residual_126_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
-         "tier1_s": "s", "tier1_common_s": "s"}
+         **{name: "s" for name in GROWTH}, "tier1_s": "s", "tier1_common_s": "s"}
 
 
 def _env(tree: Path) -> dict[str, str]:
@@ -274,6 +300,8 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
     row["exact_residual_126_s"] = float(_child(tree, ["-c", TIME_EXACT_RESIDUAL], workdir)[2])
     row["tables_118_s"] = float(_child(tree, ["-c", TIME_TABLES], workdir)[2])
     row["make_finite_group_200_s"] = float(_child(tree, ["-c", TIME_MAKE_FINITE_GROUP], workdir)[2])
+    for name, loop in GROWTH.items():
+        row[name] = float(_child(tree, ["-c", TIME_GROWTH.format(loop=loop)], workdir)[2])
     row["tier1_s"] = _child(tree, TIER1, str(tree))[0]
     row["tier1_common_s"] = _child(tree, [*TIER1, *common], str(tree))[0]
     return row
