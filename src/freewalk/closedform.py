@@ -225,7 +225,8 @@ def _certified_cell(sign, lo, hi, steps: int, guess) -> tuple[Fraction, Fraction
     return _checked_bracket(sign, lo, hi, steps)
 
 
-def _certified_bounds(fn, lo, hi, guess: float, slack: float, slope: float) -> tuple[float, float]:
+def _certified_bounds(fn, lo, hi, guess: float, slack: float,
+                      slope: float) -> tuple[float, float]:
     """A decided region (below, above) for ``bisect_increasing(fn, lo, hi)``, read off a float guess.
 
     ``slack`` must bound |fn(x) - f(x)| on [lo, hi], where fn is the float

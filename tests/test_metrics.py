@@ -473,7 +473,6 @@ def test_cold_volume_needs_few_growth_evaluations(monkeypatch, orders):
     v = volume(product, natural_lengths(product))
     # the plain loop takes about 57; the guess, here from the letter counts alone, is included
     assert len(calls) <= 24
-    metrics._volume_of_runs.cache_clear()
-    monkeypatch.setattr(metrics, "_growth_equation", real)
-    assert v == -math.log(0.5 * sum(
-        metrics.bisect_increasing(lambda t: real(metrics._factor_runs(product, natural_lengths(product)), t), 0.0, 1.0)))
+    runs = metrics._factor_runs(product, natural_lengths(product))
+    lo, hi = metrics.bisect_increasing(lambda t: real(runs, t), 0.0, 1.0)
+    assert v == -math.log(0.5 * (lo + hi))
