@@ -174,8 +174,14 @@ def volume(product: FreeProduct, lengths: LengthTable) -> float:
     sum_i f_i(t)/(1+f_i(t)) = 1 and f_i(t) = sum over letters u of factor i
     of t^{|u|_S}.  With unit weights this is log of the Perron root of the
     sphere recursion.  Z/2 * Z/2 grows linearly: its root is t*=1, v=0.
+    A weight that is not finite and positive is a ValueError.
     """
-    return _volume_of_runs(_factor_runs(product, lengths))
+    runs = _factor_runs(product, lengths)
+    for i, factor in enumerate(runs):
+        for w, _ in factor:
+            if not 0 < w < math.inf:
+                raise ValueError(f"length weight {w!r} in factor {i} is not finite and positive")
+    return _volume_of_runs(runs)
 
 
 @functools.lru_cache(maxsize=256)
@@ -184,7 +190,8 @@ def _volume_of_runs(runs: Runs) -> float:
 
     The root t* is bisected on [0, 1] from a certified float guess (see
     ``_certified_bounds``), so the midpoints far from t* cost no call of
-    ``_growth_equation`` and the bracket is the plain bisection's.  The
+    ``_growth_equation`` and the bracket is the plain bisection's; mixed
+    weights have no guess (``_volume_guess``) and take the plain loop.  The
     certificate's slack bounds the rounding of ``_growth_equation`` for
     weights in (0, inf), where the exact left side is nondecreasing in t.
     With u = 2^-53, the sum of nonnegative terms of factor i takes
@@ -206,7 +213,7 @@ def _volume_of_runs(runs: Runs) -> float:
     slack = (sum(count for factor in runs for _, count in factor) + len(runs) + 4 * mixed
              + len(runs) ** 2) * 2.0**-52
     fn = lambda t: _growth_equation(runs, t)
-    guess, slope = _volume_guess(runs, slack)
+    guess, slope = _volume_guess(runs)
     below, above = _certified_bounds(fn, 0.0, 1.0, guess, slack, slope)
     lo, hi = bisect_increasing(fn, 0.0, 1.0, below=below, above=above)
     return -math.log(0.5 * (lo + hi))
@@ -252,45 +259,21 @@ def _growth_slope(runs: Runs, t: float) -> float:
     return total
 
 
-def _volume_guess(runs: Runs, slack: float) -> tuple[float, float]:
+def _volume_guess(runs: Runs) -> tuple[float, float]:
     """A float guess at the root t* of the growth equation, and the equation's slope there.
 
-    On (0, 1], n_i t^most <= f_i(t) <= n_i t^least for the least and most
-    weight, so t* lies between rho^(-1/least) and rho^(-1/most), where rho
-    solves the unit-weight equation (``_rho_guess`` on the letter counts);
-    equal weights w give t* = rho^(-1/w) at no call of ``_growth_equation``.
-    Otherwise Newton's method in log t runs from the bracket's geometric
-    midpoint, the bracket narrowed by the sign of each iterate and halved
-    in log t when a step leaves it, until a step is within the radius
-    4 slack / slope that ``_certified_bounds`` tries first, about the least
-    distance from t* at which its certificate can hold.  Weights outside
-    (0, inf), or so extreme that the iteration divides by zero or
-    overflows, give no guess (NaN).
+    With all weights equal to w, f_i(t) = n_i t^w, so t* = rho^(-1/w),
+    where rho solves the unit-weight equation (``_rho_guess`` on the letter
+    counts), at no call of ``_growth_equation``.  Mixed weights, weights
+    outside (0, inf), and a t* that underflows to 0 give no guess (NaN),
+    and the bisection runs the plain loop.
     """
-    weights = [w for factor in runs for w, _ in factor]
-    least, most = min(weights), max(weights)
-    if not 0 < least <= most < math.inf:
+    weights = {w for factor in runs for w, _ in factor}
+    w = weights.pop() if len(weights) == 1 else math.nan
+    if not 0 < w < math.inf:
         return math.nan, math.nan
-    rho = _rho_guess([sum(count for _, count in factor) for factor in runs])
-    lo, hi = rho ** (-1 / least), rho ** (-1 / most)
-    t, step = math.sqrt(lo * hi), 0.0 if least == most else math.inf
-    try:
-        for _ in range(64):
-            slope = _growth_slope(runs, t)
-            if abs(step) <= 4 * slack / slope:  # the radius of _certified_bounds
-                break
-            value = _growth_equation(runs, t)
-            if value < 0:
-                lo = t
-            else:
-                hi = t
-            new = t * math.exp(-value / (t * slope))  # a Newton step in log t
-            if not lo <= new <= hi:
-                new = math.sqrt(lo * hi)
-            step, t = new - t, new
-    except (ZeroDivisionError, OverflowError):  # weights so small or large that t or t^w underflows
-        return math.nan, math.nan
-    return t, slope
+    t = _rho_guess([sum(count for _, count in factor) for factor in runs]) ** (-1 / w)
+    return (t, _growth_slope(runs, t)) if t > 0 else (math.nan, math.nan)
 
 
 def growth_rho(product: FreeProduct) -> float:

@@ -227,23 +227,6 @@ def _build_factor(entry: Any) -> FiniteGroup:
     raise ValueError(f"factor spec must be {{'cyclic': k}} or {{'table': [[...]]}}, got {sorted(keys)}")
 
 
-def _declared_product(factors: Any) -> FreeProduct:
-    """The product of a spec's factor list.
-
-    A list of cyclic factors alone gives ``free_product_of_cyclics`` of
-    their orders, which specs with equal orders share, and with them their
-    index tables.  A list that fails there, or has a table factor, is built
-    factor by factor, which raises the first factor's error.
-    """
-    if isinstance(factors, (list, tuple)) and all(
-            isinstance(entry, Mapping) and set(entry) == {"cyclic"} for entry in factors):
-        try:
-            return free_product_of_cyclics(*[integer(entry["cyclic"], "cyclic") for entry in factors])
-        except ValueError:
-            pass
-    return FreeProduct(_items(factors, "factors", _build_factor))
-
-
 # Solver options a spec may set; WalkSpec's field defaults fill the rest.
 _OPTIONS = {"tol": real, "max_iter": integer, "seed": integer}
 _TOP_KEYS = {"factors", "measure", "generators", *_OPTIONS}
@@ -260,7 +243,7 @@ def parse_spec(data: Mapping[str, Any]) -> WalkSpec:
     if not isinstance(measure, Mapping):
         raise ValueError(f"spec needs a 'measure' object, got {measure!r}")
     factors = data.get("factors")
-    declared = None if factors is None else _declared_product(factors)
+    declared = None if factors is None else FreeProduct(_items(factors, "factors", _build_factor))
     if "family" in measure:
         extra = {k: v for k, v in measure.items() if k != "family"}
         product, mu = build_family(measure["family"], **extra)

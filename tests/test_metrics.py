@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -444,7 +445,7 @@ def test_certified_volume_and_rho_keep_the_plain_bracket(monkeypatch):
 @pytest.mark.parametrize("guess", [math.nan, -1.0, 0.0, 1e-300, 0.999, 1.0, 2.0, math.inf])
 def test_certified_volume_and_rho_with_a_useless_guess(monkeypatch, guess):
     seen = recorded_brackets(monkeypatch)
-    monkeypatch.setattr(metrics, "_volume_guess", lambda runs, slack: (guess, 1.0))
+    monkeypatch.setattr(metrics, "_volume_guess", lambda runs: (guess, 1.0))
     monkeypatch.setattr(metrics, "_rho_guess", lambda sizes: guess * sum(sizes))
     for runs, orders in itertools.islice(certified_run_tables(seed=31), 12):
         metrics._volume_of_runs.__wrapped__(runs)
@@ -476,3 +477,35 @@ def test_cold_volume_needs_few_growth_evaluations(monkeypatch, orders):
     runs = metrics._factor_runs(product, natural_lengths(product))
     lo, hi = metrics.bisect_increasing(lambda t: real(runs, t), 0.0, 1.0)
     assert v == -math.log(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("orders, weight", [((64, 64), 2), ((41, 40, 42), 3)])
+def test_cold_volume_on_equal_weights_needs_few_growth_evaluations(monkeypatch, orders, weight):
+    calls = []
+    real = metrics._growth_equation
+    monkeypatch.setattr(metrics, "_growth_equation", lambda runs, t: calls.append(t) or real(runs, t))
+    product = free_product_of_cyclics(*orders)
+    lengths = LengthTable(product, np.full(product.nletters, float(weight)))
+    metrics._volume_of_runs.cache_clear()
+    v = volume(product, lengths)
+    # equal weights w keep the guess rho^(-1/w)
+    assert len(calls) <= 24
+    runs = metrics._factor_runs(product, lengths)
+    lo, hi = metrics.bisect_increasing(lambda t: real(runs, t), 0.0, 1.0)
+    assert v == -math.log(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("weights, first", [
+    ([1, 1, 1, -1, 1], "-1.0 in factor 1"),
+    ([1, 0, 1, 1, 1], "0.0 in factor 0"),
+    ([1, 1, math.nan, 1, 1], "nan in factor 1"),
+    ([1, 1, 1, 1, math.inf], "inf in factor 1"),
+    ([0, 0, 0, 0, 0], "0.0 in factor 0"),
+], ids=["negative", "zero", "nan", "inf", "all-zero"])
+def test_volume_rejects_weights_that_are_not_finite_and_positive(weights, first):
+    product = free_product_of_cyclics(3, 4)
+    lengths = LengthTable(product, np.array(weights, dtype=float))
+    # checked before the memo, which would answer for these runs
+    metrics._volume_of_runs(metrics._factor_runs(product, lengths))
+    with pytest.raises(ValueError, match=re.escape(f"length weight {first} is not finite and positive")):
+        volume(product, lengths)

@@ -18,13 +18,15 @@ import pytest
 
 import freewalk
 from freewalk import closedform as cf
-from freewalk import traffic, verify
+from freewalk import verify
 from freewalk.cli import _CLOSED_FORMS, _f17, build_parser, main
 from freewalk.groups import Letter, free_product_of_cyclics, letter_lengths
 from freewalk.simulate import estimate_drift
+from freewalk.traffic import solve_walk
 from freewalk.walkspec import (
     WalkSpec,
     build_family,
+    cyclic_walk,
     load_spec,
     minimal_generators,
     parse_spec,
@@ -106,38 +108,17 @@ def test_load_spec_roundtrip(tmp_path):
     assert spec.generators == spec.product.alphabet
 
 
-def test_specs_with_equal_cyclic_orders_share_one_product(tmp_path, capsys, monkeypatch):
-    # the tables kept for a product then serve every later spec of its
-    # orders: two solves through the CLI build them once
-    paths = []
-    for number, masses in enumerate(([0.1, 0.2, 0.1, 0.2, 0.3, 0.1], [0.3, 0.1, 0.1, 0.1, 0.2, 0.2])):
-        letters = dict(zip(["0:1", "0:2", "1:1", "1:2", "1:3", "1:4"], masses))
-        paths.append(tmp_path / f"walk{number}.json")
-        paths[-1].write_text(json.dumps({"factors": [{"cyclic": 3}, {"cyclic": 5}],
-                                         "measure": {"letters": letters}}))
-    first, second = (load_spec(str(path)) for path in paths)
-    assert first.product is second.product is free_product_of_cyclics(3, 5)
-    builds = []
-
-    class CountedTables(traffic._Structure):
-        def __init__(self, product):
-            builds.append(product)
-            super().__init__(product)
-
-    monkeypatch.setattr(traffic, "_Structure", CountedTables)
-    traffic.letter_tables.cache_clear()
-    try:
-        outputs = []
-        for path in paths:
-            assert main(["solve", "--spec", str(path)]) == 0
-            outputs.append(capsys.readouterr().out)
-    finally:
-        traffic.letter_tables.cache_clear()
-    assert builds == [first.product] and outputs[0] != outputs[1]
-    # a table factor keeps a product of its own
-    table = {"factors": [{"table": KLEIN_TABLE}, {"cyclic": 3}],
-             "measure": {"letters": {"0:1": 0.5, "1:1": 0.25, "1:2": 0.25}}}
-    assert parse_spec(table).product is not parse_spec(table).product
+def test_spec_walk_matches_the_builder_walk(tmp_path):
+    masses = dict(zip(["0:1", "0:2", "1:1", "1:2", "1:3", "1:4"], [0.1, 0.2, 0.1, 0.2, 0.3, 0.1]))
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps({"factors": [{"cyclic": 3}, {"cyclic": 5}],
+                                "measure": {"letters": masses}}))
+    spec = load_spec(str(path))
+    product, mu = cyclic_walk((3, 5), {Letter.parse(u): mass for u, mass in masses.items()})
+    assert spec.product.factors == product.factors
+    assert spec.mu.probs.tobytes() == mu.probs.tobytes()
+    assert (solve_walk(spec.product, spec.mu).q.values.tobytes()
+            == solve_walk(product, mu).q.values.tobytes())
 
 
 @pytest.mark.parametrize(
@@ -153,8 +134,7 @@ def test_specs_with_equal_cyclic_orders_share_one_product(tmp_path, capsys, monk
          "unknown-factor-key"],
 )
 def test_cyclic_factor_lists_keep_their_errors_in_order(factors, message):
-    # the shared product is built only for a list that would parse; any
-    # other list raises the error of its first bad factor, as before
+    # a list raises the error of its first bad factor
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_spec({"factors": factors, "measure": {"letters": {"0:1": 1.0}}})
 

@@ -68,6 +68,10 @@ measurements:
   Z/k * Z/k and Z/2 * Z/k for k = 3..64 (124 products), with its memo
   cleared before each call, so every call bisects as on a product's first
   use; the median of 5 passes in one fresh interpreter after its imports;
+- ``volume_cold_minimal_s``: ``metrics._volume_of_runs`` on the runs of the
+  minimal-generator lengths of the same products, timed the same way; all
+  but Z/3 * Z/3 and Z/2 * Z/3 have mixed weights there, so these volumes
+  take the plain bisection;
 - ``growth_rho_s``: ``metrics.growth_rho`` on the same products (it keeps
   no memo), timed the same way;
 - ``tier1_s``: wall time of the tier-1 suite, ``python -m pytest -q
@@ -194,9 +198,11 @@ print(statistics.median(times))
 TIME_GROWTH = """
 import statistics, time
 from freewalk import metrics
-from freewalk.groups import free_product_of_cyclics, natural_lengths
+from freewalk.groups import free_product_of_cyclics, letter_lengths, natural_lengths
+from freewalk.walkspec import minimal_generators
 products = [free_product_of_cyclics(a, k) for k in range(3, 65) for a in (k, 2)]
 runs = [metrics._factor_runs(p, natural_lengths(p)) for p in products]
+minimal = [metrics._factor_runs(p, letter_lengths(p, minimal_generators(p))) for p in products]
 times = []
 for _ in range(5):
     start = time.perf_counter()
@@ -206,6 +212,9 @@ print(statistics.median(times))
 """
 GROWTH = {
     "volume_cold_s": """for r in runs:
+        metrics._volume_of_runs.cache_clear()
+        metrics._volume_of_runs(r)""",
+    "volume_cold_minimal_s": """for r in minimal:
         metrics._volume_of_runs.cache_clear()
         metrics._volume_of_runs(r)""",
     "growth_rho_s": """for p in products:
