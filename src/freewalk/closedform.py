@@ -261,35 +261,43 @@ def _certified_bounds(fn, lo, hi, guess: float, slack: float,
     return -math.inf, math.inf
 
 
-def gamma_zkzk_interval(k: int) -> tuple[Fraction, Fraction]:
+def gamma_zkzk_interval(k: int, start: float | None = None) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Z/k * Z/k simple-walk drift.
 
     The root gap x_k - 1/3 decays like 3^-k, far below double resolution
     for large k, so monotonicity in k is only checkable exactly.  The
     enclosure is the cell that ``steps`` = 1.6k + 45 bisection steps of
     [1/4, 3/4] end in, narrower than that gap.  A secant iteration on the
-    recurrence in (steps + 2k + 16)-bit fixed point, started at
-    ``solve_xk(k)``, guesses the cell, and a few exact signs of
-    F_k(m/d) - 1 from the scaled integer recurrence S_n = d^n F_n(m/d)
-    (see ``_scaled_F``) certify it, so no rational arithmetic runs on the
-    10^4-bit values of F_k.
+    recurrence in (steps + 2k + 16)-bit fixed point, started at the float
+    ``start`` (``solve_xk(k)`` if None), guesses the cell, and a few exact
+    signs of F_k(m/d) - 1 from the scaled integer recurrence
+    S_n = d^n F_n(m/d) (see ``_scaled_F``) certify it, so no rational
+    arithmetic runs on the 10^4-bit values of F_k.  The enclosure is the
+    certified cell whatever the start; a start near x_k, such as
+    1 - 2 gamma from the enclosure of k - 1, saves the float bisection of
+    ``solve_xk``.
     """
     steps = math.ceil(1.585 * k) + 45
-    guess = _guess_root(lambda x, bits: _fixed_F(k, x, bits), solve_xk(k), steps, k)
+    if start is None:
+        start = solve_xk(k)
+    guess = _guess_root(lambda x, bits: _fixed_F(k, x, bits), start, steps, k)
     lo, hi = _certified_cell(lambda x: _F_sign(k, x), Fraction(1, 4), Fraction(3, 4), steps, guess)
     return (1 - hi) / 2, (1 - lo) / 2
 
 
-def gamma_hecke_interval(k: int) -> tuple[Fraction, Fraction]:
+def gamma_hecke_interval(k: int, start: float | None = None) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of the Z/2 * Z/k simple-walk drift.
 
     As ``gamma_zkzk_interval``, with k + 45 steps on [1/8, 3/8], a guess
-    from ``solve_yk(k)``, and the exact signs of G_{k-1}(y) - y from the
-    scaled integer recurrence H_n = 4d c^n G_n(m/d), c = 3d - 2m (see
-    ``_scaled_G``).
+    from the float ``start`` (``solve_yk(k)`` if None; (1 - 3 gamma)/2 from
+    the enclosure of k - 1 is close), and the exact signs of
+    G_{k-1}(y) - y from the scaled integer recurrence H_n = 4d c^n G_n(m/d),
+    c = 3d - 2m (see ``_scaled_G``).
     """
     steps = k + 45
-    guess = _guess_root(lambda y, bits: _fixed_G(k - 1, y, bits), solve_yk(k), steps, k)
+    if start is None:
+        start = solve_yk(k)
+    guess = _guess_root(lambda y, bits: _fixed_G(k - 1, y, bits), start, steps, k)
     lo, hi = _certified_cell(lambda y: _G_sign(k - 1, y), Fraction(1, 8), Fraction(3, 8), steps,
                              guess)
     return (1 - 2 * hi) / 3, (1 - 2 * lo) / 3

@@ -338,11 +338,17 @@ class LengthTable:
     the length of a word is the sum of its letter lengths.  Any additive
     letter weight fits the same table, e.g. the Green metric -log q with
     float weights.  Float weights suit drift and volume, but not sphere
-    counts: ``sphere_series`` needs integer weights of at least 1.
+    counts: ``sphere_series`` needs integer weights of at least 1.  Weights
+    of any shape but (product.nletters,) are a ValueError.
     """
 
     product: FreeProduct
     weights: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.weights)
+        if shape != (self.product.nletters,):
+            raise ValueError(f"need {self.product.nletters} length weights, got shape {shape}")
 
 
 def natural_lengths(product: FreeProduct) -> LengthTable:

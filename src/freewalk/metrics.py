@@ -443,23 +443,31 @@ def metrics_walks(
     lengths_of: Callable[[FreeProduct], LengthTable],
     tol: float = DEFAULT_TOL,
 ) -> list[MetricsReport | Exception]:
-    """Solve and summarise each walk, batching every run of consecutive walks on equal factors.
+    """Solve and summarise each walk, batching every walk on equal factors, wherever it stands.
 
     Each outcome equals ``metrics_report(product, mu, solve_walk(product,
-    mu, tol), lengths_of(product))`` or the domain error that raises; each
-    run takes one ``lengths_of``, one ``solve_batch`` and one volume.
+    mu, tol), lengths_of(product))`` or the domain error that raises, in
+    input order.  The walks are grouped by ``product.factors`` in
+    first-seen order, not only in runs of consecutive walks, and each group
+    takes one ``lengths_of`` on its first product, one ``solve_batch`` and
+    one volume; a row is bit-identical to its batch of one.
     """
-    out: list[MetricsReport | Exception] = []
-    for _, run in itertools.groupby(walks, key=lambda walk: walk[0].factors):
-        run = list(run)
-        product = run[0][0]
+    groups: dict[tuple, list[int]] = {}
+    walks = list(walks)
+    for i, (product, _) in enumerate(walks):
+        groups.setdefault(product.factors, []).append(i)
+    out: list = [None] * len(walks)
+    for rows in groups.values():
+        product = walks[rows[0]][0]
         try:
             lengths = lengths_of(product)
         except DOMAIN_ERRORS as exc:
-            out.extend([exc] * len(run))
-            continue
-        probs = np.array([mu.probs for _, mu in run])
-        out.extend(metrics_rows(product, probs, solve_batch(product, probs, tol=tol), lengths))
+            outcomes = [exc] * len(rows)
+        else:
+            probs = np.array([walks[i][1].probs for i in rows])
+            outcomes = metrics_rows(product, probs, solve_batch(product, probs, tol=tol), lengths)
+        for i, outcome in zip(rows, outcomes):
+            out[i] = outcome
     return out
 
 

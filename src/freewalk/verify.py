@@ -157,10 +157,16 @@ def criterion_4() -> _Check:
         chk.close(f"gamma_{k} closed vs solver", (1 - xk) / 2, drift(product, mu, rep.r), 1e-10)
     # The drift gaps decay like 3^-k (Hecke: 2^-k), below double resolution
     # long before k = 64, so the monotone-limit claims are certified with
-    # exact rational root enclosures.
-    for label, enclose, limit in (("gamma_k", cf.gamma_zkzk_interval, Fraction(1, 3)),
-                                  ("Hecke gamma_k", cf.gamma_hecke_interval, Fraction(2, 9))):
-        intervals = [enclose(k) for k in range(3, 65)]
+    # exact rational root enclosures.  Each k from 4 on starts its guess at
+    # the root of the enclosure of k - 1, x = 1 - 2 gamma (Hecke:
+    # y = (1 - 3 gamma)/2), not at a float bisection of its own.
+    for label, enclose, root, limit in (
+        ("gamma_k", cf.gamma_zkzk_interval, lambda g: 1 - 2 * g, Fraction(1, 3)),
+        ("Hecke gamma_k", cf.gamma_hecke_interval, lambda g: (1 - 3 * g) / 2, Fraction(2, 9)),
+    ):
+        intervals = [enclose(3)]
+        for k in range(4, 65):
+            intervals.append(enclose(k, float(root(intervals[-1][0]))))
         chk.true(
             f"{label} strictly increasing, < {limit} (k <= 64, certified)",
             all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
@@ -233,21 +239,24 @@ def criterion_7() -> _Check:
     """Maximum drift over the Z/2 * Z/3 parameter simplex.
 
     The sweep evaluates the closed-form drift surface on the full simplex
-    at resolution 1e-3, one row of fixed p at a time; criterion 6 has
-    already pinned that surface to the solver, and the solver is re-run at
-    the argmax here.  The first maximum in row-major order wins.
+    at resolution 1e-3, in blocks of 32 rows of fixed p, with one call of
+    ``drift_z2z3`` per block; criterion 6 has already pinned that surface
+    to the solver, and the solver is re-run at the argmax here.  The first
+    maximum in row-major order wins: the first one within a block, and a
+    later block only when strictly greater.
     """
     chk = _Check()
-    n = 1000
+    n, rows = 1000, 32
     grid = np.arange(n + 1) / n
     best, pb, qb = -math.inf, 0.0, 0.0
-    for p in grid:
-        valid = (p + grid <= 1 - 1 / n) & (p + grid >= 1 / n)  # mu(a) > 0 and Z/3 touched
-        row = np.full(n + 1, -1.0)
-        row[valid] = cf.drift_z2z3(p, grid[valid])
-        j = int(np.argmax(row))
-        if row[j] > best:
-            best, pb, qb = float(row[j]), float(p), float(grid[j])
+    for start in range(0, n + 1, rows):
+        p, q = np.broadcast_arrays(grid[start:start + rows, None], grid)
+        valid = (p + q <= 1 - 1 / n) & (p + q >= 1 / n)  # mu(a) > 0 and Z/3 touched
+        block = np.full(p.shape, -1.0)
+        block[valid] = cf.drift_z2z3(p[valid], q[valid])
+        j = int(np.argmax(block))  # flat, so the block's first maximum in row-major order
+        if block.flat[j] > best:
+            best, pb, qb = float(block.flat[j]), float(p.flat[j]), float(q.flat[j])
     chk.close("max gamma over simplex", best, 0.163379, 1e-4)
     z0 = 0.490275
     on_edge = (qb == 0.0) or (pb == 0.0)

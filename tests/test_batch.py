@@ -225,6 +225,25 @@ def test_metrics_walks_batch_separately_built_equal_products(monkeypatch):
         assert m == metrics_report(product, mu)
 
 
+def test_metrics_walks_batch_interleaved_products_in_input_order(monkeypatch):
+    # walks on A, B, A, B: one solve_batch per product, not one per run
+    calls = []
+
+    def counted(product, probs, tol=DEFAULT_TOL):
+        calls.append(len(probs))
+        return solve_batch(product, probs, tol=tol)
+
+    monkeypatch.setattr("freewalk.metrics.solve_batch", counted)
+    a, b = free_product_of_cyclics(3, 4), free_product_of_cyclics(2, 5)
+    rng = np.random.default_rng(12)
+    walks = [(product, StepDistribution(product, rng.dirichlet(np.ones(product.nletters))))
+             for product in (a, b, a, b)]
+    got = metrics_walks(walks, natural_lengths)
+    assert calls == [2, 2]
+    for (product, mu), m in zip(walks, got):
+        assert m == metrics_report(product, mu)
+
+
 def test_metrics_walks_match_metrics_report():
     # two runs on different products; the Z/4 * Z/4 run is measured in S-length.
     # metrics_report is the batch of one of metrics_rows, so the reference is

@@ -223,6 +223,22 @@ def test_certified_cell_needs_few_exact_signs(monkeypatch, interval, _, name):
         assert 2 <= len(calls) <= 6, (k, len(calls))
 
 
+@pytest.mark.parametrize("interval, root, name", [
+    (cf.gamma_zkzk_interval, lambda g: 1 - 2 * g, "_F_sign"),
+    (cf.gamma_hecke_interval, lambda g: (1 - 3 * g) / 2, "_G_sign"),
+], ids=FAMILY_IDS)
+def test_chain_seeded_from_k_minus_one_keeps_the_enclosures(monkeypatch, interval, root, name):
+    # criterion 4's chain: each k starts at the root of the enclosure of k - 1
+    unseeded = [interval(k) for k in range(3, 65)]
+    calls = _counted(monkeypatch, name)
+    seeded = [interval(3)]
+    for k in range(4, 65):
+        calls.clear()
+        seeded.append(interval(k, float(root(seeded[-1][0]))))
+        assert 2 <= len(calls) <= 6, (k, len(calls))
+    assert seeded == unseeded
+
+
 @pytest.mark.parametrize("interval, bisected, name", FAMILIES, ids=FAMILY_IDS)
 @pytest.mark.parametrize("cells", [-2, -1, 1, 2])
 def test_guess_a_cell_or_two_off_is_stepped_back(monkeypatch, interval, bisected, name, cells):

@@ -509,3 +509,16 @@ def test_volume_rejects_weights_that_are_not_finite_and_positive(weights, first)
     metrics._volume_of_runs(metrics._factor_runs(product, lengths))
     with pytest.raises(ValueError, match=re.escape(f"length weight {first} is not finite and positive")):
         volume(product, lengths)
+
+
+@pytest.mark.parametrize("size", [3, 9])
+def test_length_table_needs_one_weight_per_letter(size):
+    # Z/3 * Z/4 has 5 letters: 3 weights once gave the volume of another
+    # length function, and 9 dropped their tail
+    product = free_product_of_cyclics(3, 4)
+    mu = StepDistribution(product, np.full(product.nletters, 1 / product.nletters))
+    message = re.escape(f"need 5 length weights, got shape ({size},)")
+    with pytest.raises(ValueError, match=message):
+        volume(product, LengthTable(product, np.ones(size)))
+    with pytest.raises(ValueError, match=message):
+        metrics_report(product, mu, lengths=LengthTable(product, np.ones(size)))

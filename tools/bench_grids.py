@@ -27,11 +27,12 @@ measurements:
   12``, the Monte Carlo criterion, and ``verify_12_peak_rss_mb``, the peak
   RSS of that process, which holds the Monte Carlo blocks' stacks and drawn
   letters;
-- ``criterion_N_s`` for N in 4, 6, 8, 9, 10, 11, 12 and 13:
+- ``criterion_N_s`` for N in 4, 6, 7, 8, 9, 10, 11, 12 and 13:
   ``verify.run_criterion(N)`` timed inside a fresh interpreter after its
-  imports, at full precision where verify prints two decimals; criterion 9
-  is the one that evaluates ``harmonic.cylinder_prob`` word by word, and
-  criterion 11 the one that counts spheres with ``groups.sphere_series``;
+  imports, at full precision where verify prints two decimals; criterion 7
+  is the one that sweeps the Z/2 * Z/3 drift surface, criterion 9 the one
+  that evaluates ``harmonic.cylinder_prob`` word by word, and criterion 11
+  the one that counts spheres with ``groups.sphere_series``;
 - ``mc_drift_s``, ``mc_prefix_s`` and ``mc_hitting_s``: criterion 12's calls
   of ``estimate_drift``, ``estimate_prefix`` or ``estimate_hitting`` on both
   of its walks, each timed inside a fresh interpreter after its imports, so
@@ -220,7 +221,7 @@ GROWTH = {
     "growth_rho_s": """for p in products:
         metrics.growth_rho(p)""",
 }
-CRITERIA = (4, 6, 8, 9, 10, 11, 12, 13)
+CRITERIA = (4, 6, 7, 8, 9, 10, 11, 12, 13)
 # criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
 TIME_MONTE_CARLO = """
 import time
