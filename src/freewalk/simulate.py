@@ -6,9 +6,12 @@ across platforms and replications are independent streams that may be
 computed in any order.  The estimators and ``trajectories`` step their
 replications together, in blocks of up to 1024, each walk on its own
 stream, and each walk's float sums are those of stepping it alone, so the
-results equal those of stepping one replication at a time.  One letter
-action serves them and the exact convolution powers: the step tables of
-``_Steps``, built from the solver's in-factor pair tables.
+results equal those of stepping one replication at a time.  On Linux the
+blocks of one run are split among forked processes, one per CPU in the
+affinity mask, with the same results (``taskset -c 0`` gives one
+process).  One letter action serves them and the exact convolution
+powers: the step tables of ``_Steps``, built from the solver's in-factor
+pair tables.
 
 Letters are drawn a few walks at a time: each walk's 64-bit Philox words
 fill one row of a small buffer, and an exact guide table with integer
@@ -27,7 +30,12 @@ stops early.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -262,14 +270,96 @@ class _Walks(NamedTuple):
     """Per walk, after its last step in ``_lockstep``.
 
     That is the last step of the run, or, for a prefix or hitting walk
-    that settled, the step before the look at which it left.
+    that settled, the step before the look at which it left.  The prefix
+    cells above a walk's depth are 0: a pop writes 0, and each block
+    clears cells 1..prefix_len that an earlier block in its process left,
+    so every row is a function of its walk alone, whichever process ran it.
     """
 
     depth: np.ndarray  # letters in the final word; if it left early, still above the cells read
     weight: np.ndarray  # weight of the final word, 0 without weights
     hit: np.ndarray  # whether the word was the one letter goal at some step
-    prefix: np.ndarray  # (prefix_len, reps): first letters, index + 1, where depth >= prefix_len
+    prefix: np.ndarray  # (prefix_len, reps): first letters, index + 1, then 0
     record: list[Trajectory]  # with ``record``, each walk's weight after every step
+
+
+def _groups(blocks: range, record: bool) -> list[range]:
+    """Split a run's blocks into contiguous groups, one per process that steps them.
+
+    That is one process per CPU in the affinity mask, at most one per
+    block.  The caller alone steps a run of one block, a recorded run,
+    whose series would cross a pipe, a run where ``os.sched_getaffinity``
+    is missing (not Linux), and a run in a process with other threads,
+    since a fork from a threaded process can deadlock the child.
+    """
+    if (len(blocks) == 1 or record or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return [blocks]
+    k = min(len(os.sched_getaffinity(0)), len(blocks))
+    return [blocks[len(blocks) * g // k : len(blocks) * (g + 1) // k] for g in range(k)]
+
+
+def _fork(groups: list[range], run: Callable[[range], None], out: _Walks) -> None:
+    """run(groups[0]) here and each later group in a forked child, then gather the children's walks.
+
+    A child runs its group, sends the rows of ``out`` of its walks, or the
+    exception it raised, pickled through a pipe, and leaves through
+    ``os._exit``, so no exit handler or stdio buffer of the caller runs
+    twice.  The caller writes the rows into ``out`` and re-raises a child's
+    exception; a child that dies without a payload raises RuntimeError.
+    When ``os.fork`` fails, the caller runs that group itself.  Children
+    not yet read when the caller fails or is interrupted are killed before
+    they are waited for, since one blocked writing a full pipe would never
+    exit, so none is left when this returns or raises.
+    """
+    mine, children = [groups[0]], []
+    try:
+        for blocks in groups[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(read)
+                os.close(write)
+                mine.append(blocks)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    try:
+                        run(blocks)
+                        payload = tuple(column[..., blocks.start : blocks.stop] for column in out[:4])
+                    except BaseException as exc:  # the caller raises it
+                        payload = exc
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(payload))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), blocks))
+        for blocks in mine:
+            run(blocks)
+        while children:
+            pid, pipe, blocks = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if not payload:
+                raise RuntimeError(f"a Monte Carlo child process ended with wait status {status} "
+                                   "and sent no walks")
+            rows = pickle.loads(payload)
+            if isinstance(rows, BaseException):
+                raise rows
+            for column, part in zip(out[:4], rows):
+                column[..., blocks.start : blocks.stop] = part
+    finally:
+        for pid, pipe, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def _lockstep(
@@ -311,6 +401,13 @@ def _lockstep(
     block ends when none is left.  So the stack holds
     ``_stack_depth(steps, read)`` rows above cell 0, for the deepest cell
     read.  With weights every walk reads every step and none stops early.
+
+    The blocks are split into contiguous groups, one per CPU in the
+    process's affinity mask (see ``_groups``).  The caller steps the first
+    group and a forked child each other one, with its own stack and drawn
+    letters (see ``_fork``), and the children's walks are written into the
+    result.  A walk's letters, stack and sums depend only on its own
+    stream, so the result is the same whichever process stepped it.
     """
     n = product.nletters
     width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
@@ -330,52 +427,57 @@ def _lockstep(
     stack = np.zeros((depth + 1) * width, dtype=value.dtype)
     picks = np.empty((width, min(steps, _CHUNK)), dtype=streams.offset_of.dtype)
     codes = np.empty(width, dtype=np.intp)
-    for start in range(0, reps, width):
-        b = min(width, reps - start)
-        walk = np.arange(b)  # the block column of each walk still stepping
-        at = walk.copy()  # the cell of each walk's top
-        top = np.zeros(b, dtype=value.dtype)
-        hit = np.zeros(b, dtype=bool)
-        block = slice(start, start + b)
-        total = out.weight[block]
-        for done in range(0, steps, _WATCH):
-            col, left = done % _CHUNK, steps - done
-            if settle:
-                stay = ~hit & (at < (left + read + 1) * width)
-                if not stay.all():
-                    gone = ~stay
-                    out.depth[start + walk[gone]] = at[gone] // width
-                    out.hit[start + walk[gone]] = hit[gone]
-                    slot = slot[stay]
-                    walk, at, top, hit = walk[stay], at[stay], top[stay], hit[stay]
-                    if not walk.size:
-                        break
-            if col == 0:
-                streams.fill(picks[: len(walk), : min(_CHUNK, left)], start + walk, done)
-                slot = np.arange(len(walk))  # the picks row of each walk still stepping
-            drawn = picks[slot, col : col + min(_WATCH, left)].T.copy()  # one row per step
-            code = codes[: len(walk)]
-            watch = goal >= 0 and at.min() < (_WATCH + 2) * width
-            for step, offset in enumerate(drawn, done + 1):
-                np.add(top, offset, out=code)
-                moved = rise[code]
-                moved += at
-                stack[np.maximum(at, moved, out=at)] = value[code]
-                at = moved
-                top = stack[at]
-                if weights is not None:
-                    total += gain[code]
-                    if record:
-                        series[block, step] = total
-                if watch:
-                    hit |= (at < 2 * width) & (top == goal + 1)  # depth 1: cell 0 is never a letter
-        out.depth[start + walk] = at // width
-        out.hit[start + walk] = hit
-        cells = stack.reshape(depth + 1, width)
-        out.prefix[: min(prefix_len, steps), block] = cells[1 : prefix_len + 1, :b]
-        if record:
-            out.record.extend(Trajectory(series[start + j], _word(product, cells[1 : d + 1, j]))
-                              for j, d in enumerate(out.depth[block].tolist()))
+
+    def run(blocks: range) -> None:
+        for start in blocks:
+            b = min(width, reps - start)
+            stack[width : (prefix_len + 1) * width] = 0  # cells an earlier block left (see _Walks)
+            walk = np.arange(b)  # the block column of each walk still stepping
+            at = walk.copy()  # the cell of each walk's top
+            top = np.zeros(b, dtype=value.dtype)
+            hit = np.zeros(b, dtype=bool)
+            block = slice(start, start + b)
+            total = out.weight[block]
+            for done in range(0, steps, _WATCH):
+                col, left = done % _CHUNK, steps - done
+                if settle:
+                    stay = ~hit & (at < (left + read + 1) * width)
+                    if not stay.all():
+                        gone = ~stay
+                        out.depth[start + walk[gone]] = at[gone] // width
+                        out.hit[start + walk[gone]] = hit[gone]
+                        slot = slot[stay]
+                        walk, at, top, hit = walk[stay], at[stay], top[stay], hit[stay]
+                        if not walk.size:
+                            break
+                if col == 0:
+                    streams.fill(picks[: len(walk), : min(_CHUNK, left)], start + walk, done)
+                    slot = np.arange(len(walk))  # the picks row of each walk still stepping
+                drawn = picks[slot, col : col + min(_WATCH, left)].T.copy()  # one row per step
+                code = codes[: len(walk)]
+                watch = goal >= 0 and at.min() < (_WATCH + 2) * width
+                for step, offset in enumerate(drawn, done + 1):
+                    np.add(top, offset, out=code)
+                    moved = rise[code]
+                    moved += at
+                    stack[np.maximum(at, moved, out=at)] = value[code]
+                    at = moved
+                    top = stack[at]
+                    if weights is not None:
+                        total += gain[code]
+                        if record:
+                            series[block, step] = total
+                    if watch:  # depth 1: cell 0 is never a letter
+                        hit |= (at < 2 * width) & (top == goal + 1)
+            out.depth[start + walk] = at // width
+            out.hit[start + walk] = hit
+            cells = stack.reshape(depth + 1, width)
+            out.prefix[: min(prefix_len, steps), block] = cells[1 : prefix_len + 1, :b]
+            if record:
+                out.record.extend(Trajectory(series[start + j], _word(product, cells[1 : d + 1, j]))
+                                  for j, d in enumerate(out.depth[block].tolist()))
+
+    _fork(_groups(range(0, reps, width), record), run, out)
     return out
 
 

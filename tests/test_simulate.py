@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from freewalk.simulate import (
     _CHUNK,
     _WATCH,
     _Streams,
+    _lockstep,
     check_sizes,
     distribution_entropy,
     estimate_drift,
@@ -585,3 +588,129 @@ def test_settling_walks_reach_the_stack_depth_bound(monkeypatch, read):
     if read == 1:
         assert estimate_hitting(product, mu, Letter(0, 1), steps, 2, SEED) == hitting
         assert hitting.estimate == 0.5
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _near_line():
+    return z2z2z2(0.4999)  # many walks end shorter than the prefix
+
+
+@pytest.mark.parametrize(
+    "walk, options, steps",
+    [
+        (lambda: hecke_simple(3), lambda p, m: {"weights": natural_lengths(p).weights}, 40),
+        (lambda: uniform_per_factor([3, 4, 5]), lambda p, m: {"weights": _minimal(p, m).weights},
+         40),
+        (_near_line, lambda p, m: {"prefix_len": 1}, 40),
+        (_near_line, lambda p, m: {"prefix_len": 2}, 40),
+        # about half the walks go up, down and up, and never write cell 2
+        (_near_line, lambda p, m: {"prefix_len": 2}, 3),
+        (lambda: hecke_simple(3), lambda p, m: {"goal": p.letter_index(Letter(0, 1))}, 40),
+    ],
+    ids=["drift-natural", "drift-minimal", "prefix-1", "prefix-2", "prefix-2-short", "hitting"],
+)
+def test_blocks_stepped_in_forked_processes_keep_every_bit(monkeypatch, walk, options, steps):
+    # Four blocks on one CPU, and on four, where the caller steps the first
+    # and three forked children one each; the prefix cells above a short
+    # walk's depth read 0 in both, whichever block ran before it.
+    product, mu = walk()
+    kwargs = options(product, mu)
+    reps = 3 * _BLOCK + 5
+    forks = _count_forks(monkeypatch)
+    _cpus(monkeypatch, 1)
+    alone = _lockstep(product, mu, steps, reps, SEED, **kwargs)
+    assert forks == []
+    _cpus(monkeypatch, 4)
+    forked = _lockstep(product, mu, steps, reps, SEED, **kwargs)
+    assert len(forks) == 3
+    for one, four in zip(alone[:4], forked[:4]):
+        assert one.dtype == four.dtype and one.shape == four.shape
+        assert one.tobytes() == four.tobytes()
+    above = np.arange(1, len(alone.prefix) + 1)[:, None] > alone.depth
+    assert above[:, _BLOCK:].any() == bool(kwargs.get("prefix_len"))
+    assert not alone.prefix[above].any()
+
+
+def test_a_failed_fork_steps_the_group_in_the_caller(monkeypatch):
+    product, mu = _near_line()
+    reps = 3 * _BLOCK + 5
+    _cpus(monkeypatch, 1)
+    alone = _lockstep(product, mu, 40, reps, SEED, prefix_len=2)
+
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, 4)
+    kept = _lockstep(product, mu, 40, reps, SEED, prefix_len=2)
+    for one, other in zip(alone[:4], kept[:4]):
+        assert one.tobytes() == other.tobytes()
+
+
+class _ChildFailed(Exception):
+    pass
+
+
+def _raise(stream):
+    raise _ChildFailed(f"stream {stream}")
+
+
+def _die(stream):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("fail, raised", [(_raise, _ChildFailed), (_die, RuntimeError)],
+                         ids=["raises", "dies"])
+def test_a_failing_child_makes_the_caller_raise_and_leaves_no_process(monkeypatch, fail, raised):
+    # Each child fails in its first draw; the caller's own block draws as usual.
+    product, mu = hecke_simple(3)
+    fill = _Streams.fill
+
+    def failing(self, picks, streams, skip=0):
+        if streams[0] >= _BLOCK:
+            fail(int(streams[0]))
+        fill(self, picks, streams, skip)
+
+    monkeypatch.setattr(_Streams, "fill", failing)
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(raised):
+        estimate_prefix(product, mu, 40, 3 * _BLOCK + 5, SEED, prefix_len=1)
+    assert len(forks) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_block_recorded_or_threaded_runs_fork_nothing(monkeypatch):
+    product, mu = hecke_simple(3)
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    estimate_drift(product, mu, 40, _BLOCK, SEED)
+    assert len(trajectories(product, mu, 5, _BLOCK + 1, SEED)) == _BLOCK + 1
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait, args=(30,))
+    waiting.start()
+    try:
+        estimate_prefix(product, mu, 40, _BLOCK + 1, SEED, prefix_len=1)
+    finally:
+        stop.set()
+        waiting.join(timeout=30)
+    assert not waiting.is_alive()
+    assert forks == []

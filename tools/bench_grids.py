@@ -33,6 +33,10 @@ measurements:
   is the one that sweeps the Z/2 * Z/3 drift surface, criterion 9 the one
   that evaluates ``harmonic.cylinder_prob`` word by word, and criterion 11
   the one that counts spheres with ``groups.sphere_series``;
+- ``criterion_12_one_cpu_s``: ``verify.run_criterion(12)`` timed the same
+  way in an interpreter that pins itself to its first allowed CPU
+  (``os.sched_setaffinity``) before it imports freewalk, so the Monte Carlo
+  runs step every block in one process, as on a machine with one CPU;
 - ``mc_drift_s``, ``mc_prefix_s`` and ``mc_hitting_s``: criterion 12's calls
   of ``estimate_drift``, ``estimate_prefix`` or ``estimate_hitting`` on both
   of its walks, each timed inside a fresh interpreter after its imports, so
@@ -82,6 +86,11 @@ measurements:
   tree collects (``pytest --collect-only -q`` in each tree, once before
   the runs), so that a test added or removed by a change does not read as
   faster or slower code.
+
+Each tree is run through a symlink ``t0``, ``t1``, ... in one temporary
+directory, so every tree's ``src`` sits at a path of the same length: the
+peak RSS of ``exact_convolution_z3z3_17_peak_rss_mb`` moved by up to 8 %
+with the length of the checkout's path alone.
 
 The file holds, per tree and measurement, the median, the quartiles and
 every run, with the machine and each tree's commit.
@@ -221,6 +230,14 @@ GROWTH = {
     "growth_rho_s": """for p in products:
         metrics.growth_rho(p)""",
 }
+TIME_CRITERION_12_ONE_CPU = """
+import os, time
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from freewalk.verify import run_criterion
+start = time.perf_counter()
+run_criterion(12)
+print(time.perf_counter() - start)
+"""
 CRITERIA = (4, 6, 7, 8, 9, 10, 11, 12, 13)
 # criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
 TIME_MONTE_CARLO = """
@@ -245,7 +262,7 @@ MONTE_CARLO = {
 UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "quality_sup_cli_s": "s",
          "quality_sup_s": "s", "verify_4_cli_s": "s", "verify_6_10_cli_s": "s",
          "verify_12_cli_s": "s", "verify_12_peak_rss_mb": "MiB",
-         **{f"criterion_{n}_s": "s" for n in CRITERIA},
+         **{f"criterion_{n}_s": "s" for n in CRITERIA}, "criterion_12_one_cpu_s": "s",
          **{name: "s" for name in MONTE_CARLO},
          "exact_convolution_z4z4_10_s": "s", "exact_convolution_z3z3_17_s": "s",
          "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "solve_118_cli_s": "s", "solve_118_s": "s",
@@ -296,6 +313,8 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
     for number in CRITERIA:
         row[f"criterion_{number}_s"] = float(
             _child(tree, ["-c", TIME_CRITERION.format(number=number)], workdir)[2])
+    row["criterion_12_one_cpu_s"] = float(
+        _child(tree, ["-c", TIME_CRITERION_12_ONE_CPU], workdir)[2])
     for name, call in MONTE_CARLO.items():
         row[name] = float(_child(tree, ["-c", TIME_MONTE_CARLO.format(call=call)], workdir)[2])
     row["exact_convolution_z4z4_10_s"] = float(_child(tree, ["-c", TIME_CONVOLUTION], workdir)[2])
@@ -364,14 +383,18 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--tree {item!r}: need LABEL=PATH of a checkout with src/freewalk")
         trees[label] = Path(path).resolve()
     runs: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
-    collected = [collect(tree) for tree in trees.values()]
-    shared = set.intersection(*map(set, collected))
-    common = [test for test in collected[0] if test in shared]
-    if not common:
-        parser.error("the trees collect no test id in common")
     with tempfile.TemporaryDirectory() as workdir:
+        links = {}  # paths of one length to every tree
+        for number, (label, tree) in enumerate(trees.items()):
+            links[label] = Path(workdir) / f"t{number:0{len(str(len(trees)))}d}"
+            links[label].symlink_to(tree, target_is_directory=True)
+        collected = [collect(link) for link in links.values()]
+        shared = set.intersection(*map(set, collected))
+        common = [test for test in collected[0] if test in shared]
+        if not common:
+            parser.error("the trees collect no test id in common")
         for number in range(args.runs):
-            order = list(trees.items())
+            order = list(links.items())
             if number % 2:
                 order.reverse()
             for label, tree in order:
