@@ -89,7 +89,7 @@ measurements:
 
 Each tree is run through a symlink ``t0``, ``t1``, ... in one temporary
 directory, so every tree's ``src`` sits at a path of the same length: the
-peak RSS of ``exact_convolution_z3z3_17_peak_rss_mb`` moved by up to 8 %
+peak RSS of ``exact_convolution_z3z3_17_peak_rss_mb`` moved by up to 9 %
 with the length of the checkout's path alone.
 
 The file holds, per tree and measurement, the median, the quartiles and
