@@ -676,15 +676,21 @@ def _die(stream):
     os._exit(3)
 
 
-@pytest.mark.parametrize("fail, raised", [(_raise, _ChildFailed), (_die, RuntimeError)],
-                         ids=["raises", "dies"])
-def test_a_failing_child_makes_the_caller_raise_and_leaves_no_process(monkeypatch, fail, raised):
-    # Each child fails in its first draw; the caller's own block draws as usual.
+@pytest.mark.parametrize(
+    "fail, in_child, raised",
+    [(_raise, True, _ChildFailed), (_die, True, RuntimeError), (_raise, False, _ChildFailed)],
+    ids=["child-raises", "child-dies", "caller-raises"],
+)
+def test_a_failing_block_makes_the_caller_raise_and_leaves_no_process(monkeypatch, fail, in_child,
+                                                                      raised):
+    # The children's blocks (streams from _BLOCK on), or the caller's first
+    # block, fail in their first draw; the others draw as usual.  When the
+    # caller fails, its children are still stepping and must be killed.
     product, mu = hecke_simple(3)
     fill = _Streams.fill
 
     def failing(self, picks, streams, skip=0):
-        if streams[0] >= _BLOCK:
+        if (streams[0] >= _BLOCK) == in_child:
             fail(int(streams[0]))
         fill(self, picks, streams, skip)
 
