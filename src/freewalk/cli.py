@@ -119,7 +119,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     spec = _walk_from_args(args)
     product, mu = spec.product, spec.mu
     report = solve_walk(product, mu, tol=spec.tol, max_iter=spec.max_iter)
-    metrics = metrics_report(product, mu, report)
+    # natural lengths (None) for the natural set, which resolve_generators returns as the alphabet
+    lengths = None if spec.generators is product.alphabet else letter_lengths(product, spec.generators)
+    metrics = metrics_report(product, mu, report, lengths)
     out = sys.stdout
     out.write(f"walk: {product!r}, {product.nletters} letters\n")
     for u in product.alphabet:
@@ -134,7 +136,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         out.write(f"r({u}) = {_f17(report.r[u])}\n")
     for i in range(product.nfactors):
         out.write(f"r(Sigma_{i}) = {_f17(report.r.factor_sum(i))}\n")
-    out.write(f"stationary = {str(metrics.stationary).lower()}\n")
+    out.write(f"stationary = {str(report.stationary).lower()}\n")
     if product.nfactors == 2:
         out.write(f"two-factor identity q(S1)q(S2) = {_f17(two_factor_identity(report.q))}\n")
         chain = build_chain(product, report.r)

@@ -25,13 +25,8 @@ def eval_F(n: int, x):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else x**0
-    if n == 0:
-        return prev
-    cur = x
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * (2 - x) * cur - prev
-    return cur
+    one = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else x**0
+    return _two_term(n, one, x, 2 * (2 - x), 1)
 
 
 def eval_G(n: int, x):
@@ -41,14 +36,9 @@ def eval_G(n: int, x):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    g_prev = (2 * x + 1) / 4
     if n == 0:
-        return g_prev
-    g_cur = x
-    factor = 8 * (1 - x) / (3 - 2 * x)
-    for _ in range(n - 1):
-        g_prev, g_cur = g_cur, factor * g_cur - g_prev
-    return g_cur
+        return (2 * x + 1) / 4
+    return _two_term(n, (2 * x + 1) / 4, x, 8 * (1 - x) / (3 - 2 * x), 1)
 
 
 def bisect_increasing(fn, lo, hi, steps: int = 200, *, below=-math.inf, above=math.inf):
@@ -126,13 +116,17 @@ def drift_hecke(k: int) -> float:
     return (1.0 - 2.0 * solve_yk(k)) / 3.0
 
 
-def _two_term(n: int, first: int, second: int, a: int, b: int, shift: int = 0) -> int:
-    """Term n of t_0 = first, t_1 = second, t_n = (a t_{n-1} >> shift) - b t_{n-2}, in integers."""
+def _two_term(n: int, first, second, a, b, shift: int = 0):
+    """Term n of t_0 = first, t_1 = second, t_n = (a t_{n-1} >> shift) - b t_{n-2}.
+
+    With a shift the terms are integers; with none they may be any numbers
+    (floats, numpy arrays, Fractions), each step computing a t_{n-1} - b t_{n-2}.
+    """
     if n == 0:
         return first
     prev, cur = first, second
     for _ in range(n - 1):
-        prev, cur = cur, (a * cur >> shift) - b * prev
+        prev, cur = cur, (a * cur >> shift if shift else a * cur) - b * prev
     return cur
 
 

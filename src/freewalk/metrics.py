@@ -33,7 +33,6 @@ from .traffic import (
     SolveReport,
     StepDistribution,
     _Structure,
-    _stationary,
     batches,
     check_tolerance,
     chunk_rows,
@@ -60,7 +59,6 @@ class MetricsReport:
     quality: float
     hd_measure: float
     hd_support: float
-    stationary: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,8 +404,8 @@ def metrics_rows(
     A row whose outcome is an exception keeps it.  gamma and volume are
     measured in ``lengths``, natural by default; a drift at or below
     QUALITY_GAMMA_FLOOR is a ValueError, since the quotients divide by it.
-    The volume is computed once for all rows, and the stationary flag once
-    per chunk of root vectors.
+    The volume is computed once for all rows.  The stationary flag is left
+    to ``SolveReport.stationary``, which computes it when read.
     """
     if lengths is None:
         lengths = natural_lengths(product)
@@ -416,7 +414,7 @@ def metrics_rows(
     r = np.array([outcomes[i].r.values for i in ok]).reshape(p.shape)
     q = np.array([outcomes[i].q.values for i in ok]).reshape(p.shape)
     # in chunks, as the pair terms take up to n^2 floats per row
-    gammas, entropies, stationary = [], [], []
+    gammas, entropies = [], []
     s = letter_tables(product)
     size = chunk_rows(product.nletters)
     for start in range(0, len(p), size):
@@ -428,13 +426,12 @@ def metrics_rows(
         gamma, h = _additive_drift(s, p[rows], r[rows], w)
         gammas += gamma.tolist()
         entropies += h.tolist()
-        stationary += _stationary(s, r[rows]).tolist()
     v = volume(product, lengths) if any(not g <= QUALITY_GAMMA_FLOOR for g in gammas) else math.nan
     out = list(outcomes)
-    for i, gamma, h, flag in zip(ok, gammas, entropies, stationary):
+    for i, gamma, h in zip(ok, gammas, entropies):
         out[i] = ValueError(_NO_DRIFT) if gamma <= QUALITY_GAMMA_FLOOR else MetricsReport(
             gamma=gamma, entropy=h, volume=v, quality=h / (gamma * v), hd_measure=h / gamma,
-            hd_support=v, stationary=flag)
+            hd_support=v)
     return out
 
 

@@ -42,6 +42,16 @@ def test_criterion_expected_failure(number):
     _run(number)
 
 
+@pytest.mark.parametrize("number", sorted(verify.CRITERIA))
+def test_a_result_passes_when_no_check_is_bad_and_shares_no_list(number):
+    first, second = verify.run_criterion(number), verify.run_criterion(number)
+    for result in (first, second):
+        assert result.passed == (not any(line.startswith("BAD") for line in result.details))
+    assert first is not second
+    assert first.details is not second.details and first.notes is not second.notes
+    assert first.details == second.details and first.notes == second.notes
+
+
 def test_criterion_7_finds_the_first_maximum_of_the_grid():
     assert verify.run_criterion(7).details == [
         "ok  max gamma over simplex: 0.16337869974332694 vs 0.163379 (|err|=3.003e-07, tol=1e-04)",

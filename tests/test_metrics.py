@@ -275,7 +275,6 @@ def test_metrics_report_assembly():
     product, mu = zkzk_simple(4)
     m = metrics_report(product, mu)
     assert abs(m.quality - m.entropy / (m.gamma * m.volume)) < 1e-12
-    assert m.stationary
     assert abs(m.hd_measure - m.entropy / m.gamma) < 1e-12
     assert abs(m.hd_support - m.volume) < 1e-12
     assert m.gamma > 0 and m.entropy >= 0 and m.volume > 0

@@ -678,6 +678,22 @@ def test_cli_quality(capsys):
     assert "sup quality" in out
 
 
+@pytest.mark.parametrize("source", ["flag", "spec"])
+def test_cli_solve_reports_quality_in_the_walks_generating_set(source, tmp_path, capsys):
+    # the minimal set, from --gens or from the spec's "generators"; the
+    # natural lengths give 0.97943775389087762 instead
+    walk = ["--family", "zkzk-simple", "--k", "4", "--gens", "minimal"]
+    if source == "spec":
+        path = tmp_path / "walk.json"
+        path.write_text(json.dumps({"measure": {"family": "zkzk-simple", "k": 4},
+                                    "generators": "minimal"}))
+        walk = ["--spec", str(path)]
+    assert main(["solve", *walk]) == 0
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("quality = ")]
+    assert main(["quality", *walk]) == 0
+    assert capsys.readouterr().out == f"{line}\n" == "quality = 0.98768601901352926\n"
+
+
 def test_cli_verify_list_and_single(capsys):
     assert main(["verify", "--list"]) == 0
     assert capsys.readouterr().out.splitlines() == [
