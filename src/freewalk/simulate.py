@@ -6,12 +6,15 @@ across platforms and replications are independent streams that may be
 computed in any order.  The estimators and ``trajectories`` step their
 replications together, in blocks of up to 1024, each walk on its own
 stream, and each walk's float sums are those of stepping it alone, so the
-results equal those of stepping one replication at a time.  On Linux the
-blocks of one run are split among forked processes, one per CPU in the
-affinity mask, with the same results (``taskset -c 0`` gives one
-process).  One letter action serves them and the exact convolution
-powers: the step tables of ``_Steps``, built from the solver's in-factor
-pair tables.
+results equal those of stepping one replication at a time.  The
+estimators step their runs as batches (``estimate_batch``; each estimator
+is a batch of one): on Linux a batch's blocks, in run order, are cut
+into groups of about equal walk-steps, one per CPU in the affinity mask,
+each stepped in its own process with the same results (``taskset -c 0``
+gives one process), and a process holds one run's stack and drawn
+letters at a time.  One letter action serves them and the exact
+convolution powers: the step tables of ``_Steps``, built from the
+solver's in-factor pair tables.
 
 Letters are drawn a few walks at a time: each walk's 64-bit Philox words
 fill one row of a small buffer, and an exact guide table with integer
@@ -34,9 +37,12 @@ import os
 import pickle
 import signal
 import threading
+from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -267,13 +273,14 @@ def _stack_depth(steps: int, read: int | None) -> int:
 
 
 class _Walks(NamedTuple):
-    """Per walk, after its last step in ``_lockstep``.
+    """Per walk of a run, after its last step in ``_step``.
 
     That is the last step of the run, or, for a prefix or hitting walk
     that settled, the step before the look at which it left.  The prefix
     cells above a walk's depth are 0: a pop writes 0, and each block
-    clears cells 1..prefix_len that an earlier block in its process left,
-    so every row is a function of its walk alone, whichever process ran it.
+    clears cells 1..prefix_len that an earlier block of its run left in
+    the stack, so every row is a function of its walk alone, whichever
+    process ran it.
     """
 
     depth: np.ndarray  # letters in the final word; if it left early, still above the cells read
@@ -283,29 +290,58 @@ class _Walks(NamedTuple):
     record: list[Trajectory]  # with ``record``, each walk's weight after every step
 
 
-def _groups(blocks: range, record: bool) -> list[range]:
-    """Split a run's blocks into contiguous groups, one per process that steps them.
+class _Run(NamedTuple):
+    """One run of a batch: the walks (seed, 0), ..., (seed, reps - 1) and what they read."""
 
-    That is one process per CPU in the affinity mask, at most one per
-    block.  The caller alone steps a run of one block, a recorded run,
-    whose series would cross a pipe, a run where ``os.sched_getaffinity``
-    is missing (not Linux), and a run in a process with other threads,
-    since a fork from a threaded process can deadlock the child.
+    product: FreeProduct
+    mu: StepDistribution
+    steps: int
+    reps: int
+    seed: int
+    weights: np.ndarray | None = None  # letter weights, read at every step
+    goal: int = -1  # the letter index a hitting run looks for
+    prefix_len: int = 0  # the first cells kept of each final word
+    record: bool = False  # keep each walk's weight after every step
+
+
+def _groups(runs: Sequence[_Run]) -> list[list[tuple[int, int]]]:
+    """Cut a batch's blocks, in run order, into contiguous groups, one per process that steps them.
+
+    Block (i, start) holds the walks start, start + 1, ... of run i, _BLOCK
+    of them or the rest of the run, and its work is its walks times the
+    run's steps.  There are k = min(CPUs in the affinity mask, blocks)
+    groups, none empty: group g starts after the blocks that end within
+    g / k of the batch's work, or as few blocks later as keeps every group
+    non-empty, so n blocks of equal work are cut before blocks
+    floor(g * n / k).  The caller alone steps a batch of one block, a
+    batch with a recorded run, whose series would cross a pipe, a batch
+    where ``os.sched_getaffinity`` is missing (not Linux), and a batch in
+    a process with other threads, since a fork from a threaded process
+    can deadlock the child.
     """
-    if (len(blocks) == 1 or record or not hasattr(os, "sched_getaffinity")
+    blocks = [(i, start) for i, run in enumerate(runs) for start in range(0, run.reps, _BLOCK)]
+    if (len(blocks) == 1 or any(run.record for run in runs) or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return [blocks]
     k = min(len(os.sched_getaffinity(0)), len(blocks))
-    return [blocks[len(blocks) * g // k : len(blocks) * (g + 1) // k] for g in range(k)]
+    ends = list(accumulate(min(_BLOCK, runs[i].reps - start) * runs[i].steps
+                           for i, start in blocks))
+    cuts = [0]
+    for g in range(1, k):
+        cut = max(bisect_right(ends, g * ends[-1] // k), cuts[-1] + 1)
+        cuts.append(min(cut, len(blocks) - k + g))
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:] + [len(blocks)])]
 
 
-def _fork(groups: list[range], run: Callable[[range], None], out: _Walks) -> None:
+def _fork(groups: list, run: Callable[[list], None],
+          rows: Callable[[list], list[np.ndarray]]) -> None:
     """run(groups[0]) here and each later group in a forked child, then gather the children's walks.
 
-    A child runs its group, sends the rows of ``out`` of its walks, or the
-    exception it raised, pickled through a pipe, and leaves through
-    ``os._exit``, so no exit handler or stdio buffer of the caller runs
-    twice.  The caller writes the rows into ``out`` and re-raises a child's
+    A child runs its group, sends ``rows(group)``, the rows of the results
+    that its walks fill, or the exception it raised, pickled through a
+    pipe, and leaves through ``os._exit``, so no exit handler or stdio
+    buffer of the caller runs twice.  The caller writes the rows into
+    ``rows(group)``, views of its own results, and re-raises a child's
     exception; a child that dies without a payload raises RuntimeError.
     When ``os.fork`` fails, the caller runs that group itself.  Children
     not yet read when the caller fails or is interrupted are killed before
@@ -314,22 +350,22 @@ def _fork(groups: list[range], run: Callable[[range], None], out: _Walks) -> Non
     """
     mine, children = [groups[0]], []
     try:
-        for blocks in groups[1:]:
+        for group in groups[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
             except OSError:  # no process to spare
                 os.close(read)
                 os.close(write)
-                mine.append(blocks)
+                mine.append(group)
                 continue
             if pid == 0:
                 code = 1
                 try:
                     os.close(read)
                     try:
-                        run(blocks)
-                        payload = tuple(column[..., blocks.start : blocks.stop] for column in out[:4])
+                        run(group)
+                        payload = rows(group)
                     except BaseException as exc:  # the caller raises it
                         payload = exc
                     with os.fdopen(write, "wb") as pipe:
@@ -338,11 +374,11 @@ def _fork(groups: list[range], run: Callable[[range], None], out: _Walks) -> Non
                 finally:
                     os._exit(code)
             os.close(write)
-            children.append((pid, os.fdopen(read, "rb"), blocks))
-        for blocks in mine:
-            run(blocks)
+            children.append((pid, os.fdopen(read, "rb"), group))
+        for group in mine:
+            run(group)
         while children:
-            pid, pipe, blocks = children[0]
+            pid, pipe, group = children[0]
             with pipe:
                 payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
@@ -350,11 +386,11 @@ def _fork(groups: list[range], run: Callable[[range], None], out: _Walks) -> Non
             if not payload:
                 raise RuntimeError(f"a Monte Carlo child process ended with wait status {status} "
                                    "and sent no walks")
-            rows = pickle.loads(payload)
-            if isinstance(rows, BaseException):
-                raise rows
-            for column, part in zip(out[:4], rows):
-                column[..., blocks.start : blocks.stop] = part
+            parts = pickle.loads(payload)
+            if isinstance(parts, BaseException):
+                raise parts
+            for row, part in zip(rows(group), parts):
+                row[...] = part
     finally:
         for pid, pipe, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -362,23 +398,14 @@ def _fork(groups: list[range], run: Callable[[range], None], out: _Walks) -> Non
             os.waitpid(pid, 0)
 
 
-def _lockstep(
-    product: FreeProduct,
-    mu: StepDistribution,
-    steps: int,
-    reps: int,
-    seed: int,
-    weights: np.ndarray | None = None,
-    goal: int = -1,
-    prefix_len: int = 0,
-    record: bool = False,
-) -> _Walks:
-    """Step the walks (seed, 0), ..., (seed, reps - 1) together, _BLOCK at a time.
+def _step(run: _Run, out: _Walks, starts: Iterable[int]) -> None:
+    """Step the blocks of ``run`` that begin at walks ``starts``; write their walks into ``out``.
 
-    Each walk keeps its normal form as a stack of cells and draws each
-    letter as its offset in the step tables (see ``_Steps``), so a step
-    begins with one add of the top cells and the drawn offsets into a
-    reused buffer of codes.  The step tables, scaled to the block's
+    A block is the walks (seed, start), ..., up to _BLOCK of them, stepped
+    together.  Each walk keeps its normal form as a stack of cells and
+    draws each letter as its offset in the step tables (see ``_Steps``),
+    so a step begins with one add of the top cells and the drawn offsets
+    into a reused buffer of codes.  The step tables, scaled to the block's
     interleaved stacks, and the change of weight w[added] - w[removed]
     per code make the rest of a step a few gathers over the walks still
     stepping.  The letters are drawn _CHUNK steps at a time, a row per
@@ -388,7 +415,7 @@ def _lockstep(
     _FEW * _CHUNK words being mapped, whatever ``reps``, unless the walks
     are recorded, which needs weights and keeps steps + 1 of them per
     walk.  The depth is ``steps``, or less for a run without weights (see
-    below).
+    below).  They are allocated once per call and freed when it returns.
 
     Every _WATCH steps a block looks at how deep its walks are; depth
     moves by at most one a step.  A goal is only tested while some walk
@@ -401,14 +428,8 @@ def _lockstep(
     block ends when none is left.  So the stack holds
     ``_stack_depth(steps, read)`` rows above cell 0, for the deepest cell
     read.  With weights every walk reads every step and none stops early.
-
-    The blocks are split into contiguous groups, one per CPU in the
-    process's affinity mask (see ``_groups``).  The caller steps the first
-    group and a forked child each other one, with its own stack and drawn
-    letters (see ``_fork``), and the children's walks are written into the
-    result.  A walk's letters, stack and sums depend only on its own
-    stream, so the result is the same whichever process stepped it.
     """
+    product, mu, steps, reps, seed, weights, goal, prefix_len, record = run
     n = product.nletters
     width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
     streams = _Streams(mu, seed, min(steps, _CHUNK), min(width, _FEW))
@@ -416,8 +437,6 @@ def _lockstep(
     value, rise = act.value, act.rise * width
     w = np.append(weights if weights is not None else np.zeros(n), 0)  # w[_CANCEL] == 0
     gain = (w[act.added] - w[act.removed]).astype(float)
-    out = _Walks(np.empty(reps, dtype=np.intp), np.zeros(reps), np.zeros(reps, dtype=bool),
-                 np.zeros((prefix_len, reps), dtype=value.dtype), [])
     series = np.zeros((reps if record else 0, steps + 1))
     settle = weights is None  # the weights are read at every step
     read = 1 if goal >= 0 else prefix_len  # the deepest cell read
@@ -427,58 +446,182 @@ def _lockstep(
     stack = np.zeros((depth + 1) * width, dtype=value.dtype)
     picks = np.empty((width, min(steps, _CHUNK)), dtype=streams.offset_of.dtype)
     codes = np.empty(width, dtype=np.intp)
+    for start in starts:
+        b = min(width, reps - start)
+        stack[width : (prefix_len + 1) * width] = 0  # cells an earlier block left (see _Walks)
+        walk = np.arange(b)  # the block column of each walk still stepping
+        at = walk.copy()  # the cell of each walk's top
+        top = np.zeros(b, dtype=value.dtype)
+        hit = np.zeros(b, dtype=bool)
+        block = slice(start, start + b)
+        total = out.weight[block]
+        for done in range(0, steps, _WATCH):
+            col, left = done % _CHUNK, steps - done
+            if settle:
+                stay = ~hit & (at < (left + read + 1) * width)
+                if not stay.all():
+                    gone = ~stay
+                    out.depth[start + walk[gone]] = at[gone] // width
+                    out.hit[start + walk[gone]] = hit[gone]
+                    slot = slot[stay]
+                    walk, at, top, hit = walk[stay], at[stay], top[stay], hit[stay]
+                    if not walk.size:
+                        break
+            if col == 0:
+                streams.fill(picks[: len(walk), : min(_CHUNK, left)], start + walk, done)
+                slot = np.arange(len(walk))  # the picks row of each walk still stepping
+            drawn = picks[slot, col : col + min(_WATCH, left)].T.copy()  # one row per step
+            code = codes[: len(walk)]
+            watch = goal >= 0 and at.min() < (_WATCH + 2) * width
+            for step, offset in enumerate(drawn, done + 1):
+                np.add(top, offset, out=code)
+                moved = rise[code]
+                moved += at
+                stack[np.maximum(at, moved, out=at)] = value[code]
+                at = moved
+                top = stack[at]
+                if weights is not None:
+                    total += gain[code]
+                    if record:
+                        series[block, step] = total
+                if watch:  # depth 1: cell 0 is never a letter
+                    hit |= (at < 2 * width) & (top == goal + 1)
+        out.depth[start + walk] = at // width
+        out.hit[start + walk] = hit
+        cells = stack.reshape(depth + 1, width)
+        out.prefix[: min(prefix_len, steps), block] = cells[1 : prefix_len + 1, :b]
+        if record:
+            out.record.extend(Trajectory(series[start + j], _word(product, cells[1 : d + 1, j]))
+                              for j, d in enumerate(out.depth[block].tolist()))
 
-    def run(blocks: range) -> None:
-        for start in blocks:
-            b = min(width, reps - start)
-            stack[width : (prefix_len + 1) * width] = 0  # cells an earlier block left (see _Walks)
-            walk = np.arange(b)  # the block column of each walk still stepping
-            at = walk.copy()  # the cell of each walk's top
-            top = np.zeros(b, dtype=value.dtype)
-            hit = np.zeros(b, dtype=bool)
-            block = slice(start, start + b)
-            total = out.weight[block]
-            for done in range(0, steps, _WATCH):
-                col, left = done % _CHUNK, steps - done
-                if settle:
-                    stay = ~hit & (at < (left + read + 1) * width)
-                    if not stay.all():
-                        gone = ~stay
-                        out.depth[start + walk[gone]] = at[gone] // width
-                        out.hit[start + walk[gone]] = hit[gone]
-                        slot = slot[stay]
-                        walk, at, top, hit = walk[stay], at[stay], top[stay], hit[stay]
-                        if not walk.size:
-                            break
-                if col == 0:
-                    streams.fill(picks[: len(walk), : min(_CHUNK, left)], start + walk, done)
-                    slot = np.arange(len(walk))  # the picks row of each walk still stepping
-                drawn = picks[slot, col : col + min(_WATCH, left)].T.copy()  # one row per step
-                code = codes[: len(walk)]
-                watch = goal >= 0 and at.min() < (_WATCH + 2) * width
-                for step, offset in enumerate(drawn, done + 1):
-                    np.add(top, offset, out=code)
-                    moved = rise[code]
-                    moved += at
-                    stack[np.maximum(at, moved, out=at)] = value[code]
-                    at = moved
-                    top = stack[at]
-                    if weights is not None:
-                        total += gain[code]
-                        if record:
-                            series[block, step] = total
-                    if watch:  # depth 1: cell 0 is never a letter
-                        hit |= (at < 2 * width) & (top == goal + 1)
-            out.depth[start + walk] = at // width
-            out.hit[start + walk] = hit
-            cells = stack.reshape(depth + 1, width)
-            out.prefix[: min(prefix_len, steps), block] = cells[1 : prefix_len + 1, :b]
-            if record:
-                out.record.extend(Trajectory(series[start + j], _word(product, cells[1 : d + 1, j]))
-                                  for j, d in enumerate(out.depth[block].tolist()))
 
-    _fork(_groups(range(0, reps, width), record), run, out)
-    return out
+def _batch(runs: Sequence[_Run]) -> list[_Walks]:
+    """Step the blocks of several runs in one set of processes: the walks of each run, in order.
+
+    The runs' blocks are cut into groups of about equal walk-steps, one
+    per CPU in the process's affinity mask (see ``_groups``).  The caller
+    steps the first group and a forked child each other one, once per
+    batch, and the children's walks are written into the results (see
+    ``_fork``).  A process steps its group's runs one after another (see
+    ``_step``), so it holds one run's stack and drawn letters at a time,
+    and makes a run's results when it first steps or receives its walks.
+    A walk's letters, stack and sums depend only on its own stream, so
+    every run's walks are those of the run stepped alone, in any process.
+    """
+    outs: dict[int, _Walks] = {}
+
+    def walks(i: int) -> _Walks:
+        if i not in outs:  # made when the run is first stepped or received
+            reps, cell = runs[i].reps, np.min_scalar_type(runs[i].product.nletters)
+            outs[i] = _Walks(np.empty(reps, dtype=np.intp), np.zeros(reps),
+                             np.zeros(reps, dtype=bool),
+                             np.zeros((runs[i].prefix_len, reps), dtype=cell), [])
+        return outs[i]
+
+    def run(group: list[tuple[int, int]]) -> None:
+        for i, blocks in groupby(group, key=itemgetter(0)):
+            _step(runs[i], walks(i), [start for _, start in blocks])
+
+    def rows(group: list[tuple[int, int]]) -> list[np.ndarray]:
+        return [col[..., start : start + _BLOCK] for i, start in group for col in walks(i)[:4]]
+
+    _fork(_groups(runs), run, rows)
+    return [outs[i] for i in range(len(runs))]
+
+
+def _lockstep(*args, **kwargs) -> _Walks:
+    """The walks of one run, ``_Run(*args, **kwargs)``, stepped as a batch of one."""
+    return _batch([_Run(*args, **kwargs)])[0]
+
+
+class DriftRun(NamedTuple):
+    """A run of ``estimate_batch`` that ``estimate_drift`` would make of these arguments."""
+
+    product: FreeProduct
+    mu: StepDistribution
+    steps: int
+    reps: int
+    seed: int
+    lengths: LengthTable | None = None
+
+    def _run(self) -> _Run:
+        check_sizes(self.steps, self.reps)
+        table = self.lengths if self.lengths is not None else natural_lengths(self.product)
+        return _Run(self.product, self.mu, self.steps, self.reps, self.seed, weights=table.weights)
+
+    def _report(self, walks: _Walks) -> EstimateReport:
+        values = walks.weight / self.steps
+        stderr = float(values.std(ddof=1) / math.sqrt(self.reps))
+        return EstimateReport(float(values.mean()), stderr, self.reps, self.steps)
+
+
+class HittingRun(NamedTuple):
+    """A run of ``estimate_batch`` that ``estimate_hitting`` would make of these arguments."""
+
+    product: FreeProduct
+    mu: StepDistribution
+    target: Letter
+    horizon: int
+    reps: int
+    seed: int
+
+    def _run(self) -> _Run:
+        check_sizes(self.horizon, self.reps, 1)
+        goal = self.product.letter_index(self.target)
+        return _Run(self.product, self.mu, self.horizon, self.reps, self.seed, goal=goal)
+
+    def _report(self, walks: _Walks) -> EstimateReport:
+        p_hat = int(walks.hit.sum()) / self.reps
+        stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / self.reps)
+        return EstimateReport(p_hat, stderr, self.reps, self.horizon,
+                              "finite-horizon estimator; bias is downward (late hits are lost)")
+
+
+@dataclass(frozen=True)
+class PrefixReport:
+    """Empirical frequencies of normal-form prefixes among final words."""
+
+    frequencies: dict[Word, float]
+    dropped: int
+    replications: int
+    horizon: int
+
+
+class PrefixRun(NamedTuple):
+    """A run of ``estimate_batch`` that ``estimate_prefix`` would make of these arguments."""
+
+    product: FreeProduct
+    mu: StepDistribution
+    steps: int
+    reps: int
+    seed: int
+    prefix_len: int
+
+    def _run(self) -> _Run:
+        check_sizes(self.steps, self.reps, self.prefix_len)
+        return _Run(self.product, self.mu, self.steps, self.reps, self.seed,
+                    prefix_len=self.prefix_len)
+
+    def _report(self, walks: _Walks) -> PrefixReport:
+        prefixes = walks.prefix[:, walks.depth >= self.prefix_len].T
+        counts = Counter(map(tuple, prefixes.tolist()))
+        kept = counts.total()
+        freqs = {_word(self.product, k): c / kept for k, c in counts.items()} if kept else {}
+        return PrefixReport(frequencies=freqs, dropped=self.reps - kept, replications=self.reps,
+                            horizon=self.steps)
+
+
+def estimate_batch(
+    runs: Sequence[DriftRun | HittingRun | PrefixRun],
+) -> list[EstimateReport | PrefixReport]:
+    """The report of each run, in order, its walks stepped in one batch with the others'.
+
+    Each report is the one its estimator gives for the same arguments:
+    the batch only decides which process steps which walks (see
+    ``_batch``).  Every run's sizes are checked before any walk steps.
+    """
+    planned = [run._run() for run in runs]
+    return [run._report(walks) for run, walks in zip(runs, _batch(planned))]
 
 
 def estimate_drift(
@@ -490,15 +633,7 @@ def estimate_drift(
     lengths: LengthTable | None = None,
 ) -> EstimateReport:
     """Mean of |X_steps|/steps over independent replications, with its stderr."""
-    check_sizes(steps, reps)
-    table = lengths if lengths is not None else natural_lengths(product)
-    values = _lockstep(product, mu, steps, reps, seed, weights=table.weights).weight / steps
-    return EstimateReport(
-        estimate=float(values.mean()),
-        stderr=float(values.std(ddof=1) / math.sqrt(reps)),
-        replications=reps,
-        horizon=steps,
-    )
+    return estimate_batch([DriftRun(product, mu, steps, reps, seed, lengths)])[0]
 
 
 def estimate_hitting(
@@ -515,27 +650,7 @@ def estimate_hitting(
     downward; transience makes the missing mass decay geometrically in the
     horizon.
     """
-    check_sizes(horizon, reps, 1)
-    goal = product.letter_index(target)
-    hits = int(_lockstep(product, mu, horizon, reps, seed, goal=goal).hit.sum())
-    p_hat = hits / reps
-    return EstimateReport(
-        estimate=p_hat,
-        stderr=math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / reps),
-        replications=reps,
-        horizon=horizon,
-        note="finite-horizon estimator; bias is downward (late hits are lost)",
-    )
-
-
-@dataclass(frozen=True)
-class PrefixReport:
-    """Empirical frequencies of normal-form prefixes among final words."""
-
-    frequencies: dict[Word, float]
-    dropped: int
-    replications: int
-    horizon: int
+    return estimate_batch([HittingRun(product, mu, target, horizon, reps, seed)])[0]
 
 
 def estimate_prefix(
@@ -553,14 +668,7 @@ def estimate_prefix(
     masses of the harmonic measure.  Replications whose final word is
     shorter than the prefix are dropped and counted.
     """
-    check_sizes(steps, reps, prefix_len)
-    walks = _lockstep(product, mu, steps, reps, seed, prefix_len=prefix_len)
-    prefixes = walks.prefix[:, walks.depth >= prefix_len].T
-    counts = Counter(map(tuple, prefixes.tolist()))
-    kept = counts.total()
-    dropped = reps - kept
-    freqs = {_word(product, k): c / kept for k, c in counts.items()} if kept else {}
-    return PrefixReport(frequencies=freqs, dropped=dropped, replications=reps, horizon=steps)
+    return estimate_batch([PrefixRun(product, mu, steps, reps, seed, prefix_len)])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,10 +45,11 @@ from .metrics import (
     volume,
 )
 from .simulate import (
+    DriftRun,
+    HittingRun,
+    PrefixRun,
     distribution_entropy,
-    estimate_drift,
-    estimate_hitting,
-    estimate_prefix,
+    estimate_batch,
     exact_convolution,
     expected_length,
 )
@@ -373,17 +374,21 @@ def criterion_11(chk: CriterionResult) -> None:
 def criterion_12(chk: CriterionResult) -> None:
     """Monte Carlo concordance for the simple walks on Z/4 * Z/4 and Z/2 * Z/3."""
     hitting_bias_allowance = 5e-3  # stated downward finite-horizon bias margin
-    for name, (product, mu, rep), target_gamma in (
-        ("Z4*Z4", _solved(zkzk_simple, 4), (math.sqrt(5) - 1) / 4),
-        ("Z2*Z3", _solved(hecke_simple, 3), 2 / 15),
-    ):
-        est = estimate_drift(product, mu, steps=10_000, reps=200, seed=SEED)
+    target = Letter(0, 1)
+    walks = (("Z4*Z4", _solved(zkzk_simple, 4), (math.sqrt(5) - 1) / 4),
+             ("Z2*Z3", _solved(hecke_simple, 3), 2 / 15))
+    # one batch, product by product, so that two CPUs step one drift run each
+    reports = estimate_batch([run for _, (product, mu, _), _ in walks for run in (
+        DriftRun(product, mu, steps=10_000, reps=200, seed=SEED),
+        PrefixRun(product, mu, steps=1500, reps=4000, seed=SEED + 1, prefix_len=1),
+        HittingRun(product, mu, target, horizon=1000, reps=4000, seed=SEED + 2))])
+    for i, (name, (product, mu, rep), target_gamma) in enumerate(walks):
+        est, prefix, hit = reports[3 * i : 3 * i + 3]
         chk.true(
             f"{name}: drift within 3 sigma",
             abs(est.estimate - target_gamma) <= 3 * est.stderr,
             f"est {est.estimate!r} +- {est.stderr:.2e}, target {target_gamma!r}",
         )
-        prefix = estimate_prefix(product, mu, steps=1500, reps=4000, seed=SEED + 1, prefix_len=1)
         kept = prefix.replications - prefix.dropped
         worst_z = 0.0
         for u in product.alphabet:
@@ -393,8 +398,6 @@ def criterion_12(chk: CriterionResult) -> None:
             worst_z = max(worst_z, abs(freq - r) / sigma)
         chk.true(f"{name}: prefix-1 frequencies within 3 sigma of r", worst_z <= 3.0,
                  f"worst z {worst_z:.2f}")
-        target = Letter(0, 1)
-        hit = estimate_hitting(product, mu, target, horizon=1000, reps=4000, seed=SEED + 2)
         chk.true(
             f"{name}: hitting probability within 3 sigma + bias",
             abs(hit.estimate - rep.q[target]) <= 3 * hit.stderr + hitting_bias_allowance,

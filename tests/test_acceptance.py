@@ -7,6 +7,8 @@ failure so the defect stays visible instead of being hidden by a
 loosened assertion.
 """
 
+import os
+
 import pytest
 
 from freewalk import verify
@@ -50,6 +52,24 @@ def test_a_result_passes_when_no_check_is_bad_and_shares_no_list(number):
     assert first is not second
     assert first.details is not second.details and first.notes is not second.notes
     assert first.details == second.details and first.notes == second.notes
+
+
+def test_criterion_12_forks_once_on_two_cpus(monkeypatch):
+    # its six Monte Carlo runs are one batch: the caller steps one product's
+    # runs and a single child the other's
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _run(12)
+    assert len(forks) == 1
 
 
 def test_criterion_7_finds_the_first_maximum_of_the_grid():

@@ -17,15 +17,23 @@ from freewalk.groups import (
 )
 from freewalk.harmonic import build_chain, cylinder_prob
 from freewalk.metrics import drift, drift_weighted, entropy, volume
+from freewalk import simulate, verify
 from freewalk.simulate import (
     STACK_BUDGET,
     _BLOCK,
     _CHUNK,
     _WATCH,
+    DriftRun,
+    HittingRun,
+    PrefixRun,
+    _Run,
     _Streams,
+    _batch,
+    _groups,
     _lockstep,
     check_sizes,
     distribution_entropy,
+    estimate_batch,
     estimate_drift,
     estimate_hitting,
     estimate_prefix,
@@ -681,16 +689,27 @@ def _die(stream):
     [(_raise, True, _ChildFailed), (_die, True, RuntimeError), (_raise, False, _ChildFailed)],
     ids=["child-raises", "child-dies", "caller-raises"],
 )
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, m: estimate_prefix(p, m, 40, 3 * _BLOCK + 5, SEED, prefix_len=1),
+        # two runs of two blocks each: the caller steps the prefix run's first block
+        lambda p, m: estimate_batch([PrefixRun(p, m, 40, 2 * _BLOCK, SEED, 1),
+                                     HittingRun(p, m, Letter(0, 1), 40, 2 * _BLOCK, SEED)]),
+    ],
+    ids=["one-run", "two-run-batch"],
+)
 def test_a_failing_block_makes_the_caller_raise_and_leaves_no_process(monkeypatch, fail, in_child,
-                                                                      raised):
-    # The children's blocks (streams from _BLOCK on), or the caller's first
-    # block, fail in their first draw; the others draw as usual.  When the
-    # caller fails, its children are still stepping and must be killed.
+                                                                      raised, call):
+    # The children's blocks, or the caller's first block, fail in their
+    # first draw; the others draw as usual.  When the caller fails, its
+    # children are still stepping and must be killed.
     product, mu = hecke_simple(3)
     fill = _Streams.fill
+    caller = os.getpid()
 
     def failing(self, picks, streams, skip=0):
-        if (streams[0] >= _BLOCK) == in_child:
+        if (os.getpid() != caller) == in_child:
             fail(int(streams[0]))
         fill(self, picks, streams, skip)
 
@@ -698,7 +717,7 @@ def test_a_failing_block_makes_the_caller_raise_and_leaves_no_process(monkeypatc
     _cpus(monkeypatch, 4)
     forks = _count_forks(monkeypatch)
     with pytest.raises(raised):
-        estimate_prefix(product, mu, 40, 3 * _BLOCK + 5, SEED, prefix_len=1)
+        call(product, mu)
     assert len(forks) == 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -720,3 +739,93 @@ def test_one_block_recorded_or_threaded_runs_fork_nothing(monkeypatch):
         waiting.join(timeout=30)
     assert not waiting.is_alive()
     assert forks == []
+
+
+def _mixed_batch():
+    # five runs on two products, of one block and of several: 9 blocks
+    hecke, hecke_mu = hecke_simple(3)
+    three, three_mu = uniform_per_factor([3, 4, 5])
+    return [
+        _Run(hecke, hecke_mu, 40, 2 * _BLOCK + 3, SEED, weights=natural_lengths(hecke).weights),
+        _Run(three, three_mu, 40, 300, SEED + 1, weights=_minimal(three, three_mu).weights),
+        _Run(hecke, hecke_mu, 40, _BLOCK + 7, SEED + 2, prefix_len=1),
+        _Run(three, three_mu, 40, 50, SEED + 3, prefix_len=2),
+        _Run(hecke, hecke_mu, 40, 2 * _BLOCK, SEED + 4, goal=hecke.letter_index(Letter(0, 1))),
+    ]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_a_mixed_batch_equals_its_runs_stepped_one_at_a_time(monkeypatch, cpus):
+    # On four CPUs the caller and three children each step a share of the
+    # nine blocks, several runs' blocks in one process and one run's blocks
+    # in several; every run's walks are those of the run stepped alone.
+    runs = _mixed_batch()
+    _cpus(monkeypatch, 1)
+    alone = [_lockstep(*run) for run in runs]
+    forks = _count_forks(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    batch = _batch(runs)
+    assert len(forks) == cpus - 1
+    for one, together in zip(alone, batch, strict=True):
+        for a, b in zip(one[:4], together[:4]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_estimate_batch_reports_what_each_estimator_reports(monkeypatch):
+    product, mu = hecke_simple(3)
+    three, three_mu = uniform_per_factor([3, 4, 5])
+    drift, minimal, prefix, hitting = (
+        DriftRun(product, mu, 40, _BLOCK + 5, SEED),
+        DriftRun(three, three_mu, 40, 300, SEED + 1, _minimal(three, three_mu)),
+        PrefixRun(product, mu, 40, 2 * _BLOCK, SEED + 2, 2),
+        HittingRun(three, three_mu, Letter(2, 4), 40, 600, SEED + 3),
+    )
+    _cpus(monkeypatch, 1)
+    alone = [estimate_drift(*drift), estimate_drift(*minimal), estimate_prefix(*prefix),
+             estimate_hitting(*hitting)]
+    _cpus(monkeypatch, 4)
+    assert estimate_batch([drift, minimal, prefix, hitting]) == alone
+
+
+def test_a_batch_rejects_a_bad_run_before_drawing(monkeypatch):
+    product, mu = zkzk_simple(4)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew letters for a rejected batch")
+
+    monkeypatch.setattr("freewalk.simulate._Streams.words", no_draws)
+    with pytest.raises(ValueError, match="prefix_len must be >= 1"):
+        estimate_batch([DriftRun(product, mu, 10, 10, SEED), PrefixRun(product, mu, 10, 10, SEED, 0)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_equal_blocks_are_cut_at_whole_shares(monkeypatch, cpus):
+    # n blocks of equal work make min(cpus, n) groups, cut before blocks
+    # floor(g * n / k); the caller's group is first
+    product, mu = hecke_simple(3)
+    _cpus(monkeypatch, cpus)
+    for n in range(1, 10):
+        groups = _groups([_Run(product, mu, 40, n * _BLOCK, SEED)])
+        k = min(cpus, n)
+        assert [group[0][1] for group in groups] == [g * n // k * _BLOCK for g in range(k)]
+        assert sum(groups, []) == [(0, start) for start in range(0, n * _BLOCK, _BLOCK)]
+
+
+def test_criterion_12_steps_one_drift_run_in_each_of_two_processes(monkeypatch):
+    # Each product's drift, prefix and hitting runs come to 12 M walk-steps,
+    # so two CPUs cut the batch between the products.
+    cuts = []
+
+    def recorded(runs, groups=simulate._groups):
+        cuts.append((runs, groups(runs)))
+        return cuts[-1][1]
+
+    monkeypatch.setattr(simulate, "_groups", recorded)
+    _cpus(monkeypatch, 2)
+    assert verify.run_criterion(12).passed
+    [(runs, groups)] = cuts
+    drift = {i for i, run in enumerate(runs) if run.weights is not None}
+    assert [drift & {i for i, _ in group} for group in groups] == [{0}, {3}]
+    assert [sum(min(_BLOCK, runs[i].reps - start) * runs[i].steps for i, start in group)
+            for group in groups] == [12_000_000, 12_000_000]

@@ -37,6 +37,10 @@ measurements:
   way in an interpreter that pins itself to its first allowed CPU
   (``os.sched_setaffinity``) before it imports freewalk, so the Monte Carlo
   runs step every block in one process, as on a machine with one CPU;
+- ``criterion_12_forks``: the ``os.fork`` calls made during one
+  ``verify.run_criterion(12)``, counted in a fresh interpreter that wraps
+  ``os.fork`` after its imports; a work count, so it does not move with
+  the machine's load, only with its allowed CPUs;
 - ``mc_drift_s``, ``mc_prefix_s`` and ``mc_hitting_s``: criterion 12's calls
   of ``estimate_drift``, ``estimate_prefix`` or ``estimate_hitting`` on both
   of its walks, each timed inside a fresh interpreter after its imports, so
@@ -48,8 +52,11 @@ measurements:
   the tables as the first does;
 - ``exact_convolution_z3z3_17_s``: ``exact_convolution`` of
   ``z3z3_sym(0.2)`` at n = 17 (524,285 words, about 1 M rows in its last
-  step), one call timed in a fresh interpreter after its imports, and
-  ``exact_convolution_z3z3_17_peak_rss_mb``, the peak RSS of that process;
+  step), one call timed in a fresh interpreter after its imports,
+  ``exact_convolution_z3z3_17_peak_rss_mb``, the peak RSS of that process,
+  and ``exact_convolution_z3z3_17_rss_rise_mb``, its ``ru_maxrss`` after
+  the call less its ``ru_maxrss`` just before it, so the memory of the
+  call without the interpreter, the imports and the heap they leave;
 - ``solve_118_cli_s``: wall time of ``python -m freewalk solve --family
   uniform-per-factor --orders 60,60 --weights 0.5,0.5``, the 118-letter solve;
 - ``solve_118_s``: that command's ``main`` call, timed inside a fresh
@@ -163,13 +170,15 @@ for _ in range(5):
 print(statistics.median(times))
 """
 TIME_CONVOLUTION_17 = """
-import time
+import resource, time
 from freewalk.simulate import exact_convolution
 from freewalk.walkspec import z3z3_sym
 product, mu = z3z3_sym(0.2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = time.perf_counter()
 exact_convolution(product, mu, 17)
-print(time.perf_counter() - start)
+seconds = time.perf_counter() - start
+print(seconds, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
 """
 TIME_TABLES = """
 import statistics, time
@@ -238,6 +247,20 @@ start = time.perf_counter()
 run_criterion(12)
 print(time.perf_counter() - start)
 """
+COUNT_CRITERION_12_FORKS = """
+import os
+from freewalk.verify import run_criterion
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+run_criterion(12)
+print(len(forks))
+"""
 CRITERIA = (4, 6, 7, 8, 9, 10, 11, 12, 13)
 # criterion 12's estimator calls, on the simple walks on Z/4 * Z/4 and Z/2 * Z/3
 TIME_MONTE_CARLO = """
@@ -263,9 +286,11 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          "quality_sup_s": "s", "verify_4_cli_s": "s", "verify_6_10_cli_s": "s",
          "verify_12_cli_s": "s", "verify_12_peak_rss_mb": "MiB",
          **{f"criterion_{n}_s": "s" for n in CRITERIA}, "criterion_12_one_cpu_s": "s",
+         "criterion_12_forks": "count",
          **{name: "s" for name in MONTE_CARLO},
          "exact_convolution_z4z4_10_s": "s", "exact_convolution_z3z3_17_s": "s",
-         "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "solve_118_cli_s": "s", "solve_118_s": "s",
+         "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "exact_convolution_z3z3_17_rss_rise_mb": "MiB",
+         "solve_118_cli_s": "s", "solve_118_s": "s",
          "solve_inprocess_x20_s": "s", "exact_residual_126_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
          **{name: "s" for name in GROWTH}, "tier1_s": "s", "tier1_common_s": "s"}
 
@@ -315,12 +340,14 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
             _child(tree, ["-c", TIME_CRITERION.format(number=number)], workdir)[2])
     row["criterion_12_one_cpu_s"] = float(
         _child(tree, ["-c", TIME_CRITERION_12_ONE_CPU], workdir)[2])
+    row["criterion_12_forks"] = float(_child(tree, ["-c", COUNT_CRITERION_12_FORKS], workdir)[2])
     for name, call in MONTE_CARLO.items():
         row[name] = float(_child(tree, ["-c", TIME_MONTE_CARLO.format(call=call)], workdir)[2])
     row["exact_convolution_z4z4_10_s"] = float(_child(tree, ["-c", TIME_CONVOLUTION], workdir)[2])
-    _, row["exact_convolution_z3z3_17_peak_rss_mb"], seconds = _child(
+    _, row["exact_convolution_z3z3_17_peak_rss_mb"], printed = _child(
         tree, ["-c", TIME_CONVOLUTION_17], workdir)
-    row["exact_convolution_z3z3_17_s"] = float(seconds)
+    row["exact_convolution_z3z3_17_s"], row["exact_convolution_z3z3_17_rss_rise_mb"] = map(
+        float, printed.split())
     row["solve_118_cli_s"] = _child(tree, ["-m", "freewalk", *SOLVE_118], workdir)[0]
     row["solve_118_s"] = float(
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118, calls=1)], workdir)[2])
