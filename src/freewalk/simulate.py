@@ -308,12 +308,14 @@ def _groups(runs: Sequence[_Run]) -> list[list[tuple[int, int]]]:
     """Cut a batch's blocks, in run order, into contiguous groups, one per process that steps them.
 
     Block (i, start) holds the walks start, start + 1, ... of run i, _BLOCK
-    of them or the rest of the run, and its work is its walks times the
-    run's steps.  There are k = min(CPUs in the affinity mask, blocks)
-    groups, none empty: group g starts after the blocks that end within
-    g / k of the batch's work, or as few blocks later as keeps every group
-    non-empty, so n blocks of equal work are cut before blocks
-    floor(g * n / k).  The caller alone steps a batch of one block, a
+    of them or the rest of the run, and its work is the run's block width,
+    min(reps, _BLOCK), times its steps, so every block of a run weighs the
+    same, a run's last block too.  There are k = min(CPUs in the affinity
+    mask, blocks) groups, none empty: group g starts after the blocks that
+    end within g / k of the batch's work, or as few blocks later as keeps
+    every group non-empty, so n blocks of equal work, such as those of a
+    batch of one run, are cut before blocks floor(g * n / k).  The caller
+    alone steps a batch of one block, a
     batch with a recorded run, whose series would cross a pipe, a batch
     where ``os.sched_getaffinity`` is missing (not Linux), and a batch in
     a process with other threads, since a fork from a threaded process
@@ -324,8 +326,7 @@ def _groups(runs: Sequence[_Run]) -> list[list[tuple[int, int]]]:
             or threading.active_count() > 1):
         return [blocks]
     k = min(len(os.sched_getaffinity(0)), len(blocks))
-    ends = list(accumulate(min(_BLOCK, runs[i].reps - start) * runs[i].steps
-                           for i, start in blocks))
+    ends = list(accumulate(min(_BLOCK, runs[i].reps) * runs[i].steps for i, _ in blocks))
     cuts = [0]
     for g in range(1, k):
         cut = max(bisect_right(ends, g * ends[-1] // k), cuts[-1] + 1)

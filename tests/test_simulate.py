@@ -684,20 +684,24 @@ def _die(stream):
     os._exit(3)
 
 
+def _one_run(product, mu):
+    return estimate_prefix(product, mu, 40, 3 * _BLOCK + 5, SEED, prefix_len=1)
+
+
+def _two_run_batch(product, mu):
+    # two runs of two blocks each: the caller steps the prefix run's first block
+    return estimate_batch([PrefixRun(product, mu, 40, 2 * _BLOCK, SEED, 1),
+                           HittingRun(product, mu, Letter(0, 1), 40, 2 * _BLOCK, SEED)])
+
+
+_FAILURES = {"child-raises": (_raise, True, _ChildFailed), "child-dies": (_die, True, RuntimeError),
+             "caller-raises": (_raise, False, _ChildFailed)}
+
+
 @pytest.mark.parametrize(
-    "fail, in_child, raised",
-    [(_raise, True, _ChildFailed), (_die, True, RuntimeError), (_raise, False, _ChildFailed)],
-    ids=["child-raises", "child-dies", "caller-raises"],
-)
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda p, m: estimate_prefix(p, m, 40, 3 * _BLOCK + 5, SEED, prefix_len=1),
-        # two runs of two blocks each: the caller steps the prefix run's first block
-        lambda p, m: estimate_batch([PrefixRun(p, m, 40, 2 * _BLOCK, SEED, 1),
-                                     HittingRun(p, m, Letter(0, 1), 40, 2 * _BLOCK, SEED)]),
-    ],
-    ids=["one-run", "two-run-batch"],
+    "fail, in_child, raised, call",
+    [(*failure, call) for call in (_one_run, _two_run_batch) for failure in _FAILURES.values()],
+    ids=[*_FAILURES, *(f"two-run-batch-{name}" for name in _FAILURES)],
 )
 def test_a_failing_block_makes_the_caller_raise_and_leaves_no_process(monkeypatch, fail, in_child,
                                                                       raised, call):
@@ -800,16 +804,18 @@ def test_a_batch_rejects_a_bad_run_before_drawing(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_equal_blocks_are_cut_at_whole_shares(monkeypatch, cpus):
-    # n blocks of equal work make min(cpus, n) groups, cut before blocks
-    # floor(g * n / k); the caller's group is first
+def test_a_runs_blocks_are_cut_at_whole_shares(monkeypatch, cpus):
+    # The n blocks of one run make min(cpus, n) groups, cut before blocks
+    # floor(g * n / k), also when its last block is short (4,000 walks on
+    # two CPUs: two blocks each); the caller's group is first.
     product, mu = hecke_simple(3)
     _cpus(monkeypatch, cpus)
     for n in range(1, 10):
-        groups = _groups([_Run(product, mu, 40, n * _BLOCK, SEED)])
-        k = min(cpus, n)
-        assert [group[0][1] for group in groups] == [g * n // k * _BLOCK for g in range(k)]
-        assert sum(groups, []) == [(0, start) for start in range(0, n * _BLOCK, _BLOCK)]
+        for reps in (n * _BLOCK, n * _BLOCK - 96, (n - 1) * _BLOCK + 2):
+            groups = _groups([_Run(product, mu, 40, reps, SEED)])
+            k = min(cpus, n)
+            assert [group[0][1] for group in groups] == [g * n // k * _BLOCK for g in range(k)]
+            assert sum(groups, []) == [(0, start) for start in range(0, reps, _BLOCK)]
 
 
 def test_criterion_12_steps_one_drift_run_in_each_of_two_processes(monkeypatch):
