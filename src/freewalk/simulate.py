@@ -315,11 +315,10 @@ def _groups(runs: Sequence[_Run]) -> list[list[tuple[int, int]]]:
     end within g / k of the batch's work, or as few blocks later as keeps
     every group non-empty, so n blocks of equal work, such as those of a
     batch of one run, are cut before blocks floor(g * n / k).  The caller
-    alone steps a batch of one block, a
-    batch with a recorded run, whose series would cross a pipe, a batch
-    where ``os.sched_getaffinity`` is missing (not Linux), and a batch in
-    a process with other threads, since a fork from a threaded process
-    can deadlock the child.
+    alone steps a batch of one block, a batch with a recorded run, whose
+    series would cross a pipe, a batch where ``os.sched_getaffinity`` is
+    missing (not Linux), and a batch in a process with other threads,
+    since a fork from a threaded process can deadlock the child.
     """
     blocks = [(i, start) for i, run in enumerate(runs) for start in range(0, run.reps, _BLOCK)]
     if (len(blocks) == 1 or any(run.record for run in runs) or not hasattr(os, "sched_getaffinity")
