@@ -41,7 +41,7 @@ from .traffic import (
     check_tolerance,
     solve_walk,
 )
-from .simulate import DriftRun, HittingRun, PrefixRun, check_sizes, estimate_batch, trajectories
+from .simulate import check_sizes, estimate_drift, estimate_hitting, estimate_prefix, trajectories
 from .walkspec import (
     WalkSpec,
     build_family,
@@ -295,20 +295,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
           else contextlib.nullcontext()) as handle:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["metric", "estimate", "stderr", "replications", "horizon", "note"])
-        runs = [DriftRun(product, mu, args.steps, args.reps, spec.seed, lengths)]
-        if args.hitting:
-            runs.append(HittingRun(product, mu, target, args.horizon, args.reps, spec.seed))
-        if args.prefix_len:
-            runs.append(PrefixRun(product, mu, args.steps, args.reps, spec.seed, args.prefix_len))
-        est, *reports = estimate_batch(runs)
+        est = estimate_drift(product, mu, args.steps, args.reps, spec.seed, lengths)
         writer.writerow(["drift", _csv_float(est.estimate), _csv_float(est.stderr),
                          est.replications, est.horizon, est.note])
         if args.hitting:
-            hit = reports.pop(0)
+            hit = estimate_hitting(product, mu, target, args.horizon, args.reps, spec.seed)
             writer.writerow([f"hitting({target})", _csv_float(hit.estimate), _csv_float(hit.stderr),
                              hit.replications, hit.horizon, hit.note])
         if args.prefix_len:
-            pre = reports.pop(0)
+            pre = estimate_prefix(product, mu, args.steps, args.reps, spec.seed, args.prefix_len)
             kept = pre.replications - pre.dropped
             for word in sorted(pre.frequencies, key=str):
                 writer.writerow([f"prefix({word})", _csv_float(pre.frequencies[word]), "",

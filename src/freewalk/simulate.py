@@ -9,7 +9,7 @@ stream, and each walk's float sums are those of stepping it alone, so the
 results equal those of stepping one replication at a time.  The
 estimators step their runs as batches (``estimate_batch``; each estimator
 is a batch of one): on Linux a batch's blocks, in run order, are cut
-into groups of about equal walk-steps, one per CPU in the affinity mask,
+into groups of about as many blocks, one per CPU in the affinity mask,
 each stepped in its own process with the same results (``taskset -c 0``
 gives one process), and a process holds one run's stack and drawn
 letters at a time.  One letter action serves them and the exact
@@ -37,11 +37,10 @@ import os
 import pickle
 import signal
 import threading
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -263,7 +262,7 @@ def _stack_depth(steps: int, read: int | None) -> int:
     """Rows above cell 0 that a block's stack needs for ``steps`` steps.
 
     A run that reads its weights at every step (``read`` None) needs
-    ``steps``.  A settling run reads cells 1..read (see ``_lockstep``): a
+    ``steps``.  A settling run reads cells 1..read (see ``_step``): a
     walk still stepping after the look at step t is at most
     min(t, steps - t + read) <= (steps + read) // 2 deep, and goes at most
     _WATCH deeper before the next look, so it needs that many, or steps if
@@ -308,13 +307,9 @@ def _groups(runs: Sequence[_Run]) -> list[list[tuple[int, int]]]:
     """Cut a batch's blocks, in run order, into contiguous groups, one per process that steps them.
 
     Block (i, start) holds the walks start, start + 1, ... of run i, _BLOCK
-    of them or the rest of the run, and its work is the run's block width,
-    min(reps, _BLOCK), times its steps, so every block of a run weighs the
-    same, a run's last block too.  There are k = min(CPUs in the affinity
-    mask, blocks) groups, none empty: group g starts after the blocks that
-    end within g / k of the batch's work, or as few blocks later as keeps
-    every group non-empty, so n blocks of equal work, such as those of a
-    batch of one run, are cut before blocks floor(g * n / k).  The caller
+    of them or the rest of the run.  The n blocks make k = min(CPUs in the
+    affinity mask, n) groups, cut before blocks floor(g * n / k), so a
+    batch of one run keeps the split of a run stepped alone.  The caller
     alone steps a batch of one block, a batch with a recorded run, whose
     series would cross a pipe, a batch where ``os.sched_getaffinity`` is
     missing (not Linux), and a batch in a process with other threads,
@@ -325,12 +320,7 @@ def _groups(runs: Sequence[_Run]) -> list[list[tuple[int, int]]]:
             or threading.active_count() > 1):
         return [blocks]
     k = min(len(os.sched_getaffinity(0)), len(blocks))
-    ends = list(accumulate(min(_BLOCK, runs[i].reps) * runs[i].steps for i, _ in blocks))
-    cuts = [0]
-    for g in range(1, k):
-        cut = max(bisect_right(ends, g * ends[-1] // k), cuts[-1] + 1)
-        cuts.append(min(cut, len(blocks) - k + g))
-    return [blocks[a:b] for a, b in zip(cuts, cuts[1:] + [len(blocks)])]
+    return [blocks[len(blocks) * g // k : len(blocks) * (g + 1) // k] for g in range(k)]
 
 
 def _fork(groups: list, run: Callable[[list], None],
@@ -398,7 +388,7 @@ def _fork(groups: list, run: Callable[[list], None],
             os.waitpid(pid, 0)
 
 
-def _step(run: _Run, out: _Walks, starts: Iterable[int]) -> None:
+def _step(run: _Run, act: _Steps, out: _Walks, starts: Iterable[int]) -> None:
     """Step the blocks of ``run`` that begin at walks ``starts``; write their walks into ``out``.
 
     A block is the walks (seed, start), ..., up to _BLOCK of them, stepped
@@ -433,7 +423,6 @@ def _step(run: _Run, out: _Walks, starts: Iterable[int]) -> None:
     n = product.nletters
     width = min(reps, _BLOCK)  # cell d of walk j of a block is stack[d * width + j]
     streams = _Streams(mu, seed, min(steps, _CHUNK), min(width, _FEW))
-    act = _steps(product)
     value, rise = act.value, act.rise * width
     w = np.append(weights if weights is not None else np.zeros(n), 0)  # w[_CANCEL] == 0
     gain = (w[act.added] - w[act.removed]).astype(float)
@@ -498,35 +487,29 @@ def _step(run: _Run, out: _Walks, starts: Iterable[int]) -> None:
 def _batch(runs: Sequence[_Run]) -> list[_Walks]:
     """Step the blocks of several runs in one set of processes: the walks of each run, in order.
 
-    The runs' blocks are cut into groups of about equal walk-steps, one
-    per CPU in the process's affinity mask (see ``_groups``).  The caller
-    steps the first group and a forked child each other one, once per
-    batch, and the children's walks are written into the results (see
-    ``_fork``).  A process steps its group's runs one after another (see
-    ``_step``), so it holds one run's stack and drawn letters at a time,
-    and makes a run's results when it first steps or receives its walks.
-    A walk's letters, stack and sums depend only on its own stream, so
-    every run's walks are those of the run stepped alone, in any process.
+    The runs' blocks are cut into groups, one per CPU in the process's
+    affinity mask (see ``_groups``).  The caller steps the first group and
+    a forked child each other one, once per batch, and the children's
+    walks are written into the results (see ``_fork``).  A process steps
+    its group's runs one after another (see ``_step``), so it holds one
+    run's stack and drawn letters at a time.  A walk's letters, stack and
+    sums depend only on its own stream, so every run's walks are those of
+    the run stepped alone, in any process.
     """
-    outs: dict[int, _Walks] = {}
-
-    def walks(i: int) -> _Walks:
-        if i not in outs:  # made when the run is first stepped or received
-            reps, cell = runs[i].reps, np.min_scalar_type(runs[i].product.nletters)
-            outs[i] = _Walks(np.empty(reps, dtype=np.intp), np.zeros(reps),
-                             np.zeros(reps, dtype=bool),
-                             np.zeros((runs[i].prefix_len, reps), dtype=cell), [])
-        return outs[i]
+    acts = [_steps(run.product) for run in runs]
+    outs = [_Walks(np.empty(run.reps, dtype=np.intp), np.zeros(run.reps), np.zeros(run.reps, dtype=bool),
+                   np.zeros((run.prefix_len, run.reps), dtype=act.value.dtype), [])
+            for run, act in zip(runs, acts)]
 
     def run(group: list[tuple[int, int]]) -> None:
         for i, blocks in groupby(group, key=itemgetter(0)):
-            _step(runs[i], walks(i), [start for _, start in blocks])
+            _step(runs[i], acts[i], outs[i], [start for _, start in blocks])
 
     def rows(group: list[tuple[int, int]]) -> list[np.ndarray]:
-        return [col[..., start : start + _BLOCK] for i, start in group for col in walks(i)[:4]]
+        return [col[..., start : start + _BLOCK] for i, start in group for col in outs[i][:4]]
 
     _fork(_groups(runs), run, rows)
-    return [outs[i] for i in range(len(runs))]
+    return outs
 
 
 def _lockstep(*args, **kwargs) -> _Walks:

@@ -818,9 +818,25 @@ def test_a_runs_blocks_are_cut_at_whole_shares(monkeypatch, cpus):
             assert sum(groups, []) == [(0, start) for start in range(0, reps, _BLOCK)]
 
 
+@pytest.mark.parametrize("cpus, firsts", [
+    (2, [(0, 0), (2, 0)]),
+    (3, [(0, 0), (1, 0), (3, 0)]),
+    (4, [(0, 0), (0, 2 * _BLOCK), (2, 0), (3, 0)]),
+])
+def test_a_batchs_blocks_are_cut_at_whole_shares_of_their_count(monkeypatch, cpus, firsts):
+    # The mixed batch's 9 blocks, in run order, (0, 0), (0, 1024), (0, 2048),
+    # (1, 0), (2, 0), (2, 1024), (3, 0), (4, 0), (4, 1024), are cut before
+    # blocks floor(g * 9 / k), whatever the runs' steps and widths.
+    runs = _mixed_batch()
+    _cpus(monkeypatch, cpus)
+    groups = _groups(runs)
+    assert [group[0] for group in groups] == firsts
+    assert len(sum(groups, [])) == 9
+
+
 def test_criterion_12_steps_one_drift_run_in_each_of_two_processes(monkeypatch):
-    # Each product's drift, prefix and hitting runs come to 12 M walk-steps,
-    # so two CPUs cut the batch between the products.
+    # Each product's drift, prefix and hitting runs are 9 blocks (1 + 4 + 4),
+    # so two CPUs cut the batch between the products, 12 M walk-steps each.
     cuts = []
 
     def recorded(runs, groups=simulate._groups):
