@@ -492,24 +492,30 @@ def _batch(runs: Sequence[_Run]) -> list[_Walks]:
     a forked child each other one, once per batch, and the children's
     walks are written into the results (see ``_fork``).  A process steps
     its group's runs one after another (see ``_step``), so it holds one
-    run's stack and drawn letters at a time.  A walk's letters, stack and
+    run's stack and drawn letters at a time, and makes a run's results
+    when it first steps or receives its walks.  A walk's letters, stack and
     sums depend only on its own stream, so every run's walks are those of
     the run stepped alone, in any process.
     """
     acts = [_steps(run.product) for run in runs]
-    outs = [_Walks(np.empty(run.reps, dtype=np.intp), np.zeros(run.reps), np.zeros(run.reps, dtype=bool),
-                   np.zeros((run.prefix_len, run.reps), dtype=act.value.dtype), [])
-            for run, act in zip(runs, acts)]
+    outs: dict[int, _Walks] = {}
+
+    def walks(i: int) -> _Walks:
+        if i not in outs:  # made when the run is first stepped or received
+            reps = runs[i].reps
+            outs[i] = _Walks(np.empty(reps, dtype=np.intp), np.zeros(reps), np.zeros(reps, dtype=bool),
+                             np.zeros((runs[i].prefix_len, reps), dtype=acts[i].value.dtype), [])
+        return outs[i]
 
     def run(group: list[tuple[int, int]]) -> None:
         for i, blocks in groupby(group, key=itemgetter(0)):
-            _step(runs[i], acts[i], outs[i], [start for _, start in blocks])
+            _step(runs[i], acts[i], walks(i), [start for _, start in blocks])
 
     def rows(group: list[tuple[int, int]]) -> list[np.ndarray]:
-        return [col[..., start : start + _BLOCK] for i, start in group for col in outs[i][:4]]
+        return [col[..., start : start + _BLOCK] for i, start in group for col in walks(i)[:4]]
 
     _fork(_groups(runs), run, rows)
-    return outs
+    return [outs[i] for i in range(len(runs))]
 
 
 def _lockstep(*args, **kwargs) -> _Walks:
