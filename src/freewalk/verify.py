@@ -272,11 +272,6 @@ def _solved_battery():
     ] + [(name, (*walk, solve_walk(*walk))) for name, walk in fresh]
 
 
-def _battery():
-    """Criterion 8's walks as (name, (product, mu))."""
-    return [(name, solved[:2]) for name, solved in _solved_battery()]
-
-
 def criterion_8(chk: CriterionResult) -> None:
     """Structural identities on a battery of solved instances."""
     for name, (product, mu, rep) in _solved_battery():

@@ -47,7 +47,13 @@ from freewalk.traffic import (
     solve_batch,
     solve_walk,
 )
-from freewalk.walkspec import minimal_generators, resolve_generators, z2z2z2, zkzk_simple
+from freewalk.walkspec import (
+    hecke_simple,
+    minimal_generators,
+    resolve_generators,
+    z2z2z2,
+    zkzk_simple,
+)
 
 from oracles import S3_TABLE, jacobian_oracle
 
@@ -317,6 +323,20 @@ def assert_rows_are_newton_alone(s, probs, newton):
         assert steps[i] == want_steps and kappa[i].hex() == want_kappa.hex()
 
 
+def assert_row_loop_is_the_stack_row(s, probs, newton, max_iter):
+    """Each row of a stack's (q, phi, steps, kappa) is ``traffic._newton`` on the row alone, bit for bit.
+
+    A stack of one row takes the one-row loop, so this checks that loop
+    against the lockstep loop's row.
+    """
+    q, phi, steps, kappa = newton
+    for i, p in enumerate(probs):
+        alone = traffic._newton(s, p[None], DEFAULT_TOL, max_iter)
+        assert [a.shape for a in alone] == [(1, len(p)), (1, len(p)), (1,), (1,)]
+        assert alone[0][0].tobytes() == q[i].tobytes() and alone[1][0].tobytes() == phi[i].tobytes()
+        assert alone[2][0] == steps[i] and alone[3][0].hex() == kappa[i].hex()
+
+
 def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(monkeypatch):
     # At Newton step 6 the first row stops on its residual (a floating-point
     # fixed point, which then fails its confirming step), the second row's
@@ -340,11 +360,52 @@ def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(mon
     q, phi, steps, kappa = traffic._newton(s, probs, DEFAULT_TOL, 20)
     assert steps.tolist() == [6, 6, 7]
     assert_rows_are_newton_alone(s, probs, (q, phi, steps, kappa))
+    assert_row_loop_is_the_stack_row(s, probs, (q, phi, steps, kappa), 20)
     assert q[1].tobytes() == forced.tobytes()
     outcomes = assert_rows_match(product, probs)
     assert [type(o) for o in outcomes] == [MaxIterationsError, traffic.SolveReport,
                                            traffic.SolveReport]
     assert "after 7 iterations" in str(outcomes[0]) and outcomes[1].iterations == 7
+
+
+@pytest.mark.parametrize("case", ["budget", "singular-first-step", "candidate-outside"])
+def test_the_row_loop_leaves_as_the_stack_row_does(monkeypatch, case):
+    # three more exits, each alone and in a stack of two on Z/2 * Z/3: the
+    # budget runs out at max_iter = 3; the first row's first matrix is made
+    # singular, so it leaves with q = 0 and no solution (kappa NaN); or the
+    # first row's matrix at step 2 is scaled by 1e-20, so its candidate
+    # leaves (0, 1) on a step that LAPACK solves, and the row leaves with
+    # the q and kappa it had before that step
+    product, mu = hecke_simple(3)
+    s = traffic.letter_tables(product)
+    probs = np.array([mu.probs, [0.5, 0.3, 0.2]])
+    max_iter = 3 if case == "budget" else 20
+    first_inv = 0.0 - probs[0][s.inv_index]
+    second_iterate = newton_alone(s, probs[0], DEFAULT_TOL, max_iter=2)[0]
+    i_minus_j = traffic._i_minus_j
+
+    def perturbed(s, q, back, neg_inv, neg_pair, matrices=None):
+        matrices = i_minus_j(s, q, back, neg_inv, neg_pair, matrices)
+        first = np.all(neg_inv == first_inv, axis=-1)
+        if case == "singular-first-step":
+            matrices[first & np.all(q == 0.0, axis=-1)] = 0.0
+        elif case == "candidate-outside":
+            matrices[first & np.all(q == second_iterate, axis=-1)] *= 1e-20
+        return matrices
+
+    monkeypatch.setattr(traffic, "_i_minus_j", perturbed)
+    newton = traffic._newton(s, probs, DEFAULT_TOL, max_iter)
+    q, phi, steps, kappa = newton
+    want_steps = {"budget": [3, 3], "singular-first-step": [0, 7],
+                  "candidate-outside": [2, 7]}[case]
+    assert steps.tolist() == want_steps
+    assert_row_loop_is_the_stack_row(s, probs, newton, max_iter)
+    if case == "budget":  # phi is evaluated once more, at the last q
+        assert phi.tobytes() == traffic._phi_array(s, probs, q).tobytes()
+    elif case == "singular-first-step":
+        assert math.isnan(kappa[0]) and not q[0].any() and phi[0].tobytes() == probs[0].tobytes()
+    else:
+        assert q[0].tobytes() == second_iterate.tobytes() and 1.0 < kappa[0] < 100.0
 
 
 def near_z2z2(product, eps):

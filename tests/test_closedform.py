@@ -112,6 +112,27 @@ def test_hecke_exact_intervals_certify_monotone_prefix():
     assert all(hi < Fraction(2, 9) for _, hi in intervals)
 
 
+@pytest.mark.parametrize("build, enclose, root", [
+    (zkzk_simple, cf.gamma_zkzk_interval, lambda gamma: 1 - 2 * gamma),
+    (hecke_simple, cf.gamma_hecke_interval, lambda gamma: (1 - 3 * gamma) / 2),
+], ids=["zkzk", "hecke"])
+def test_solver_drift_lies_at_its_measured_accuracy_from_the_certified_enclosures(build, enclose,
+                                                                                  root):
+    # The solver's gamma of the simple walk for k = 3..64 against criterion
+    # 4's exact enclosures, each seeded from k - 1 as criterion 4 seeds it.
+    # The worst relative gap measured is 7.6e-16 (Z/k * Z/k) and 1.6e-15
+    # (Hecke); the bound is about six times the larger.
+    interval = enclose(3)
+    for k in range(3, 65):
+        if k > 3:
+            interval = enclose(k, float(root(interval[0])))
+        product, mu = build(k)
+        gamma = drift(product, mu, solve_walk(product, mu).r)
+        lo, hi = interval
+        gap = max(lo - Fraction(gamma), Fraction(gamma) - hi, 0)
+        assert gap <= Fraction(1e-14) * Fraction(gamma), (k, float(gap) / gamma)
+
+
 # Enclosures recorded with the Fraction-arithmetic bisection (eval_F/eval_G
 # on Fractions at every step); the integer sign path must reproduce them.
 PINNED_ZKZK = {

@@ -64,6 +64,15 @@ measurements:
 - ``solve_inprocess_x20_s``: 20 calls of ``main(["solve", "--family",
   "zkzk-simple", "--k", "4"])`` in one fresh interpreter after its imports,
   the way perfbench and other in-process callers use the CLI;
+- ``solve_small_s``: the sum, over ``z2z3_walk(0.3, 0.2)``,
+  ``zkzk_simple(5)`` and ``extremal_walk([4, 3, 5])``, of the median of
+  200 ``traffic.solve_walk`` calls on the walk, all in one fresh
+  interpreter after its imports, so that one slow spell moves a median
+  little;
+- ``solve_small_calls``: the function calls that ``cProfile`` records in
+  one ``solve_walk(*z2z3_walk(0.3, 0.2))`` after a warm-up call, counted
+  in a fresh interpreter; a work count, so two runs of one tree read the
+  same;
 - ``exact_residual_126_s``: one call of ``traffic._exact_residual``, the
   exact phi(q) - q of the exact-residual finish, on Z/64 * Z/64 (126
   letters) at the q its solve returns, timed in a fresh interpreter after
@@ -203,6 +212,30 @@ start = time.perf_counter()
 _exact_residual(s, mu.probs, q)
 print(time.perf_counter() - start)
 """
+TIME_SOLVE_SMALL = """
+import statistics, time
+from freewalk.traffic import solve_walk
+from freewalk.walkspec import extremal_walk, z2z3_walk, zkzk_simple
+total = 0.0
+for product, mu in (z2z3_walk(0.3, 0.2), zkzk_simple(5), extremal_walk([4, 3, 5])):
+    times = []
+    for _ in range(200):
+        start = time.perf_counter()
+        solve_walk(product, mu)
+        times.append(time.perf_counter() - start)
+    total += statistics.median(times)
+print(total)
+"""
+COUNT_SOLVE_SMALL_CALLS = """
+import cProfile, pstats
+from freewalk.traffic import solve_walk
+from freewalk.walkspec import z2z3_walk
+walk = z2z3_walk(0.3, 0.2)
+solve_walk(*walk)
+profile = cProfile.Profile()
+profile.runcall(solve_walk, *walk)
+print(pstats.Stats(profile).total_calls)
+"""
 TIME_MAKE_FINITE_GROUP = """
 import statistics, time
 from freewalk.groups import make_finite_group
@@ -291,7 +324,8 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          "exact_convolution_z4z4_10_s": "s", "exact_convolution_z3z3_17_s": "s",
          "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "exact_convolution_z3z3_17_rss_rise_mb": "MiB",
          "solve_118_cli_s": "s", "solve_118_s": "s",
-         "solve_inprocess_x20_s": "s", "exact_residual_126_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
+         "solve_inprocess_x20_s": "s", "solve_small_s": "s", "solve_small_calls": "count",
+         "exact_residual_126_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
          **{name: "s" for name in GROWTH}, "tier1_s": "s", "tier1_common_s": "s"}
 
 
@@ -353,6 +387,8 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_118, calls=1)], workdir)[2])
     row["solve_inprocess_x20_s"] = float(
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_K4, calls=20)], workdir)[2])
+    row["solve_small_s"] = float(_child(tree, ["-c", TIME_SOLVE_SMALL], workdir)[2])
+    row["solve_small_calls"] = float(_child(tree, ["-c", COUNT_SOLVE_SMALL_CALLS], workdir)[2])
     row["exact_residual_126_s"] = float(_child(tree, ["-c", TIME_EXACT_RESIDUAL], workdir)[2])
     row["tables_118_s"] = float(_child(tree, ["-c", TIME_TABLES], workdir)[2])
     row["make_finite_group_200_s"] = float(_child(tree, ["-c", TIME_MAKE_FINITE_GROUP], workdir)[2])
