@@ -5,7 +5,9 @@ outcome must not depend on the rows beside it.  Each test stacks the step
 laws of a grid on one product and compares every row, bit for bit, with
 ``solve_walk`` on that row alone: the bytes of q and r, the iteration
 count, both residuals and the stationary flag, or the same exception type
-and message.
+and message.  A batch of one takes Newton's one-row loop and a larger
+stack the lockstep loop, so these comparisons check the two loops against
+each other.
 """
 
 import argparse
