@@ -1,7 +1,11 @@
 """Command-line interface: solve, sweep, closed-form, simulate, quality, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
-3 invalid walk or spec, 4 solver failure, 5 I/O failure.
+3 invalid walk or spec, 4 solver failure, 5 I/O failure, 130 interrupted
+(Ctrl-C).  An interrupt ends ``main`` with one line on stderr and a return
+of 130, the status a shell gives a process that SIGINT ended; the signal
+is not re-sent, so a caller that runs ``main`` in its own process keeps
+running.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ EXIT_VERIFY = 1
 EXIT_INVALID = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
+EXIT_INTERRUPTED = 130
 
 
 def _f17(x: float) -> str:
@@ -460,3 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return EXIT_INTERRUPTED

@@ -10,7 +10,10 @@ computes drift, weighted drift and entropy.  Volume is the exponential
 growth rate of spheres, obtained as -log of the root of the factor
 length-series equation.  Quality compares the three: Q = h / (gamma * v),
 which never exceeds 1.  ``metrics_rows`` assembles them for the solve
-outcomes of a batch of walks, and ``metrics_report`` is its batch of one.
+outcomes of a batch of walks on (B, n) stacks; ``metrics_report`` does it
+for one walk on 1-D arrays, as ``traffic.solve_walk`` solves it, with the
+same kernels, so the row count alone picks the path and both give a walk
+the same bits (the tests compare them).
 """
 
 from __future__ import annotations
@@ -393,6 +396,14 @@ def quality_sup(
 _NO_DRIFT = "weighted drift is zero: walk is not transient enough for quality"
 
 
+def _metrics(gamma: float, h: float, v: float) -> MetricsReport | ValueError:
+    """The report of a walk of drift gamma, entropy h and volume v, or the drift-floor error."""
+    if gamma <= QUALITY_GAMMA_FLOOR:
+        return ValueError(_NO_DRIFT)
+    return MetricsReport(gamma=gamma, entropy=h, volume=v, quality=h / (gamma * v),
+                         hd_measure=h / gamma, hd_support=v)
+
+
 def metrics_rows(
     product: FreeProduct,
     probs: np.ndarray,
@@ -429,9 +440,7 @@ def metrics_rows(
     v = volume(product, lengths) if any(not g <= QUALITY_GAMMA_FLOOR for g in gammas) else math.nan
     out = list(outcomes)
     for i, gamma, h in zip(ok, gammas, entropies):
-        out[i] = ValueError(_NO_DRIFT) if gamma <= QUALITY_GAMMA_FLOOR else MetricsReport(
-            gamma=gamma, entropy=h, volume=v, quality=h / (gamma * v), hd_measure=h / gamma,
-            hd_support=v)
+        out[i] = _metrics(gamma, h, v)
     return out
 
 
@@ -476,12 +485,19 @@ def metrics_report(
 ) -> MetricsReport:
     """The scalar metrics of one walk in a letter length table, natural by default.
 
-    The batch of one of ``metrics_rows``: a drift at or below
+    gamma and h come from one ``_additive_drift`` call on the walk's 1-D
+    arrays, with the two weights stacked, and equal bit for bit what
+    ``metrics_rows`` gives the walk's row in any batch; a drift at or below
     QUALITY_GAMMA_FLOOR raises the ValueError that it returns.
     """
     if report is None:
         report = solve_walk(product, mu)
-    (m,) = metrics_rows(product, mu.probs[None], [report], lengths)
+    if lengths is None:
+        lengths = natural_lengths(product)
+    w = np.empty((2, product.nletters))
+    w[0], w[1] = lengths.weights, -np.log(report.q.values)
+    gamma, h = _additive_drift(letter_tables(product), mu.probs, report.r.values, w).tolist()
+    m = _metrics(gamma, h, math.nan if gamma <= QUALITY_GAMMA_FLOOR else volume(product, lengths))
     if isinstance(m, Exception):
         raise m
     return m

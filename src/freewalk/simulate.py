@@ -336,15 +336,23 @@ def _fork(groups: list, run: Callable[[list], None],
     When ``os.fork`` fails, the caller runs that group itself.  Children
     not yet read when the caller fails or is interrupted are killed before
     they are waited for, since one blocked writing a full pipe would never
-    exit, so none is left when this returns or raises.
+    exit, so none is left when this returns or raises, an interrupt
+    included: SIGINT raises only before a fork or once its child is listed.
     """
     mine, children = [groups[0]], []
     try:
         for group in groups[1:]:
             read, write = os.pipe()
+            # SIGINT is only noted from before the fork until the child is
+            # listed, then sent again: an interrupt raised by os.fork itself
+            # would lose a running child.  Blocking it in this thread would
+            # not do, since another thread (BLAS's) may take the signal.
+            interrupts = []
+            handler = signal.signal(signal.SIGINT, lambda *_: interrupts.append(True))
             try:
                 pid = os.fork()
             except OSError:  # no process to spare
+                signal.signal(signal.SIGINT, handler)
                 os.close(read)
                 os.close(write)
                 mine.append(group)
@@ -354,6 +362,7 @@ def _fork(groups: list, run: Callable[[list], None],
                 try:
                     os.close(read)
                     try:
+                        signal.signal(signal.SIGINT, handler)
                         run(group)
                         payload = rows(group)
                     except BaseException as exc:  # the caller raises it
@@ -365,6 +374,9 @@ def _fork(groups: list, run: Callable[[list], None],
                     os._exit(code)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb"), group))
+            signal.signal(signal.SIGINT, handler)
+            if interrupts:
+                signal.raise_signal(signal.SIGINT)
         for group in mine:
             run(group)
         while children:

@@ -19,16 +19,17 @@ consistency identity below, then accepts or rejects the result.
 
 ``solve_batch`` solves a (B, n) stack of step laws on one product in
 lockstep: one Newton loop on (B, n) arrays with one stacked linear solve
-per step.  Each row leaves the loop when it would stop alone, and every
-sum keeps the order of additions of a single row, so each row is
-bit-identical to its solve as a batch of one.  A batch of one, which is
-what ``solve_walk`` and every one-row chunk solve, takes a one-row loop
-instead: the same kernels and exits on 1-D arrays, without the lockstep
-loop's row bookkeeping, which costs a lone small walk about a quarter of
-its solve time.  Each loop is the faster one where it runs: 512 rows of
-Z/2 * Z/3 take about 2 ms in lockstep and 90 ms as 512 one-row solves.  The
-row count alone picks the loop, and the tests check that both give every
-row the same bits.
+per step, then the exact finish and the confirming step on the stack.
+Each row leaves the loop when it would stop alone, and every sum keeps
+the order of additions of a single row, so each row is bit-identical to
+its solve alone.  A lone walk, which is what ``solve_walk`` and every
+one-row chunk solve, takes one path on 1-D arrays instead, from Newton's
+set-up to the root vector (``_solve_row``): the same kernels, exits and
+checks, without the stack path's row bookkeeping, which cost a small
+lone walk about a tenth of its solve time.  Each path is the faster one
+where it runs: 512 rows of Z/2 * Z/3 take about 2 ms in lockstep and
+90 ms as 512 lone solves.  The row count alone picks the path, and the
+tests check that both give every row the same bits and errors.
 
 The root vector of the harmonic measure follows as
 ``r(a) = q(a) / (1 + q(Sigma_a))``, and the consistency identity
@@ -471,6 +472,24 @@ def _row_errors(product: FreeProduct, p: np.ndarray) -> list[ValueError | None]:
     return errors
 
 
+def _mu_parts(s: _Structure, p: np.ndarray):
+    """The parts of phi and I - J that depend on mu alone, for one row or a stack: (pair, pairs, neg_pair, neg_inv).
+
+    ``neg_pair`` and ``neg_inv`` are 0.0 - mu at every pair's first letter
+    and at each letter's inverse.  phi's pair sums take only the pairs
+    whose u some row steps to (see ``_phi_array``), as a walk on a few
+    generators of large factors steps to few of them: ``pairs`` is their
+    (pair_a, pair_v), or None for all, and ``pair`` is mu at their u.
+    """
+    pair = p.take(s.pair_u, axis=-1)
+    neg_pair, neg_inv = 0.0 - pair, 0.0 - p.take(s.inv_index, axis=-1)
+    pairs = None
+    if np.count_nonzero(pair) < pair.size:
+        stepped = np.flatnonzero(pair if pair.ndim == 1 else np.logical_or.reduce(pair, axis=0))
+        pairs, pair = (s.pair_a.take(stepped), s.pair_v.take(stepped)), pair.take(stepped, axis=-1)
+    return pair, pairs, neg_pair, neg_inv
+
+
 def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     """Newton's method from q = 0 on q = phi(q), for every row of p; returns (q, phi(q), steps, kappa).
 
@@ -490,22 +509,11 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     kappa is NaN for a row that took no step.  The stack of I - J is kept
     from step to step, so its entries that depend on mu alone are written
     once (see ``_i_minus_j``), and phi sums only over the pairs whose
-    first letter some row steps to.  A stack of one row is stepped by
-    ``_newton_row`` on the same kernels, with the same exits and bits.
+    first letter some row steps to.  ``_solve`` gives it stacks of two or
+    more rows; a lone row takes ``_newton_row``.
     """
     floor = 0.01 * tol
-    # the parts of phi and I - J that depend on mu alone
-    pair = p.take(s.pair_u, axis=1)
-    neg_pair, neg_inv = 0.0 - pair, 0.0 - p.take(s.inv_index, axis=1)
-    # phi's pair sums take only the pairs whose u some row steps to (see
-    # ``_phi_array``): a walk on a few generators of large factors steps to
-    # few of them
-    pairs = None
-    if np.count_nonzero(pair) < pair.size:
-        stepped = np.flatnonzero(np.logical_or.reduce(pair, axis=0))
-        pairs, pair = (s.pair_a.take(stepped), s.pair_v.take(stepped)), pair.take(stepped, axis=1)
-    if len(p) == 1:
-        return _newton_row(s, p[0], pair[0], pairs, neg_pair[0], neg_inv[0], floor, max_iter)
+    pair, pairs, neg_pair, neg_inv = _mu_parts(s, p)
     rows, n = p.shape
     q, phi = np.zeros((rows, n)), np.zeros((rows, n))
     steps = np.zeros(rows, dtype=np.intp)
@@ -548,16 +556,16 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     return q, phi, steps, kappa
 
 
-def _newton_row(s: _Structure, p: np.ndarray, pair: np.ndarray, pairs: tuple | None,
-                neg_pair: np.ndarray, neg_inv: np.ndarray, floor: float, max_iter: int):
-    """``_newton`` on a stack of one row, stepped on 1-D arrays; the same (q, phi(q), steps, kappa).
+def _newton_row(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
+    """``_newton`` on one row p, stepped on 1-D arrays: the row's (q, phi(q), steps, kappa).
 
-    ``pair``, ``pairs``, ``neg_pair`` and ``neg_inv`` are ``_newton``'s
-    parts of phi and I - J for the row, and ``floor`` is tol/100.  The
-    kernels, their order and the exits are the lockstep loop's, with scalar
-    tests and without its row bookkeeping: a singular step stops the row
-    where the lockstep loop's infinite candidate would.
+    The kernels, their order and the exits are the lockstep loop's, with
+    scalar tests and without its row bookkeeping: a singular step stops
+    the row where the lockstep loop's infinite candidate would.  steps is
+    an int and kappa a float, NaN when no step was solved.
     """
+    pair, pairs, neg_pair, neg_inv = _mu_parts(s, p)
+    floor = 0.01 * tol
     n = len(p)
     q, last, x = np.zeros(n), math.inf, np.full(n, math.nan)
     rhs, matrix = np.ones((n, 2)), None
@@ -578,7 +586,7 @@ def _newton_row(s: _Structure, p: np.ndarray, pair: np.ndarray, pairs: tuple | N
         q, x, last = candidate, sol[:, 1], sup
     else:
         taken, phi = max_iter, _phi_array(s, p, q, mu_pair=pair, pairs=pairs)
-    return q[None], phi[None], np.array([taken]), np.array([x.max()])
+    return q, phi, taken, x.max()
 
 
 def _solve_each(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -638,6 +646,16 @@ def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _unconfirmed(iterations, change, consistency, kappa) -> MaxIterationsError:
+    """The error of a row whose confirming step failed its gate."""
+    return MaxIterationsError(
+        f"no convergence after {iterations} iterations: last change {change:.3e},"
+        f" consistency residual {consistency:.3e} (condition number {kappa:.3e})")
+
+
+_LEFT_RANGE = "hitting probabilities left (0,1): walk is not transient"
+
+
 def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
                 max_iter: int) -> list:
     """Solve every row of p, a stack of valid step laws; one SolveReport or error per row.
@@ -659,14 +677,11 @@ def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
     q, iterations = step, iterations + 1
     consistency = _consistency_residual(s, q)
     errors: dict[int, Exception] = {
-        i: MaxIterationsError(
-            f"no convergence after {iterations[i]} iterations: last change {change[i]:.3e},"
-            f" consistency residual {consistency[i]:.3e} (condition number {kappa[i]:.3e})")
+        i: _unconfirmed(iterations[i], change[i], consistency[i], kappa[i])
         for i in np.flatnonzero(~((change < tol) & (consistency <= 10.0 * tol))).tolist()
     }
     for i in np.flatnonzero(((q >= 1.0 - tol) | (q <= 0.0)).any(axis=1)).tolist():
-        errors.setdefault(i, ConsistencyError(
-            "hitting probabilities left (0,1): walk is not transient"))
+        errors.setdefault(i, ConsistencyError(_LEFT_RANGE))
     outcomes: list = [errors.get(i) for i in range(len(p))]
     ok = [i for i in range(len(p)) if i not in errors]
     if errors:
@@ -678,11 +693,38 @@ def _solve_rows(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
     return outcomes
 
 
+def _solve_row(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
+               max_iter: int) -> SolveReport | Exception:
+    """``_solve_rows`` on one valid step law p, on 1-D arrays: the outcome it gives that row.
+
+    ``_newton_row``, the exact finish, the confirming step with its gate
+    and the (0,1) check run on the stack path's kernels, in its order, so
+    the report's bits and the error's type and message are the stack row's.
+    """
+    q, step, steps, kappa = _newton_row(s, p, tol, max_iter)
+    if _EPS * kappa > tol:
+        q = _exact_finish(s, p, q)
+        step = _phi_array(s, p, q)
+    change = _sup_norm(step - q)
+    consistency = _consistency_residual(s, step)
+    if not (change < tol and consistency <= 10.0 * tol):
+        return _unconfirmed(steps + 1, change, consistency, kappa)
+    if ((step >= 1.0 - tol) | (step <= 0.0)).any():
+        return ConsistencyError(_LEFT_RANGE)
+    return SolveReport(q=HittingVector(product, step), r=RootVector(product, _root(s, step)),
+                       iterations=steps + 1, probs=p)
+
+
 def _solve(product: FreeProduct, p: np.ndarray, errors: list, tol: float,
            max_iter: int) -> list[SolveReport | Exception]:
     """Solve the rows of p whose entry in ``errors`` is None, in chunks; fill in their outcomes.
 
-    A tolerance outside (0, MAX_TOL] or a ``max_iter`` below 1 raises ValueError.
+    A chunk of one row, as ``solve_walk`` gives, takes ``_solve_row`` on
+    1-D arrays, without the stack path's row bookkeeping; a chunk of two
+    or more rows takes ``_solve_rows``, the lockstep path, which is much
+    faster there.  The row count alone picks the path, and both give a row
+    the same bits.  A tolerance outside (0, MAX_TOL] or a ``max_iter``
+    below 1 raises ValueError.
     """
     check_tolerance(tol)
     if max_iter < 1:
@@ -693,6 +735,9 @@ def _solve(product: FreeProduct, p: np.ndarray, errors: list, tol: float,
     size = chunk_rows(product.nletters)
     for start in range(0, len(valid), size):
         rows = valid[start:start + size]
+        if len(rows) == 1:
+            outcomes[rows[0]] = _solve_row(product, s, p[rows[0]], tol, max_iter)
+            continue
         chunk = p if len(rows) == len(p) else p[rows]
         for i, outcome in zip(rows, _solve_rows(product, s, chunk, tol, max_iter)):
             outcomes[i] = outcome
@@ -750,7 +795,10 @@ def solve_walk(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveReport:
-    """Validate, solve, and package q, r, and diagnostics for one walk: the batch of one.
+    """Validate, solve, and package q, r, and diagnostics for one walk.
+
+    The walk is a chunk of one row, so it is solved on 1-D arrays
+    (``_solve_row``), with the bits that its row of any batch gets.
 
     Raises MaxIterationsError when Newton runs out of its ``max_iter``
     steps or the one confirming step fails its gate (near-recurrent step

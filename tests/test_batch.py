@@ -1,13 +1,15 @@
-"""Lockstep Newton: every row of ``solve_batch`` is its solve as a batch of one.
+"""Lockstep Newton: every row of ``solve_batch`` is its solve alone.
 
 Rows of a batch share Newton steps and leave it one at a time, so a row's
 outcome must not depend on the rows beside it.  Each test stacks the step
 laws of a grid on one product and compares every row, bit for bit, with
 ``solve_walk`` on that row alone: the bytes of q and r, the iteration
 count, both residuals and the stationary flag, or the same exception type
-and message.  A batch of one takes Newton's one-row loop and a larger
-stack the lockstep loop, so these comparisons check the two loops against
-each other.
+and message.  A lone walk takes the one-row path on 1-D arrays
+(``traffic._solve_row``, with Newton's ``_newton_row``) and a stack of two
+or more rows the lockstep path, so these comparisons check the two paths
+against each other; ``metrics_report`` and ``metrics_rows`` are the same
+pair for the metrics.
 """
 
 import argparse
@@ -29,6 +31,7 @@ from freewalk.groups import (
     make_finite_group,
     natural_lengths,
 )
+from freewalk import metrics
 from freewalk.metrics import (
     QUALITY_GAMMA_FLOOR,
     MetricsReport,
@@ -36,6 +39,7 @@ from freewalk.metrics import (
     drift_weighted,
     entropy,
     metrics_report,
+    metrics_rows,
     metrics_walks,
     volume,
 )
@@ -49,6 +53,7 @@ from freewalk.traffic import (
     solve_batch,
     solve_walk,
 )
+from freewalk.verify import _solved_battery
 from freewalk.walkspec import (
     hecke_simple,
     minimal_generators,
@@ -254,8 +259,8 @@ def test_metrics_walks_batch_interleaved_products_in_input_order(monkeypatch):
 
 def test_metrics_walks_match_metrics_report():
     # two runs on different products; the Z/4 * Z/4 run is measured in S-length.
-    # metrics_report is the batch of one of metrics_rows, so the reference is
-    # assembled from the one-row kernels: a fault of the batch path fails it.
+    # The reference is assembled from the public one-walk kernels, not from
+    # metrics_report, so a fault that both metrics paths share fails it.
     walks = list(sweep_walks("quality-zkzk-minimal", resolution=0.05)) + list(sweep_walks("z2z3"))
 
     def lengths_of(product):
@@ -325,18 +330,34 @@ def assert_rows_are_newton_alone(s, probs, newton):
         assert steps[i] == want_steps and kappa[i].hex() == want_kappa.hex()
 
 
-def assert_row_loop_is_the_stack_row(s, probs, newton, max_iter):
-    """Each row of a stack's (q, phi, steps, kappa) is ``traffic._newton`` on the row alone, bit for bit.
+def assert_row_loop_is_the_stack_row(product, probs, newton, max_iter, tol=DEFAULT_TOL) -> list:
+    """Each row of a stack, of two or more rows, leaves the lone path as it leaves the lockstep path.
 
-    A stack of one row takes the one-row loop, so this checks that loop
-    against the lockstep loop's row.
+    Newton: the row's (q, phi, steps, kappa) from ``traffic._newton_row``
+    on 1-D arrays is the stack's row from ``traffic._newton`` (``newton``),
+    bit for bit.  The solve: ``traffic._solve_row`` gives the row the
+    outcome that ``traffic._solve_rows`` gives it in the stack, the bytes of
+    q and r and the iteration count, or the exception type and message.
+    Returns the stack's outcomes.
     """
+    assert len(probs) >= 2
+    s = traffic.letter_tables(product)
     q, phi, steps, kappa = newton
+    stacked = traffic._solve_rows(product, s, probs, tol, max_iter)
     for i, p in enumerate(probs):
-        alone = traffic._newton(s, p[None], DEFAULT_TOL, max_iter)
-        assert [a.shape for a in alone] == [(1, len(p)), (1, len(p)), (1,), (1,)]
-        assert alone[0][0].tobytes() == q[i].tobytes() and alone[1][0].tobytes() == phi[i].tobytes()
-        assert alone[2][0] == steps[i] and alone[3][0].hex() == kappa[i].hex()
+        alone = traffic._newton_row(s, p, tol, max_iter)
+        assert [np.shape(a) for a in alone] == [(len(p),), (len(p),), (), ()]
+        assert alone[0].tobytes() == q[i].tobytes() and alone[1].tobytes() == phi[i].tobytes()
+        assert alone[2] == steps[i] and alone[3].hex() == kappa[i].hex()
+        got, want = traffic._solve_row(product, s, p, tol, max_iter), stacked[i]
+        assert type(got) is type(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+        else:
+            assert got.q.values.tobytes() == want.q.values.tobytes()
+            assert got.r.values.tobytes() == want.r.values.tobytes()
+            assert got.iterations == want.iterations
+    return stacked
 
 
 def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(monkeypatch):
@@ -362,7 +383,7 @@ def test_rows_that_leave_at_one_step_for_each_reason_match_their_solo_solves(mon
     q, phi, steps, kappa = traffic._newton(s, probs, DEFAULT_TOL, 20)
     assert steps.tolist() == [6, 6, 7]
     assert_rows_are_newton_alone(s, probs, (q, phi, steps, kappa))
-    assert_row_loop_is_the_stack_row(s, probs, (q, phi, steps, kappa), 20)
+    assert_row_loop_is_the_stack_row(product, probs, (q, phi, steps, kappa), 20)
     assert q[1].tobytes() == forced.tobytes()
     outcomes = assert_rows_match(product, probs)
     assert [type(o) for o in outcomes] == [MaxIterationsError, traffic.SolveReport,
@@ -401,13 +422,115 @@ def test_the_row_loop_leaves_as_the_stack_row_does(monkeypatch, case):
     want_steps = {"budget": [3, 3], "singular-first-step": [0, 7],
                   "candidate-outside": [2, 7]}[case]
     assert steps.tolist() == want_steps
-    assert_row_loop_is_the_stack_row(s, probs, newton, max_iter)
+    outcomes = assert_row_loop_is_the_stack_row(product, probs, newton, max_iter)
+    if case == "budget":
+        assert all(isinstance(o, MaxIterationsError) for o in outcomes)
+    elif case == "singular-first-step":
+        assert isinstance(outcomes[0], MaxIterationsError) and "condition number nan" in str(outcomes[0])
     if case == "budget":  # phi is evaluated once more, at the last q
         assert phi.tobytes() == traffic._phi_array(s, probs, q).tobytes()
     elif case == "singular-first-step":
         assert math.isnan(kappa[0]) and not q[0].any() and phi[0].tobytes() == probs[0].tobytes()
     else:
         assert q[0].tobytes() == second_iterate.tobytes() and 1.0 < kappa[0] < 100.0
+
+
+def test_the_row_path_takes_the_exact_finish_as_the_stack_row_does(monkeypatch):
+    # on Z/2 * Z/2 * Z/2 near the edge eps * kappa > tol, so both paths run
+    # the exact-residual finish: at p = 1e-5 it moves q and the walk
+    # solves; at p = 1e-7 the finished q fails the consistency gate.  The
+    # third row, p = 0.3, needs no finish.
+    product = free_product_of_cyclics(2, 2, 2)
+    probs = np.array([z2z2z2(p)[1].probs for p in (1e-5, 1e-7, 0.3)])
+    s = traffic.letter_tables(product)
+    finished = []
+    exact_finish = traffic._exact_finish
+
+    def counted(s, p, q):
+        out = exact_finish(s, p, q)
+        finished.append(not np.array_equal(out, q))
+        return out
+
+    monkeypatch.setattr(traffic, "_exact_finish", counted)
+    outcomes = assert_row_loop_is_the_stack_row(
+        product, probs, traffic._newton(s, probs, DEFAULT_TOL, DEFAULT_MAX_ITER), DEFAULT_MAX_ITER)
+    # once per finishing row in the stack, once per finishing row alone; each moves q
+    assert finished == [True] * 4
+    assert type(outcomes[0]) is traffic.SolveReport and type(outcomes[2]) is traffic.SolveReport
+    assert type(outcomes[1]) is MaxIterationsError and "after 7 iterations" in str(outcomes[1])
+    assert_rows_match(product, probs)
+
+
+def test_the_row_path_leaves_the_range_as_the_stack_row_does(monkeypatch):
+    # with a tolerance of 0.05, let through by a coarser MAX_TOL, Newton
+    # stops early and the confirming step passes its gate; z2z2z2(0.01)
+    # then has a hitting probability above 1 - tol, a ConsistencyError,
+    # while z2z2z2(0.1) solves
+    monkeypatch.setattr(traffic, "MAX_TOL", 0.05)
+    product = free_product_of_cyclics(2, 2, 2)
+    probs = np.array([z2z2z2(p)[1].probs for p in (0.01, 0.1)])
+    s = traffic.letter_tables(product)
+    outcomes = assert_row_loop_is_the_stack_row(
+        product, probs, traffic._newton(s, probs, 0.05, DEFAULT_MAX_ITER), DEFAULT_MAX_ITER, tol=0.05)
+    assert [type(o) for o in outcomes] == [ConsistencyError, traffic.SolveReport]
+    assert str(outcomes[0]) == "hitting probabilities left (0,1): walk is not transient"
+    assert [type(o) for o in assert_rows_match(product, probs, tol=0.05)] == [
+        ConsistencyError, traffic.SolveReport]
+
+
+METRIC_FIELDS = ("gamma", "entropy", "volume", "quality", "hd_measure", "hd_support")
+
+
+@pytest.mark.parametrize("floored", [False, True], ids=["drift", "drift-floor"])
+def test_metrics_report_equals_its_row_of_metrics_rows(monkeypatch, floored):
+    # The 12 walks of criterion 8's battery and 200 walks drawn with seed 41,
+    # each on Z/a * Z/b with a, b uniform in 2..7 (Z/2 * Z/2 redrawn) and
+    # Dirichlet(1, ..., 1) masses.  metrics_report on 1-D arrays must give
+    # each walk, by float.hex of all six fields, what metrics_rows gives its
+    # row in the stack of the walks on its product, in natural lengths and
+    # in the lengths of minimal generators.  The drift-floor case zeroes
+    # every gamma below 0.3 in both paths, so some walks of a stack raise.
+    if floored:
+        kernel = metrics._additive_drift
+
+        def floor(s, p, x, w):
+            out = kernel(s, p, x, w)
+            out[0] = np.where(out[0] < 0.3, 0.0, out[0])
+            return out
+
+        monkeypatch.setattr(metrics, "_additive_drift", floor)
+    rng = np.random.default_rng(41)
+    walks = [(product, mu) for _, (product, mu, _) in _solved_battery()]
+    while len(walks) < 12 + 200:
+        a, b = rng.integers(2, 8, 2).tolist()
+        if a == b == 2:
+            continue
+        product = free_product_of_cyclics(a, b)
+        walks.append((product, StepDistribution(product, rng.dirichlet(np.ones(product.nletters)))))
+    groups = collections.defaultdict(list)
+    for product, mu in walks:
+        groups[product.factors].append((product, mu))
+    kinds = collections.Counter()
+    for group in groups.values():
+        product = group[0][0]
+        probs = np.array([mu.probs for _, mu in group])
+        outcomes = solve_batch(product, probs)
+        for lengths_of in (natural_lengths, lambda p: letter_lengths(p, minimal_generators(p))):
+            rows = metrics_rows(product, probs, outcomes, lengths_of(product))
+            for (walk_product, mu), row in zip(group, rows):
+                try:
+                    want = metrics_report(walk_product, mu, solve_walk(walk_product, mu),
+                                          lengths_of(walk_product))
+                except ValueError as exc:
+                    assert type(row) is ValueError and str(row) == str(exc)
+                    kinds["floor"] += 1
+                    continue
+                assert type(row) is MetricsReport
+                assert [getattr(row, f).hex() for f in METRIC_FIELDS] == [
+                    getattr(want, f).hex() for f in METRIC_FIELDS]
+                kinds["report"] += 1
+    assert sum(kinds.values()) == 2 * len(walks)
+    assert kinds["report"] > 0 and (kinds["floor"] > 0) == floored
 
 
 def near_z2z2(product, eps):

@@ -8,8 +8,10 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -286,7 +288,7 @@ def test_cli_minimal_sweep_rejects_small_k_before_any_output(k, capfd):
 
 
 def test_python_dash_m_freewalk_runs_the_cli():
-    # the one exit-code test across a real process boundary; the other cases run main in-process
+    # exit codes across a real process boundary; most other cases run main in-process
     env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]))
 
     def run(*argv):
@@ -301,6 +303,33 @@ def test_python_dash_m_freewalk_runs_the_cli():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("invalid input:") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("target, delay", [("process", 0.0), ("group", 0.1)])
+def test_ctrl_c_ends_a_run_with_status_130_one_line_and_no_child_left(target, delay):
+    # SIGINT reaches a real verify run after its first line: to the process
+    # alone at once, or, as a terminal's Ctrl-C does, to its whole process
+    # group a little later, while criterion 12 steps its Monte Carlo blocks
+    # in forked children.  The run is its own process group, so a child
+    # left behind would still be in it once the run is waited for.
+    env = dict(os.environ, PYTHONPATH=str(Path(freewalk.__file__).parents[1]), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "freewalk", "verify", "--criteria", "1,12"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        assert proc.stdout.readline().startswith("PASS criterion  1:")
+        time.sleep(delay)
+        (os.kill if target == "process" else os.killpg)(proc.pid, signal.SIGINT)
+        status = proc.wait(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        out, err = proc.communicate(timeout=60)
+    assert status == 130
+    assert err == "interrupted\n"
+    assert "criterion 12" not in out
 
 
 def assert_invalid_input(argv, capfd):

@@ -73,6 +73,9 @@ measurements:
   one ``solve_walk(*z2z3_walk(0.3, 0.2))`` after a warm-up call, counted
   in a fresh interpreter; a work count, so two runs of one tree read the
   same;
+- ``metrics_small_calls``: the same count for one
+  ``metrics_report(*z2z3_walk(0.3, 0.2))``, which solves the walk and
+  then takes its metrics;
 - ``exact_residual_126_s``: one call of ``traffic._exact_residual``, the
   exact phi(q) - q of the exact-residual finish, on Z/64 * Z/64 (126
   letters) at the q its solve returns, timed in a fresh interpreter after
@@ -226,14 +229,15 @@ for product, mu in (z2z3_walk(0.3, 0.2), zkzk_simple(5), extremal_walk([4, 3, 5]
     total += statistics.median(times)
 print(total)
 """
-COUNT_SOLVE_SMALL_CALLS = """
+COUNT_SMALL_CALLS = """
 import cProfile, pstats
+from freewalk.metrics import metrics_report
 from freewalk.traffic import solve_walk
 from freewalk.walkspec import z2z3_walk
 walk = z2z3_walk(0.3, 0.2)
-solve_walk(*walk)
+{call}(*walk)
 profile = cProfile.Profile()
-profile.runcall(solve_walk, *walk)
+profile.runcall({call}, *walk)
 print(pstats.Stats(profile).total_calls)
 """
 TIME_MAKE_FINITE_GROUP = """
@@ -325,6 +329,7 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "exact_convolution_z3z3_17_rss_rise_mb": "MiB",
          "solve_118_cli_s": "s", "solve_118_s": "s",
          "solve_inprocess_x20_s": "s", "solve_small_s": "s", "solve_small_calls": "count",
+         "metrics_small_calls": "count",
          "exact_residual_126_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
          **{name: "s" for name in GROWTH}, "tier1_s": "s", "tier1_common_s": "s"}
 
@@ -388,7 +393,8 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
     row["solve_inprocess_x20_s"] = float(
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_K4, calls=20)], workdir)[2])
     row["solve_small_s"] = float(_child(tree, ["-c", TIME_SOLVE_SMALL], workdir)[2])
-    row["solve_small_calls"] = float(_child(tree, ["-c", COUNT_SOLVE_SMALL_CALLS], workdir)[2])
+    for name, call in (("solve_small_calls", "solve_walk"), ("metrics_small_calls", "metrics_report")):
+        row[name] = float(_child(tree, ["-c", COUNT_SMALL_CALLS.format(call=call)], workdir)[2])
     row["exact_residual_126_s"] = float(_child(tree, ["-c", TIME_EXACT_RESIDUAL], workdir)[2])
     row["tables_118_s"] = float(_child(tree, ["-c", TIME_TABLES], workdir)[2])
     row["make_finite_group_200_s"] = float(_child(tree, ["-c", TIME_MAKE_FINITE_GROUP], workdir)[2])
