@@ -27,9 +27,9 @@ one-row chunk solve, takes one path on 1-D arrays instead, from Newton's
 set-up to the root vector (``_solve_row``): the same kernels, exits and
 checks, without the stack path's row bookkeeping, which cost a small
 lone walk about a tenth of its solve time.  Each path is the faster one
-where it runs: 512 rows of Z/2 * Z/3 take about 2 ms in lockstep and
-90 ms as 512 lone solves.  The row count alone picks the path, and the
-tests check that both give every row the same bits and errors.
+where it runs: 512 rows of Z/2 * Z/3 take 20 to 40 times longer as 512
+lone solves than in lockstep.  The row count alone picks the path, and
+the tests check that both give every row the same bits and errors.
 
 The root vector of the harmonic measure follows as
 ``r(a) = q(a) / (1 + q(Sigma_a))``, and the consistency identity
@@ -473,13 +473,14 @@ def _row_errors(product: FreeProduct, p: np.ndarray) -> list[ValueError | None]:
 
 
 def _mu_parts(s: _Structure, p: np.ndarray):
-    """The parts of phi and I - J that depend on mu alone, for one row or a stack: (pair, pairs, neg_pair, neg_inv).
+    """The parts of phi and I - J that depend on mu alone: (pair, pairs, neg_pair, neg_inv).
 
-    ``neg_pair`` and ``neg_inv`` are 0.0 - mu at every pair's first letter
-    and at each letter's inverse.  phi's pair sums take only the pairs
-    whose u some row steps to (see ``_phi_array``), as a walk on a few
-    generators of large factors steps to few of them: ``pairs`` is their
-    (pair_a, pair_v), or None for all, and ``pair`` is mu at their u.
+    p is one row or a stack of rows.  ``neg_pair`` and ``neg_inv`` are
+    0.0 - mu at every pair's first letter and at each letter's inverse.
+    phi's pair sums take only the pairs whose u some row steps to (see
+    ``_phi_array``), as a walk on a few generators of large factors steps
+    to few of them: ``pairs`` is their (pair_a, pair_v), or None for all,
+    and ``pair`` is mu at their u.
     """
     pair = p.take(s.pair_u, axis=-1)
     neg_pair, neg_inv = 0.0 - pair, 0.0 - p.take(s.inv_index, axis=-1)

@@ -304,7 +304,7 @@ def test_quality_rejects_drift_at_or_below_the_floor(monkeypatch):
     minimal = minimal_generators(product)
     kernel = metrics._additive_drift
     for gamma in (QUALITY_GAMMA_FLOOR, 0.0):
-        # metrics_rows takes gamma and h in one call, gamma in the first row
+        # metrics_report and metrics_rows take gamma and h in one call, gamma first
         def floored(s, p, x, w, gamma=gamma):
             out = kernel(s, p, x, w)
             out[0] = gamma
