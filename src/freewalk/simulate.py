@@ -6,12 +6,13 @@ across platforms and replications are independent streams that may be
 computed in any order.  The estimators and ``trajectories`` step their
 replications together, in blocks of up to 1024, each walk on its own
 stream, and each walk's float sums are those of stepping it alone, so the
-results equal those of stepping one replication at a time.  The
-estimators step their runs as batches (``estimate_batch``; each estimator
-is a batch of one): on Linux a batch's blocks, in run order, are cut
-into groups of about as many blocks, one per CPU in the affinity mask,
-each stepped in its own process with the same results (``taskset -c 0``
-gives one process), and a process holds one run's stack and drawn
+results equal those of stepping one replication at a time.  Each
+estimator plans its run (``_drift``, ``_hitting``, ``_prefix``) and steps
+it through ``_estimate``, which steps several plans as one batch, as
+criterion 12 does with its six: on Linux a batch's blocks, in run order,
+are cut into groups of about as many blocks, one per CPU in the affinity
+mask, each stepped in its own process with the same results (``taskset
+-c 0`` gives one process), and a process holds one run's stack and drawn
 letters at a time.  One letter action serves them and the exact
 convolution powers: the step tables of ``_Steps``, built from the
 solver's in-factor pair tables.
@@ -243,9 +244,11 @@ def trajectories(
 ) -> list[Trajectory]:
     """The walks (seed, 0), ..., (seed, reps - 1), each with its length after every step.
 
-    More than STACK_BUDGET recorded lengths, reps * (steps + 1), is
-    rejected before anything is allocated.
+    steps < 0, reps < 1 and more than STACK_BUDGET recorded lengths,
+    reps * (steps + 1), are rejected before anything is allocated.
     """
+    if steps < 0 or reps < 1:
+        raise ValueError(f"need steps >= 0 and reps >= 1, got steps={steps}, reps={reps}")
     if reps * (steps + 1) > STACK_BUDGET:
         raise ValueError(f"{steps} steps of {reps} recorded walks need more than {STACK_BUDGET} cells")
     table = lengths if lengths is not None else natural_lengths(product)
@@ -535,49 +538,6 @@ def _lockstep(*args, **kwargs) -> _Walks:
     return _batch([_Run(*args, **kwargs)])[0]
 
 
-class DriftRun(NamedTuple):
-    """A run of ``estimate_batch`` that ``estimate_drift`` would make of these arguments."""
-
-    product: FreeProduct
-    mu: StepDistribution
-    steps: int
-    reps: int
-    seed: int
-    lengths: LengthTable | None = None
-
-    def _run(self) -> _Run:
-        check_sizes(self.steps, self.reps)
-        table = self.lengths if self.lengths is not None else natural_lengths(self.product)
-        return _Run(self.product, self.mu, self.steps, self.reps, self.seed, weights=table.weights)
-
-    def _report(self, walks: _Walks) -> EstimateReport:
-        values = walks.weight / self.steps
-        stderr = float(values.std(ddof=1) / math.sqrt(self.reps))
-        return EstimateReport(float(values.mean()), stderr, self.reps, self.steps)
-
-
-class HittingRun(NamedTuple):
-    """A run of ``estimate_batch`` that ``estimate_hitting`` would make of these arguments."""
-
-    product: FreeProduct
-    mu: StepDistribution
-    target: Letter
-    horizon: int
-    reps: int
-    seed: int
-
-    def _run(self) -> _Run:
-        check_sizes(self.horizon, self.reps, 1)
-        goal = self.product.letter_index(self.target)
-        return _Run(self.product, self.mu, self.horizon, self.reps, self.seed, goal=goal)
-
-    def _report(self, walks: _Walks) -> EstimateReport:
-        p_hat = int(walks.hit.sum()) / self.reps
-        stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / self.reps)
-        return EstimateReport(p_hat, stderr, self.reps, self.horizon,
-                              "finite-horizon estimator; bias is downward (late hits are lost)")
-
-
 @dataclass(frozen=True)
 class PrefixReport:
     """Empirical frequencies of normal-form prefixes among final words."""
@@ -588,41 +548,64 @@ class PrefixReport:
     horizon: int
 
 
-class PrefixRun(NamedTuple):
-    """A run of ``estimate_batch`` that ``estimate_prefix`` would make of these arguments."""
+def _drift(product: FreeProduct, mu: StepDistribution, steps: int, reps: int, seed: int,
+           lengths: LengthTable | None = None) -> tuple[_Run, Callable]:
+    """``estimate_drift``'s run of these arguments and its report; sizes checked.
 
-    product: FreeProduct
-    mu: StepDistribution
-    steps: int
-    reps: int
-    seed: int
-    prefix_len: int
+    Each planner, ``_drift``, ``_hitting`` and ``_prefix``, runs its
+    estimator's checks and returns (run, report), where report maps the
+    run's ``_Walks`` to what the estimator returns (see ``_estimate``).
+    """
+    check_sizes(steps, reps)
+    table = lengths if lengths is not None else natural_lengths(product)
 
-    def _run(self) -> _Run:
-        check_sizes(self.steps, self.reps, self.prefix_len)
-        return _Run(self.product, self.mu, self.steps, self.reps, self.seed,
-                    prefix_len=self.prefix_len)
+    def report(walks: _Walks) -> EstimateReport:
+        values = walks.weight / steps
+        stderr = float(values.std(ddof=1) / math.sqrt(reps))
+        return EstimateReport(float(values.mean()), stderr, reps, steps)
 
-    def _report(self, walks: _Walks) -> PrefixReport:
-        prefixes = walks.prefix[:, walks.depth >= self.prefix_len].T
+    return _Run(product, mu, steps, reps, seed, weights=table.weights), report
+
+
+def _hitting(product: FreeProduct, mu: StepDistribution, target: Letter, horizon: int, reps: int,
+             seed: int) -> tuple[_Run, Callable]:
+    """``estimate_hitting``'s run of these arguments and its report; sizes and target checked."""
+    check_sizes(horizon, reps, 1)
+    goal = product.letter_index(target)
+
+    def report(walks: _Walks) -> EstimateReport:
+        p_hat = int(walks.hit.sum()) / reps
+        stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / reps)
+        return EstimateReport(p_hat, stderr, reps, horizon,
+                              "finite-horizon estimator; bias is downward (late hits are lost)")
+
+    return _Run(product, mu, horizon, reps, seed, goal=goal), report
+
+
+def _prefix(product: FreeProduct, mu: StepDistribution, steps: int, reps: int, seed: int,
+            prefix_len: int) -> tuple[_Run, Callable]:
+    """``estimate_prefix``'s run of these arguments and its report; sizes checked."""
+    check_sizes(steps, reps, prefix_len)
+
+    def report(walks: _Walks) -> PrefixReport:
+        prefixes = walks.prefix[:, walks.depth >= prefix_len].T
         counts = Counter(map(tuple, prefixes.tolist()))
         kept = counts.total()
-        freqs = {_word(self.product, k): c / kept for k, c in counts.items()} if kept else {}
-        return PrefixReport(frequencies=freqs, dropped=self.reps - kept, replications=self.reps,
-                            horizon=self.steps)
+        freqs = {_word(product, k): c / kept for k, c in counts.items()} if kept else {}
+        return PrefixReport(freqs, dropped=reps - kept, replications=reps, horizon=steps)
+
+    return _Run(product, mu, steps, reps, seed, prefix_len=prefix_len), report
 
 
-def estimate_batch(
-    runs: Sequence[DriftRun | HittingRun | PrefixRun],
-) -> list[EstimateReport | PrefixReport]:
-    """The report of each run, in order, its walks stepped in one batch with the others'.
+def _estimate(plans: Sequence[tuple[_Run, Callable]]) -> list[EstimateReport | PrefixReport]:
+    """The report of each planned run, in order, its walks stepped in one batch with the others'.
 
     Each report is the one its estimator gives for the same arguments:
     the batch only decides which process steps which walks (see
-    ``_batch``).  Every run's sizes are checked before any walk steps.
+    ``_batch``).  A planner checks its run's sizes when it is called, so
+    every run's sizes are checked before any walk steps.
     """
-    planned = [run._run() for run in runs]
-    return [run._report(walks) for run, walks in zip(runs, _batch(planned))]
+    return [report(walks) for (_, report), walks in zip(plans, _batch([run for run, _ in plans]))]
 
 
 def estimate_drift(
@@ -634,7 +617,7 @@ def estimate_drift(
     lengths: LengthTable | None = None,
 ) -> EstimateReport:
     """Mean of |X_steps|/steps over independent replications, with its stderr."""
-    return estimate_batch([DriftRun(product, mu, steps, reps, seed, lengths)])[0]
+    return _estimate([_drift(product, mu, steps, reps, seed, lengths)])[0]
 
 
 def estimate_hitting(
@@ -651,7 +634,7 @@ def estimate_hitting(
     downward; transience makes the missing mass decay geometrically in the
     horizon.
     """
-    return estimate_batch([HittingRun(product, mu, target, horizon, reps, seed)])[0]
+    return _estimate([_hitting(product, mu, target, horizon, reps, seed)])[0]
 
 
 def estimate_prefix(
@@ -669,7 +652,7 @@ def estimate_prefix(
     masses of the harmonic measure.  Replications whose final word is
     shorter than the prefix are dropped and counted.
     """
-    return estimate_batch([PrefixRun(product, mu, steps, reps, seed, prefix_len)])[0]
+    return _estimate([_prefix(product, mu, steps, reps, seed, prefix_len)])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,11 +45,11 @@ from .metrics import (
     volume,
 )
 from .simulate import (
-    DriftRun,
-    HittingRun,
-    PrefixRun,
+    _drift,
+    _estimate,
+    _hitting,
+    _prefix,
     distribution_entropy,
-    estimate_batch,
     exact_convolution,
     expected_length,
 )
@@ -373,10 +373,10 @@ def criterion_12(chk: CriterionResult) -> None:
     walks = (("Z4*Z4", _solved(zkzk_simple, 4), (math.sqrt(5) - 1) / 4),
              ("Z2*Z3", _solved(hecke_simple, 3), 2 / 15))
     # one batch, product by product, so that two CPUs step one drift run each
-    reports = estimate_batch([run for _, (product, mu, _), _ in walks for run in (
-        DriftRun(product, mu, steps=10_000, reps=200, seed=SEED),
-        PrefixRun(product, mu, steps=1500, reps=4000, seed=SEED + 1, prefix_len=1),
-        HittingRun(product, mu, target, horizon=1000, reps=4000, seed=SEED + 2))])
+    reports = _estimate([plan for _, (product, mu, _), _ in walks for plan in (
+        _drift(product, mu, steps=10_000, reps=200, seed=SEED),
+        _prefix(product, mu, steps=1500, reps=4000, seed=SEED + 1, prefix_len=1),
+        _hitting(product, mu, target, horizon=1000, reps=4000, seed=SEED + 2))])
     for i, (name, (product, mu, rep), target_gamma) in enumerate(walks):
         est, prefix, hit = reports[3 * i : 3 * i + 3]
         chk.true(

@@ -23,17 +23,17 @@ from freewalk.simulate import (
     _BLOCK,
     _CHUNK,
     _WATCH,
-    DriftRun,
-    HittingRun,
-    PrefixRun,
     _Run,
     _Streams,
     _batch,
+    _drift,
+    _estimate,
     _groups,
+    _hitting,
     _lockstep,
+    _prefix,
     check_sizes,
     distribution_entropy,
-    estimate_batch,
     estimate_drift,
     estimate_hitting,
     estimate_prefix,
@@ -417,6 +417,19 @@ def test_trajectories_past_the_stack_budget_are_rejected(monkeypatch):
         trajectories(product, mu, steps + 1, reps, SEED)
 
 
+@pytest.mark.parametrize("steps, reps", [(5, 0), (-2, 3)], ids=["no-reps", "negative-steps"])
+def test_trajectories_reject_negative_steps_and_no_reps_before_stepping(monkeypatch, steps, reps):
+    product, mu = zkzk_simple(4)
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("the walks were stepped")
+
+    monkeypatch.setattr("freewalk.simulate._batch", no_walks)
+    message = f"need steps >= 0 and reps >= 1, got steps={steps}, reps={reps}"
+    with pytest.raises(ValueError, match=message):
+        trajectories(product, mu, steps, reps, SEED)
+
+
 def test_lockstep_memory_stays_bounded():
     # 4,000 walks of 300 steps: a float64 or intp array of reps x steps
     # would take 9.2 MiB and 4,000 live generators about 2.3 MiB, while the
@@ -690,8 +703,8 @@ def _one_run(product, mu):
 
 def _two_run_batch(product, mu):
     # two runs of two blocks each: the caller steps the prefix run's first block
-    return estimate_batch([PrefixRun(product, mu, 40, 2 * _BLOCK, SEED, 1),
-                           HittingRun(product, mu, Letter(0, 1), 40, 2 * _BLOCK, SEED)])
+    return _estimate([_prefix(product, mu, 40, 2 * _BLOCK, SEED, 1),
+                      _hitting(product, mu, Letter(0, 1), 40, 2 * _BLOCK, SEED)])
 
 
 _FAILURES = {"child-raises": (_raise, True, _ChildFailed), "child-dies": (_die, True, RuntimeError),
@@ -776,20 +789,20 @@ def test_a_mixed_batch_equals_its_runs_stepped_one_at_a_time(monkeypatch, cpus):
             assert a.tobytes() == b.tobytes()
 
 
-def test_estimate_batch_reports_what_each_estimator_reports(monkeypatch):
+def test_plans_estimated_together_report_what_each_estimator_reports(monkeypatch):
     product, mu = hecke_simple(3)
     three, three_mu = uniform_per_factor([3, 4, 5])
     drift, minimal, prefix, hitting = (
-        DriftRun(product, mu, 40, _BLOCK + 5, SEED),
-        DriftRun(three, three_mu, 40, 300, SEED + 1, _minimal(three, three_mu)),
-        PrefixRun(product, mu, 40, 2 * _BLOCK, SEED + 2, 2),
-        HittingRun(three, three_mu, Letter(2, 4), 40, 600, SEED + 3),
+        (product, mu, 40, _BLOCK + 5, SEED),
+        (three, three_mu, 40, 300, SEED + 1, _minimal(three, three_mu)),
+        (product, mu, 40, 2 * _BLOCK, SEED + 2, 2),
+        (three, three_mu, Letter(2, 4), 40, 600, SEED + 3),
     )
     _cpus(monkeypatch, 1)
     alone = [estimate_drift(*drift), estimate_drift(*minimal), estimate_prefix(*prefix),
              estimate_hitting(*hitting)]
     _cpus(monkeypatch, 4)
-    assert estimate_batch([drift, minimal, prefix, hitting]) == alone
+    assert _estimate([_drift(*drift), _drift(*minimal), _prefix(*prefix), _hitting(*hitting)]) == alone
 
 
 def test_a_batch_rejects_a_bad_run_before_drawing(monkeypatch):
@@ -800,7 +813,7 @@ def test_a_batch_rejects_a_bad_run_before_drawing(monkeypatch):
 
     monkeypatch.setattr("freewalk.simulate._Streams.words", no_draws)
     with pytest.raises(ValueError, match="prefix_len must be >= 1"):
-        estimate_batch([DriftRun(product, mu, 10, 10, SEED), PrefixRun(product, mu, 10, 10, SEED, 0)])
+        _estimate([_drift(product, mu, 10, 10, SEED), _prefix(product, mu, 10, 10, SEED, 0)])
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -845,7 +858,19 @@ def test_criterion_12_steps_one_drift_run_in_each_of_two_processes(monkeypatch):
 
     monkeypatch.setattr(simulate, "_groups", recorded)
     _cpus(monkeypatch, 2)
-    assert verify.run_criterion(12).passed
+    result = verify.run_criterion(12)
+    assert result.passed
+    # the six lines as they print, the drift and hitting estimates at full precision
+    assert result.details == [
+        "ok  Z4*Z4: drift within 3 sigma: est 0.309041 +- 5.32e-04, target 0.30901699437494745",
+        "ok  Z4*Z4: prefix-1 frequencies within 3 sigma of r: worst z 1.72",
+        "ok  Z4*Z4: hitting probability within 3 sigma + bias: est 0.389 +- 7.71e-03, "
+        "q 0.3819660112501051",
+        "ok  Z2*Z3: drift within 3 sigma: est 0.133662 +- 5.79e-04, target 0.13333333333333333",
+        "ok  Z2*Z3: prefix-1 frequencies within 3 sigma of r: worst z 0.48",
+        "ok  Z2*Z3: hitting probability within 3 sigma + bias: est 0.668 +- 7.45e-03, "
+        "q 0.6666666666666667",
+    ]
     [(runs, groups)] = cuts
     drift = {i for i, run in enumerate(runs) if run.weights is not None}
     assert [drift & {i for i, _ in group} for group in groups] == [{0}, {3}]

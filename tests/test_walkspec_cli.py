@@ -271,7 +271,8 @@ def test_cli_simulate_rejects_oversized_runs_before_allocating(flags, capfd, mon
     def no_walks(*args, **kwargs):
         raise AssertionError("the walks were stepped")
 
-    monkeypatch.setattr("freewalk.simulate._lockstep", no_walks)
+    # every run, estimated or recorded, is stepped through _batch
+    monkeypatch.setattr("freewalk.simulate._batch", no_walks)
     assert_invalid_input(["simulate", "--family", "hecke-simple", "--k", "3", *flags], capfd)
 
 

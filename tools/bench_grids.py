@@ -76,6 +76,10 @@ measurements:
 - ``metrics_small_calls``: the same count for one
   ``metrics_report(*z2z3_walk(0.3, 0.2))``, which solves the walk and
   then takes its metrics;
+- ``estimate_small_calls``: the same count for one
+  ``estimate_drift(*hecke_simple(3), 40, 200, 1)``, a Monte Carlo run of
+  one block, so stepped in the caller without a fork, from its sizes'
+  checks to its report;
 - ``exact_residual_126_s``: one call of ``traffic._exact_residual``, the
   exact phi(q) - q of the exact-residual finish, on Z/64 * Z/64 (126
   letters) at the q its solve returns, timed in a fresh interpreter after
@@ -232,14 +236,21 @@ print(total)
 COUNT_SMALL_CALLS = """
 import cProfile, pstats
 from freewalk.metrics import metrics_report
+from freewalk.simulate import estimate_drift
 from freewalk.traffic import solve_walk
-from freewalk.walkspec import z2z3_walk
-walk = z2z3_walk(0.3, 0.2)
-{call}(*walk)
+from freewalk.walkspec import hecke_simple, z2z3_walk
+args = {args}
+{call}(*args)
 profile = cProfile.Profile()
-profile.runcall({call}, *walk)
+profile.runcall({call}, *args)
 print(pstats.Stats(profile).total_calls)
 """
+# the counted call and its arguments, a tuple expression
+SMALL_CALLS = {
+    "solve_small_calls": ("solve_walk", "z2z3_walk(0.3, 0.2)"),
+    "metrics_small_calls": ("metrics_report", "z2z3_walk(0.3, 0.2)"),
+    "estimate_small_calls": ("estimate_drift", "(*hecke_simple(3), 40, 200, 1)"),
+}
 TIME_MAKE_FINITE_GROUP = """
 import statistics, time
 from freewalk.groups import make_finite_group
@@ -328,8 +339,7 @@ UNITS = {"sweep_cli_s": "s", "sweep_peak_rss_mb": "MiB", "sweep_s": "s", "qualit
          "exact_convolution_z4z4_10_s": "s", "exact_convolution_z3z3_17_s": "s",
          "exact_convolution_z3z3_17_peak_rss_mb": "MiB", "exact_convolution_z3z3_17_rss_rise_mb": "MiB",
          "solve_118_cli_s": "s", "solve_118_s": "s",
-         "solve_inprocess_x20_s": "s", "solve_small_s": "s", "solve_small_calls": "count",
-         "metrics_small_calls": "count",
+         "solve_inprocess_x20_s": "s", "solve_small_s": "s", **{name: "count" for name in SMALL_CALLS},
          "exact_residual_126_s": "s", "tables_118_s": "s", "make_finite_group_200_s": "s",
          **{name: "s" for name in GROWTH}, "tier1_s": "s", "tier1_common_s": "s"}
 
@@ -393,8 +403,9 @@ def measure(tree: Path, workdir: str, common: list[str]) -> dict[str, float]:
     row["solve_inprocess_x20_s"] = float(
         _child(tree, ["-c", TIME_MAIN.format(argv=SOLVE_K4, calls=20)], workdir)[2])
     row["solve_small_s"] = float(_child(tree, ["-c", TIME_SOLVE_SMALL], workdir)[2])
-    for name, call in (("solve_small_calls", "solve_walk"), ("metrics_small_calls", "metrics_report")):
-        row[name] = float(_child(tree, ["-c", COUNT_SMALL_CALLS.format(call=call)], workdir)[2])
+    for name, (call, args) in SMALL_CALLS.items():
+        row[name] = float(_child(tree, ["-c", COUNT_SMALL_CALLS.format(call=call, args=args)],
+                                 workdir)[2])
     row["exact_residual_126_s"] = float(_child(tree, ["-c", TIME_EXACT_RESIDUAL], workdir)[2])
     row["tables_118_s"] = float(_child(tree, ["-c", TIME_TABLES], workdir)[2])
     row["make_finite_group_200_s"] = float(_child(tree, ["-c", TIME_MAKE_FINITE_GROUP], workdir)[2])
