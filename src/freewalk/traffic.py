@@ -11,7 +11,11 @@ a monotone map whose least fixed point is the hitting vector, and Newton's
 method from the zero vector converges to it monotonically (Etessami and
 Yannakakis, JACM 2009; Esparza, Kiefer and Luttenberger, SIAM J. Comput.
 2010), in at most 7 steps on the walks tried, near-edge walks included.
-The same solves give kappa = ||(I - J)^-1||_inf >= 1/(1 - rho(J)).  Float
+At q = 0 every term of the map but mu(a) is an exact +0.0, so phi(0) is
+mu: a lone walk's Newton loop starts from there and evaluates the map
+only at the iterates it accepts.  A step is accepted only when every
+entry of its candidate lies in (0,1), which a NaN never does.  The same
+solves give kappa = ||(I - J)^-1||_inf >= 1/(1 - rho(J)).  Float
 rounding leaves q about eps * kappa from the fixed point, so when that
 exceeds the tolerance a few Newton corrections with an exact rational
 residual finish the solve.  One confirming step of the map, gated by the
@@ -96,14 +100,15 @@ class StepDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.product.nletters,):
             raise ValueError(f"need {self.product.nletters} probabilities, got shape {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValueError("non-finite probability in step distribution")
-        if (p < 0.0).any():
-            raise ValueError("negative probability in step distribution")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        if not (p > 0.0).any():
-            raise ValueError("empty support")
+        # A NaN or an infinity makes the sum NaN or infinite, and fmin skips
+        # NaNs, so these two reductions pass exactly the laws that the checks
+        # below pass; a law that fails them gets the first check's error.
+        if not (abs(np.add.reduce(p) - 1.0) <= 1e-12 and np.fmin.reduce(p) >= 0.0):
+            if not np.isfinite(p).all():
+                raise ValueError("non-finite probability in step distribution")
+            if (p < 0.0).any():
+                raise ValueError("negative probability in step distribution")
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
         object.__setattr__(self, "probs", p)
 
     def __getitem__(self, u: Letter) -> float:
@@ -213,9 +218,9 @@ class _Structure:
 
     ``(pair_a[m], pair_u[m], pair_v[m])`` lists every in-factor product
     u * v = a of two letters, ordered by a, then u.  Each (a, v) has
-    exactly one u = a * v^-1, so ``pair_flat`` and ``diag_flat``, the flat
-    indices of the entries (a, v) and (a, a) of an n x n matrix, have no
-    repeats; between them they cover every in-factor entry.  ``cross``
+    exactly one u = a * v^-1, so ``pair_flat``, the flat indices of the
+    entries (a, v) of an n x n matrix, has no repeats; with the diagonal
+    it covers every in-factor entry.  ``cross``
     masks the entries whose two letters lie in different factors.  The
     tables are fixed once built; a stack of rows reads them through
     ``_shifted``.
@@ -255,7 +260,6 @@ class _Structure:
             pair_v.append(v)
         self.pair_a, self.pair_u, self.pair_v = map(np.concatenate, (pair_a, pair_u, pair_v))
         self.pair_flat = self.pair_a * n + self.pair_v
-        self.diag_flat = np.arange(n) * (n + 1)
         self.inv_index = product.inv_index
         self.factor_of = product.factor_of
         self.nletters = n
@@ -263,7 +267,7 @@ class _Structure:
         # the bytes of the arrays built here, headers included, for the budget
         # of ``letter_tables``; inv_index and factor_of are the product's
         self.nbytes = sum(map(sys.getsizeof, (self.cross, self.pair_a, self.pair_u, self.pair_v,
-                                              self.pair_flat, self.diag_flat)))
+                                              self.pair_flat)))
 
     def factor_sums(self, x: np.ndarray) -> np.ndarray:
         """Per factor i, the total of x over the letters of factor i (per row of a stack)."""
@@ -378,16 +382,19 @@ def _i_minus_j(s: _Structure, q: np.ndarray, back: np.ndarray, neg_inv: np.ndarr
     entry.  The entries -mu(u) depend on mu alone: they are written into
     a new stack when ``matrices`` is None, and a caller that passes the
     stack of its last call, for the same laws, has only the entries that
-    depend on q rewritten in it.
+    depend on q rewritten in it.  The diagonal is written through a
+    strided view, every (n + 1)-th entry of each flattened matrix, so the
+    stack must be C-contiguous, as ``np.empty`` and a boolean selection of
+    rows make it: the reshape of any other stack would be a copy.
     """
-    rows = 1 if q.ndim == 1 else len(q)
-    width = s.nletters**2
+    n = s.nletters
     if matrices is None:
         # the pair entries and the diagonal cover every in-factor entry
-        matrices = np.empty(q.shape + (s.nletters,))
-        matrices.reshape(-1)[_shifted(s.pair_flat, width, rows)] = neg_pair.ravel()
+        matrices = np.empty(q.shape + (n,))
+        rows = 1 if q.ndim == 1 else len(q)
+        matrices.reshape(-1)[_shifted(s.pair_flat, n * n, rows)] = neg_pair.ravel()
     np.multiply(q[..., :, None], neg_inv[..., None, :], out=matrices, where=s.cross)
-    matrices.reshape(-1)[_shifted(s.diag_flat, width, rows)] = (1.0 - back).ravel()
+    np.subtract(1.0, back, out=matrices.reshape(q.shape[:-1] + (n * n,))[..., :: n + 1])
     return matrices
 
 
@@ -500,14 +507,16 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     spectral radius below 1, kappa = max(x) = ||(I - J)^-1||_inf, and
     rounding leaves q about eps * kappa from the fixed point.  A row stops
     once its sup residual is at most tol/100 or stops falling, or once its
-    candidate leaves (0,1), as after a singular step, which leaves it to
-    the confirming step.  Each step ORs the two tests into one stop mask,
-    and the solve is skipped only when every row stops on its residual.
-    A stopping row leaves with its current q, the phi(q) of its step, its
-    step count and its last x, whichever test stopped it; the others go on
+    candidate leaves (0,1) or holds a NaN, as after a singular step, which
+    leaves it to the confirming step.  Each step ORs the two tests into
+    one stop mask, and the solve is skipped only when every row stops on
+    its residual.  back and phi are evaluated once at q = 0, for the whole
+    stack, and then once per accepted candidate, at the end of the step.
+    A stopping row leaves with its current q, phi at that q, its step
+    count and its last x, whichever test stopped it; the others go on
     without it, so each row takes the steps it would take alone.  A row
-    that runs out of steps has phi evaluated once more at its last q.
-    kappa is NaN for a row that took no step.  The stack of I - J is kept
+    that runs out of steps leaves with the phi of its last step.  kappa
+    is NaN for a row that took no step.  The stack of I - J is kept
     from step to step, so its entries that depend on mu alone are written
     once (see ``_i_minus_j``), and phi sums only over the pairs whose
     first letter some row steps to.  ``_solve`` gives it stacks of two or
@@ -521,19 +530,19 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     kappa = np.full(rows, math.nan)
     rhs = np.ones((rows, n, 2))
     # the rows still stepping: their indices, step laws, iterates, last sup
-    # residuals, last solutions x (NaN before the first step) and I - J
+    # residuals, last solutions x (NaN before the first step), I - J, and
+    # back and phi at their iterates
     live, pl, ql, last, xl = np.arange(rows), p, q, np.full(rows, math.inf), np.full((rows, n), math.nan)
-    matrices = None
+    matrices, back = None, _back(s, p, q)
+    phil = _phi_array(s, p, q, back, pair, pairs)
 
-    def leave(mask, taken, phil):
+    def leave(mask, taken):
         out = live[mask]
         q[out], phi[out], steps[out], kappa[out] = ql[mask], phil[mask], taken, xl[mask].max(axis=1)
         return ~mask
 
     for taken in range(max_iter):
         b = len(live)
-        back = _back(s, pl, ql)
-        phil = _phi_array(s, pl, ql, back, pair, pairs)
         sup = _sup_norm(np.subtract(phil, ql, out=rhs[:b, :, 0]))
         stop = (sup <= floor) | (sup >= last)
         if np.count_nonzero(stop) < b:  # some row goes on: solve for every row
@@ -543,17 +552,19 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
             except np.linalg.LinAlgError:
                 sol = _solve_each(matrices, rhs[:b])
             candidate = ql + sol[:, :, 0]
-            outside = (candidate <= 0.0) | (candidate >= 1.0)
+            outside = ~((candidate > 0.0) & (candidate < 1.0))
             if np.count_nonzero(outside):
                 stop |= outside.any(axis=1)
         if np.count_nonzero(stop):
-            keep = leave(stop, taken, phil)
+            keep = leave(stop, taken)
             if not keep.any():
                 return q, phi, steps, kappa
             live, pl, candidate, sol, sup = live[keep], pl[keep], candidate[keep], sol[keep], sup[keep]
             pair, neg_pair, neg_inv, matrices = pair[keep], neg_pair[keep], neg_inv[keep], matrices[keep]
         ql, xl, last = candidate, sol[:, :, 1], sup
-    leave(np.ones(len(live), dtype=bool), max_iter, _phi_array(s, pl, ql, mu_pair=pair, pairs=pairs))
+        back = _back(s, pl, ql)
+        phil = _phi_array(s, pl, ql, back, pair, pairs)
+    leave(np.ones(len(live), dtype=bool), max_iter)
     return q, phi, steps, kappa
 
 
@@ -562,17 +573,21 @@ def _newton_row(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
 
     The kernels, their order and the exits are the lockstep loop's, with
     scalar tests and without its row bookkeeping: a singular step stops
-    the row where the lockstep loop's infinite candidate would.  steps is
-    an int and kappa a float, NaN when no step was solved.
+    the row where the lockstep loop's infinite candidate would, and one
+    min and one max test the candidate's range (a NaN fails it).  The
+    loop starts from the map's exact values at q = 0, where back is +0.0
+    and phi(0) is mu (a -0.0 mass comes out +0.0, as mu + 0.0 gives it),
+    so it evaluates back and phi only at the candidates it accepts; the
+    budget exit returns the last of these.  steps is an int and kappa a
+    float, NaN when no step was solved.
     """
     pair, pairs, neg_pair, neg_inv = _mu_parts(s, p)
     floor = 0.01 * tol
     n = len(p)
     q, last, x = np.zeros(n), math.inf, np.full(n, math.nan)
+    back, phi = np.zeros(n), p + 0.0
     rhs, matrix = np.ones((n, 2)), None
     for taken in range(max_iter):
-        back = _back(s, p, q)
-        phi = _phi_array(s, p, q, back, pair, pairs)
         sup = _sup_norm(np.subtract(phi, q, out=rhs[:, 0]))
         if sup <= floor or sup >= last:
             break
@@ -582,11 +597,13 @@ def _newton_row(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
         except np.linalg.LinAlgError:
             break
         candidate = q + sol[:, 0]
-        if (candidate <= 0.0).any() or (candidate >= 1.0).any():
+        if not (0.0 < np.minimum.reduce(candidate) and np.maximum.reduce(candidate) < 1.0):
             break
         q, x, last = candidate, sol[:, 1], sup
+        back = _back(s, p, q)
+        phi = _phi_array(s, p, q, back, pair, pairs)
     else:
-        taken, phi = max_iter, _phi_array(s, p, q, mu_pair=pair, pairs=pairs)
+        taken = max_iter
     return q, phi, taken, x.max()
 
 
@@ -641,7 +658,8 @@ def _exact_finish(s: _Structure, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     for _ in range(3):
         matrix = _i_minus_j(s, q, _back(s, p, q), neg_inv, neg_pair, matrix)
         candidate = q + np.linalg.solve(matrix, _exact_residual(s, p, q))
-        if np.array_equal(candidate, q) or np.any(candidate <= 0.0) or np.any(candidate >= 1.0):
+        if np.array_equal(candidate, q) or not (
+                0.0 < np.minimum.reduce(candidate) and np.maximum.reduce(candidate) < 1.0):
             break
         q = candidate
     return q
@@ -710,7 +728,7 @@ def _solve_row(product: FreeProduct, s: _Structure, p: np.ndarray, tol: float,
     consistency = _consistency_residual(s, step)
     if not (change < tol and consistency <= 10.0 * tol):
         return _unconfirmed(steps + 1, change, consistency, kappa)
-    if ((step >= 1.0 - tol) | (step <= 0.0)).any():
+    if not (0.0 < np.minimum.reduce(step) and np.maximum.reduce(step) < 1.0 - tol):
         return ConsistencyError(_LEFT_RANGE)
     return SolveReport(q=HittingVector(product, step), r=RootVector(product, _root(s, step)),
                        iterations=steps + 1, probs=p)

@@ -16,6 +16,7 @@ import argparse
 import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ from freewalk.walkspec import (
     minimal_generators,
     resolve_generators,
     z2z2z2,
+    z2z3_walk,
     zkzk_simple,
 )
 
@@ -292,6 +294,40 @@ def test_a_singular_matrix_stops_only_its_row():
     sol = traffic._solve_each(matrices, np.ones((2, 2, 2)))
     assert np.all(np.isinf(sol[0])) and np.array_equal(sol[1], np.full((2, 2), 0.5))
 
+
+
+def test_a_nan_candidate_stops_its_row_at_once(monkeypatch):
+    # LAPACK is made to return one NaN in a walk's Newton step at its second
+    # solve.  The NaN candidate fails the range test, so the walk leaves
+    # Newton at once, alone and in a stack of two, and fails its confirming
+    # step; the stack's other row is its solve alone, byte for byte.  A NaN
+    # let through would keep the walk stepping to its budget of 1,000.
+    product, mu = z2z3_walk(0.3, 0.2)
+    other = np.array([0.2, 0.3, 0.5])
+    want = solve_walk(product, StepDistribution(product, other))
+    solve, calls = np.linalg.solve, []
+
+    def nan_at_the_second_solve(matrices, rhs):
+        sol = solve(matrices, rhs)
+        calls.append(len(calls))
+        if len(calls) == 2:
+            sol[(0,) * sol.ndim] = math.nan  # the first letter's step, in the first row of a stack
+        return sol
+
+    def iterations(error):
+        assert type(error) is MaxIterationsError
+        return int(re.search(r"after (\d+) iterations", str(error)).group(1))
+
+    monkeypatch.setattr(np.linalg, "solve", nan_at_the_second_solve)
+    with pytest.raises(MaxIterationsError) as info:
+        solve_walk(product, mu, max_iter=1000)
+    assert iterations(info.value) <= 3
+    calls.clear()
+    nan_row, other_row = solve_batch(product, np.array([mu.probs, other]), max_iter=1000)
+    assert iterations(nan_row) <= 3
+    assert other_row.q.values.tobytes() == want.q.values.tobytes()
+    assert other_row.r.values.tobytes() == want.r.values.tobytes()
+    assert other_row.iterations == want.iterations
 
 def newton_alone(s, p, tol, max_iter=DEFAULT_MAX_ITER):
     """Newton's method on one step law as ``traffic._newton`` states it; (q, phi(q), steps, kappa).

@@ -80,6 +80,9 @@ measurements:
   ``estimate_drift(*hecke_simple(3), 40, 200, 1)``, a Monte Carlo run of
   one block, so stepped in the caller without a fork, from its sizes'
   checks to its report;
+- ``build_small_calls``: the same count for one ``z2z3_walk(0.3, 0.2)``,
+  which builds the product (cached after the warm-up) and checks the
+  step law;
 - ``exact_residual_126_s``: one call of ``traffic._exact_residual``, the
   exact phi(q) - q of the exact-residual finish, on Z/64 * Z/64 (126
   letters) at the q its solve returns, timed in a fresh interpreter after
@@ -250,6 +253,7 @@ SMALL_CALLS = {
     "solve_small_calls": ("solve_walk", "z2z3_walk(0.3, 0.2)"),
     "metrics_small_calls": ("metrics_report", "z2z3_walk(0.3, 0.2)"),
     "estimate_small_calls": ("estimate_drift", "(*hecke_simple(3), 40, 200, 1)"),
+    "build_small_calls": ("z2z3_walk", "(0.3, 0.2)"),
 }
 TIME_MAKE_FINITE_GROUP = """
 import statistics, time
