@@ -510,8 +510,10 @@ def _newton(s: _Structure, p: np.ndarray, tol: float, max_iter: int):
     candidate leaves (0,1) or holds a NaN, as after a singular step, which
     leaves it to the confirming step.  Each step ORs the two tests into
     one stop mask, and the solve is skipped only when every row stops on
-    its residual.  back and phi are evaluated once at q = 0, for the whole
-    stack, and then once per accepted candidate, at the end of the step.
+    its residual.  back and phi are evaluated once at q = 0, a cost that
+    the rows of the stack share (the lone loop starts from their exact
+    values there), and then once per accepted candidate, at the end of
+    the step.
     A stopping row leaves with its current q, phi at that q, its step
     count and its last x, whichever test stopped it; the others go on
     without it, so each row takes the steps it would take alone.  A row

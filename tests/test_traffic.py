@@ -91,21 +91,21 @@ _NON_FINITE = "non-finite probability in step distribution"
     ([0.5, 0.25, 0.25 + 2e-12], "probabilities sum to 1.000000000002, not 1"),
     ([0.0, 0.0, 0.0], "probabilities sum to 0.0, not 1"),
     ([0.5, 0.5], "need 3 probabilities, got shape (2,)"),
+    ([-0.0, 0.5, 0.5], None),
+    ([0.5, 0.25, 0.25 + 5e-13], None),
 ], ids=["nan", "inf", "-inf", "nan-beside-negative", "negative", "sum-off-2e-12", "all-zero",
-        "shape"])
+        "shape", "negative-zero-accepted", "sum-off-5e-13-accepted"])
 def test_step_distribution_errors_keep_their_type_and_message(probs, message):
-    # a law that fails the two reductions is diagnosed check by check; the
-    # sum prints as a Python float, without numpy's repr
+    # a law that fails the two reductions is diagnosed check by check, and
+    # the sum prints as a Python float, without numpy's repr; -0.0 masses
+    # and a sum within 1e-12 of 1 pass, and the law is kept as given
+    product = free_product_of_cyclics(2, 3)
+    if message is None:
+        assert StepDistribution(product, np.array(probs)).probs.tobytes() == np.array(probs).tobytes()
+        return
     with pytest.raises(ValueError) as info:
-        StepDistribution(free_product_of_cyclics(2, 3), np.array(probs))
+        StepDistribution(product, np.array(probs))
     assert type(info.value) is ValueError and str(info.value) == message
-
-
-@pytest.mark.parametrize("probs", [[-0.0, 0.5, 0.5], [0.5, 0.25, 0.25 + 5e-13]],
-                         ids=["negative-zero", "sum-off-5e-13"])
-def test_step_distribution_accepts_negative_zeros_and_sums_within_1e_12(probs):
-    mu = StepDistribution(free_product_of_cyclics(2, 3), np.array(probs))
-    assert mu.probs.tobytes() == np.array(probs).tobytes()
 
 
 def test_validate_walk_accepts_partial_support():
