@@ -295,7 +295,6 @@ def test_a_singular_matrix_stops_only_its_row():
     assert np.all(np.isinf(sol[0])) and np.array_equal(sol[1], np.full((2, 2), 0.5))
 
 
-
 def test_a_nan_candidate_stops_its_row_at_once(monkeypatch):
     # LAPACK is made to return one NaN in a walk's Newton step at its second
     # solve.  The NaN candidate fails the range test, so the walk leaves
@@ -309,7 +308,7 @@ def test_a_nan_candidate_stops_its_row_at_once(monkeypatch):
 
     def nan_at_the_second_solve(matrices, rhs):
         sol = solve(matrices, rhs)
-        calls.append(len(calls))
+        calls.append(len(matrices))
         if len(calls) == 2:
             sol[(0,) * sol.ndim] = math.nan  # the first letter's step, in the first row of a stack
         return sol
@@ -328,6 +327,7 @@ def test_a_nan_candidate_stops_its_row_at_once(monkeypatch):
     assert other_row.q.values.tobytes() == want.q.values.tobytes()
     assert other_row.r.values.tobytes() == want.r.values.tobytes()
     assert other_row.iterations == want.iterations
+
 
 def newton_alone(s, p, tol, max_iter=DEFAULT_MAX_ITER):
     """Newton's method on one step law as ``traffic._newton`` states it; (q, phi(q), steps, kappa).
